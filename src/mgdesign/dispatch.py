@@ -15,27 +15,33 @@ Dispatch priority, fixed and price-blind:
 
 The battery state threads sequentially through the hours; everything
 else is embarrassingly parallel across (scenario, design) pairs.
+
+One kernel, :func:`_dispatch_hours`, implements these rules.  It loops
+over Python floats, inlines the kinetic-battery closed forms of
+``components`` with their per-call constants hoisted, and keeps every
+other operation in the order of those forms.  :func:`simulate_year` runs
+it over the year and :func:`step_hour` over a single hour.  The tests
+hold it bit-exact against a plain per-hour reference loop
+(``tests/helpers.py``).
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .components import (
-    AIR_DENSITY_KG_M3,
-    BatteryState,
-    _kinetic_charge_bound,
-    _kinetic_discharge_bound,
-    _kinetic_step,
-    battery_state_from_spec,
-)
+from .components import AIR_DENSITY_KG_M3, BatteryState, battery_state_from_spec
 from .scenario import Catalog, GridTariff, Scenario
 
 HOURS = 8760
+
+#: Rows converted to Python floats at a time by :func:`write_trace_csv`.
+_CSV_BLOCK_ROWS = 1024
 
 
 class InvalidDesignError(ValueError):
@@ -280,148 +286,201 @@ def wt_series(scenario: Scenario, capacity_kw: float) -> np.ndarray:
     return power
 
 
-def _dispatch_hour(
-    load: float, pv: float, wt: float, q1: float, q2: float,
-    conv_kw: float, eta: float,
-    bess_on: bool, k: float, c: float, sq_eta: float,
+def _dispatch_hours(
+    load: Sequence[float], pv: Sequence[float], wt: Sequence[float], q1: float, q2: float,
+    conv_kw: float, eta: float, q_max: float, k: float, c: float, sq_eta: float,
     floor_q1: float, floor_q2: float, q_max_eff: float,
     import_cap: float, export_cap: float,
     dg_kw: float, dg_min: float, dg_alpha: float, dg_beta: float,
 ) -> tuple:
-    """Route one hour of power.  Returns the updated tanks and flows.
+    """Route power hour by hour: the one implementation of the dispatch rules.
 
-    Pure float arithmetic; shared by :func:`simulate_year` and
-    :func:`step_hour` so the two can never disagree.
+    ``load``, ``pv`` and ``wt`` are parallel sequences that yield Python
+    floats; the battery starts from tanks ``q1``/``q2`` and takes part
+    when ``q_max > 0``.  Returns ``(columns, soc, q1, q2)``: the nine flow
+    columns of :data:`FLOW_FIELDS` from ``dg_kw`` to
+    ``conversion_loss_kw``, the end-of-hour SOC, and the final tanks.
+    Columns and SOC are ``array("d")`` buffers, 8 bytes per hour.
+
+    The kinetic-battery closed forms of ``components`` are inlined at
+    dt = 1 h with their per-call constants hoisted.  Every remaining
+    expression keeps the operation order of those forms, so the results
+    are bit-identical to evaluating them hour by hour.
     """
-    conv_used = 0.0   # converter output-side throughput this hour
-    conv_loss = 0.0
+    n = len(load)
+    bess_on = q_max > 0.0
+    r = math.exp(-k)
+    one_r = 1.0 - r
+    a = k - 1.0 + r
+    denom = one_r + c * a
+    one_c = 1.0 - c
+    k_c_qmax = k * c * q_max_eff
+    dg_floor = dg_min * dg_kw
 
-    # Wind serves load directly on the AC bus.
-    wt_to_load = wt if wt < load else load
-    residual = load - wt_to_load
-    wt_surplus = wt - wt_to_load
+    zeros = bytes(8 * n)
+    dg_col = array("d", zeros)
+    chg_col = array("d", zeros)
+    dis_col = array("d", zeros)
+    imp_col = array("d", zeros)
+    exp_col = array("d", zeros)
+    unmet_col = array("d", zeros)
+    curt_col = array("d", zeros)
+    fuel_col = array("d", zeros)
+    loss_col = array("d", zeros)
+    soc_col = array("d", zeros)
 
-    # PV serves the remaining load through the converter.
-    pv_surplus = pv
-    if residual > 0.0 and pv > 0.0 and conv_kw > 0.0:
-        deliverable = pv * eta
-        if deliverable > conv_kw:
-            deliverable = conv_kw
-        if deliverable > residual:
-            deliverable = residual
-        if deliverable > 0.0:
-            used_dc = deliverable / eta
-            pv_surplus = pv - used_dc
-            conv_used = deliverable
-            conv_loss += used_dc - deliverable
-            residual -= deliverable
+    for h, ld, p, w in zip(range(n), load, pv, wt):
+        conv_used = 0.0   # converter output-side throughput this hour
+        conv_loss = 0.0
+        charge = 0.0
+        discharge = 0.0
 
-    charge = 0.0
-    discharge = 0.0
-    grid_import = 0.0
-    grid_export = 0.0
-    dg_out = 0.0
-    fuel = 0.0
-    curtailed = 0.0
+        # Wind serves load directly on the AC bus.
+        wt_to_load = w if w < ld else ld
+        residual = ld - wt_to_load
+        wt_surplus = w - wt_to_load
 
-    if residual > 1e-12:
-        # Deficit: battery, then grid, then diesel, then unmet.
-        if bess_on:
-            internal = _kinetic_discharge_bound(
-                max(q1 - floor_q1, 0.0), max(q2 - floor_q2, 0.0), k, c, 1.0)
-            deliverable = internal * sq_eta * eta
-            room = conv_kw - conv_used
-            if deliverable > room:
-                deliverable = room
+        # PV serves the remaining load through the converter.
+        pv_surplus = p
+        if residual > 0.0 and p > 0.0 and conv_kw > 0.0:
+            deliverable = p * eta
+            if deliverable > conv_kw:
+                deliverable = conv_kw
             if deliverable > residual:
                 deliverable = residual
             if deliverable > 0.0:
-                discharge = deliverable / eta
-                conv_used += deliverable
-                conv_loss += discharge - deliverable
+                used_dc = deliverable / eta
+                pv_surplus = p - used_dc
+                conv_used = deliverable
+                conv_loss += used_dc - deliverable
                 residual -= deliverable
-        if residual > 1e-12 and import_cap > 0.0:
-            grid_import = residual if residual < import_cap else import_cap
-            residual -= grid_import
-        if residual > 1e-12 and dg_kw > 0.0 and residual >= dg_min * dg_kw:
-            dg_out = residual if residual < dg_kw else dg_kw
-            fuel = dg_alpha * dg_kw + dg_beta * dg_out
-            residual -= dg_out
-        unmet = residual if residual > 0.0 else 0.0
-        # A converter-saturated hour can leave PV surplus even in deficit;
-        # it can still charge the battery DC-direct (discharge is zero then,
-        # because discharge also needed converter room).
-        if pv_surplus > 0.0:
-            if bess_on and discharge == 0.0:
-                internal = _kinetic_charge_bound(
-                    max(q1 - floor_q1, 0.0), max(q2 - floor_q2, 0.0), q_max_eff, k, c, 1.0)
+
+        if residual > 1e-12:
+            # Deficit: battery, then grid, then diesel, then unmet.
+            if bess_on:
+                e1 = q1 - floor_q1
+                if e1 < 0.0:
+                    e1 = 0.0
+                e2 = q2 - floor_q2
+                if e2 < 0.0:
+                    e2 = 0.0
+                internal = (k * e1 * r + (e1 + e2) * k * c * one_r) / denom
+                if internal < 0.0:
+                    internal = 0.0
+                deliverable = internal * sq_eta * eta
+                room = conv_kw - conv_used
+                if deliverable > room:
+                    deliverable = room
+                if deliverable > residual:
+                    deliverable = residual
+                if deliverable > 0.0:
+                    discharge = deliverable / eta
+                    conv_used += deliverable
+                    conv_loss += discharge - deliverable
+                    residual -= deliverable
+                    dis_col[h] = discharge
+            if residual > 1e-12 and import_cap > 0.0:
+                grid_import = residual if residual < import_cap else import_cap
+                residual -= grid_import
+                imp_col[h] = grid_import
+            if residual > 1e-12 and dg_kw > 0.0 and residual >= dg_floor:
+                dg_out = residual if residual < dg_kw else dg_kw
+                fuel_col[h] = dg_alpha * dg_kw + dg_beta * dg_out
+                residual -= dg_out
+                dg_col[h] = dg_out
+            if residual > 0.0:
+                unmet_col[h] = residual
+            # A converter-saturated hour can leave PV surplus even in deficit;
+            # it can still charge the battery DC-direct (discharge is zero then,
+            # because discharge also needed converter room).
+            if pv_surplus > 0.0:
+                if bess_on and discharge == 0.0:
+                    # e1, e2: the window above the floor, set by the bound above
+                    internal = (k_c_qmax - k * e1 * r - (e1 + e2) * k * c * one_r) / denom
+                    if internal < 0.0:
+                        internal = 0.0
+                    bound = internal / sq_eta
+                    charge = pv_surplus if pv_surplus < bound else bound
+                    pv_surplus -= charge
+                    chg_col[h] = charge
+                curt_col[h] = pv_surplus
+        else:
+            # Surplus: charge (PV DC-direct first, wind via converter), then
+            # export (wind AC-direct first, PV via converter), then curtail.
+            if bess_on and (pv_surplus > 0.0 or wt_surplus > 0.0):
+                e1 = q1 - floor_q1
+                if e1 < 0.0:
+                    e1 = 0.0
+                e2 = q2 - floor_q2
+                if e2 < 0.0:
+                    e2 = 0.0
+                internal = (k_c_qmax - k * e1 * r - (e1 + e2) * k * c * one_r) / denom
+                if internal < 0.0:
+                    internal = 0.0
                 bound = internal / sq_eta
                 charge = pv_surplus if pv_surplus < bound else bound
                 pv_surplus -= charge
-            curtailed += pv_surplus
-            pv_surplus = 0.0
-    else:
-        unmet = 0.0
-        # Surplus: charge (PV DC-direct first, wind via converter), then
-        # export (wind AC-direct first, PV via converter), then curtail.
-        if bess_on and (pv_surplus > 0.0 or wt_surplus > 0.0):
-            internal = _kinetic_charge_bound(
-                max(q1 - floor_q1, 0.0), max(q2 - floor_q2, 0.0), q_max_eff, k, c, 1.0)
-            bound = internal / sq_eta
-            charge = pv_surplus if pv_surplus < bound else bound
-            pv_surplus -= charge
-            if wt_surplus > 0.0 and charge < bound and conv_kw > conv_used:
-                dc_possible = wt_surplus * eta
+                if wt_surplus > 0.0 and charge < bound and conv_kw > conv_used:
+                    dc_possible = wt_surplus * eta
+                    room = conv_kw - conv_used
+                    if dc_possible > room:
+                        dc_possible = room
+                    if dc_possible > bound - charge:
+                        dc_possible = bound - charge
+                    if dc_possible > 0.0:
+                        ac_used = dc_possible / eta
+                        wt_surplus -= ac_used
+                        conv_used += dc_possible
+                        conv_loss += ac_used - dc_possible
+                        charge += dc_possible
+                chg_col[h] = charge
+            if export_cap > 0.0 and (wt_surplus > 0.0 or pv_surplus > 0.0):
+                grid_export = wt_surplus if wt_surplus < export_cap else export_cap
+                wt_surplus -= grid_export
                 room = conv_kw - conv_used
-                if dc_possible > room:
-                    dc_possible = room
-                if dc_possible > bound - charge:
-                    dc_possible = bound - charge
-                if dc_possible > 0.0:
-                    ac_used = dc_possible / eta
-                    wt_surplus -= ac_used
-                    conv_used += dc_possible
-                    conv_loss += ac_used - dc_possible
-                    charge += dc_possible
-        if export_cap > 0.0 and (wt_surplus > 0.0 or pv_surplus > 0.0):
-            grid_export = wt_surplus if wt_surplus < export_cap else export_cap
-            wt_surplus -= grid_export
-            room = conv_kw - conv_used
-            if pv_surplus > 0.0 and room > 0.0 and grid_export < export_cap:
-                ac_possible = pv_surplus * eta
-                if ac_possible > room:
-                    ac_possible = room
-                if ac_possible > export_cap - grid_export:
-                    ac_possible = export_cap - grid_export
-                if ac_possible > 0.0:
-                    dc_used = ac_possible / eta
-                    pv_surplus -= dc_used
-                    conv_used += ac_possible
-                    conv_loss += dc_used - ac_possible
-                    grid_export += ac_possible
-        curtailed = pv_surplus + wt_surplus
+                if pv_surplus > 0.0 and room > 0.0 and grid_export < export_cap:
+                    ac_possible = pv_surplus * eta
+                    if ac_possible > room:
+                        ac_possible = room
+                    if ac_possible > export_cap - grid_export:
+                        ac_possible = export_cap - grid_export
+                    if ac_possible > 0.0:
+                        dc_used = ac_possible / eta
+                        pv_surplus -= dc_used
+                        conv_used += ac_possible
+                        conv_loss += dc_used - ac_possible
+                        grid_export += ac_possible
+                exp_col[h] = grid_export
+            curt_col[h] = pv_surplus + wt_surplus
+        loss_col[h] = conv_loss
 
-    if bess_on:
-        internal_current = discharge / sq_eta - charge * sq_eta
-        q1, q2 = _kinetic_step(q1, q2, internal_current, k, c, 1.0)
+        if bess_on:
+            i = discharge / sq_eta - charge * sq_eta
+            q0 = q1 + q2
+            q1, q2 = (q1 * r + ((q0 * k * c - i) * one_r - i * c * a) / k,
+                      q2 * r + q0 * one_c * one_r - i * one_c * a / k)
+            soc_col[h] = (q1 + q2) / q_max
 
-    return (q1, q2, dg_out, charge, discharge, grid_import, grid_export,
-            unmet, curtailed, fuel, conv_loss)
+    return ((dg_col, chg_col, dis_col, imp_col, exp_col, unmet_col, curt_col,
+             fuel_col, loss_col), soc_col, q1, q2)
 
 
-def _battery_params(scenario: Scenario, design: Design) -> tuple:
-    spec = scenario.catalog.battery
-    q_max = design.bess_kwh
+def _dispatch_params(design: Design, tariff: GridTariff, catalog: Catalog, q_max: float) -> dict:
+    """Keyword arguments of :func:`_dispatch_hours` other than the series
+    and the starting tanks, for a battery bank of ``q_max`` kWh."""
+    spec = catalog.battery
     floor = spec.soc_min * q_max
-    return (
-        q_max > 0.0,
-        spec.rate_constant_per_hr,
-        spec.capacity_ratio,
-        math.sqrt(spec.roundtrip_efficiency),
-        spec.capacity_ratio * floor,
-        (1.0 - spec.capacity_ratio) * floor,
-        (spec.soc_max - spec.soc_min) * q_max,
-    )
+    grid_cap = design.grid_cap_kw if design.grid_cap_kw is not None else math.inf
+    dg = catalog.diesel
+    return dict(
+        conv_kw=design.converter_kw, eta=catalog.converter.efficiency,
+        q_max=q_max, k=spec.rate_constant_per_hr, c=spec.capacity_ratio,
+        sq_eta=math.sqrt(spec.roundtrip_efficiency),
+        floor_q1=spec.capacity_ratio * floor, floor_q2=(1.0 - spec.capacity_ratio) * floor,
+        q_max_eff=(spec.soc_max - spec.soc_min) * q_max,
+        import_cap=min(grid_cap, tariff.max_import_kw), export_cap=min(grid_cap, tariff.max_export_kw),
+        dg_kw=design.dg_kw, dg_min=dg.min_load_ratio,
+        dg_alpha=dg.fuel_intercept_l_per_hr_kw, dg_beta=dg.fuel_slope_l_per_hr_kw)
 
 
 def simulate_year(scenario: Scenario, design: Design) -> DispatchTrace:
@@ -433,102 +492,52 @@ def simulate_year(scenario: Scenario, design: Design) -> DispatchTrace:
     load = scenario.load.values
     pv_avail = pv_series(scenario, design.pv_kw)
     wt_avail = wt_series(scenario, design.wt_kw)
-    n = len(load)
-
-    conv_kw = design.converter_kw
-    eta = scenario.catalog.converter.efficiency
-    bess_on, k, c, sq_eta, floor_q1, floor_q2, q_max_eff = _battery_params(scenario, design)
-    tariff = scenario.tariff
-    grid_cap = design.grid_cap_kw if design.grid_cap_kw is not None else math.inf
-    import_cap = min(grid_cap, tariff.max_import_kw)
-    export_cap = min(grid_cap, tariff.max_export_kw)
-    dg = scenario.catalog.diesel
-    dg_kw, dg_min = design.dg_kw, dg.min_load_ratio
-    dg_alpha, dg_beta = dg.fuel_intercept_l_per_hr_kw, dg.fuel_slope_l_per_hr_kw
-
-    initial = battery_state_from_spec(scenario.catalog.battery, design.bess_kwh)
-    q1, q2 = initial.q1_kwh, initial.q2_kwh
-    q_max = design.bess_kwh
-
-    cols: list[list[float]] = [[] for _ in range(9)]
-    (dg_col, chg_col, dis_col, imp_col, exp_col, unmet_col, curt_col,
-     fuel_col, loss_col) = cols
-    soc = np.empty(n)
-
-    for h in range(n):
-        (q1, q2, dg_out, charge, discharge, grid_import, grid_export,
-         unmet, curtailed, fuel, conv_loss) = _dispatch_hour(
-            load[h], pv_avail[h], wt_avail[h], q1, q2,
-            conv_kw, eta, bess_on, k, c, sq_eta,
-            floor_q1, floor_q2, q_max_eff,
-            import_cap, export_cap, dg_kw, dg_min, dg_alpha, dg_beta)
-        dg_col.append(dg_out)
-        chg_col.append(charge)
-        dis_col.append(discharge)
-        imp_col.append(grid_import)
-        exp_col.append(grid_export)
-        unmet_col.append(unmet)
-        curt_col.append(curtailed)
-        fuel_col.append(fuel)
-        loss_col.append(conv_loss)
-        soc[h] = (q1 + q2) / q_max if q_max > 0.0 else 0.0
-
-    final = BatteryState(q1_kwh=q1, q2_kwh=q2, q_max_kwh=q_max,
-                         soc_min=scenario.catalog.battery.soc_min,
-                         soc_max=scenario.catalog.battery.soc_max)
+    spec = scenario.catalog.battery
+    initial = battery_state_from_spec(spec, design.bess_kwh)
+    # Memoryviews of float64 arrays yield Python floats without copying the
+    # series; np.frombuffer wraps the kernel's output buffers the same way.
+    cols, soc, q1, q2 = _dispatch_hours(
+        memoryview(load), memoryview(pv_avail), memoryview(wt_avail), initial.q1_kwh, initial.q2_kwh,
+        **_dispatch_params(design, scenario.tariff, scenario.catalog, design.bess_kwh))
+    flows = {name: np.frombuffer(col) for name, col in zip(FLOW_FIELDS[2:], cols)}
+    final = BatteryState(q1_kwh=q1, q2_kwh=q2, q_max_kwh=design.bess_kwh,
+                         soc_min=spec.soc_min, soc_max=spec.soc_max)
     return DispatchTrace(
         load_kw=load,
         pv_kw=pv_avail,
         wt_kw=wt_avail,
-        dg_kw=np.array(dg_col),
-        batt_charge_kw=np.array(chg_col),
-        batt_discharge_kw=np.array(dis_col),
-        grid_import_kw=np.array(imp_col),
-        grid_export_kw=np.array(exp_col),
-        unmet_kw=np.array(unmet_col),
-        curtailed_kw=np.array(curt_col),
-        fuel_l_per_hr=np.array(fuel_col),
-        conversion_loss_kw=np.array(loss_col),
-        soc=soc,
+        **flows,
+        soc=np.frombuffer(soc),
         final_battery=final,
         initial_stored_kwh=initial.stored_kwh,
-        roundtrip_efficiency=scenario.catalog.battery.roundtrip_efficiency,
+        roundtrip_efficiency=spec.roundtrip_efficiency,
     )
 
 
 def step_hour(state: BatteryState, load_kw: float, pv_kw: float, wt_kw: float,
               design: Design, tariff: GridTariff, specs: Catalog) -> tuple[BatteryState, PowerFlow]:
-    """Dispatch a single hour; the building block of :func:`simulate_year`."""
-    spec = specs.battery
-    floor = spec.soc_min * state.q_max_kwh
-    grid_cap = design.grid_cap_kw if design.grid_cap_kw is not None else math.inf
-    (q1, q2, dg_out, charge, discharge, grid_import, grid_export,
-     unmet, curtailed, fuel, conv_loss) = _dispatch_hour(
-        load_kw, pv_kw, wt_kw, state.q1_kwh, state.q2_kwh,
-        design.converter_kw, specs.converter.efficiency,
-        state.q_max_kwh > 0.0, spec.rate_constant_per_hr, spec.capacity_ratio,
-        math.sqrt(spec.roundtrip_efficiency),
-        spec.capacity_ratio * floor, (1.0 - spec.capacity_ratio) * floor,
-        (spec.soc_max - spec.soc_min) * state.q_max_kwh,
-        min(grid_cap, tariff.max_import_kw), min(grid_cap, tariff.max_export_kw),
-        design.dg_kw, specs.diesel.min_load_ratio,
-        specs.diesel.fuel_intercept_l_per_hr_kw, specs.diesel.fuel_slope_l_per_hr_kw)
+    """Dispatch a single hour.
+
+    Runs the kernel of :func:`simulate_year` on one-hour series, so
+    threading ``step_hour`` through a year reproduces its trace bit for bit.
+    """
+    cols, _, q1, q2 = _dispatch_hours(
+        [load_kw], [pv_kw], [wt_kw], state.q1_kwh, state.q2_kwh,
+        **_dispatch_params(design, tariff, specs, state.q_max_kwh))
     new_state = BatteryState(q1_kwh=q1, q2_kwh=q2, q_max_kwh=state.q_max_kwh,
                              soc_min=state.soc_min, soc_max=state.soc_max)
-    flow = PowerFlow(
-        pv_kw=pv_kw, wt_kw=wt_kw, dg_kw=dg_out,
-        batt_charge_kw=charge, batt_discharge_kw=discharge,
-        grid_import_kw=grid_import, grid_export_kw=grid_export,
-        unmet_kw=unmet, curtailed_kw=curtailed,
-        fuel_l_per_hr=fuel, conversion_loss_kw=conv_loss)
-    return new_state, flow
+    return new_state, PowerFlow(pv_kw, wt_kw, *(col[0] for col in cols))
 
 
 def write_trace_csv(trace: DispatchTrace, path: str | Path) -> None:
     """Write the hourly trace: the PowerFlow columns plus ``soc``, one
     row per hour in hour order."""
     arrays = [getattr(trace, name) for name in FLOW_FIELDS] + [trace.soc]
+    row = ",".join(["{:.6f}"] * len(arrays)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(FLOW_FIELDS + ("soc",)) + "\n")
-        for h in range(len(trace.load_kw)):
-            fh.write(",".join(f"{float(a[h]):.6f}" for a in arrays) + "\n")
+        # Python floats format fastest; converting a block of rows at a time
+        # keeps the copies small.
+        for start in range(0, len(trace.load_kw), _CSV_BLOCK_ROWS):
+            columns = [a[start:start + _CSV_BLOCK_ROWS].tolist() for a in arrays]
+            fh.writelines(row.format(*values) for values in zip(*columns))

@@ -419,8 +419,12 @@ class Catalog:
             for attr, value in vars(spec).items():
                 if ("cost" in attr or "usd" in attr) and value < 0:
                     problems.append(f"catalog.{name}.{attr}: cost must be >= 0, got {value}")
-            if spec.lifetime_years < 1:
-                problems.append(f"catalog.{name}.lifetime_years: must be >= 1, got {spec.lifetime_years}")
+            if not (math.isfinite(spec.lifetime_years) and spec.lifetime_years >= 1):
+                problems.append(f"catalog.{name}.lifetime_years: must be finite and >= 1, got {spec.lifetime_years}")
+        if not (math.isfinite(self.pv.derating) and self.pv.derating >= 0.0):
+            problems.append(f"catalog.pv.derating: must be finite and >= 0, got {self.pv.derating}")
+        if not (math.isfinite(self.wind.hub_height_m) and self.wind.hub_height_m > 0.0):
+            problems.append(f"catalog.wind.hub_height_m: must be finite and > 0, got {self.wind.hub_height_m}")
         if not 0.0 < self.converter.efficiency <= 1.0:
             problems.append(f"catalog.converter.efficiency: must be in (0, 1], got {self.converter.efficiency}")
         if not 0.0 < self.battery.roundtrip_efficiency <= 1.0:

@@ -3,14 +3,27 @@
 These deliberately avoid the closed-form expressions in the package: the
 battery oracle integrates the raw two-tank dynamics with fine Euler
 steps, and the Pareto oracle is a literal O(n^2) double loop over the
-dominance definition.
+dominance definition.  The dispatch and CSV references are the plain
+per-hour and per-cell loops that the package's faster code must
+reproduce exactly.
 """
 
 from __future__ import annotations
 
+import math
+from pathlib import Path
+
 import numpy as np
 
+from mgdesign.components import (
+    _kinetic_charge_bound,
+    _kinetic_discharge_bound,
+    _kinetic_step,
+    battery_state_from_spec,
+)
+from mgdesign.dispatch import FLOW_FIELDS, Design, DispatchTrace, pv_series, wt_series
 from mgdesign.metrics import MetricVector
+from mgdesign.scenario import Scenario
 
 
 def integrate_tanks(q1, q2, power, k: float, c: float, dt: float, step: float = 1e-3):
@@ -111,3 +124,182 @@ def random_metric_vectors(seed: int, n: int, distinct_levels: int | None = None)
             om_usd_per_yr=0.0, lpsp=0.0)
         for row in raw
     ]
+
+
+# ----------------------------------------------------------------------
+# Reference dispatch and trace export
+# ----------------------------------------------------------------------
+
+def _dispatch_hour(
+    load: float, pv: float, wt: float, q1: float, q2: float,
+    conv_kw: float, eta: float,
+    bess_on: bool, k: float, c: float, sq_eta: float,
+    floor_q1: float, floor_q2: float, q_max_eff: float,
+    import_cap: float, export_cap: float,
+    dg_kw: float, dg_min: float, dg_alpha: float, dg_beta: float,
+) -> tuple:
+    """Route one hour of power.  Returns the updated tanks and flows.
+
+    Pure float arithmetic calling the ``components`` closed forms; the
+    reference that the dispatch kernel must match bit for bit.
+    """
+    conv_used = 0.0   # converter output-side throughput this hour
+    conv_loss = 0.0
+
+    # Wind serves load directly on the AC bus.
+    wt_to_load = wt if wt < load else load
+    residual = load - wt_to_load
+    wt_surplus = wt - wt_to_load
+
+    # PV serves the remaining load through the converter.
+    pv_surplus = pv
+    if residual > 0.0 and pv > 0.0 and conv_kw > 0.0:
+        deliverable = pv * eta
+        if deliverable > conv_kw:
+            deliverable = conv_kw
+        if deliverable > residual:
+            deliverable = residual
+        if deliverable > 0.0:
+            used_dc = deliverable / eta
+            pv_surplus = pv - used_dc
+            conv_used = deliverable
+            conv_loss += used_dc - deliverable
+            residual -= deliverable
+
+    charge = 0.0
+    discharge = 0.0
+    grid_import = 0.0
+    grid_export = 0.0
+    dg_out = 0.0
+    fuel = 0.0
+    curtailed = 0.0
+
+    if residual > 1e-12:
+        # Deficit: battery, then grid, then diesel, then unmet.
+        if bess_on:
+            internal = _kinetic_discharge_bound(
+                max(q1 - floor_q1, 0.0), max(q2 - floor_q2, 0.0), k, c, 1.0)
+            deliverable = internal * sq_eta * eta
+            room = conv_kw - conv_used
+            if deliverable > room:
+                deliverable = room
+            if deliverable > residual:
+                deliverable = residual
+            if deliverable > 0.0:
+                discharge = deliverable / eta
+                conv_used += deliverable
+                conv_loss += discharge - deliverable
+                residual -= deliverable
+        if residual > 1e-12 and import_cap > 0.0:
+            grid_import = residual if residual < import_cap else import_cap
+            residual -= grid_import
+        if residual > 1e-12 and dg_kw > 0.0 and residual >= dg_min * dg_kw:
+            dg_out = residual if residual < dg_kw else dg_kw
+            fuel = dg_alpha * dg_kw + dg_beta * dg_out
+            residual -= dg_out
+        unmet = residual if residual > 0.0 else 0.0
+        # A converter-saturated hour can leave PV surplus even in deficit;
+        # it can still charge the battery DC-direct (discharge is zero then,
+        # because discharge also needed converter room).
+        if pv_surplus > 0.0:
+            if bess_on and discharge == 0.0:
+                internal = _kinetic_charge_bound(
+                    max(q1 - floor_q1, 0.0), max(q2 - floor_q2, 0.0), q_max_eff, k, c, 1.0)
+                bound = internal / sq_eta
+                charge = pv_surplus if pv_surplus < bound else bound
+                pv_surplus -= charge
+            curtailed += pv_surplus
+            pv_surplus = 0.0
+    else:
+        unmet = 0.0
+        # Surplus: charge (PV DC-direct first, wind via converter), then
+        # export (wind AC-direct first, PV via converter), then curtail.
+        if bess_on and (pv_surplus > 0.0 or wt_surplus > 0.0):
+            internal = _kinetic_charge_bound(
+                max(q1 - floor_q1, 0.0), max(q2 - floor_q2, 0.0), q_max_eff, k, c, 1.0)
+            bound = internal / sq_eta
+            charge = pv_surplus if pv_surplus < bound else bound
+            pv_surplus -= charge
+            if wt_surplus > 0.0 and charge < bound and conv_kw > conv_used:
+                dc_possible = wt_surplus * eta
+                room = conv_kw - conv_used
+                if dc_possible > room:
+                    dc_possible = room
+                if dc_possible > bound - charge:
+                    dc_possible = bound - charge
+                if dc_possible > 0.0:
+                    ac_used = dc_possible / eta
+                    wt_surplus -= ac_used
+                    conv_used += dc_possible
+                    conv_loss += ac_used - dc_possible
+                    charge += dc_possible
+        if export_cap > 0.0 and (wt_surplus > 0.0 or pv_surplus > 0.0):
+            grid_export = wt_surplus if wt_surplus < export_cap else export_cap
+            wt_surplus -= grid_export
+            room = conv_kw - conv_used
+            if pv_surplus > 0.0 and room > 0.0 and grid_export < export_cap:
+                ac_possible = pv_surplus * eta
+                if ac_possible > room:
+                    ac_possible = room
+                if ac_possible > export_cap - grid_export:
+                    ac_possible = export_cap - grid_export
+                if ac_possible > 0.0:
+                    dc_used = ac_possible / eta
+                    pv_surplus -= dc_used
+                    conv_used += ac_possible
+                    conv_loss += dc_used - ac_possible
+                    grid_export += ac_possible
+        curtailed = pv_surplus + wt_surplus
+
+    if bess_on:
+        internal_current = discharge / sq_eta - charge * sq_eta
+        q1, q2 = _kinetic_step(q1, q2, internal_current, k, c, 1.0)
+
+    return (q1, q2, dg_out, charge, discharge, grid_import, grid_export,
+            unmet, curtailed, fuel, conv_loss)
+
+
+def reference_dispatch_year(scenario: Scenario, design: Design):
+    """Dispatch a year with :func:`_dispatch_hour`, indexing the NumPy
+    series hour by hour.
+
+    Returns ``(flows, soc, q1, q2)``: the flow columns keyed by their
+    :data:`FLOW_FIELDS` name from ``dg_kw`` on, the end-of-hour SOC and
+    the final tanks.
+    """
+    load = scenario.load.values
+    pv_avail = pv_series(scenario, design.pv_kw)
+    wt_avail = wt_series(scenario, design.wt_kw)
+    spec = scenario.catalog.battery
+    q_max = design.bess_kwh
+    floor = spec.soc_min * q_max
+    grid_cap = design.grid_cap_kw if design.grid_cap_kw is not None else math.inf
+    dg = scenario.catalog.diesel
+    params = (
+        design.converter_kw, scenario.catalog.converter.efficiency,
+        q_max > 0.0, spec.rate_constant_per_hr, spec.capacity_ratio,
+        math.sqrt(spec.roundtrip_efficiency),
+        spec.capacity_ratio * floor, (1.0 - spec.capacity_ratio) * floor,
+        (spec.soc_max - spec.soc_min) * q_max,
+        min(grid_cap, scenario.tariff.max_import_kw), min(grid_cap, scenario.tariff.max_export_kw),
+        design.dg_kw, dg.min_load_ratio, dg.fuel_intercept_l_per_hr_kw, dg.fuel_slope_l_per_hr_kw,
+    )
+    initial = battery_state_from_spec(spec, q_max)
+    q1, q2 = initial.q1_kwh, initial.q2_kwh
+    cols: list[list[float]] = [[] for _ in range(9)]
+    soc = np.empty(len(load))
+    for h in range(len(load)):
+        q1, q2, *flows = _dispatch_hour(load[h], pv_avail[h], wt_avail[h], q1, q2, *params)
+        for col, value in zip(cols, flows):
+            col.append(value)
+        soc[h] = (q1 + q2) / q_max if q_max > 0.0 else 0.0
+    return dict(zip(FLOW_FIELDS[2:], map(np.array, cols))), soc, q1, q2
+
+
+def reference_write_trace_csv(trace: DispatchTrace, path: str | Path) -> None:
+    """Trace export formatting one NumPy scalar per cell."""
+    arrays = [getattr(trace, name) for name in FLOW_FIELDS] + [trace.soc]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(FLOW_FIELDS + ("soc",)) + "\n")
+        for h in range(len(trace.load_kw)):
+            fh.write(",".join(f"{float(a[h]):.6f}" for a in arrays) + "\n")

@@ -5,6 +5,7 @@ import pytest
 
 from mgdesign.components import pv_output, hub_wind_speed, wt_output
 from mgdesign.dispatch import (
+    FLOW_FIELDS,
     Design,
     InvalidDesignError,
     pv_series,
@@ -13,9 +14,25 @@ from mgdesign.dispatch import (
     write_trace_csv,
     wt_series,
 )
+from mgdesign.optimize import SearchSpace
 from mgdesign.scenario import Scenario, TimeSeries, Unit
 
 from .conftest import random_design, random_scenario
+from .helpers import reference_dispatch_year, reference_write_trace_csv
+
+#: The 64-design lattice of the benchmark's ``lattice_search`` workload.
+BENCH_LATTICE = "pv=20:620:200,wt=10:210:200,dg=15:75:60,bess=50:950:300,conv=255"
+
+
+def assert_matches_reference(scenario, design):
+    """Every flow column, ``soc`` and the final tanks equal the per-hour
+    reference loop exactly."""
+    trace = simulate_year(scenario, design)
+    flows, soc, q1, q2 = reference_dispatch_year(scenario, design)
+    for name, expected in flows.items():
+        assert np.array_equal(getattr(trace, name), expected), f"{name} differs for {design}"
+    assert np.array_equal(trace.soc, soc), f"soc differs for {design}"
+    assert (trace.final_battery.q1_kwh, trace.final_battery.q2_kwh) == (q1, q2)
 
 
 class TestDesign:
@@ -149,6 +166,40 @@ class TestSimulateYear:
         assert np.array_equal(t1.soc, t2.soc)
 
 
+class TestKernelMatchesReference:
+    def test_criterion_1_pairs(self):
+        for seed in range(100):
+            assert_matches_reference(random_scenario(seed), random_design(seed + 10_000))
+
+    def test_bench_lattice(self, bundled):
+        designs = list(SearchSpace.from_string(BENCH_LATTICE).designs())
+        assert len(designs) == 64
+        for design in designs:
+            assert_matches_reference(bundled, design)
+
+    def test_a5_and_grid_only(self, bundled, a5):
+        assert_matches_reference(bundled, a5)
+        assert_matches_reference(bundled, Design(grid_cap_kw=float(bundled.load.values.max()) + 1.0))
+
+    def test_random_catalog_constants(self):
+        # The bundled k = 1 and c = 0.5 make some reorderings of the kinetic
+        # products exact; random constants expose them.
+        for seed in range(20):
+            rng = np.random.default_rng(seed + 500)
+            scenario = random_scenario(seed)
+            catalog = scenario.catalog
+            catalog = replace(
+                catalog,
+                battery=replace(catalog.battery, rate_constant_per_hr=float(rng.uniform(0.25, 3.0)),
+                                capacity_ratio=float(rng.uniform(0.2, 0.8)),
+                                roundtrip_efficiency=float(rng.uniform(0.7, 0.98)),
+                                soc_min=float(rng.uniform(0.05, 0.3)), soc_max=float(rng.uniform(0.7, 0.95))),
+                converter=replace(catalog.converter, efficiency=float(rng.uniform(0.85, 0.99))),
+                diesel=replace(catalog.diesel, min_load_ratio=float(rng.uniform(0.1, 0.4))))
+            design = replace(random_design(seed + 20_000), bess_kwh=float(rng.uniform(50.0, 1200.0)))
+            assert_matches_reference(replace(scenario, catalog=catalog), design)
+
+
 class TestStepHour:
     def test_all_zero_hour(self, bundled):
         from mgdesign.components import BatteryState
@@ -192,6 +243,22 @@ class TestStepHour:
         assert flow.grid_import_kw == pytest.approx(float(trace.grid_import_kw[0]), abs=1e-12)
         assert flow.batt_discharge_kw == pytest.approx(float(trace.batt_discharge_kw[0]), abs=1e-12)
 
+    def test_threaded_year_equals_simulate_year(self, bundled, a5):
+        from mgdesign.components import battery_state_from_spec
+
+        trace = simulate_year(bundled, a5)
+        state = battery_state_from_spec(bundled.catalog.battery, a5.bess_kwh)
+        inputs = zip(bundled.load.values.tolist(), trace.pv_kw.tolist(), trace.wt_kw.tolist())
+        flows, soc = [], []
+        for load, pv, wt in inputs:
+            state, flow = step_hour(state, load, pv, wt, a5, bundled.tariff, bundled.catalog)
+            flows.append(flow)
+            soc.append(state.soc)
+        for name in FLOW_FIELDS:
+            assert np.array_equal([getattr(f, name) for f in flows], getattr(trace, name)), name
+        assert np.array_equal(soc, trace.soc)
+        assert state == trace.final_battery
+
 
 class TestTraceExport:
     def test_csv_columns_and_rows(self, tmp_path, bundled, a5):
@@ -203,3 +270,9 @@ class TestTraceExport:
                             "grid_import_kw,grid_export_kw,unmet_kw,curtailed_kw,"
                             "fuel_l_per_hr,conversion_loss_kw,soc")
         assert len(lines) == 8761
+
+    def test_csv_bytes_match_per_cell_formatter(self, tmp_path, bundled, a5):
+        trace = simulate_year(bundled, a5)
+        write_trace_csv(trace, tmp_path / "fast.csv")
+        reference_write_trace_csv(trace, tmp_path / "reference.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()

@@ -171,3 +171,29 @@ class TestValidateScenario:
             bundled.reliability_lambda = 5.0
         with pytest.raises(ValueError):
             bundled.load.values[0] = 1.0
+
+
+class TestCatalogValidation:
+    """Catalog values that would otherwise give a silently wrong result."""
+
+    @staticmethod
+    def _violations(bundled, section, **changes):
+        catalog = replace(bundled.catalog, **{section: replace(getattr(bundled.catalog, section), **changes)})
+        with pytest.raises(ScenarioValidationError) as err:
+            validate_scenario(replace(bundled, catalog=catalog))
+        return err.value.violations
+
+    @pytest.mark.parametrize("height", [0.0, -10.0, math.nan])
+    def test_wind_hub_height_must_be_positive(self, bundled, height):
+        problems = self._violations(bundled, "wind", hub_height_m=height)
+        assert any("catalog.wind.hub_height_m" in v for v in problems)
+
+    @pytest.mark.parametrize("derating", [-0.1, math.nan])
+    def test_pv_derating_must_be_non_negative(self, bundled, derating):
+        problems = self._violations(bundled, "pv", derating=derating)
+        assert any("catalog.pv.derating" in v for v in problems)
+
+    @pytest.mark.parametrize("lifetime", [math.nan, math.inf])
+    def test_lifetime_must_be_finite(self, bundled, lifetime):
+        problems = self._violations(bundled, "battery", lifetime_years=lifetime)
+        assert any("catalog.battery.lifetime_years" in v for v in problems)
