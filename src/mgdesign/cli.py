@@ -216,8 +216,8 @@ def cmd_rl_search(args) -> int:
 def cmd_pareto(args) -> int:
     out = _outdir(args)
     evaluations = _read_results_csv(Path(args.results))
-    optimize.emit_pareto_plotdata(evaluations, out / "pareto_plotdata.csv")
-    front = sum(1 for keep in optimize.pareto_mask([e.metrics for e in evaluations]) if keep)
+    ranks = optimize.emit_pareto_plotdata(evaluations, out / "pareto_plotdata.csv")
+    front = int((ranks == 0).sum())
     print(f"{len(evaluations)} points, {front} non-dominated")
     print(f"wrote {out / 'pareto_plotdata.csv'}")
     return 0

@@ -225,25 +225,60 @@ def _minimization_matrix(points: Sequence[MetricVector]) -> np.ndarray:
     return m
 
 
+def _lexsorted(points: Sequence[MetricVector]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows without NaN in lexicographic order of the minimization
+    matrix: ``(order, sorted_rows, starts)``, where ``order`` holds input
+    indices and ``starts[k]`` marks the first row of each run of equal rows.
+
+    If row i dominates row j, then at the first column where they differ
+    row i is lower, so i sorts strictly before j; equal rows (``-0.0`` equals
+    ``0.0``) tie.  The order is therefore a topological order of dominance,
+    and every row before a run's first row differs from it.  Rows with NaN
+    are left out: every comparison with NaN is false, so they neither
+    dominate nor are dominated.
+    """
+    m = _minimization_matrix(points)
+    rows = np.flatnonzero(~np.isnan(m).any(axis=1))
+    order = rows[np.lexsort(m[rows].T[::-1])]
+    s = m[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (s[1:] != s[:-1]).any(axis=1)
+    return order, s, starts
+
+
 def pareto_mask(points: Sequence[MetricVector]) -> np.ndarray:
     """Boolean mask of the non-dominated points, in input order.
 
     A point is dominated when another point is at least as good in every
     objective and strictly better in one.  Duplicates do not dominate
-    each other, so tied optima are all kept.
+    each other, so tied optima are all kept; a point with a NaN objective
+    is always kept.
+
+    Sort-based maxima filter (Kung, Luccio & Preparata 1975): walk the
+    rows in lexicographic order, a topological order of dominance (see
+    :func:`_lexsorted`), and keep a row unless a row already kept
+    dominates it.  Checking only the kept rows suffices because dominance
+    is transitive and the first row of any dominance chain is kept.
+    Every kept row sorts no higher in the first objective, so only the
+    other three are compared.  O(n * front size) comparisons.
     """
-    n = len(points)
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    m = _minimization_matrix(points)
-    dominated = np.zeros(n, dtype=bool)
-    chunk = 256
-    for start in range(0, n, chunk):
-        block = m[start:start + chunk]  # candidates j
-        le = (block[:, None, :] <= m[None, :, :]).all(axis=2)
-        lt = (block[:, None, :] < m[None, :, :]).any(axis=2)
-        dominated |= (le & lt).any(axis=0)
-    return ~dominated
+    keep = np.ones(len(points), dtype=bool)
+    if len(points) == 0:
+        return keep
+    order, s, starts = _lexsorted(points)
+    front = np.empty((3, len(order)))  # objectives 1..3 of the kept rows
+    size = 0
+    dominated = False
+    for index, row, start in zip(order.tolist(), s.tolist(), starts.tolist()):
+        if start:
+            _, x1, x2, x3 = row
+            dominated = bool(((front[0, :size] <= x1) & (front[1, :size] <= x2)
+                              & (front[2, :size] <= x3)).any())
+            if not dominated:
+                front[:, size] = (x1, x2, x3)
+                size += 1
+        keep[index] = not dominated
+    return keep
 
 
 def pareto_filter(points: Sequence[MetricVector]) -> list[MetricVector]:
@@ -253,21 +288,34 @@ def pareto_filter(points: Sequence[MetricVector]) -> list[MetricVector]:
 
 
 def pareto_ranks(points: Sequence[MetricVector]) -> np.ndarray:
-    """Non-dominated front index per point (0 = the Pareto front)."""
-    n = len(points)
-    ranks = np.full(n, -1, dtype=int)
-    remaining = list(range(n))
-    front = 0
-    while remaining:
-        mask = pareto_mask([points[i] for i in remaining])
-        next_remaining = []
-        for idx, keep in zip(remaining, mask):
-            if keep:
-                ranks[idx] = front
-            else:
-                next_remaining.append(idx)
-        remaining = next_remaining
-        front += 1
+    """Non-dominated front index per point (0 = the Pareto front).
+
+    Front k holds the points that are non-dominated once fronts
+    0..k-1 are removed, so a point's rank is one more than the highest
+    rank among the points that dominate it, or 0 if none does.  One
+    forward pass over the lexicographic order (see :func:`_lexsorted`)
+    computes exactly that, as every dominator of a row comes before it
+    (a single non-dominated sort in the spirit of NSGA-II, Deb et al.
+    2002).  Each run of equal rows is compared once, against all rows
+    before it; those all differ from it and sort no higher in the first
+    objective, so "no worse in the other three" means "dominates".
+    Duplicates share a rank and NaN rows get rank 0.  O(n^2) comparisons
+    in O(n) extra memory.
+    """
+    ranks = np.zeros(len(points), dtype=int)
+    if len(points) == 0:
+        return ranks
+    order, s, starts = _lexsorted(points)
+    c1, c2, c3 = (np.ascontiguousarray(s[:, k]) for k in (1, 2, 3))
+    sorted_ranks = np.zeros(len(order), dtype=int)
+    rank = 0
+    for pos, (row, start) in enumerate(zip(s.tolist(), starts.tolist())):
+        if start:
+            _, x1, x2, x3 = row
+            dominators = (c1[:pos] <= x1) & (c2[:pos] <= x2) & (c3[:pos] <= x3)
+            rank = int(sorted_ranks[:pos].max(initial=-1, where=dominators)) + 1
+        sorted_ranks[pos] = rank
+    ranks[order] = sorted_ranks
     return ranks
 
 
@@ -575,9 +623,10 @@ def csv_cell(value) -> str:
 
 
 def write_evaluations_csv(evaluations: Sequence[EvaluatedDesign], path: str | Path,
-                          with_front_rank: bool = False) -> None:
+                          with_front_rank: bool = False) -> np.ndarray | None:
     """One row per evaluated design: capacities, metrics, feasibility,
-    and optionally the Pareto front rank and membership flag."""
+    and optionally the Pareto front rank and membership flag.  Returns
+    the front ranks it wrote, or None without ``with_front_rank``."""
     if not evaluations:
         raise EmptyInputError("no evaluations to write")
     header = list(DESIGN_FIELDS) + list(METRIC_FIELDS) + ["feasible"]
@@ -595,12 +644,13 @@ def write_evaluations_csv(evaluations: Sequence[EvaluatedDesign], path: str | Pa
                 row.append(csv_cell(bool(ranks[i] == 0)))
                 row.append(csv_cell(int(ranks[i])))
             fh.write(",".join(row) + "\n")
+    return ranks
 
 
-def emit_pareto_plotdata(evaluations: Sequence[EvaluatedDesign], path: str | Path) -> None:
+def emit_pareto_plotdata(evaluations: Sequence[EvaluatedDesign], path: str | Path) -> np.ndarray:
     """The trade-off cloud behind a Pareto plot: every point with its
-    dominated/non-dominated flag and front rank."""
-    write_evaluations_csv(evaluations, path, with_front_rank=True)
+    dominated/non-dominated flag and front rank.  Returns the ranks."""
+    return write_evaluations_csv(evaluations, path, with_front_rank=True)
 
 
 def write_pareto_csv(evaluations: Sequence[EvaluatedDesign], path: str | Path) -> list[EvaluatedDesign]:

@@ -417,8 +417,8 @@ class Catalog:
         for name, spec in (("pv", self.pv), ("wind", self.wind), ("diesel", self.diesel),
                            ("battery", self.battery), ("converter", self.converter)):
             for attr, value in vars(spec).items():
-                if ("cost" in attr or "usd" in attr) and value < 0:
-                    problems.append(f"catalog.{name}.{attr}: cost must be >= 0, got {value}")
+                if ("cost" in attr or "usd" in attr) and not (math.isfinite(value) and value >= 0):
+                    problems.append(f"catalog.{name}.{attr}: cost must be finite and >= 0, got {value}")
             if not (math.isfinite(spec.lifetime_years) and spec.lifetime_years >= 1):
                 problems.append(f"catalog.{name}.lifetime_years: must be finite and >= 1, got {spec.lifetime_years}")
         if not (math.isfinite(self.pv.derating) and self.pv.derating >= 0.0):
@@ -433,8 +433,9 @@ class Catalog:
             problems.append("catalog.battery: soc window must satisfy 0 < soc_max - soc_min <= 1")
         if not 0.0 < self.battery.capacity_ratio < 1.0:
             problems.append(f"catalog.battery.capacity_ratio: must be in (0, 1), got {self.battery.capacity_ratio}")
-        if self.battery.rate_constant_per_hr <= 0:
-            problems.append("catalog.battery.rate_constant_per_hr: must be > 0")
+        k = self.battery.rate_constant_per_hr
+        if not (math.isfinite(k) and k > 0.0):
+            problems.append(f"catalog.battery.rate_constant_per_hr: must be finite and > 0, got {k}")
         if not self.wind.cut_in_ms < self.wind.cut_out_ms:
             problems.append(f"catalog.wind: cut-in {self.wind.cut_in_ms} must be below cut-out {self.wind.cut_out_ms}")
         if not self.wind.cut_in_ms < self.wind.rated_ms <= self.wind.cut_out_ms:

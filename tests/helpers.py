@@ -88,6 +88,58 @@ def brute_force_pareto_mask(points: list[MetricVector]) -> np.ndarray:
     return keep
 
 
+def brute_force_pareto_ranks(points: list[MetricVector]) -> np.ndarray:
+    """Front index per point by peeling: front 0 is the brute-force
+    non-dominated set, front k the one left after removing fronts 0..k-1."""
+    ranks = np.full(len(points), -1, dtype=int)
+    remaining = list(range(len(points)))
+    front = 0
+    while remaining:
+        mask = brute_force_pareto_mask([points[i] for i in remaining])
+        for i, keep in zip(remaining, mask):
+            if keep:
+                ranks[i] = front
+        remaining = [i for i, keep in zip(remaining, mask) if not keep]
+        front += 1
+    return ranks
+
+
+def layered_archive(seed: int, rows: int, fronts: int) -> tuple[list[MetricVector], np.ndarray]:
+    """Shuffled points whose front ranks are known by construction, and
+    those ranks.
+
+    Front k holds integer vectors with a fixed sum S, shifted by k * S on
+    every axis (lower is better): equal sums keep a front mutually
+    non-dominated, the shift makes every point of front k - 1 dominate
+    every point of front k.  Small integers give single-objective ties,
+    about one row in twenty repeats an earlier row of its front, and the
+    objectives map through strictly increasing or decreasing affine
+    functions, which keep every dominance relation.
+    """
+    rng = np.random.default_rng([seed, 7])
+    span = 40
+    units: list[np.ndarray] = []
+    ranks: list[int] = []
+    for k in range(fronts):
+        front: list[np.ndarray] = []
+        for _ in range(rows // fronts + (1 if k < rows % fronts else 0)):
+            if front and rng.random() < 0.05:
+                front.append(front[int(rng.integers(len(front)))])
+            else:
+                front.append(rng.multinomial(span, rng.dirichlet([0.7] * 4)) + k * span)
+        units += front
+        ranks += [k] * len(front)
+    order = rng.permutation(len(units))
+    points = [
+        MetricVector(
+            npc_usd=2.5e6 + 1500.0 * float(u[0]), reliability=1.0 - 2e-4 * float(u[1]),
+            efficiency_pct=95.0 - 0.03 * float(u[2]), co2_kg_per_yr=-6.0e4 + 100.0 * float(u[3]),
+            lcoe_usd_per_kwh=0.0, capital_usd=0.0, om_usd_per_yr=0.0, lpsp=0.0)
+        for u in (units[i] for i in order)
+    ]
+    return points, np.asarray(ranks)[order]
+
+
 def toy_two_action_space():
     """One live axis with two choices; everything else fixed at zero."""
     from mgdesign.optimize import Range, SearchSpace

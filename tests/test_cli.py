@@ -1,9 +1,11 @@
 import filecmp
+import shutil
 from pathlib import Path
 
 import pytest
 
 from mgdesign.cli import main
+from mgdesign.scenario import bundled_data_path
 
 A5_ARG = "pv=418,wt=123,dg=0,bess=704,conv=255"
 
@@ -49,6 +51,23 @@ class TestEvaluate:
         code, _, err = _run(capsys, "evaluate", "--design", "pv=-5", "--out", str(tmp_path))
         assert code != 0
         assert "error" in err
+
+    @pytest.mark.parametrize("line, field", [
+        ("capital_usd_per_kw: 1300.0", "catalog.pv.capital_usd_per_kw"),
+        ("rate_constant_per_hr: 1.0", "catalog.battery.rate_constant_per_hr"),
+    ])
+    def test_nan_catalog_value_exits_2(self, capsys, tmp_path, line, field):
+        data = tmp_path / "data"
+        shutil.copytree(bundled_data_path(), data)
+        yaml_path = data / "scenario.yaml"
+        text = yaml_path.read_text(encoding="utf-8")
+        key = line.split(":")[0]
+        assert text.count(line) == 1
+        yaml_path.write_text(text.replace(line, f"{key}: .nan"), encoding="utf-8")
+        code, _, err = _run(capsys, "evaluate", "--scenario", str(yaml_path), "--design", A5_ARG,
+                            "--out", str(tmp_path / "run"))
+        assert code == 2
+        assert field in err
 
 
 class TestSearch:

@@ -31,6 +31,8 @@ from mgdesign.optimize import (
 from .conftest import random_scenario, table2_rows
 from .helpers import (
     brute_force_pareto_mask,
+    brute_force_pareto_ranks,
+    layered_archive,
     random_metric_vectors,
     toy_two_action_eval,
     toy_two_action_space,
@@ -116,6 +118,59 @@ class TestParetoFilter:
         ranks = pareto_ranks(points)
         assert np.array_equal(ranks == 0, pareto_mask(points))
         assert ranks.min() == 0 and (ranks >= 0).all()
+
+
+class TestParetoRanks:
+    """``pareto_ranks`` against the front-peeling brute-force oracle."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_oracle_with_ties_and_duplicates(self, seed):
+        n = int(np.random.default_rng(seed).integers(1, 220))
+        points = random_metric_vectors(seed, n, distinct_levels=3 if seed % 2 else 8)
+        assert np.array_equal(pareto_ranks(points), brute_force_pareto_ranks(points))
+
+    def test_layered_archive(self):
+        points, expected = layered_archive(seed=11, rows=300, fronts=10)
+        ranks = pareto_ranks(points)
+        assert np.array_equal(ranks, expected)
+        assert np.array_equal(ranks, brute_force_pareto_ranks(points))
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_tiny_sets(self, n):
+        for seed in range(20):
+            points = random_metric_vectors(seed, n, distinct_levels=1)
+            assert np.array_equal(pareto_ranks(points), brute_force_pareto_ranks(points))
+            assert np.array_equal(pareto_mask(points), brute_force_pareto_mask(points))
+
+
+class TestParetoEdgeValues:
+    """NaN compares false both ways, so a NaN row neither dominates nor is
+    dominated; infinities order like numbers; -0.0 ties with 0.0."""
+
+    VALUES = (math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_edge_values_match_oracles(self, seed):
+        rng = np.random.default_rng(seed)
+        picks = rng.choice(len(self.VALUES), size=(60, 4), p=(0.05, 0.15, 0.15, 0.25, 0.25, 0.15))
+        points = [_metric(*(self.VALUES[k] for k in row)) for row in picks]
+        assert np.array_equal(pareto_mask(points), brute_force_pareto_mask(points))
+        assert np.array_equal(pareto_ranks(points), brute_force_pareto_ranks(points))
+
+    def test_signed_zeros_tie(self):
+        points = [_metric(npc=0.0), _metric(npc=-0.0), _metric(npc=0.0, co2=-0.0)]
+        assert pareto_mask(points).all()
+        assert np.array_equal(pareto_ranks(points), [0, 0, 0])
+
+    def test_nan_row_neither_dominates_nor_is_dominated(self):
+        best = _metric(npc=1.0, rel=1.0, eff=100.0, co2=0.0)
+        nan_row = _metric(npc=math.nan, rel=0.0, eff=0.0, co2=9.0)
+        shadowed = _metric(npc=2.0, rel=0.5, eff=50.0, co2=5.0)  # dominated by best only
+        worse = _metric(npc=3.0, rel=0.1, eff=10.0, co2=8.0)
+        points = [worse, nan_row, shadowed, best]
+        assert np.array_equal(pareto_mask(points), [False, True, False, True])
+        assert np.array_equal(pareto_ranks(points), [2, 0, 1, 0])
+        assert np.array_equal(pareto_mask([nan_row, worse]), [True, True])
 
 
 class TestScalarize:

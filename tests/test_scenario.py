@@ -197,3 +197,13 @@ class TestCatalogValidation:
     def test_lifetime_must_be_finite(self, bundled, lifetime):
         problems = self._violations(bundled, "battery", lifetime_years=lifetime)
         assert any("catalog.battery.lifetime_years" in v for v in problems)
+
+    @pytest.mark.parametrize("cost", [-1.0, math.nan, math.inf])
+    def test_cost_must_be_finite_and_non_negative(self, bundled, cost):
+        problems = self._violations(bundled, "pv", capital_usd_per_kw=cost)
+        assert any("catalog.pv.capital_usd_per_kw" in v for v in problems)
+
+    @pytest.mark.parametrize("rate", [0.0, math.nan, math.inf])
+    def test_rate_constant_must_be_finite_and_positive(self, bundled, rate):
+        problems = self._violations(bundled, "battery", rate_constant_per_hr=rate)
+        assert any("catalog.battery.rate_constant_per_hr" in v for v in problems)
