@@ -174,6 +174,25 @@ def cmd_search(args) -> int:
     return 0
 
 
+class _CountedCalls:
+    """A per-design callable that counts the calls reaching it, so a
+    command can report how many evaluations the search's memo let through."""
+
+    def __init__(self, fn) -> None:
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, design: Design):
+        self.calls += 1
+        return self.fn(design)
+
+
+def _report_evaluations(requested: int, simulated: int) -> None:
+    """Evaluation counts on stderr, so stdout and output files stay as they were."""
+    print(f"evaluations: {requested} requested, {simulated} simulated, "
+          f"{requested - simulated} reused", file=sys.stderr)
+
+
 def _design_label(design: Design) -> str:
     return (f"pv={design.pv_kw:g},wt={design.wt_kw:g},dg={design.dg_kw:g},"
             f"bess={design.bess_kwh:g},conv={design.converter_kw:g}")
@@ -183,12 +202,12 @@ def cmd_refine(args) -> int:
     scenario = _load_scenario(args)
     start = Design.from_string(args.design)
     out = _outdir(args)
-    result = optimize.refine(
-        start, lambda d: evaluate(d, scenario).npc_usd,
-        tolerance=args.tolerance, max_cycles=args.max_cycles)
+    objective = _CountedCalls(lambda d: evaluate(d, scenario).npc_usd)
+    result = optimize.refine(start, objective, tolerance=args.tolerance, max_cycles=args.max_cycles)
     metrics = evaluate(result.design, scenario)
     print(f"refined {_design_label(start)} -> {_design_label(result.design)} "
           f"in {result.cycles} cycles ({result.evaluations} evaluations)")
+    _report_evaluations(result.evaluations, objective.calls)
     _print_metrics(metrics)
     _write_metrics_csv(metrics, result.design, out / "refined.csv")
     print(f"wrote {out / 'refined.csv'}")
@@ -200,7 +219,10 @@ def cmd_rl_search(args) -> int:
     space = SearchSpace.from_string(args.space, grid_cap_kw=args.grid_cap)
     out = _outdir(args)
     config = PolicyConfig(episodes=args.episodes, learning_rate=args.learning_rate)
-    result = optimize.policy_gradient_search(scenario, space, config, seed=args.seed)
+    evaluate_fn = _CountedCalls(lambda d: evaluate(d, scenario))
+    result = optimize.policy_gradient_search(scenario, space, config, seed=args.seed,
+                                             evaluate_fn=evaluate_fn)
+    _report_evaluations(result.episodes_run, evaluate_fn.calls)
     optimize.write_evaluations_csv(result.archive, out / "rl_archive.csv")
     optimize.write_evaluations_csv(result.front, out / "rl_pareto.csv", with_front_rank=True)
     print(f"{result.episodes_run} episodes, archive {len(result.archive)}, "
@@ -262,8 +284,9 @@ def cmd_lcoe_sweep(args) -> int:
     multipliers = [float(m) for m in args.multipliers.split(",")]
     parameters = (list(sensitivity.SweepParameter) if args.parameter == "all"
                   else [sensitivity.SweepParameter(args.parameter)])
+    trace = simulate_year(scenario, design)
     for parameter in parameters:
-        curve = sensitivity.lcoe_sweep(scenario, design, parameter, multipliers)
+        curve = sensitivity.lcoe_sweep(scenario, design, parameter, multipliers, trace=trace)
         path = out / f"lcoe_{parameter.value}.csv"
         sensitivity.write_sweep_csv(curve, path)
         lo, hi = min(v for _, v in curve), max(v for _, v in curve)

@@ -12,12 +12,16 @@ import math
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import TypeVar
 
 import numpy as np
 
 from .dispatch import Design
 from .metrics import METRIC_FIELDS, MetricVector, capital_cost, evaluate, fixed_om_cost
 from .scenario import Scenario
+
+
+_T = TypeVar("_T")
 
 
 class EmptySearchSpaceError(ValueError):
@@ -440,6 +444,23 @@ def grid_search(scenario: Scenario, space: SearchSpace,
 # Derivative-free refinement (cyclic coordinate search)
 # ----------------------------------------------------------------------
 
+def _memoized(fn: Callable[[Design], _T]) -> Callable[[Design], _T]:
+    """``fn`` run once per distinct design; a repeat returns the stored result.
+
+    ``Design`` is frozen and hashable, so it is the key.  One memo per
+    search call: it lives as long as the returned callable and holds only
+    the small immutable results (never a dispatch trace).
+    """
+    results: dict[Design, _T] = {}
+
+    def call(design: Design) -> _T:
+        if design not in results:
+            results[design] = fn(design)
+        return results[design]
+
+    return call
+
+
 @dataclass(frozen=True)
 class RefineResult:
     design: Design
@@ -465,7 +486,12 @@ def refine(start: Design, objective: Callable[[Design], float],
     acceptance all steps shrink by ``shrink``; the search stops once
     every step is below ``tolerance`` or after ``max_cycles`` cycles.
     Capacities stay non-negative and inside ``space`` when given.
+
+    ``objective`` runs once per distinct design: a probe of a design
+    already scored reuses its score.  ``evaluations`` still counts every
+    requested probe, repeats included.
     """
+    objective = _memoized(objective)
     steps = dict(DEFAULT_STEPS if initial_steps is None else initial_steps)
     current = start if space is None else space.clip(start)
     best = objective(current)
@@ -543,6 +569,12 @@ def policy_gradient_search(scenario: Scenario | None, space: SearchSpace,
     grid so successive episodes pull toward different parts of the
     front.  The returned front is exactly the Pareto filter of the
     archive.  Deterministic for a fixed seed.
+
+    ``evaluate_fn`` (by default :func:`~mgdesign.metrics.evaluate` on
+    ``scenario``) runs once per distinct design; an episode that samples
+    a design already seen reuses its metrics.  The archive still holds one
+    row per episode, and ``episodes_run`` counts every requested
+    evaluation.
     """
     axes = space.axis_values()
     if any(len(v) == 0 for v in axes.values()):
@@ -551,6 +583,7 @@ def policy_gradient_search(scenario: Scenario | None, space: SearchSpace,
         if scenario is None:
             raise ValueError("scenario is required when no evaluate_fn is given")
         evaluate_fn = lambda design: evaluate(design, scenario)
+    evaluate_fn = _memoized(evaluate_fn)
     cycle = list(config.weight_cycle) if config.weight_cycle else default_weight_cycle()
     grid_cap = space.effective_grid_cap()
 

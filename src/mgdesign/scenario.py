@@ -307,6 +307,17 @@ def synthesize_wind_speed(
 # Component catalog
 # ----------------------------------------------------------------------
 
+def _non_finite(prefix: str, record) -> list[str]:
+    """One violation per numeric field of a dataclass that is NaN or infinite.
+
+    The range checks compare with ``<`` and ``>``, which are false for NaN,
+    so each non-finite field is reported here and only here.
+    """
+    return [f"{prefix}{name}: must be finite, got {value}"
+            for name, value in vars(record).items()
+            if isinstance(value, (int, float)) and not math.isfinite(value)]
+
+
 @dataclass(frozen=True)
 class PVSpec:
     """Flat-plate PV array: rated (STC) output scaled by derating and
@@ -416,31 +427,36 @@ class Catalog:
         problems: list[str] = []
         for name, spec in (("pv", self.pv), ("wind", self.wind), ("diesel", self.diesel),
                            ("battery", self.battery), ("converter", self.converter)):
+            problems += _non_finite(f"catalog.{name}.", spec)
             for attr, value in vars(spec).items():
-                if ("cost" in attr or "usd" in attr) and not (math.isfinite(value) and value >= 0):
-                    problems.append(f"catalog.{name}.{attr}: cost must be finite and >= 0, got {value}")
-            if not (math.isfinite(spec.lifetime_years) and spec.lifetime_years >= 1):
-                problems.append(f"catalog.{name}.lifetime_years: must be finite and >= 1, got {spec.lifetime_years}")
-        if not (math.isfinite(self.pv.derating) and self.pv.derating >= 0.0):
-            problems.append(f"catalog.pv.derating: must be finite and >= 0, got {self.pv.derating}")
-        if not (math.isfinite(self.wind.hub_height_m) and self.wind.hub_height_m > 0.0):
-            problems.append(f"catalog.wind.hub_height_m: must be finite and > 0, got {self.wind.hub_height_m}")
-        if not 0.0 < self.converter.efficiency <= 1.0:
+                if ("cost" in attr or "usd" in attr) and value < 0:
+                    problems.append(f"catalog.{name}.{attr}: cost must be >= 0, got {value}")
+            if spec.lifetime_years < 1:
+                problems.append(f"catalog.{name}.lifetime_years: must be >= 1, got {spec.lifetime_years}")
+        if self.pv.derating < 0.0:
+            problems.append(f"catalog.pv.derating: must be >= 0, got {self.pv.derating}")
+        if self.wind.hub_height_m <= 0.0:
+            problems.append(f"catalog.wind.hub_height_m: must be > 0, got {self.wind.hub_height_m}")
+        if self.converter.efficiency <= 0.0 or self.converter.efficiency > 1.0:
             problems.append(f"catalog.converter.efficiency: must be in (0, 1], got {self.converter.efficiency}")
-        if not 0.0 < self.battery.roundtrip_efficiency <= 1.0:
-            problems.append(f"catalog.battery.roundtrip_efficiency: must be in (0, 1], got {self.battery.roundtrip_efficiency}")
-        if not 0.0 < self.battery.depth_of_discharge <= 1.0:
+        eta = self.battery.roundtrip_efficiency
+        if eta <= 0.0 or eta > 1.0:
+            problems.append(f"catalog.battery.roundtrip_efficiency: must be in (0, 1], got {eta}")
+        dod = self.battery.depth_of_discharge
+        if dod <= 0.0 or dod > 1.0:
             problems.append("catalog.battery: soc window must satisfy 0 < soc_max - soc_min <= 1")
-        if not 0.0 < self.battery.capacity_ratio < 1.0:
-            problems.append(f"catalog.battery.capacity_ratio: must be in (0, 1), got {self.battery.capacity_ratio}")
+        c = self.battery.capacity_ratio
+        if c <= 0.0 or c >= 1.0:
+            problems.append(f"catalog.battery.capacity_ratio: must be in (0, 1), got {c}")
         k = self.battery.rate_constant_per_hr
-        if not (math.isfinite(k) and k > 0.0):
-            problems.append(f"catalog.battery.rate_constant_per_hr: must be finite and > 0, got {k}")
-        if not self.wind.cut_in_ms < self.wind.cut_out_ms:
-            problems.append(f"catalog.wind: cut-in {self.wind.cut_in_ms} must be below cut-out {self.wind.cut_out_ms}")
-        if not self.wind.cut_in_ms < self.wind.rated_ms <= self.wind.cut_out_ms:
+        if k <= 0.0:
+            problems.append(f"catalog.battery.rate_constant_per_hr: must be > 0, got {k}")
+        wind = self.wind
+        if wind.cut_in_ms >= wind.cut_out_ms:
+            problems.append(f"catalog.wind: cut-in {wind.cut_in_ms} must be below cut-out {wind.cut_out_ms}")
+        if wind.rated_ms <= wind.cut_in_ms or wind.rated_ms > wind.cut_out_ms:
             problems.append("catalog.wind: rated speed must lie between cut-in and cut-out")
-        if not 0.0 <= self.diesel.min_load_ratio <= 1.0:
+        if self.diesel.min_load_ratio < 0.0 or self.diesel.min_load_ratio > 1.0:
             problems.append("catalog.diesel.min_load_ratio: must be in [0, 1]")
         return problems
 
@@ -465,7 +481,7 @@ class GridTariff:
         return _price_array(self.sellback_usd_per_kwh)
 
     def violations(self) -> list[str]:
-        problems: list[str] = []
+        problems = _non_finite("tariff.", self)
         for name, price in (("purchase", self.purchase_usd_per_kwh), ("sellback", self.sellback_usd_per_kwh)):
             if isinstance(price, TimeSeries):
                 problems += price.violations(name=f"tariff.{name}")
@@ -500,7 +516,7 @@ class Economics:
     dg_emission_kg_per_l: float = 2.68
 
     def violations(self) -> list[str]:
-        problems: list[str] = []
+        problems = _non_finite("economics.", self)
         if self.discount_rate < 0:
             problems.append(f"economics.discount_rate: must be >= 0, got {self.discount_rate}")
         if self.project_years < 1:
@@ -533,7 +549,7 @@ class Scenario:
     name: str = "unnamed"
 
     def violations(self) -> list[str]:
-        problems: list[str] = []
+        problems = _non_finite("", self)
         problems += self.load.violations(name="load")
         problems += self.irradiance.violations(name="irradiance")
         problems += self.wind_speed.violations(name="wind_speed")

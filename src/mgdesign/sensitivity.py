@@ -18,7 +18,7 @@ import enum
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .dispatch import Design, simulate_year
+from .dispatch import Design, DispatchTrace, simulate_year
 from .metrics import MetricVector, evaluate, lcoe, npc
 from .scenario import Scenario, TimeSeries, scale_series
 
@@ -164,15 +164,19 @@ def _scaled_scenario(scenario: Scenario, parameter: SweepParameter, multiplier: 
 
 
 def lcoe_sweep(scenario: Scenario, design: Design, parameter: SweepParameter,
-               multipliers: list[float]) -> list[tuple[float, float]]:
+               multipliers: list[float],
+               trace: DispatchTrace | None = None) -> list[tuple[float, float]]:
     """LCOE at each cost multiplier, everything else fixed.
 
     The dispatch never looks at prices, so the trace is simulated once
-    and re-costed per point.
+    and re-costed per point.  A pre-computed ``trace`` of ``design`` on
+    ``scenario`` may be supplied, so sweeps of several parameters share
+    one simulation.
     """
     if any(m <= 0.0 for m in multipliers):
         raise ValueError("multipliers must be > 0")
-    trace = simulate_year(scenario, design)
+    if trace is None:
+        trace = simulate_year(scenario, design)
     served = trace.served_kwh
     eco = scenario.economics
     curve = []

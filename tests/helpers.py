@@ -4,13 +4,15 @@ These deliberately avoid the closed-form expressions in the package: the
 battery oracle integrates the raw two-tank dynamics with fine Euler
 steps, and the Pareto oracle is a literal O(n^2) double loop over the
 dominance definition.  The dispatch and CSV references are the plain
-per-hour and per-cell loops that the package's faster code must
-reproduce exactly.
+per-hour and per-cell loops, and the search references the loops that
+call their evaluator on every request, that the package's faster code
+must reproduce exactly.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,15 @@ from mgdesign.components import (
 )
 from mgdesign.dispatch import FLOW_FIELDS, Design, DispatchTrace, pv_series, wt_series
 from mgdesign.metrics import MetricVector
+from mgdesign.optimize import (
+    DEFAULT_STEPS,
+    EvaluatedDesign,
+    PolicySearchResult,
+    RefineResult,
+    _softmax,
+    default_weight_cycle,
+    pareto_mask,
+)
 from mgdesign.scenario import Scenario
 
 
@@ -355,3 +366,83 @@ def reference_write_trace_csv(trace: DispatchTrace, path: str | Path) -> None:
         fh.write(",".join(FLOW_FIELDS + ("soc",)) + "\n")
         for h in range(len(trace.load_kw)):
             fh.write(",".join(f"{float(a[h]):.6f}" for a in arrays) + "\n")
+
+
+# ----------------------------------------------------------------------
+# Reference searches: the evaluator runs on every request
+# ----------------------------------------------------------------------
+
+def reference_refine(start, objective, space=None, initial_steps=None, shrink=0.5,
+                     tolerance=1.0, max_cycles=200) -> RefineResult:
+    """Cyclic coordinate descent calling ``objective`` on every probe."""
+    steps = dict(DEFAULT_STEPS if initial_steps is None else initial_steps)
+    current = start if space is None else space.clip(start)
+    best = objective(current)
+    evaluations = 1
+    cycles = 0
+    while cycles < max_cycles and max(steps.values()) >= tolerance:
+        cycles += 1
+        improved = False
+        for name, step in steps.items():
+            if step <= 0.0:
+                continue
+            for direction in (+1.0, -1.0):
+                value = getattr(current, name) + direction * step
+                candidate = replace(current, **{name: max(value, 0.0)})
+                if space is not None:
+                    candidate = space.clip(candidate)
+                if candidate == current:
+                    continue
+                score = objective(candidate)
+                evaluations += 1
+                if score < best:
+                    current, best = candidate, score
+                    improved = True
+                    break
+        if not improved:
+            steps = {name: step * shrink for name, step in steps.items()}
+    return RefineResult(design=current, objective_value=best, cycles=cycles,
+                        evaluations=evaluations)
+
+
+def reference_policy_gradient_search(space, config, seed, evaluate_fn) -> PolicySearchResult:
+    """Single-step REINFORCE calling ``evaluate_fn`` in every episode."""
+    axes = space.axis_values()
+    cycle = list(config.weight_cycle) if config.weight_cycle else default_weight_cycle()
+    grid_cap = space.effective_grid_cap()
+    rng = np.random.default_rng(seed)
+    theta = {name: np.zeros(len(values)) for name, values in axes.items()}
+    baselines = np.zeros(4)
+    baseline_ready = False
+    lo = np.full(4, np.inf)
+    hi = np.full(4, -np.inf)
+    archive = []
+    for episode in range(config.episodes):
+        probs = {name: _softmax(logits) for name, logits in theta.items()}
+        actions = {name: int(rng.choice(len(p), p=p)) for name, p in probs.items()}
+        design = Design(grid_cap_kw=grid_cap,
+                        **{name: float(axes[name][actions[name]]) for name in axes})
+        metrics = evaluate_fn(design)
+        archive.append(EvaluatedDesign(design, metrics, True))
+        oriented = np.array([-metrics.npc_usd, metrics.reliability,
+                             metrics.efficiency_pct, -metrics.co2_kg_per_yr])
+        lo = np.minimum(lo, oriented)
+        hi = np.maximum(hi, oriented)
+        span = hi - lo
+        rewards = np.where(span > 0.0, (oriented - lo) / np.where(span > 0.0, span, 1.0), 0.0)
+        if not baseline_ready:
+            baselines = rewards.copy()
+            baseline_ready = True
+        weights = np.array(cycle[episode % len(cycle)].as_tuple())
+        advantage = float(weights @ (rewards - baselines))
+        baselines = config.baseline_decay * baselines + (1.0 - config.baseline_decay) * rewards
+        if config.learning_rate != 0.0 and advantage != 0.0:
+            for name, p in probs.items():
+                grad = -p
+                grad[actions[name]] += 1.0
+                theta[name] = theta[name] + config.learning_rate * advantage * grad
+    final_probs = {name: _softmax(logits) for name, logits in theta.items()}
+    front_mask = pareto_mask([e.metrics for e in archive])
+    front = [e for e, keep in zip(archive, front_mask) if keep]
+    return PolicySearchResult(archive=archive, front=front, probabilities=final_probs,
+                              theta=theta, episodes_run=config.episodes)

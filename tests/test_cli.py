@@ -1,9 +1,11 @@
 import filecmp
+import re
 import shutil
 from pathlib import Path
 
 import pytest
 
+from mgdesign import cli, sensitivity
 from mgdesign.cli import main
 from mgdesign.scenario import bundled_data_path
 
@@ -69,6 +71,32 @@ class TestEvaluate:
         assert code == 2
         assert field in err
 
+    def test_every_non_finite_field_named(self, capsys, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(bundled_data_path(), data)
+        yaml_path = data / "scenario.yaml"
+        text = yaml_path.read_text(encoding="utf-8")
+        fields = {
+            "catalog.wind.power_coefficient": "power_coefficient: 0.40",
+            "catalog.wind.nominal_kw": "nominal_kw: 3.0",
+            "catalog.wind.shear_exponent": "shear_exponent: 0.14",
+            "catalog.wind.curve_exponent": "curve_exponent: 3.0",
+            "catalog.wind.swept_area_m2_per_unit": "swept_area_m2_per_unit: 19.6",
+            "catalog.pv.degradation_per_yr": "degradation_per_yr: 0.005",
+            "economics.discount_rate": "discount_rate: 0.06",
+            "economics.fuel_price_usd_per_l": "fuel_price_usd_per_l: 1.5",
+        }
+        for line in fields.values():
+            assert text.count(line) == 1
+            text = text.replace(line, line.split(":")[0] + ": .nan")
+        yaml_path.write_text(text, encoding="utf-8")
+        code, stdout, err = _run(capsys, "evaluate", "--scenario", str(yaml_path),
+                                 "--design", A5_ARG, "--out", str(tmp_path / "run"))
+        assert code == 2
+        assert stdout == ""
+        for field in fields:
+            assert f"{field}: must be finite, got nan" in err
+
 
 class TestSearch:
     SPACE = "pv=0:150:75,bess=0:200:200,conv=100"
@@ -131,6 +159,40 @@ class TestPipelines:
                                "--out", str(out), "--max-cycles", "3")
         assert code == 0
         assert (out / "refined.csv").exists()
+
+    def test_refine_reports_evaluation_counts_on_stderr(self, capsys, tmp_path):
+        code, stdout, err = _run(capsys, "refine", "--design", "pv=100,conv=100",
+                                 "--out", str(tmp_path), "--max-cycles", "3")
+        assert code == 0
+        requested = int(re.search(r"\((\d+) evaluations\)", stdout).group(1))
+        match = re.fullmatch(r"evaluations: (\d+) requested, (\d+) simulated, (\d+) reused\n", err)
+        assert int(match.group(1)) == requested
+        simulated, reused = int(match.group(2)), int(match.group(3))
+        assert simulated + reused == requested
+        assert 0 < simulated <= requested
+        assert "evaluations:" not in stdout
+
+    def test_rl_search_reports_evaluation_counts_on_stderr(self, capsys, tmp_path):
+        code, stdout, err = _run(capsys, "rl-search", "--space", "pv=0:100:100,conv=100",
+                                 "--episodes", "10", "--out", str(tmp_path), "--seed", "7")
+        assert code == 0
+        assert err == "evaluations: 10 requested, 2 simulated, 8 reused\n"
+        assert "evaluations:" not in stdout
+
+    def test_lcoe_sweep_simulates_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        original = cli.simulate_year
+
+        def counting(scenario, design):
+            calls.append(design)
+            return original(scenario, design)
+
+        monkeypatch.setattr(cli, "simulate_year", counting)
+        monkeypatch.setattr(sensitivity, "simulate_year", counting)
+        code, _, _ = _run(capsys, "lcoe-sweep", "--design", A5_ARG, "--out", str(tmp_path),
+                          "--multipliers", "0.9,1.0,1.1")
+        assert code == 0
+        assert len(calls) == 1
 
     def test_sensitivity_csv(self, capsys, tmp_path):
         out = tmp_path / "sens"

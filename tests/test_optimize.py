@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -34,6 +35,8 @@ from .helpers import (
     brute_force_pareto_ranks,
     layered_archive,
     random_metric_vectors,
+    reference_policy_gradient_search,
+    reference_refine,
     toy_two_action_eval,
     toy_two_action_space,
 )
@@ -355,6 +358,72 @@ class TestPolicyGradient:
         for entry in result.archive:
             assert entry.design.pv_kw in (0.0, 100.0)
             assert entry.design.bess_kwh == 0.0
+
+
+class TestMemoizedEvaluations:
+    """RL and refine call their evaluator once per distinct design and
+    otherwise match the loops that call it on every request."""
+
+    RL_SPACE = "pv=0:600:150,bess=0:900:300,conv=255"  # 20 designs
+    STARTS = ("pv=300,conv=255", "pv=300,bess=50,conv=255")
+
+    @pytest.fixture(scope="class")
+    def bundled_metrics(self, bundled):
+        """``evaluate`` on the bundled scenario, simulated once per design
+        for the whole class so the reference loops cost nothing extra."""
+        cache = {}
+
+        def metrics(design):
+            if design not in cache:
+                cache[design] = evaluate(design, bundled)
+            return cache[design]
+
+        return metrics
+
+    def test_rl_evaluates_each_distinct_design_once(self, bundled):
+        calls = Counter()
+
+        def counting(design):
+            calls[design] += 1
+            return evaluate(design, bundled)
+
+        space = SearchSpace.from_string(self.RL_SPACE)
+        result = policy_gradient_search(bundled, space, PolicyConfig(episodes=100), seed=42,
+                                        evaluate_fn=counting)
+        assert len(result.archive) == result.episodes_run == 100
+        assert set(calls) == {e.design for e in result.archive}
+        assert set(calls.values()) == {1}
+        assert len(calls) < 100
+
+    @pytest.mark.parametrize("seed", [5, 42, 101])
+    def test_rl_matches_reference_loop(self, bundled_metrics, seed):
+        space = SearchSpace.from_string(self.RL_SPACE)
+        config = PolicyConfig(episodes=300)
+        result = policy_gradient_search(None, space, config, seed=seed, evaluate_fn=bundled_metrics)
+        expected = reference_policy_gradient_search(space, config, seed, bundled_metrics)
+        assert result.archive == expected.archive
+        assert result.front == expected.front
+        assert result.episodes_run == expected.episodes_run
+        for name in expected.theta:
+            assert np.array_equal(result.theta[name], expected.theta[name])
+            assert np.array_equal(result.probabilities[name], expected.probabilities[name])
+
+    def test_refine_scores_each_distinct_candidate_once(self, bundled_metrics):
+        calls = Counter()
+
+        def counting(design):
+            calls[design] += 1
+            return bundled_metrics(design).npc_usd
+
+        result = refine(Design.from_string(self.STARTS[0]), counting)
+        assert set(calls.values()) == {1}
+        assert len(calls) < result.evaluations
+
+    @pytest.mark.parametrize("start", STARTS)
+    def test_refine_matches_reference_loop(self, bundled_metrics, start):
+        objective = lambda design: bundled_metrics(design).npc_usd
+        result = refine(Design.from_string(start), objective)
+        assert result == reference_refine(Design.from_string(start), objective)
 
 
 class TestResultFiles:

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,6 +10,9 @@ from mgdesign.scenario import (
     DEFAULT_DAILY_LOAD_KW,
     HOURS_PER_YEAR,
     InvalidVariabilityError,
+    Catalog,
+    Economics,
+    GridTariff,
     LengthMismatchError,
     Scenario,
     TimeSeries,
@@ -207,3 +210,39 @@ class TestCatalogValidation:
     def test_rate_constant_must_be_finite_and_positive(self, bundled, rate):
         problems = self._violations(bundled, "battery", rate_constant_per_hr=rate)
         assert any("catalog.battery.rate_constant_per_hr" in v for v in problems)
+
+
+def _numeric_fields() -> list[tuple[str, str]]:
+    """``(section, field)`` for every numeric scalar of a scenario: each
+    catalog part, ``economics``, ``tariff`` and the top level (``""``)."""
+    sections = [(f"catalog.{f.name}", f.default_factory) for f in fields(Catalog)]
+    sections += [("economics", Economics), ("tariff", GridTariff), ("", Scenario)]
+    return [(section, f.name) for section, cls in sections for f in fields(cls)
+            if isinstance(f.default, (int, float))]
+
+
+def _with_field(scenario: Scenario, section: str, name: str, value) -> Scenario:
+    if not section:
+        return replace(scenario, **{name: value})
+    *parents, part = section.split(".")
+    if parents:  # a catalog part
+        catalog = scenario.catalog
+        spec = replace(getattr(catalog, part), **{name: value})
+        return replace(scenario, catalog=replace(catalog, **{part: spec}))
+    return replace(scenario, **{part: replace(getattr(scenario, part), **{name: value})})
+
+
+class TestFiniteFields:
+    """Every numeric scenario field rejects NaN and infinity by name, and
+    a NaN field gets that one message, not a second from a range check."""
+
+    @pytest.mark.parametrize("section, name", _numeric_fields(),
+                             ids=[".".join(filter(None, f)) for f in _numeric_fields()])
+    def test_non_finite_value_names_the_field(self, bundled, section, name):
+        label = f"{section}.{name}" if section else name
+        with pytest.raises(ScenarioValidationError) as err:
+            validate_scenario(_with_field(bundled, section, name, math.nan))
+        assert err.value.violations == [f"{label}: must be finite, got nan"]
+        with pytest.raises(ScenarioValidationError) as err:
+            validate_scenario(_with_field(bundled, section, name, math.inf))
+        assert f"{label}: must be finite, got inf" in err.value.violations

@@ -1,5 +1,6 @@
 import pytest
 
+from mgdesign.dispatch import simulate_year
 from mgdesign.metrics import evaluate, metric_record
 from mgdesign.sensitivity import (
     Perturbation,
@@ -98,6 +99,12 @@ class TestLcoeSweep:
     def test_bad_multiplier(self, bundled, a5):
         with pytest.raises(ValueError):
             lcoe_sweep(bundled, a5, SweepParameter.PURCHASE_PRICE, [0.0, 1.0])
+
+    def test_supplied_trace_gives_the_same_curve(self, bundled, a5):
+        trace = simulate_year(bundled, a5)
+        for parameter in SweepParameter:
+            assert (lcoe_sweep(bundled, a5, parameter, self.MULTS, trace=trace)
+                    == lcoe_sweep(bundled, a5, parameter, self.MULTS))
 
     def test_csv(self, tmp_path, bundled, a5):
         curve = lcoe_sweep(bundled, a5, SweepParameter.SELLBACK_PRICE, [1.0])
