@@ -310,8 +310,8 @@ def synthesize_wind_speed(
 def _non_finite(prefix: str, record) -> list[str]:
     """One violation per numeric field of a dataclass that is NaN or infinite.
 
-    The range checks compare with ``<`` and ``>``, which are false for NaN,
-    so each non-finite field is reported here and only here.
+    A range check may name the same field again: each is written
+    ``not <in range>`` so that NaN fails it as well.
     """
     return [f"{prefix}{name}: must be finite, got {value}"
             for name, value in vars(record).items()
@@ -429,34 +429,30 @@ class Catalog:
                            ("battery", self.battery), ("converter", self.converter)):
             problems += _non_finite(f"catalog.{name}.", spec)
             for attr, value in vars(spec).items():
-                if ("cost" in attr or "usd" in attr) and value < 0:
+                if ("cost" in attr or "usd" in attr) and not value >= 0:
                     problems.append(f"catalog.{name}.{attr}: cost must be >= 0, got {value}")
-            if spec.lifetime_years < 1:
+            if not spec.lifetime_years >= 1:
                 problems.append(f"catalog.{name}.lifetime_years: must be >= 1, got {spec.lifetime_years}")
-        if self.pv.derating < 0.0:
+        if not self.pv.derating >= 0.0:
             problems.append(f"catalog.pv.derating: must be >= 0, got {self.pv.derating}")
-        if self.wind.hub_height_m <= 0.0:
+        if not self.wind.hub_height_m > 0.0:
             problems.append(f"catalog.wind.hub_height_m: must be > 0, got {self.wind.hub_height_m}")
-        if self.converter.efficiency <= 0.0 or self.converter.efficiency > 1.0:
+        if not 0.0 < self.converter.efficiency <= 1.0:
             problems.append(f"catalog.converter.efficiency: must be in (0, 1], got {self.converter.efficiency}")
-        eta = self.battery.roundtrip_efficiency
-        if eta <= 0.0 or eta > 1.0:
-            problems.append(f"catalog.battery.roundtrip_efficiency: must be in (0, 1], got {eta}")
-        dod = self.battery.depth_of_discharge
-        if dod <= 0.0 or dod > 1.0:
+        if not 0.0 < self.battery.roundtrip_efficiency <= 1.0:
+            problems.append(f"catalog.battery.roundtrip_efficiency: must be in (0, 1], got {self.battery.roundtrip_efficiency}")
+        if not 0.0 < self.battery.depth_of_discharge <= 1.0:
             problems.append("catalog.battery: soc window must satisfy 0 < soc_max - soc_min <= 1")
-        c = self.battery.capacity_ratio
-        if c <= 0.0 or c >= 1.0:
-            problems.append(f"catalog.battery.capacity_ratio: must be in (0, 1), got {c}")
+        if not 0.0 < self.battery.capacity_ratio < 1.0:
+            problems.append(f"catalog.battery.capacity_ratio: must be in (0, 1), got {self.battery.capacity_ratio}")
         k = self.battery.rate_constant_per_hr
-        if k <= 0.0:
+        if not k > 0.0:
             problems.append(f"catalog.battery.rate_constant_per_hr: must be > 0, got {k}")
-        wind = self.wind
-        if wind.cut_in_ms >= wind.cut_out_ms:
-            problems.append(f"catalog.wind: cut-in {wind.cut_in_ms} must be below cut-out {wind.cut_out_ms}")
-        if wind.rated_ms <= wind.cut_in_ms or wind.rated_ms > wind.cut_out_ms:
+        if not self.wind.cut_in_ms < self.wind.cut_out_ms:
+            problems.append(f"catalog.wind: cut-in {self.wind.cut_in_ms} must be below cut-out {self.wind.cut_out_ms}")
+        if not self.wind.cut_in_ms < self.wind.rated_ms <= self.wind.cut_out_ms:
             problems.append("catalog.wind: rated speed must lie between cut-in and cut-out")
-        if self.diesel.min_load_ratio < 0.0 or self.diesel.min_load_ratio > 1.0:
+        if not 0.0 <= self.diesel.min_load_ratio <= 1.0:
             problems.append("catalog.diesel.min_load_ratio: must be in [0, 1]")
         return problems
 
