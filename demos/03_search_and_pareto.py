@@ -10,10 +10,10 @@ from mgdesign import (
     SearchSpace,
     Weights,
     bundled_scenario,
-    emit_pareto_plotdata,
     grid_search,
     pareto_mask,
     select_best,
+    write_evaluations_csv,
 )
 
 scenario = bundled_scenario()
@@ -44,5 +44,5 @@ for label, weights in [
 
 out = Path(__file__).parent / "out"
 out.mkdir(exist_ok=True)
-emit_pareto_plotdata(results, out / "tradeoff_cloud.csv")
+write_evaluations_csv(results, out / "tradeoff_cloud.csv", with_front_rank=True)
 print(f"\nplot data (all points + dominance flags) in {out / 'tradeoff_cloud.csv'}")

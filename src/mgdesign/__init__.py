@@ -9,18 +9,10 @@ weighted scalarization, and a policy-gradient explorer.
 
 from .components import (
     BatteryState,
-    BelowMinLoadError,
     BoundViolationError,
-    NonPositiveHeightError,
-    battery_replacements,
     bess_max_charge,
     bess_max_discharge,
     bess_step,
-    converter_transfer,
-    dg_fuel,
-    hub_wind_speed,
-    pv_output,
-    wt_output,
 )
 from .dispatch import (
     Design,
@@ -58,7 +50,6 @@ from .optimize import (
     SearchSpace,
     Weights,
     default_weight_cycle,
-    emit_pareto_plotdata,
     grid_search,
     pareto_filter,
     pareto_mask,

@@ -202,12 +202,19 @@ def cmd_refine(args) -> int:
     scenario = _load_scenario(args)
     start = Design.from_string(args.design)
     out = _outdir(args)
-    objective = _CountedCalls(lambda d: evaluate(d, scenario).npc_usd)
+    # ``refine`` runs the objective once per distinct design, so every
+    # design it scored, the winner included, is simulated exactly once.
+    evaluated: dict[Design, MetricVector] = {}
+
+    def objective(design: Design) -> float:
+        evaluated[design] = evaluate(design, scenario)
+        return evaluated[design].npc_usd
+
     result = optimize.refine(start, objective, tolerance=args.tolerance, max_cycles=args.max_cycles)
-    metrics = evaluate(result.design, scenario)
+    metrics = evaluated[result.design]
     print(f"refined {_design_label(start)} -> {_design_label(result.design)} "
           f"in {result.cycles} cycles ({result.evaluations} evaluations)")
-    _report_evaluations(result.evaluations, objective.calls)
+    _report_evaluations(result.evaluations, len(evaluated))
     _print_metrics(metrics)
     _write_metrics_csv(metrics, result.design, out / "refined.csv")
     print(f"wrote {out / 'refined.csv'}")
@@ -238,10 +245,11 @@ def cmd_rl_search(args) -> int:
 def cmd_pareto(args) -> int:
     out = _outdir(args)
     evaluations = _read_results_csv(Path(args.results))
-    ranks = optimize.emit_pareto_plotdata(evaluations, out / "pareto_plotdata.csv")
+    path = out / "pareto_plotdata.csv"
+    ranks = optimize.write_evaluations_csv(evaluations, path, with_front_rank=True)
     front = int((ranks == 0).sum())
     print(f"{len(evaluations)} points, {front} non-dominated")
-    print(f"wrote {out / 'pareto_plotdata.csv'}")
+    print(f"wrote {path}")
     return 0
 
 

@@ -1,10 +1,12 @@
-"""Per-hour physical models for the microgrid components.
+"""Physical models of the microgrid components.
 
-All functions here are pure: they map (state, inputs, parameters) to
-outputs with no hidden state, so design evaluations can run in parallel
-without coordination.  The battery follows the two-tank kinetic model
-(available + chemically bound charge exchanging at a fixed rate), with
-the usable window restricted to [soc_min, soc_max] of nominal capacity.
+The resource models turn a scenario's weather series into the available
+PV and wind production of every hour.  The battery follows the two-tank
+kinetic model (available + chemically bound charge exchanging at a fixed
+rate), with the usable window restricted to [soc_min, soc_max] of
+nominal capacity.  Diesel fuel and converter losses are one line each
+and live inline in the dispatch kernel.  Every function here is pure, so
+design evaluations can run in parallel without coordination.
 """
 
 from __future__ import annotations
@@ -12,115 +14,58 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .scenario import BatterySpec, DieselSpec, PVSpec, WindTurbineSpec
+import numpy as np
 
-STC_IRRADIANCE_KW_M2 = 1.0
+from .scenario import BatterySpec, Scenario
+
 STC_CELL_TEMP_C = 25.0
 AIR_DENSITY_KG_M3 = 1.225
-
-
-class NonPositiveHeightError(ValueError):
-    """Wind shear extrapolation requires strictly positive heights."""
-
-
-class BelowMinLoadError(ValueError):
-    """Diesel generator asked to run below its minimum load ratio."""
 
 
 class BoundViolationError(ValueError):
     """Battery step requested beyond the kinetic-model power bound."""
 
 
-# ----------------------------------------------------------------------
-# PV
-# ----------------------------------------------------------------------
+def pv_series(scenario: Scenario, capacity_kw: float) -> np.ndarray:
+    """Available PV production for every hour, kW at the DC bus.
 
-def pv_output(spec: PVSpec, capacity_kw: float, irradiance_kw_m2: float,
-              cell_temp_c: float = STC_CELL_TEMP_C) -> float:
-    """PV array output in kW for one hour.
-
-    Rated output is scaled by the derating factor, the irradiance ratio
-    to standard test conditions (1 kW/m2), and a linear cell-temperature
-    correction around 25 degC, clamped at zero.
+    Rated output is scaled by the derating factor, the irradiance (in
+    kW/m2, i.e. as a fraction of the 1 kW/m2 standard test condition) and
+    a linear cell-temperature correction around 25 degC, clamped at zero.
     """
-    if irradiance_kw_m2 <= 0.0 or capacity_kw <= 0.0:
-        return 0.0
-    power = (capacity_kw * spec.derating * (irradiance_kw_m2 / STC_IRRADIANCE_KW_M2)
-             * (1.0 + spec.temp_coeff_per_c * (cell_temp_c - STC_CELL_TEMP_C)))
-    return max(power, 0.0)
-
-
-# ----------------------------------------------------------------------
-# Wind
-# ----------------------------------------------------------------------
-
-def hub_wind_speed(u_anemometer_ms: float, anemometer_height_m: float,
-                   hub_height_m: float, shear_exponent: float = 0.14) -> float:
-    """Extrapolate wind speed to hub height with the power law.
-
-    The default exponent 0.14 (~1/7) represents neutral conditions over
-    open terrain.
-    """
-    if anemometer_height_m <= 0.0 or hub_height_m <= 0.0:
-        raise NonPositiveHeightError(
-            f"heights must be > 0, got anemometer={anemometer_height_m}, hub={hub_height_m}")
-    if u_anemometer_ms <= 0.0:
-        return 0.0
-    return u_anemometer_ms * (hub_height_m / anemometer_height_m) ** shear_exponent
-
-
-def wt_output(spec: WindTurbineSpec, capacity_kw: float, u_hub_ms: float,
-              air_density_kg_m3: float = AIR_DENSITY_KG_M3,
-              swept_area_m2: float | None = None) -> float:
-    """Wind turbine fleet output in kW at hub-height speed ``u_hub_ms``.
-
-    Zero outside the cut-in/cut-out window; between cut-in and rated speed
-    the normalized curve ``(u^e - ci^e) / (rated^e - ci^e)`` scales the
-    nameplate, with the swept-area aerodynamic limit
-    ``0.5 * rho * A * u^3 * Cp`` as an upper clamp.  Output never exceeds
-    nameplate capacity.
-    """
-    if capacity_kw <= 0.0 or u_hub_ms < spec.cut_in_ms or u_hub_ms > spec.cut_out_ms:
-        return 0.0
-    e = spec.curve_exponent
-    if u_hub_ms >= spec.rated_ms:
-        fraction = 1.0
+    spec = scenario.catalog.pv
+    g = scenario.irradiance.values
+    if scenario.cell_temperature is not None:
+        temp_factor = 1.0 + spec.temp_coeff_per_c * (scenario.cell_temperature.values - STC_CELL_TEMP_C)
     else:
-        fraction = ((u_hub_ms**e - spec.cut_in_ms**e)
-                    / (spec.rated_ms**e - spec.cut_in_ms**e))
-    power = capacity_kw * fraction
-
-    if swept_area_m2 is None:
-        units = capacity_kw / spec.nominal_kw
-        swept_area_m2 = spec.swept_area_m2_per_unit * units
-    aero_limit_kw = 0.5 * air_density_kg_m3 * swept_area_m2 * u_hub_ms**3 * spec.power_coefficient / 1000.0
-    return min(power, aero_limit_kw, capacity_kw)
+        temp_factor = 1.0
+    return np.maximum(capacity_kw * spec.derating * g * temp_factor, 0.0)
 
 
-# ----------------------------------------------------------------------
-# Diesel generator
-# ----------------------------------------------------------------------
+def wt_series(scenario: Scenario, capacity_kw: float) -> np.ndarray:
+    """Available wind production for every hour, kW at the AC bus.
 
-def dg_fuel(spec: DieselSpec, rated_kw: float, output_kw: float) -> float:
-    """Hourly fuel consumption (L/hr) of the genset: linear in output.
-
-    Exactly zero when the engine is off; running below the minimum load
-    ratio is rejected to protect the exhaust system.
+    The anemometer speed is extrapolated to hub height with the power
+    law.  Output is zero outside the cut-in/cut-out window; between
+    cut-in and rated speed the normalized curve
+    ``(u^e - ci^e) / (rated^e - ci^e)`` scales the nameplate, with the
+    swept-area aerodynamic limit ``0.5 * rho * A * u^3 * Cp`` as an upper
+    clamp.  Output never exceeds nameplate capacity.  Heights are checked
+    by ``Catalog.violations`` and ``Scenario.violations``.
     """
-    if output_kw == 0.0:
-        return 0.0
-    if output_kw < 0.0 or output_kw > rated_kw * (1.0 + 1e-12):
-        raise ValueError(f"output {output_kw} kW outside [0, {rated_kw}] kW")
-    if output_kw < spec.min_load_ratio * rated_kw * (1.0 - 1e-12):
-        raise BelowMinLoadError(
-            f"output {output_kw:.3f} kW below minimum load "
-            f"{spec.min_load_ratio:.0%} of {rated_kw} kW")
-    return spec.fuel_intercept_l_per_hr_kw * rated_kw + spec.fuel_slope_l_per_hr_kw * output_kw
+    spec = scenario.catalog.wind
+    if capacity_kw <= 0.0:
+        return np.zeros(len(scenario.wind_speed))
+    u = scenario.wind_speed.values * (spec.hub_height_m / scenario.anemometer_height_m) ** spec.shear_exponent
+    e = spec.curve_exponent
+    fraction = np.clip((u**e - spec.cut_in_ms**e) / (spec.rated_ms**e - spec.cut_in_ms**e), 0.0, 1.0)
+    power = capacity_kw * fraction
+    area = spec.swept_area_m2_per_unit * capacity_kw / spec.nominal_kw
+    aero = 0.5 * AIR_DENSITY_KG_M3 * area * u**3 * spec.power_coefficient / 1000.0
+    power = np.minimum(np.minimum(power, aero), capacity_kw)
+    power[(u < spec.cut_in_ms) | (u > spec.cut_out_ms)] = 0.0
+    return power
 
-
-# ----------------------------------------------------------------------
-# Kinetic battery
-# ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class BatteryState:
@@ -297,25 +242,3 @@ def battery_state_from_spec(spec: BatterySpec, q_max_kwh: float, soc: float | No
         soc_min=spec.soc_min,
         soc_max=spec.soc_max,
     )
-
-
-def battery_replacements(project_years: int, battery_lifetime_years: int) -> int:
-    """Number of battery purchases over the project (initial + replacements)."""
-    if project_years < 1 or battery_lifetime_years < 1:
-        raise ValueError("project and battery lifetimes must be >= 1 year")
-    return math.ceil(project_years / battery_lifetime_years)
-
-
-# ----------------------------------------------------------------------
-# Converter
-# ----------------------------------------------------------------------
-
-def converter_transfer(p_in_kw: float, efficiency: float, fixed_loss_kw: float = 0.0) -> float:
-    """Power available after a DC/AC (or AC/DC) conversion, >= 0.
-
-    Capacity clamping against the converter rating happens at the call
-    site, where the direction and concurrent flows are known.
-    """
-    if p_in_kw < 0.0:
-        raise ValueError(f"input power must be >= 0, got {p_in_kw}")
-    return max(efficiency * p_in_kw - fixed_loss_kw, 0.0)

@@ -16,13 +16,17 @@ Dispatch priority, fixed and price-blind:
 The battery state threads sequentially through the hours; everything
 else is embarrassingly parallel across (scenario, design) pairs.
 
-One kernel, :func:`_dispatch_hours`, implements these rules.  It loops
-over Python floats, inlines the kinetic-battery closed forms of
-``components`` with their per-call constants hoisted, and keeps every
-other operation in the order of those forms.  :func:`simulate_year` runs
-it over the year and :func:`step_hour` over a single hour.  The tests
-hold it bit-exact against a plain per-hour reference loop
-(``tests/helpers.py``).
+The available PV and wind production comes from the resource series
+of ``components``.  One kernel, :func:`_dispatch_hours`, implements the
+dispatch rules, and with them the only copies of two component laws:
+the diesel fuel law (``alpha * rating + beta * output`` L/hr while
+running, exactly zero when off) and the converter loss
+(``delivered * (1/efficiency - 1)`` per crossing).  It loops over Python
+floats, inlines the kinetic-battery closed forms of ``components`` with
+their per-call constants hoisted, and keeps every other operation in the
+order of those forms.  :func:`simulate_year` runs it over the year and
+:func:`step_hour` over a single hour.  The tests hold it bit-exact
+against a plain per-hour reference loop (``tests/helpers.py``).
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .components import AIR_DENSITY_KG_M3, BatteryState, battery_state_from_spec
+from .components import BatteryState, battery_state_from_spec, pv_series, wt_series
 from .scenario import Catalog, GridTariff, Scenario
 
 HOURS = 8760
@@ -257,33 +261,6 @@ class DispatchTrace:
         use = ((self.load_kw - self.unmet_kw) + self.batt_charge_kw
                + self.grid_export_kw + self.curtailed_kw + self.conversion_loss_kw)
         return supply - use
-
-
-def pv_series(scenario: Scenario, capacity_kw: float) -> np.ndarray:
-    """Available PV production for every hour, kW at the DC bus."""
-    spec = scenario.catalog.pv
-    g = scenario.irradiance.values
-    if scenario.cell_temperature is not None:
-        temp_factor = 1.0 + spec.temp_coeff_per_c * (scenario.cell_temperature.values - 25.0)
-    else:
-        temp_factor = 1.0
-    return np.maximum(capacity_kw * spec.derating * g * temp_factor, 0.0)
-
-
-def wt_series(scenario: Scenario, capacity_kw: float) -> np.ndarray:
-    """Available wind production for every hour, kW at the AC bus."""
-    spec = scenario.catalog.wind
-    if capacity_kw <= 0.0:
-        return np.zeros(len(scenario.wind_speed))
-    u = scenario.wind_speed.values * (spec.hub_height_m / scenario.anemometer_height_m) ** spec.shear_exponent
-    e = spec.curve_exponent
-    fraction = np.clip((u**e - spec.cut_in_ms**e) / (spec.rated_ms**e - spec.cut_in_ms**e), 0.0, 1.0)
-    power = capacity_kw * fraction
-    area = spec.swept_area_m2_per_unit * capacity_kw / spec.nominal_kw
-    aero = 0.5 * AIR_DENSITY_KG_M3 * area * u**3 * spec.power_coefficient / 1000.0
-    power = np.minimum(np.minimum(power, aero), capacity_kw)
-    power[(u < spec.cut_in_ms) | (u > spec.cut_out_ms)] = 0.0
-    return power
 
 
 def _dispatch_hours(

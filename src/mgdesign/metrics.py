@@ -239,27 +239,20 @@ def efficiency(trace: DispatchTrace, mode: str = "net_of_losses") -> float:
     return min(100.0 * useful / denom, 100.0)
 
 
-def co2_delta(trace: DispatchTrace, scenario: Scenario,
-              pv_degradation: float | None = None, wt_degradation: float = 0.0,
-              year: int = 1) -> float:
+def co2_delta(trace: DispatchTrace, scenario: Scenario) -> float:
     """Annual avoided CO2 in kg: grid emissions displaced by renewable
     production, minus emissions from diesel fuel and grid imports.
 
     Positive values mean net avoided emissions.  Renewable production is
-    taken at the generation bus with degradation compounding by operating
-    ``year``.
+    taken at the generation bus, PV after one year of degradation.
     """
-    if pv_degradation is None:
-        pv_degradation = scenario.catalog.pv.degradation_per_yr
     ef_grid = scenario.tariff.emission_kg_per_kwh
-    avoided = (trace.pv_kwh * (1.0 - pv_degradation) ** year
-               + trace.wt_kwh * (1.0 - wt_degradation) ** year) * ef_grid
+    avoided = (trace.pv_kwh * (1.0 - scenario.catalog.pv.degradation_per_yr) + trace.wt_kwh) * ef_grid
     emitted = trace.fuel_l * scenario.economics.dg_emission_kg_per_l + trace.import_kwh * ef_grid
     return avoided - emitted
 
 
 def evaluate(design: Design, scenario: Scenario,
-             efficiency_mode: str = "net_of_losses",
              trace: DispatchTrace | None = None) -> MetricVector:
     """Simulate a design and compute its full metric vector.
 
@@ -279,7 +272,7 @@ def evaluate(design: Design, scenario: Scenario,
     else:
         lcoe_value = math.inf
     try:
-        eff = efficiency(trace, mode=efficiency_mode)
+        eff = efficiency(trace)
     except ZeroInputError:
         eff = 100.0
     return MetricVector(

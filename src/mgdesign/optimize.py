@@ -680,12 +680,6 @@ def write_evaluations_csv(evaluations: Sequence[EvaluatedDesign], path: str | Pa
     return ranks
 
 
-def emit_pareto_plotdata(evaluations: Sequence[EvaluatedDesign], path: str | Path) -> np.ndarray:
-    """The trade-off cloud behind a Pareto plot: every point with its
-    dominated/non-dominated flag and front rank.  Returns the ranks."""
-    return write_evaluations_csv(evaluations, path, with_front_rank=True)
-
-
 def write_pareto_csv(evaluations: Sequence[EvaluatedDesign], path: str | Path) -> list[EvaluatedDesign]:
     """Write only the non-dominated designs (rank column included);
     returns them in input order."""

@@ -501,8 +501,8 @@ class Economics:
     """Project-level financial and emission parameters.
 
     ``discount_rate`` is the real (inflation-adjusted) annual rate used to
-    discount constant-dollar cash flows.  ``inflation_rate`` is carried so
-    a nominal rate can be converted via :func:`real_discount_rate`.
+    discount constant-dollar cash flows.  ``inflation_rate`` is parsed but
+    not read.
     """
 
     discount_rate: float = 0.06
@@ -522,11 +522,6 @@ class Economics:
         if self.dg_emission_kg_per_l < 0:
             problems.append("economics.dg_emission_kg_per_l: must be >= 0")
         return problems
-
-
-def real_discount_rate(nominal_rate: float, inflation_rate: float) -> float:
-    """Convert a nominal discount rate to the real rate used in discounting."""
-    return (1.0 + nominal_rate) / (1.0 + inflation_rate) - 1.0
 
 
 @dataclass(frozen=True)

@@ -68,16 +68,6 @@ def _pct(value: float, baseline: float) -> float:
     return 100.0 * (value - baseline) / abs(baseline)
 
 
-def apply_perturbation(scenario: Scenario, perturbation: Perturbation) -> Scenario:
-    """Scenario with the targeted input series scaled by (1 + delta).
-
-    Load and irradiance scale their output one-for-one; wind output
-    responds nonlinearly through the power curve, so the wind case
-    perturbs the resource, not the production.
-    """
-    return _perturbed_scenario(scenario, perturbation)
-
-
 def perturb_and_evaluate(scenario: Scenario, design: Design, perturbation: Perturbation,
                          baseline: MetricVector | None = None) -> DeviationRow:
     """Scale the targeted series, re-evaluate, and report deviations."""
@@ -96,6 +86,8 @@ def perturb_and_evaluate(scenario: Scenario, design: Design, perturbation: Pertu
 
 
 def _perturbed_scenario(scenario: Scenario, perturbation: Perturbation) -> Scenario:
+    """Wind output responds nonlinearly through the power curve, so the
+    wind case scales the resource, not the production."""
     factor = 1.0 + perturbation.delta
     if perturbation.target is PerturbTarget.LOAD:
         return scale_series(scenario, load=factor)

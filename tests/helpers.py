@@ -3,10 +3,11 @@
 These deliberately avoid the closed-form expressions in the package: the
 battery oracle integrates the raw two-tank dynamics with fine Euler
 steps, and the Pareto oracle is a literal O(n^2) double loop over the
-dominance definition.  The dispatch and CSV references are the plain
-per-hour and per-cell loops, and the search references the loops that
-call their evaluator on every request, that the package's faster code
-must reproduce exactly.
+dominance definition.  The PV and wind references are the scalar
+one-hour forms of the resource laws.  The dispatch and CSV references
+are the plain per-hour and per-cell loops, and the search references the
+loops that call their evaluator on every request, that the package's
+faster code must reproduce exactly.
 """
 
 from __future__ import annotations
@@ -22,8 +23,10 @@ from mgdesign.components import (
     _kinetic_discharge_bound,
     _kinetic_step,
     battery_state_from_spec,
+    pv_series,
+    wt_series,
 )
-from mgdesign.dispatch import FLOW_FIELDS, Design, DispatchTrace, pv_series, wt_series
+from mgdesign.dispatch import FLOW_FIELDS, Design, DispatchTrace
 from mgdesign.metrics import MetricVector
 from mgdesign.optimize import (
     DEFAULT_STEPS,
@@ -34,7 +37,7 @@ from mgdesign.optimize import (
     default_weight_cycle,
     pareto_mask,
 )
-from mgdesign.scenario import Scenario
+from mgdesign.scenario import PVSpec, Scenario, WindTurbineSpec
 
 
 def integrate_tanks(q1, q2, power, k: float, c: float, dt: float, step: float = 1e-3):
@@ -187,6 +190,47 @@ def random_metric_vectors(seed: int, n: int, distinct_levels: int | None = None)
             om_usd_per_yr=0.0, lpsp=0.0)
         for row in raw
     ]
+
+
+# ----------------------------------------------------------------------
+# Reference resource models
+# ----------------------------------------------------------------------
+
+def pv_output(spec: PVSpec, capacity_kw: float, irradiance_kw_m2: float,
+              cell_temp_c: float = 25.0) -> float:
+    """PV output in kW for one hour: nameplate times derating, irradiance
+    over the 1 kW/m2 standard and a linear correction around 25 degC,
+    clamped at zero."""
+    if irradiance_kw_m2 <= 0.0 or capacity_kw <= 0.0:
+        return 0.0
+    power = (capacity_kw * spec.derating * (irradiance_kw_m2 / 1.0)
+             * (1.0 + spec.temp_coeff_per_c * (cell_temp_c - 25.0)))
+    return max(power, 0.0)
+
+
+def hub_wind_speed(u_anemometer_ms: float, anemometer_height_m: float,
+                   hub_height_m: float, shear_exponent: float) -> float:
+    """Power-law extrapolation of the anemometer speed to hub height."""
+    if u_anemometer_ms <= 0.0:
+        return 0.0
+    return u_anemometer_ms * (hub_height_m / anemometer_height_m) ** shear_exponent
+
+
+def wt_output(spec: WindTurbineSpec, capacity_kw: float, u_hub_ms: float) -> float:
+    """Wind fleet output in kW at hub speed ``u_hub_ms``: zero outside
+    cut-in..cut-out, the normalized curve up to rated speed, nameplate
+    above it, and never more than the swept-area aerodynamic limit."""
+    if capacity_kw <= 0.0 or u_hub_ms < spec.cut_in_ms or u_hub_ms > spec.cut_out_ms:
+        return 0.0
+    e = spec.curve_exponent
+    if u_hub_ms >= spec.rated_ms:
+        fraction = 1.0
+    else:
+        fraction = ((u_hub_ms**e - spec.cut_in_ms**e)
+                    / (spec.rated_ms**e - spec.cut_in_ms**e))
+    swept_area_m2 = spec.swept_area_m2_per_unit * (capacity_kw / spec.nominal_kw)
+    aero_limit_kw = 0.5 * 1.225 * swept_area_m2 * u_hub_ms**3 * spec.power_coefficient / 1000.0
+    return min(capacity_kw * fraction, aero_limit_kw, capacity_kw)
 
 
 # ----------------------------------------------------------------------

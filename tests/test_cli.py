@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from mgdesign import cli, sensitivity
+from mgdesign import cli, metrics, sensitivity
 from mgdesign.cli import main
 from mgdesign.scenario import bundled_data_path
 
@@ -171,6 +171,25 @@ class TestPipelines:
         assert simulated + reused == requested
         assert 0 < simulated <= requested
         assert "evaluations:" not in stdout
+
+    def test_refine_simulates_each_design_once(self, capsys, tmp_path, monkeypatch):
+        # the winner's metrics come from the search, not from a further run
+        calls = []
+        original = metrics.simulate_year
+
+        def counting(scenario, design):
+            calls.append(design)
+            return original(scenario, design)
+
+        monkeypatch.setattr(metrics, "simulate_year", counting)
+        monkeypatch.setattr(cli, "simulate_year", counting)
+        code, _, err = _run(capsys, "refine", "--design", "pv=100,conv=100",
+                            "--out", str(tmp_path), "--max-cycles", "3")
+        assert code == 0
+        simulated = int(re.fullmatch(r"evaluations: \d+ requested, (\d+) simulated, \d+ reused\n",
+                                     err).group(1))
+        assert len(calls) == simulated
+        assert len(set(calls)) == simulated
 
     def test_rl_search_reports_evaluation_counts_on_stderr(self, capsys, tmp_path):
         code, stdout, err = _run(capsys, "rl-search", "--space", "pv=0:100:100,conv=100",

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,112 +8,183 @@ from hypothesis import strategies as st
 
 from mgdesign.components import (
     BatteryState,
-    BelowMinLoadError,
     BoundViolationError,
-    NonPositiveHeightError,
-    battery_replacements,
     bess_max_charge,
     bess_max_discharge,
     bess_step,
-    converter_transfer,
-    dg_fuel,
-    hub_wind_speed,
-    pv_output,
-    wt_output,
+    pv_series,
+    wt_series,
 )
-from mgdesign.scenario import BatterySpec, DieselSpec, PVSpec, WindTurbineSpec
+from mgdesign.dispatch import Design, InvalidDesignError, simulate_year
+from mgdesign.metrics import npc
+from mgdesign.scenario import (
+    BatterySpec,
+    Catalog,
+    ConverterSpec,
+    Economics,
+    Scenario,
+    ScenarioValidationError,
+    TimeSeries,
+    Unit,
+    WindTurbineSpec,
+    validate_scenario,
+)
 
 from .helpers import integrate_tanks, ode_max_charge, ode_max_discharge
 
-PV = PVSpec()
 WT = WindTurbineSpec()
-DG = DieselSpec()
+
+#: A turbine whose output in kW at 100 kW capacity equals its hub-height
+#: wind speed in m/s: a linear curve from 0 to 100 m/s and an aerodynamic
+#: limit far above it, so ``wt_series`` exposes the shear extrapolation.
+SPEED_PROBE = WindTurbineSpec(cut_in_ms=0.0, rated_ms=100.0, cut_out_ms=200.0,
+                              curve_exponent=1.0, swept_area_m2_per_unit=1e9)
+
+
+def hand_built_scenario(load_kw=(0.0,), irradiance=None, wind_ms=None, cell_temp_c=None,
+                        anemometer_height_m=10.0, **fields) -> Scenario:
+    """A scenario of ``len(load_kw)`` hours; weather defaults to calm and dark."""
+    n = len(load_kw)
+    return Scenario(
+        load=TimeSeries(load_kw, Unit.KW),
+        irradiance=TimeSeries(np.zeros(n) if irradiance is None else irradiance, Unit.KW_PER_M2),
+        wind_speed=TimeSeries(np.zeros(n) if wind_ms is None else wind_ms, Unit.M_PER_S),
+        cell_temperature=None if cell_temp_c is None else TimeSeries(cell_temp_c, Unit.CELSIUS),
+        anemometer_height_m=anemometer_height_m, **fields)
 
 
 class TestPV:
+    """``pv_series`` on one-hour scenarios."""
+
+    @staticmethod
+    def pv(capacity_kw, irradiance, cell_temp_c):
+        scenario = hand_built_scenario(irradiance=[irradiance], cell_temp_c=[cell_temp_c])
+        return float(pv_series(scenario, capacity_kw)[0])
+
     def test_stc_point(self):
         # 100 kW at standard irradiance/temperature with 0.8 derating
-        assert pv_output(PV, 100.0, 1.0, 25.0) == pytest.approx(80.0)
+        assert self.pv(100.0, 1.0, 25.0) == pytest.approx(80.0)
 
     def test_zero_irradiance(self):
-        assert pv_output(PV, 100.0, 0.0, 25.0) == 0.0
+        assert self.pv(100.0, 0.0, 25.0) == 0.0
 
     def test_temperature_correction(self):
         # 1 kW, derating 0.8, half irradiance, 20 degC above standard
-        assert pv_output(PV, 1.0, 0.5, 45.0) == pytest.approx(0.368)
+        assert self.pv(1.0, 0.5, 45.0) == pytest.approx(0.368)
 
     def test_linear_in_irradiance_and_capacity(self):
-        base = pv_output(PV, 10.0, 0.4)
-        assert pv_output(PV, 10.0, 0.8) == pytest.approx(2.0 * base)
-        assert pv_output(PV, 30.0, 0.4) == pytest.approx(3.0 * base)
+        # no cell-temperature series: no temperature correction
+        scenario = hand_built_scenario((0.0, 0.0), irradiance=[0.4, 0.8])
+        base = pv_series(scenario, 10.0)
+        assert base[1] == pytest.approx(2.0 * base[0])
+        assert pv_series(scenario, 30.0)[0] == pytest.approx(3.0 * base[0])
 
     def test_clamped_at_zero_for_extreme_heat(self):
         hot = 25.0 + 1.0 / 0.004 + 100.0  # temperature term < 0
-        assert pv_output(PV, 100.0, 1.0, hot) == 0.0
+        assert self.pv(100.0, 1.0, hot) == 0.0
 
 
 class TestHubWindSpeed:
+    """The shear law, read through ``wt_series`` of :data:`SPEED_PROBE`."""
+
+    @staticmethod
+    def hub_speed(u_ms, anemometer_height_m, hub_height_m, shear_exponent=0.14):
+        wind = replace(SPEED_PROBE, hub_height_m=hub_height_m, shear_exponent=shear_exponent)
+        scenario = hand_built_scenario(wind_ms=[u_ms], anemometer_height_m=anemometer_height_m,
+                                       catalog=Catalog(wind=wind))
+        return float(wt_series(scenario, 100.0)[0])
+
     def test_identity_at_same_height(self):
-        assert hub_wind_speed(7.3, 10.0, 10.0) == pytest.approx(7.3)
+        assert self.hub_speed(7.3, 10.0, 10.0) == pytest.approx(7.3)
 
     def test_power_law_value(self):
-        assert hub_wind_speed(5.0, 10.0, 15.0, 0.14) == pytest.approx(5.292035886848778, abs=1e-9)
+        assert self.hub_speed(5.0, 10.0, 15.0, 0.14) == pytest.approx(5.292035886848778, abs=1e-9)
 
     def test_zero_wind(self):
-        assert hub_wind_speed(0.0, 10.0, 15.0) == 0.0
+        assert self.hub_speed(0.0, 10.0, 15.0) == 0.0
 
     def test_bad_heights(self):
-        with pytest.raises(NonPositiveHeightError):
-            hub_wind_speed(5.0, 0.0, 15.0)
-        with pytest.raises(NonPositiveHeightError):
-            hub_wind_speed(5.0, 10.0, -2.0)
+        # the scenario checks reject the heights the power law cannot take
+        scenario = hand_built_scenario(anemometer_height_m=0.0)
+        assert "anemometer_height_m: must be > 0, got 0.0" in scenario.violations()
+        catalog = Catalog(wind=replace(WT, hub_height_m=-2.0))
+        assert "catalog.wind.hub_height_m: must be > 0, got -2.0" in catalog.violations()
 
 
 class TestWTOutput:
+    """``wt_series`` with the anemometer at hub height, so the speeds
+    given are the hub speeds."""
+
+    @staticmethod
+    def wt(capacity_kw, speeds, spec=WT):
+        scenario = hand_built_scenario(np.zeros(len(speeds)), wind_ms=speeds,
+                                       anemometer_height_m=spec.hub_height_m,
+                                       catalog=Catalog(wind=spec))
+        return wt_series(scenario, capacity_kw)
+
     def test_below_cut_in(self):
-        assert wt_output(WT, 100.0, 3.0) == 0.0
+        assert self.wt(100.0, [3.0])[0] == 0.0
 
     def test_above_cut_out(self):
-        assert wt_output(WT, 100.0, 25.0) == 0.0
+        assert self.wt(100.0, [25.0])[0] == 0.0
 
     def test_rated_region_clamps_to_nameplate(self):
-        for u in (12.0, 15.0, 20.0, 24.0):
-            assert wt_output(WT, 100.0, u) == pytest.approx(100.0)
+        assert self.wt(100.0, [12.0, 15.0, 20.0, 24.0]) == pytest.approx([100.0] * 4)
 
     def test_mid_curve_regression(self):
         # cubic rise between cut-in 4 and rated 12: (8^3-4^3)/(12^3-4^3)
-        assert wt_output(WT, 100.0, 8.0) == pytest.approx(26.923076923076923)
+        assert self.wt(100.0, [8.0])[0] == pytest.approx(26.923076923076923)
 
     def test_never_exceeds_nameplate(self):
-        for u in np.linspace(0.0, 30.0, 121):
-            assert wt_output(WT, 55.0, float(u)) <= 55.0 + 1e-12
+        assert np.all(self.wt(55.0, np.linspace(0.0, 30.0, 121)) <= 55.0 + 1e-12)
 
     def test_quadratic_curve_variant(self):
-        quad = WindTurbineSpec(curve_exponent=2.0)
+        quad = replace(WT, curve_exponent=2.0)
         expected = 100.0 * (64.0 - 16.0) / (144.0 - 16.0)
-        assert wt_output(quad, 100.0, 8.0) == pytest.approx(expected)
+        assert self.wt(100.0, [8.0], quad)[0] == pytest.approx(expected)
 
     def test_aero_limit_binds_for_small_swept_area(self):
         # starved rotor: aerodynamic ceiling below the curve value
-        tiny = WindTurbineSpec(swept_area_m2_per_unit=1.0)
+        tiny = replace(WT, swept_area_m2_per_unit=1.0)
         aero = 0.5 * 1.225 * (1.0 * 100.0 / 3.0) * 8.0**3 * 0.40 / 1000.0
-        assert wt_output(tiny, 100.0, 8.0) == pytest.approx(aero)
+        assert self.wt(100.0, [8.0], tiny)[0] == pytest.approx(aero)
 
 
 class TestDieselFuel:
+    """The fuel law through ``simulate_year``: a 60 kW genset alone (no
+    grid, no storage) against loads of 0, 30, 10 and 70 kW."""
+
+    @staticmethod
+    def trace():
+        scenario = hand_built_scenario((0.0, 30.0, 10.0, 70.0))
+        return simulate_year(scenario, Design(dg_kw=60.0, grid_cap_kw=0.0))
+
     def test_engine_off(self):
-        assert dg_fuel(DG, 60.0, 0.0) == 0.0
+        trace = self.trace()
+        assert trace.dg_kw[0] == 0.0
+        assert trace.fuel_l_per_hr[0] == 0.0
 
     def test_linear_law(self):
-        assert dg_fuel(DG, 60.0, 30.0) == pytest.approx(0.08 * 60.0 + 0.25 * 30.0)
+        trace = self.trace()
+        assert trace.dg_kw[1] == 30.0
+        assert trace.fuel_l_per_hr[1] == pytest.approx(0.08 * 60.0 + 0.25 * 30.0)
+        # exactly zero when off, intercept x rating + slope x output when running
+        expected = np.where(trace.dg_kw > 0.0, 0.08 * 60.0 + 0.25 * trace.dg_kw, 0.0)
+        assert np.array_equal(trace.fuel_l_per_hr, expected)
 
     def test_below_min_load(self):
-        with pytest.raises(BelowMinLoadError):
-            dg_fuel(DG, 60.0, 10.0)
+        # 10 kW is below 25 % of 60 kW: the engine stays off
+        trace = self.trace()
+        assert trace.dg_kw[2] == 0.0
+        assert trace.fuel_l_per_hr[2] == 0.0
+        assert trace.unmet_kw[2] == 10.0
 
     def test_above_rating_rejected(self):
-        with pytest.raises(ValueError):
-            dg_fuel(DG, 60.0, 61.0)
+        # the engine runs at its rating and the rest goes unmet
+        trace = self.trace()
+        assert trace.dg_kw[3] == 60.0
+        assert trace.fuel_l_per_hr[3] == pytest.approx(0.08 * 60.0 + 0.25 * 60.0)
+        assert trace.unmet_kw[3] == pytest.approx(10.0)
 
 
 class TestBatteryBounds:
@@ -253,31 +325,69 @@ class TestBatteryStep:
         assert stepped.q2_kwh == pytest.approx(float(q2), rel=1e-3)
 
 
+def battery_purchases(project_years: int, lifetime_years: int) -> float:
+    """Battery purchases over the project, read back from ``npc`` at zero
+    discount: the initial one plus the replacement cost over the price of
+    one bank."""
+    battery = replace(BatterySpec(), lifetime_years=lifetime_years)
+    scenario = hand_built_scenario(np.zeros(8760), catalog=Catalog(battery=battery),
+                                   economics=Economics(discount_rate=0.0, project_years=project_years))
+    design = Design(bess_kwh=100.0)
+    _, costs = npc(simulate_year(scenario, design), design, scenario)
+    return 1 + costs.replacement_usd_pw / (100.0 * battery.replacement_usd_per_kwh)
+
+
 class TestBatteryReplacements:
     def test_paper_case(self):
-        assert battery_replacements(25, 10) == 3
+        assert battery_purchases(25, 10) == 3
 
     def test_lifetime_covers_project(self):
-        assert battery_replacements(10, 20) == 1
+        assert battery_purchases(10, 20) == 1
 
     def test_exact_division(self):
-        assert battery_replacements(20, 10) == 2
+        assert battery_purchases(20, 10) == 2
 
     def test_invalid(self):
-        with pytest.raises(ValueError):
-            battery_replacements(0, 10)
+        scenario = hand_built_scenario(economics=Economics(project_years=0),
+                                       catalog=Catalog(battery=replace(BatterySpec(), lifetime_years=0)))
+        problems = scenario.violations()
+        assert "economics.project_years: must be >= 1, got 0" in problems
+        assert "catalog.battery.lifetime_years: must be >= 1, got 0" in problems
+        with pytest.raises(ScenarioValidationError):
+            validate_scenario(scenario)
 
 
 class TestConverter:
+    """Conversion losses through ``simulate_year``: 125 kW of PV (100 kW
+    DC at 1 kW/m2 with 0.8 derating) serving AC load alone (no grid, no
+    storage); every delivered kW costs ``1/efficiency - 1`` kW."""
+
+    PV = Design(pv_kw=125.0, converter_kw=255.0, grid_cap_kw=0.0)
+
     def test_zero_input(self):
-        assert converter_transfer(0.0, 0.95) == 0.0
+        trace = simulate_year(hand_built_scenario((50.0, 50.0)), self.PV)
+        assert np.array_equal(trace.conversion_loss_kw, [0.0, 0.0])
+        assert np.array_equal(trace.unmet_kw, [50.0, 50.0])
 
     def test_efficiency(self):
-        assert converter_transfer(100.0, 0.95) == pytest.approx(95.0)
+        scenario = hand_built_scenario((200.0, 50.0), irradiance=[1.0, 1.0])
+        trace = simulate_year(scenario, self.PV)
+        delivered = trace.load_kw - trace.unmet_kw
+        assert delivered == pytest.approx([95.0, 50.0])
+        assert trace.conversion_loss_kw == pytest.approx(delivered * (1.0 / 0.95 - 1.0))
+        assert trace.curtailed_kw == pytest.approx([0.0, 100.0 - 50.0 / 0.95])
 
     def test_fixed_loss_clamp(self):
-        assert converter_transfer(1.0, 0.5, fixed_loss_kw=1.0) == 0.0
+        # the rating clamps the delivered power; ``fixed_loss_kw`` is parsed
+        # but dispatch does not read it
+        scenario = hand_built_scenario((200.0,), irradiance=[1.0])
+        design = replace(self.PV, converter_kw=50.0)
+        trace = simulate_year(scenario, design)
+        assert trace.unmet_kw[0] == pytest.approx(150.0)
+        assert trace.conversion_loss_kw[0] == pytest.approx(50.0 * (1.0 / 0.95 - 1.0))
+        lossy = replace(scenario, catalog=Catalog(converter=ConverterSpec(fixed_loss_kw=1.0)))
+        assert np.array_equal(simulate_year(lossy, design).conversion_loss_kw, trace.conversion_loss_kw)
 
     def test_negative_input_rejected(self):
-        with pytest.raises(ValueError):
-            converter_transfer(-1.0, 0.95)
+        with pytest.raises(InvalidDesignError):
+            simulate_year(hand_built_scenario(), replace(self.PV, converter_kw=-1.0))

@@ -3,22 +3,26 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mgdesign.components import pv_output, hub_wind_speed, wt_output
+from mgdesign.components import pv_series, wt_series
 from mgdesign.dispatch import (
     FLOW_FIELDS,
     Design,
     InvalidDesignError,
-    pv_series,
     simulate_year,
     step_hour,
     write_trace_csv,
-    wt_series,
 )
 from mgdesign.optimize import SearchSpace
 from mgdesign.scenario import Scenario, TimeSeries, Unit
 
 from .conftest import random_design, random_scenario
-from .helpers import reference_dispatch_year, reference_write_trace_csv
+from .helpers import (
+    hub_wind_speed,
+    pv_output,
+    reference_dispatch_year,
+    reference_write_trace_csv,
+    wt_output,
+)
 
 #: The 64-design lattice of the benchmark's ``lattice_search`` workload.
 BENCH_LATTICE = "pv=20:620:200,wt=10:210:200,dg=15:75:60,bess=50:950:300,conv=255"
@@ -58,24 +62,55 @@ class TestDesign:
             simulate_year(random_scenario(0), Design(pv_kw=-1.0))
 
 
+def random_resource_scenario(seed: int) -> Scenario:
+    """:func:`random_scenario` with a cell-temperature series, a random
+    anemometer height and random PV and wind constants."""
+    rng = np.random.default_rng(seed)
+    scenario = random_scenario(seed)
+    cut_in = float(rng.uniform(2.0, 5.0))
+    rated = float(rng.uniform(cut_in + 3.0, 15.0))
+    catalog = replace(
+        scenario.catalog,
+        pv=replace(scenario.catalog.pv, derating=float(rng.uniform(0.6, 1.0)),
+                   temp_coeff_per_c=float(rng.uniform(-0.006, -0.002))),
+        wind=replace(scenario.catalog.wind, cut_in_ms=cut_in, rated_ms=rated,
+                     cut_out_ms=float(rng.uniform(rated + 1.0, 30.0)),
+                     hub_height_m=float(rng.uniform(8.0, 40.0)),
+                     shear_exponent=float(rng.uniform(0.1, 0.3)),
+                     curve_exponent=float(rng.choice([1.0, 2.0, 3.0])),
+                     swept_area_m2_per_unit=float(rng.uniform(1.0, 30.0)),
+                     power_coefficient=float(rng.uniform(0.3, 0.5))))
+    temperature = TimeSeries(rng.uniform(-10.0, 70.0, 8760), Unit.CELSIUS)
+    return replace(scenario, catalog=catalog, cell_temperature=temperature,
+                   anemometer_height_m=float(rng.uniform(5.0, 20.0)))
+
+
 class TestSeriesModels:
+    """The array resource models against the scalar one-hour oracles on
+    every hour of random scenarios."""
+
+    SEEDS = (5, 6, 7, 8)
+
     def test_pv_series_matches_scalar_op(self):
-        scenario = random_scenario(5)
-        series = pv_series(scenario, 120.0)
-        for h in (0, 12, 4000, 8759):
-            scalar = pv_output(scenario.catalog.pv, 120.0, float(scenario.irradiance.values[h]))
-            assert series[h] == pytest.approx(scalar, abs=1e-12)
+        for seed in self.SEEDS:
+            scenario = random_resource_scenario(seed)
+            assert scenario.violations() == []
+            series = pv_series(scenario, 120.0)
+            oracle = [pv_output(scenario.catalog.pv, 120.0, g, t)
+                      for g, t in zip(scenario.irradiance.values.tolist(),
+                                      scenario.cell_temperature.values.tolist())]
+            assert np.array_equal(series, oracle)
 
     def test_wt_series_matches_scalar_ops(self):
-        scenario = random_scenario(6)
-        series = wt_series(scenario, 90.0)
-        spec = scenario.catalog.wind
-        for h in (0, 100, 5000, 8759):
-            u_hub = hub_wind_speed(float(scenario.wind_speed.values[h]),
-                                   scenario.anemometer_height_m,
-                                   spec.hub_height_m, spec.shear_exponent)
-            scalar = wt_output(spec, 90.0, u_hub)
-            assert series[h] == pytest.approx(scalar, abs=1e-9)
+        for seed in self.SEEDS:
+            scenario = random_resource_scenario(seed)
+            spec = scenario.catalog.wind
+            series = wt_series(scenario, 90.0)
+            oracle = [wt_output(spec, 90.0, hub_wind_speed(u, scenario.anemometer_height_m,
+                                                          spec.hub_height_m, spec.shear_exponent))
+                      for u in scenario.wind_speed.values.tolist()]
+            assert np.count_nonzero(series) > 1000
+            np.testing.assert_allclose(series, oracle, rtol=1e-12, atol=1e-9)
 
 
 class TestSimulateYear:
@@ -232,7 +267,6 @@ class TestStepHour:
 
     def test_matches_simulate_year_first_hour(self, bundled, a5):
         from mgdesign.components import battery_state_from_spec
-        from mgdesign.dispatch import pv_series, wt_series
 
         trace = simulate_year(bundled, a5)
         state = battery_state_from_spec(bundled.catalog.battery, a5.bess_kwh)

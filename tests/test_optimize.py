@@ -18,7 +18,6 @@ from mgdesign.optimize import (
     SearchSpace,
     Weights,
     default_weight_cycle,
-    emit_pareto_plotdata,
     grid_search,
     pareto_filter,
     pareto_mask,
@@ -27,6 +26,7 @@ from mgdesign.optimize import (
     refine,
     scalarize,
     select_best,
+    write_evaluations_csv,
 )
 
 from .conftest import random_scenario, table2_rows
@@ -431,7 +431,7 @@ class TestResultFiles:
         rows = table2_rows()
         evaluations = [EvaluatedDesign(Design(), m) for m in rows.values()]
         path = tmp_path / "plotdata.csv"
-        emit_pareto_plotdata(evaluations, path)
+        write_evaluations_csv(evaluations, path, with_front_rank=True)
         lines = path.read_text().splitlines()
         assert len(lines) == 6
         header = lines[0].split(",")
@@ -441,7 +441,7 @@ class TestResultFiles:
 
     def test_empty_input(self, tmp_path):
         with pytest.raises(EmptyInputError):
-            emit_pareto_plotdata([], tmp_path / "x.csv")
+            write_evaluations_csv([], tmp_path / "x.csv", with_front_rank=True)
 
 
 class TestGridSearchParallel:
