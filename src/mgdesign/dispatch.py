@@ -13,27 +13,33 @@ Dispatch priority, fixed and price-blind:
 * surplus hours -- battery charge (PV charges DC-direct first, then
   wind through the converter), then grid export, then curtailment.
 
-The battery state threads sequentially through the hours; everything
-else is embarrassingly parallel across (scenario, design) pairs.
+Only the battery's state carries from one hour to the next.  One
+kernel, :func:`_dispatch_hours`, implements the dispatch rules in three
+stages over the year:
 
-The available PV and wind production comes from the resource series
-of ``components``.  One kernel, :func:`_dispatch_hours`, implements the
-dispatch rules, and with them the only copies of two component laws:
-the diesel fuel law (``alpha * rating + beta * output`` L/hr while
-running, exactly zero when off) and the converter loss
-(``delivered * (1/efficiency - 1)`` per crossing).  It loops over Python
-floats, inlines the kinetic-battery closed forms of ``components`` with
-their per-call constants hoisted, and keeps every other operation in the
-order of those forms.  :func:`simulate_year` runs it over the year and
-:func:`step_hour` over a single hour.  The tests hold it bit-exact
-against a plain per-hour reference loop (``tests/helpers.py``).
+1. NumPy arrays: wind serves load on the AC bus, then PV through the
+   converter; this marks the deficit hours.
+2. A Python loop over the hours, run only for a design with a battery
+   (:func:`_battery_hours`): discharge in deficit hours, PV DC-direct
+   charge when nothing was discharged, PV-then-wind charge in surplus
+   hours, and the kinetic-battery tank update with the closed forms of
+   ``components`` inlined.
+3. NumPy arrays: grid import, diesel and fuel, unmet load, export and
+   curtailment.
+
+The kernel holds the only copies of two component laws: the diesel fuel
+law (``alpha * rating + beta * output`` L/hr while running, exactly zero
+when off) and the converter loss (``delivered * (1/efficiency - 1)`` per
+crossing).  The available PV and wind production comes from the resource
+series of ``components``.  :func:`simulate_year` runs the stages over the
+year and :func:`step_hour` over one-hour arrays.  The tests hold them
+bit-exact, signs of zeros included, against a plain per-hour reference
+loop (``tests/helpers.py``).
 """
 
 from __future__ import annotations
 
 import math
-from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -264,182 +270,176 @@ class DispatchTrace:
 
 
 def _dispatch_hours(
-    load: Sequence[float], pv: Sequence[float], wt: Sequence[float], q1: float, q2: float,
+    load: np.ndarray, pv: np.ndarray, wt: np.ndarray, q1: float, q2: float,
     conv_kw: float, eta: float, q_max: float, k: float, c: float, sq_eta: float,
     floor_q1: float, floor_q2: float, q_max_eff: float,
     import_cap: float, export_cap: float,
     dg_kw: float, dg_min: float, dg_alpha: float, dg_beta: float,
 ) -> tuple:
-    """Route power hour by hour: the one implementation of the dispatch rules.
+    """Route power over parallel float64 hour arrays: the one implementation
+    of the dispatch rules.
 
-    ``load``, ``pv`` and ``wt`` are parallel sequences that yield Python
-    floats; the battery starts from tanks ``q1``/``q2`` and takes part
-    when ``q_max > 0``.  Returns ``(columns, soc, q1, q2)``: the nine flow
+    The battery starts from tanks ``q1``/``q2`` and takes part when
+    ``q_max > 0``.  Returns ``(columns, soc, q1, q2)``: the nine flow
     columns of :data:`FLOW_FIELDS` from ``dg_kw`` to
     ``conversion_loss_kw``, the end-of-hour SOC, and the final tanks.
-    Columns and SOC are ``array("d")`` buffers, 8 bytes per hour.
 
-    The kinetic-battery closed forms of ``components`` are inlined at
-    dt = 1 h with their per-call constants hoisted.  Every remaining
-    expression keeps the operation order of those forms, so the results
-    are bit-identical to evaluating them hour by hour.
+    Stages 1 and 3 are array expressions: every clamp keeps the comparison
+    of the per-hour rule it replaces, and the loss column adds its parts in
+    the per-hour order (PV, then battery or wind charging, then export), so
+    each hour's result is bit-identical to routing that hour alone.
     """
-    n = len(load)
-    bess_on = q_max > 0.0
+    # Stage 1: wind serves load on the AC bus, then PV through the converter.
+    # A masked flow is +0.0 outside its mask, and ``x - 0.0`` is ``x`` bit
+    # for bit, so subtracting it leaves every other hour as it was.
+    wt_to_load = np.where(wt < load, wt, load)
+    residual = load - wt_to_load
+    wt_surplus = wt - wt_to_load
+    deliverable = pv * eta
+    deliverable = np.where(deliverable > conv_kw, conv_kw, deliverable)
+    deliverable = np.where(deliverable > residual, residual, deliverable)
+    # Positive only where the residual, the PV and the rating all are.
+    pv_to_load = deliverable > 0.0
+    conv_used = np.where(pv_to_load, deliverable, 0.0)   # converter output-side throughput
+    used_dc = conv_used / eta
+    pv_surplus = pv - used_dc
+    residual -= conv_used
+    # Never -0.0, so equal to the per-hour ``0.0 + ...``; adding +0.0 to it
+    # later leaves it as it is.
+    loss = used_dc - conv_used
+    deficit = residual > 1e-12
+
+    # Stage 2: the battery, the only state carried from hour to hour.
+    charge = np.zeros(len(load))
+    discharge = np.zeros(len(load))
+    soc = np.zeros(len(load))
+    if q_max > 0.0:
+        q1, q2 = _battery_hours(
+            deficit, residual, pv_surplus, wt_surplus, conv_used, loss, charge, discharge, soc,
+            q1, q2, conv_kw, eta, q_max, k, c, sq_eta, floor_q1, floor_q2, q_max_eff)
+
+    # Stage 3, deficit hours: grid import, then diesel between its minimum
+    # load and rating, then unmet.  A surplus hour's residual stays at most
+    # 1e-12, so only deficit hours import or run the diesel.
+    to_grid = (residual > 1e-12) & (import_cap > 0.0)
+    grid_import = np.where(to_grid, np.where(residual < import_cap, residual, import_cap), 0.0)
+    residual -= grid_import
+    to_dg = (residual > 1e-12) & (dg_kw > 0.0) & (residual >= dg_min * dg_kw)
+    dg_out = np.where(to_dg, np.where(residual < dg_kw, residual, dg_kw), 0.0)
+    fuel = np.where(to_dg, dg_alpha * dg_kw + dg_beta * dg_out, 0.0)
+    residual -= dg_out
+    unmet = np.where(deficit & (residual > 0.0), residual, 0.0)
+
+    # Stage 3, surplus hours: export wind AC-direct, then PV through the
+    # converter room left; curtail the rest.
+    to_export = ~deficit & (export_cap > 0.0) & ((wt_surplus > 0.0) | (pv_surplus > 0.0))
+    wind_export = np.where(to_export, np.where(wt_surplus < export_cap, wt_surplus, export_cap), 0.0)
+    wt_surplus -= wind_export
+    room = conv_kw - conv_used
+    export_room = export_cap - wind_export
+    ac_possible = pv_surplus * eta
+    ac_possible = np.where(ac_possible > room, room, ac_possible)
+    ac_possible = np.where(ac_possible > export_room, export_room, ac_possible)
+    # Positive only where the PV surplus, the room and the export room all are.
+    pv_export = to_export & (ac_possible > 0.0)
+    ac_possible = np.where(pv_export, ac_possible, 0.0)
+    dc_used = ac_possible / eta
+    pv_surplus -= dc_used
+    loss += dc_used - ac_possible
+    grid_export = np.where(pv_export, wind_export + ac_possible, wind_export)
+    # Deficit hours have no wind surplus (+0.0) and curtail PV surplus only
+    # when it is positive: PV through the converter can leave -1 ulp.
+    curtailed = np.where(deficit & ~(pv_surplus > 0.0), 0.0, pv_surplus + wt_surplus)
+
+    return ((dg_out, charge, discharge, grid_import, grid_export, unmet, curtailed, fuel, loss),
+            soc, q1, q2)
+
+
+def _battery_hours(
+    deficit: np.ndarray, residual: np.ndarray, pv_surplus: np.ndarray, wt_surplus: np.ndarray,
+    conv_used: np.ndarray, loss: np.ndarray, charge: np.ndarray, discharge: np.ndarray,
+    soc: np.ndarray, q1: float, q2: float,
+    conv_kw: float, eta: float, q_max: float, k: float, c: float, sq_eta: float,
+    floor_q1: float, floor_q2: float, q_max_eff: float,
+) -> tuple[float, float]:
+    """Stage 2 of :func:`_dispatch_hours`: charge and discharge the battery
+    hour by hour and step its tanks; returns the final ``q1, q2``.
+
+    Deficit hours discharge first; when nothing was discharged, PV surplus
+    left by a saturated converter charges DC-direct.  Surplus hours charge
+    from PV DC-direct, then from wind through the converter room left.
+    Updates the stage arrays in place, through memoryviews that read and
+    write Python floats.  The kinetic-battery closed forms of
+    ``components`` are inlined at dt = 1 h with their per-call constants
+    hoisted and every remaining expression in their operation order.
+    """
     r = math.exp(-k)
     one_r = 1.0 - r
     a = k - 1.0 + r
     denom = one_r + c * a
     one_c = 1.0 - c
     k_c_qmax = k * c * q_max_eff
-    dg_floor = dg_min * dg_kw
+    res_v, ps_v, ws_v, cu_v, loss_v, chg_v, dis_v, soc_v = map(
+        memoryview, (residual, pv_surplus, wt_surplus, conv_used, loss, charge, discharge, soc))
 
-    zeros = bytes(8 * n)
-    dg_col = array("d", zeros)
-    chg_col = array("d", zeros)
-    dis_col = array("d", zeros)
-    imp_col = array("d", zeros)
-    exp_col = array("d", zeros)
-    unmet_col = array("d", zeros)
-    curt_col = array("d", zeros)
-    fuel_col = array("d", zeros)
-    loss_col = array("d", zeros)
-    soc_col = array("d", zeros)
-
-    for h, ld, p, w in zip(range(n), load, pv, wt):
-        conv_used = 0.0   # converter output-side throughput this hour
-        conv_loss = 0.0
-        charge = 0.0
-        discharge = 0.0
-
-        # Wind serves load directly on the AC bus.
-        wt_to_load = w if w < ld else ld
-        residual = ld - wt_to_load
-        wt_surplus = w - wt_to_load
-
-        # PV serves the remaining load through the converter.
-        pv_surplus = p
-        if residual > 0.0 and p > 0.0 and conv_kw > 0.0:
-            deliverable = p * eta
-            if deliverable > conv_kw:
-                deliverable = conv_kw
-            if deliverable > residual:
-                deliverable = residual
+    for h, short, ps, ws in zip(range(len(soc)), deficit.tolist(), ps_v, ws_v):
+        dis = 0.0
+        chg = 0.0
+        e1 = q1 - floor_q1
+        if e1 < 0.0:
+            e1 = 0.0
+        e2 = q2 - floor_q2
+        if e2 < 0.0:
+            e2 = 0.0
+        if short:
+            internal = (k * e1 * r + (e1 + e2) * k * c * one_r) / denom
+            if internal < 0.0:
+                internal = 0.0
+            deliverable = internal * sq_eta * eta
+            room = conv_kw - cu_v[h]
+            if deliverable > room:
+                deliverable = room
+            res = res_v[h]
+            if deliverable > res:
+                deliverable = res
             if deliverable > 0.0:
-                used_dc = deliverable / eta
-                pv_surplus = p - used_dc
-                conv_used = deliverable
-                conv_loss += used_dc - deliverable
-                residual -= deliverable
+                dis = deliverable / eta
+                cu_v[h] += deliverable
+                loss_v[h] += dis - deliverable
+                res_v[h] = res - deliverable
+                dis_v[h] = dis
+        # Charge when nothing was discharged.  A deficit hour has no wind
+        # surplus (+0.0), so there only PV left by a saturated converter
+        # charges.
+        if dis == 0.0 and (ps > 0.0 or ws > 0.0):
+            internal = (k_c_qmax - k * e1 * r - (e1 + e2) * k * c * one_r) / denom
+            if internal < 0.0:
+                internal = 0.0
+            bound = internal / sq_eta
+            chg = ps if ps < bound else bound
+            ps_v[h] = ps - chg
+            cu = cu_v[h]
+            if ws > 0.0 and chg < bound and conv_kw > cu:
+                dc_possible = ws * eta
+                room = conv_kw - cu
+                if dc_possible > room:
+                    dc_possible = room
+                if dc_possible > bound - chg:
+                    dc_possible = bound - chg
+                if dc_possible > 0.0:
+                    ac_used = dc_possible / eta
+                    ws_v[h] = ws - ac_used
+                    cu_v[h] = cu + dc_possible
+                    loss_v[h] += ac_used - dc_possible
+                    chg += dc_possible
+            chg_v[h] = chg
 
-        if residual > 1e-12:
-            # Deficit: battery, then grid, then diesel, then unmet.
-            if bess_on:
-                e1 = q1 - floor_q1
-                if e1 < 0.0:
-                    e1 = 0.0
-                e2 = q2 - floor_q2
-                if e2 < 0.0:
-                    e2 = 0.0
-                internal = (k * e1 * r + (e1 + e2) * k * c * one_r) / denom
-                if internal < 0.0:
-                    internal = 0.0
-                deliverable = internal * sq_eta * eta
-                room = conv_kw - conv_used
-                if deliverable > room:
-                    deliverable = room
-                if deliverable > residual:
-                    deliverable = residual
-                if deliverable > 0.0:
-                    discharge = deliverable / eta
-                    conv_used += deliverable
-                    conv_loss += discharge - deliverable
-                    residual -= deliverable
-                    dis_col[h] = discharge
-            if residual > 1e-12 and import_cap > 0.0:
-                grid_import = residual if residual < import_cap else import_cap
-                residual -= grid_import
-                imp_col[h] = grid_import
-            if residual > 1e-12 and dg_kw > 0.0 and residual >= dg_floor:
-                dg_out = residual if residual < dg_kw else dg_kw
-                fuel_col[h] = dg_alpha * dg_kw + dg_beta * dg_out
-                residual -= dg_out
-                dg_col[h] = dg_out
-            if residual > 0.0:
-                unmet_col[h] = residual
-            # A converter-saturated hour can leave PV surplus even in deficit;
-            # it can still charge the battery DC-direct (discharge is zero then,
-            # because discharge also needed converter room).
-            if pv_surplus > 0.0:
-                if bess_on and discharge == 0.0:
-                    # e1, e2: the window above the floor, set by the bound above
-                    internal = (k_c_qmax - k * e1 * r - (e1 + e2) * k * c * one_r) / denom
-                    if internal < 0.0:
-                        internal = 0.0
-                    bound = internal / sq_eta
-                    charge = pv_surplus if pv_surplus < bound else bound
-                    pv_surplus -= charge
-                    chg_col[h] = charge
-                curt_col[h] = pv_surplus
-        else:
-            # Surplus: charge (PV DC-direct first, wind via converter), then
-            # export (wind AC-direct first, PV via converter), then curtail.
-            if bess_on and (pv_surplus > 0.0 or wt_surplus > 0.0):
-                e1 = q1 - floor_q1
-                if e1 < 0.0:
-                    e1 = 0.0
-                e2 = q2 - floor_q2
-                if e2 < 0.0:
-                    e2 = 0.0
-                internal = (k_c_qmax - k * e1 * r - (e1 + e2) * k * c * one_r) / denom
-                if internal < 0.0:
-                    internal = 0.0
-                bound = internal / sq_eta
-                charge = pv_surplus if pv_surplus < bound else bound
-                pv_surplus -= charge
-                if wt_surplus > 0.0 and charge < bound and conv_kw > conv_used:
-                    dc_possible = wt_surplus * eta
-                    room = conv_kw - conv_used
-                    if dc_possible > room:
-                        dc_possible = room
-                    if dc_possible > bound - charge:
-                        dc_possible = bound - charge
-                    if dc_possible > 0.0:
-                        ac_used = dc_possible / eta
-                        wt_surplus -= ac_used
-                        conv_used += dc_possible
-                        conv_loss += ac_used - dc_possible
-                        charge += dc_possible
-                chg_col[h] = charge
-            if export_cap > 0.0 and (wt_surplus > 0.0 or pv_surplus > 0.0):
-                grid_export = wt_surplus if wt_surplus < export_cap else export_cap
-                wt_surplus -= grid_export
-                room = conv_kw - conv_used
-                if pv_surplus > 0.0 and room > 0.0 and grid_export < export_cap:
-                    ac_possible = pv_surplus * eta
-                    if ac_possible > room:
-                        ac_possible = room
-                    if ac_possible > export_cap - grid_export:
-                        ac_possible = export_cap - grid_export
-                    if ac_possible > 0.0:
-                        dc_used = ac_possible / eta
-                        pv_surplus -= dc_used
-                        conv_used += ac_possible
-                        conv_loss += dc_used - ac_possible
-                        grid_export += ac_possible
-                exp_col[h] = grid_export
-            curt_col[h] = pv_surplus + wt_surplus
-        loss_col[h] = conv_loss
-
-        if bess_on:
-            i = discharge / sq_eta - charge * sq_eta
-            q0 = q1 + q2
-            q1, q2 = (q1 * r + ((q0 * k * c - i) * one_r - i * c * a) / k,
-                      q2 * r + q0 * one_c * one_r - i * one_c * a / k)
-            soc_col[h] = (q1 + q2) / q_max
-
-    return ((dg_col, chg_col, dis_col, imp_col, exp_col, unmet_col, curt_col,
-             fuel_col, loss_col), soc_col, q1, q2)
+        i = dis / sq_eta - chg * sq_eta
+        q0 = q1 + q2
+        q1, q2 = (q1 * r + ((q0 * k * c - i) * one_r - i * c * a) / k,
+                  q2 * r + q0 * one_c * one_r - i * one_c * a / k)
+        soc_v[h] = (q1 + q2) / q_max
+    return q1, q2
 
 
 def _dispatch_params(design: Design, tariff: GridTariff, catalog: Catalog, q_max: float) -> dict:
@@ -471,20 +471,17 @@ def simulate_year(scenario: Scenario, design: Design) -> DispatchTrace:
     wt_avail = wt_series(scenario, design.wt_kw)
     spec = scenario.catalog.battery
     initial = battery_state_from_spec(spec, design.bess_kwh)
-    # Memoryviews of float64 arrays yield Python floats without copying the
-    # series; np.frombuffer wraps the kernel's output buffers the same way.
     cols, soc, q1, q2 = _dispatch_hours(
-        memoryview(load), memoryview(pv_avail), memoryview(wt_avail), initial.q1_kwh, initial.q2_kwh,
+        load, pv_avail, wt_avail, initial.q1_kwh, initial.q2_kwh,
         **_dispatch_params(design, scenario.tariff, scenario.catalog, design.bess_kwh))
-    flows = {name: np.frombuffer(col) for name, col in zip(FLOW_FIELDS[2:], cols)}
     final = BatteryState(q1_kwh=q1, q2_kwh=q2, q_max_kwh=design.bess_kwh,
                          soc_min=spec.soc_min, soc_max=spec.soc_max)
     return DispatchTrace(
         load_kw=load,
         pv_kw=pv_avail,
         wt_kw=wt_avail,
-        **flows,
-        soc=np.frombuffer(soc),
+        **dict(zip(FLOW_FIELDS[2:], cols)),
+        soc=soc,
         final_battery=final,
         initial_stored_kwh=initial.stored_kwh,
         roundtrip_efficiency=spec.roundtrip_efficiency,
@@ -495,15 +492,15 @@ def step_hour(state: BatteryState, load_kw: float, pv_kw: float, wt_kw: float,
               design: Design, tariff: GridTariff, specs: Catalog) -> tuple[BatteryState, PowerFlow]:
     """Dispatch a single hour.
 
-    Runs the kernel of :func:`simulate_year` on one-hour series, so
+    Runs the stages of :func:`simulate_year` on one-hour arrays, so
     threading ``step_hour`` through a year reproduces its trace bit for bit.
     """
     cols, _, q1, q2 = _dispatch_hours(
-        [load_kw], [pv_kw], [wt_kw], state.q1_kwh, state.q2_kwh,
+        np.array([load_kw]), np.array([pv_kw]), np.array([wt_kw]), state.q1_kwh, state.q2_kwh,
         **_dispatch_params(design, tariff, specs, state.q_max_kwh))
     new_state = BatteryState(q1_kwh=q1, q2_kwh=q2, q_max_kwh=state.q_max_kwh,
                              soc_min=state.soc_min, soc_max=state.soc_max)
-    return new_state, PowerFlow(pv_kw, wt_kw, *(col[0] for col in cols))
+    return new_state, PowerFlow(pv_kw, wt_kw, *(float(col[0]) for col in cols))
 
 
 def write_trace_csv(trace: DispatchTrace, path: str | Path) -> None:

@@ -252,18 +252,19 @@ def co2_delta(trace: DispatchTrace, scenario: Scenario) -> float:
     return avoided - emitted
 
 
-def evaluate(design: Design, scenario: Scenario,
-             trace: DispatchTrace | None = None) -> MetricVector:
+def evaluate(design: Design, scenario: Scenario, trace: DispatchTrace | None = None,
+             costed: tuple[float, CostBreakdown] | None = None) -> MetricVector:
     """Simulate a design and compute its full metric vector.
 
     Deterministic: identical inputs give bit-identical results.  A
-    pre-computed trace may be supplied to avoid re-simulation.  Designs
-    that serve no energy get an infinite LCOE; traces with no energy
-    input at all count as vacuously 100% efficient.
+    pre-computed trace may be supplied to avoid re-simulation, and with
+    it that trace's :func:`npc` result as ``costed`` to avoid re-costing.
+    Designs that serve no energy get an infinite LCOE; traces with no
+    energy input at all count as vacuously 100% efficient.
     """
     if trace is None:
         trace = simulate_year(scenario, design)
-    total, costs = npc(trace, design, scenario)
+    total, costs = costed if costed is not None else npc(trace, design, scenario)
     lpsp_value = lpsp(trace)
     served = trace.served_kwh
     eco = scenario.economics

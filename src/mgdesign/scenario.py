@@ -435,6 +435,8 @@ class Catalog:
                 problems.append(f"catalog.{name}.lifetime_years: must be >= 1, got {spec.lifetime_years}")
         if not self.pv.derating >= 0.0:
             problems.append(f"catalog.pv.derating: must be >= 0, got {self.pv.derating}")
+        if not self.wind.nominal_kw > 0.0:
+            problems.append(f"catalog.wind.nominal_kw: must be > 0, got {self.wind.nominal_kw}")
         if not self.wind.hub_height_m > 0.0:
             problems.append(f"catalog.wind.hub_height_m: must be > 0, got {self.wind.hub_height_m}")
         if not 0.0 < self.converter.efficiency <= 1.0:
@@ -515,8 +517,13 @@ class Economics:
         problems = _non_finite("economics.", self)
         if self.discount_rate < 0:
             problems.append(f"economics.discount_rate: must be >= 0, got {self.discount_rate}")
-        if self.project_years < 1:
-            problems.append(f"economics.project_years: must be >= 1, got {self.project_years}")
+        years = self.project_years
+        if isinstance(years, bool) or not isinstance(years, int):
+            problems.append(f"economics.project_years: must be an integer, got {years!r}")
+        elif years < 1:
+            problems.append(f"economics.project_years: must be >= 1, got {years}")
+        elif years > 100:
+            problems.append(f"economics.project_years: must be <= 100, got {years}")
         if self.fuel_price_usd_per_l < 0:
             problems.append("economics.fuel_price_usd_per_l: must be >= 0")
         if self.dg_emission_kg_per_l < 0:

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from mgdesign.components import (
+    BatteryState,
     _kinetic_charge_bound,
     _kinetic_discharge_bound,
     _kinetic_step,
@@ -37,7 +38,7 @@ from mgdesign.optimize import (
     default_weight_cycle,
     pareto_mask,
 )
-from mgdesign.scenario import PVSpec, Scenario, WindTurbineSpec
+from mgdesign.scenario import Catalog, GridTariff, PVSpec, Scenario, WindTurbineSpec
 
 
 def integrate_tanks(q1, q2, power, k: float, c: float, dt: float, step: float = 1e-3):
@@ -366,6 +367,33 @@ def _dispatch_hour(
             unmet, curtailed, fuel, conv_loss)
 
 
+def _reference_params(design: Design, tariff: GridTariff, catalog: Catalog, q_max: float) -> tuple:
+    """The arguments of :func:`_dispatch_hour` after the series and tanks."""
+    spec = catalog.battery
+    floor = spec.soc_min * q_max
+    grid_cap = design.grid_cap_kw if design.grid_cap_kw is not None else math.inf
+    dg = catalog.diesel
+    return (
+        design.converter_kw, catalog.converter.efficiency,
+        q_max > 0.0, spec.rate_constant_per_hr, spec.capacity_ratio,
+        math.sqrt(spec.roundtrip_efficiency),
+        spec.capacity_ratio * floor, (1.0 - spec.capacity_ratio) * floor,
+        (spec.soc_max - spec.soc_min) * q_max,
+        min(grid_cap, tariff.max_import_kw), min(grid_cap, tariff.max_export_kw),
+        design.dg_kw, dg.min_load_ratio, dg.fuel_intercept_l_per_hr_kw, dg.fuel_slope_l_per_hr_kw,
+    )
+
+
+def reference_step_hour(state: BatteryState, load: float, pv: float, wt: float, design: Design,
+                        tariff: GridTariff, catalog: Catalog):
+    """One hour through :func:`_dispatch_hour` from ``state``.  Returns
+    ``(flows, q1, q2)`` with the flows keyed like
+    :func:`reference_dispatch_year`'s."""
+    q1, q2, *flows = _dispatch_hour(load, pv, wt, state.q1_kwh, state.q2_kwh,
+                                    *_reference_params(design, tariff, catalog, state.q_max_kwh))
+    return dict(zip(FLOW_FIELDS[2:], flows)), q1, q2
+
+
 def reference_dispatch_year(scenario: Scenario, design: Design):
     """Dispatch a year with :func:`_dispatch_hour`, indexing the NumPy
     series hour by hour.
@@ -379,18 +407,7 @@ def reference_dispatch_year(scenario: Scenario, design: Design):
     wt_avail = wt_series(scenario, design.wt_kw)
     spec = scenario.catalog.battery
     q_max = design.bess_kwh
-    floor = spec.soc_min * q_max
-    grid_cap = design.grid_cap_kw if design.grid_cap_kw is not None else math.inf
-    dg = scenario.catalog.diesel
-    params = (
-        design.converter_kw, scenario.catalog.converter.efficiency,
-        q_max > 0.0, spec.rate_constant_per_hr, spec.capacity_ratio,
-        math.sqrt(spec.roundtrip_efficiency),
-        spec.capacity_ratio * floor, (1.0 - spec.capacity_ratio) * floor,
-        (spec.soc_max - spec.soc_min) * q_max,
-        min(grid_cap, scenario.tariff.max_import_kw), min(grid_cap, scenario.tariff.max_export_kw),
-        design.dg_kw, dg.min_load_ratio, dg.fuel_intercept_l_per_hr_kw, dg.fuel_slope_l_per_hr_kw,
-    )
+    params = _reference_params(design, scenario.tariff, scenario.catalog, q_max)
     initial = battery_state_from_spec(spec, q_max)
     q1, q2 = initial.q1_kwh, initial.q2_kwh
     cols: list[list[float]] = [[] for _ in range(9)]

@@ -1,6 +1,9 @@
 import filecmp
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +19,18 @@ def _run(capsys, *argv) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _edited_scenario(tmp_path, line: str, replacement: str) -> Path:
+    """A copy of the bundled data whose YAML has ``line`` (found once)
+    replaced; returns the YAML path."""
+    data = tmp_path / "data"
+    shutil.copytree(bundled_data_path(), data)
+    yaml_path = data / "scenario.yaml"
+    text = yaml_path.read_text(encoding="utf-8")
+    assert text.count(line) == 1
+    yaml_path.write_text(text.replace(line, replacement), encoding="utf-8")
+    return yaml_path
 
 
 class TestValidate:
@@ -70,6 +85,41 @@ class TestEvaluate:
                             "--out", str(tmp_path / "run"))
         assert code == 2
         assert field in err
+
+    def test_zero_wind_nominal_kw_exits_2(self, capsys, tmp_path):
+        yaml_path = _edited_scenario(tmp_path, "nominal_kw: 3.0", "nominal_kw: 0")
+        code, stdout, err = _run(capsys, "evaluate", "--scenario", str(yaml_path),
+                                 "--design", A5_ARG, "--out", str(tmp_path / "run"))
+        assert code == 2
+        assert stdout == ""
+        assert "catalog.wind.nominal_kw: must be > 0, got 0" in err
+
+    def test_huge_project_years_exits_2(self, tmp_path):
+        # The parent process's timeout stops a hang in the NPC replacement loop.
+        yaml_path = _edited_scenario(tmp_path, "project_years: 25", "project_years: 1.0e+308")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mgdesign.cli", "evaluate", "--scenario", str(yaml_path),
+             "--design", A5_ARG, "--out", str(tmp_path / "run")],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "economics.project_years: must be an integer, got 1e+308" in proc.stderr
+
+    def test_costs_each_design_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        original = metrics.npc
+
+        def counting(trace, design, scenario):
+            calls.append(design)
+            return original(trace, design, scenario)
+
+        monkeypatch.setattr(metrics, "npc", counting)
+        monkeypatch.setattr(cli, "npc", counting)
+        code, _, _ = _run(capsys, "evaluate", "--design", A5_ARG, "--out", str(tmp_path))
+        assert code == 0
+        assert len(calls) == 1
 
     def test_every_non_finite_field_named(self, capsys, tmp_path):
         data = tmp_path / "data"

@@ -1,9 +1,12 @@
+import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mgdesign.components import pv_series, wt_series
+from mgdesign import dispatch
+from mgdesign.components import BatteryState, pv_series, wt_series
 from mgdesign.dispatch import (
     FLOW_FIELDS,
     Design,
@@ -20,6 +23,7 @@ from .helpers import (
     hub_wind_speed,
     pv_output,
     reference_dispatch_year,
+    reference_step_hour,
     reference_write_trace_csv,
     wt_output,
 )
@@ -233,6 +237,86 @@ class TestKernelMatchesReference:
                 diesel=replace(catalog.diesel, min_load_ratio=float(rng.uniform(0.1, 0.4))))
             design = replace(random_design(seed + 20_000), bess_kwh=float(rng.uniform(50.0, 1200.0)))
             assert_matches_reference(replace(scenario, catalog=catalog), design)
+
+
+class TestStagedKernel:
+    """The array stages around the battery-only loop against the per-hour
+    reference, down to the sign of every zero: a ``-0.0`` would print as
+    ``-0.000000`` in ``trace.csv``."""
+
+    HAND_MADE = (
+        Design(pv_kw=418.0, wt_kw=123.0, bess_kwh=704.0, converter_kw=255.0),   # A5
+        Design(pv_kw=735.9375, converter_kw=422.96875),   # where refine converges
+        Design(),                                           # grid only
+        Design(pv_kw=300.0, wt_kw=80.0, dg_kw=60.0, converter_kw=150.0, grid_cap_kw=120.0),
+        Design(pv_kw=600.0, wt_kw=250.0, converter_kw=90.0, grid_cap_kw=40.0),
+        Design(pv_kw=200.0, wt_kw=150.0, dg_kw=90.0, bess_kwh=300.0, converter_kw=60.0,
+               grid_cap_kw=0.0),
+    )
+
+    @staticmethod
+    def assert_identical(scenario, design):
+        trace = simulate_year(scenario, design)
+        flows, soc, q1, q2 = reference_dispatch_year(scenario, design)
+        for name, expected in list(flows.items()) + [("soc", soc)]:
+            actual = getattr(trace, name)
+            assert np.array_equal(actual, expected), f"{name} differs for {design}"
+            assert np.array_equal(np.signbit(actual), np.signbit(expected)), \
+                f"{name} zero signs differ for {design}"
+        assert (trace.final_battery.q1_kwh, trace.final_battery.q2_kwh) == (q1, q2)
+
+    def test_hand_made_designs(self, bundled):
+        for design in self.HAND_MADE:
+            self.assert_identical(bundled, design)
+
+    def test_random_pairs_with_and_without_battery(self):
+        for i in range(40):
+            design = random_design(1000 + i)
+            if i % 2:
+                design = replace(design, bess_kwh=0.0)
+            self.assert_identical(random_scenario(i), design)
+
+    def test_boundary_hours(self, bundled):
+        # Hours on the rules' thresholds: residuals at and below 1e-12, wind
+        # exactly meeting load, wind surplus at the export cap, PV filling
+        # or saturating the converter; from an empty, a mid and a full
+        # battery, and with none.
+        designs = [Design(pv_kw=200.0, wt_kw=200.0, dg_kw=40.0, converter_kw=conv,
+                          bess_kwh=bess, grid_cap_kw=cap)
+                   for conv in (0.0, 30.0, 95.0) for bess in (0.0, 100.0) for cap in (None, 0.0, 20.0)]
+        loads = (0.0, 5e-13, 1e-12, 2e-12, 20.0, 95.0, 100.0)
+        pvs = (0.0, 5e-13, 31.0, 100.0, 100.0 / 0.95, 400.0)
+        winds = (0.0, 5e-13, 20.0, 40.0, 100.0, 120.0)
+        for design in designs:
+            states = ([BatteryState.at_soc(0.0, 0.0, capacity_ratio=0.5)] if design.bess_kwh == 0.0 else
+                      [BatteryState.at_soc(design.bess_kwh, soc, capacity_ratio=0.5)
+                       for soc in (0.2, 0.5, 0.8)])
+            for state, load, pv, wt in itertools.product(states, loads, pvs, winds):
+                new_state, flow = step_hour(state, load, pv, wt, design, bundled.tariff, bundled.catalog)
+                flows, q1, q2 = reference_step_hour(state, load, pv, wt, design,
+                                                    bundled.tariff, bundled.catalog)
+                for name, expected in flows.items():
+                    actual = getattr(flow, name)
+                    assert (actual, math.copysign(1.0, actual)) == (expected, math.copysign(1.0, expected)), \
+                        (name, design, state, load, pv, wt)
+                assert (new_state.q1_kwh, new_state.q2_kwh) == (q1, q2)
+
+    def test_battery_less_design_runs_no_loop(self, bundled, monkeypatch):
+        calls = []
+        original = dispatch._battery_hours
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(dispatch, "_battery_hours", counting)
+        for design in self.HAND_MADE[1:5]:
+            simulate_year(bundled, design)
+        step_hour(BatteryState.at_soc(0.0, 0.0, capacity_ratio=0.5), 100.0, 50.0, 20.0,
+                  Design(pv_kw=60.0, converter_kw=50.0), bundled.tariff, bundled.catalog)
+        assert calls == []
+        simulate_year(bundled, self.HAND_MADE[0])
+        assert len(calls) == 1
 
 
 class TestStepHour:

@@ -211,6 +211,44 @@ class TestCatalogValidation:
         problems = self._violations(bundled, "battery", rate_constant_per_hr=rate)
         assert any("catalog.battery.rate_constant_per_hr" in v for v in problems)
 
+    def test_wind_nominal_kw_must_be_positive(self, bundled):
+        # the turbine count divides by it: 0 would raise ZeroDivisionError
+        problems = self._violations(bundled, "wind", nominal_kw=0.0)
+        assert "catalog.wind.nominal_kw: must be > 0, got 0.0" in problems
+
+
+class TestProjectYears:
+    """``economics.project_years`` is an int in [1, 100], never a bool."""
+
+    @staticmethod
+    def _violations(bundled, years):
+        broken = replace(bundled, economics=replace(bundled.economics, project_years=years))
+        with pytest.raises(ScenarioValidationError) as err:
+            validate_scenario(broken)
+        return err.value.violations
+
+    def test_huge_value_rejected(self, bundled):
+        # would never leave the replacement loop of ``metrics.npc``
+        assert self._violations(bundled, 1e308) == [
+            "economics.project_years: must be an integer, got 1e+308"]
+
+    def test_fraction_rejected(self, bundled):
+        # would raise TypeError in ``range(1, T + 1)``
+        assert self._violations(bundled, 25.5) == [
+            "economics.project_years: must be an integer, got 25.5"]
+
+    def test_bool_rejected(self, bundled):
+        # ``true`` would be accepted as 1
+        assert self._violations(bundled, True) == [
+            "economics.project_years: must be an integer, got True"]
+
+    def test_range(self, bundled):
+        assert self._violations(bundled, 101) == ["economics.project_years: must be <= 100, got 101"]
+        assert self._violations(bundled, 0) == ["economics.project_years: must be >= 1, got 0"]
+        for years in (1, 25, 100):
+            broken = replace(bundled, economics=replace(bundled.economics, project_years=years))
+            assert validate_scenario(broken) is broken
+
 
 def _numeric_fields() -> list[tuple[str, str]]:
     """``(section, field)`` for every numeric scalar of a scenario: each
