@@ -13,9 +13,8 @@ Dispatch priority, fixed and price-blind:
 * surplus hours -- battery charge (PV charges DC-direct first, then
   wind through the converter), then grid export, then curtailment.
 
-Only the battery's state carries from one hour to the next.  One
-kernel, :func:`_dispatch_hours`, implements the dispatch rules in three
-stages over the year:
+Only the battery's state carries from one hour to the next.  The
+dispatch rules are implemented once, in three stages over the year:
 
 1. NumPy arrays: wind serves load on the AC bus, then PV through the
    converter; this marks the deficit hours.
@@ -26,6 +25,14 @@ stages over the year:
    ``components`` inlined.
 3. NumPy arrays: grid import, diesel and fuel, unmet load, export and
    curtailment.
+
+The battery comes before the grid and the diesel in every hour, so
+stages 1 and 2 read only the PV, wind, battery and converter sizes
+(:attr:`Design.battery_key`).  :func:`battery_stage` runs them and
+returns a read-only :class:`BatteryStage`; :func:`simulate_year` runs
+stage 3 on it.  Designs that differ only in diesel size or grid cap
+can therefore share one battery stage, as ``optimize.grid_search``
+does for each group of its lattice.  Stage 3 never writes to the stage.
 
 The kernel holds the only copies of two component laws: the diesel fuel
 law (``alpha * rating + beta * output`` L/hr while running, exactly zero
@@ -83,6 +90,12 @@ class Design:
             "bess": self.bess_kwh > 0.0,
             "converter": self.converter_kw > 0.0,
         }
+
+    @property
+    def battery_key(self) -> tuple[float, float, float, float]:
+        """``(pv_kw, wt_kw, bess_kwh, converter_kw)``: the capacities that
+        stages 1 and 2 of the dispatch read (see :class:`BatteryStage`)."""
+        return (self.pv_kw, self.wt_kw, self.bess_kwh, self.converter_kw)
 
     def capacities(self) -> dict[str, float]:
         return {
@@ -269,44 +282,68 @@ class DispatchTrace:
         return supply - use
 
 
-def _dispatch_hours(
+@dataclass(frozen=True)
+class BatteryStage:
+    """Stages 1 and 2 of one simulated year: everything the dispatch
+    computes before it reaches the grid and the diesel.
+
+    Only the capacities of :attr:`Design.battery_key` reach these stages,
+    so designs that differ only in diesel size or grid cap share one stage
+    bit for bit.  Every array is read-only: the traces of those designs
+    share ``pv_kw``, ``wt_kw``, the battery columns and ``soc``.
+    """
+
+    key: tuple[float, float, float, float]
+    pv_kw: np.ndarray
+    wt_kw: np.ndarray
+    batt_charge_kw: np.ndarray
+    batt_discharge_kw: np.ndarray
+    soc: np.ndarray
+    #: Stage 3's inputs: the deficit flags, the residual load, the PV and
+    #: wind surpluses, the converter throughput and the conversion loss.
+    grid_inputs: tuple[np.ndarray, ...]
+    initial_stored_kwh: float
+    final_battery: BatteryState
+
+
+def _battery_stage_hours(
     load: np.ndarray, pv: np.ndarray, wt: np.ndarray, q1: float, q2: float,
     conv_kw: float, eta: float, q_max: float, k: float, c: float, sq_eta: float,
     floor_q1: float, floor_q2: float, q_max_eff: float,
-    import_cap: float, export_cap: float,
-    dg_kw: float, dg_min: float, dg_alpha: float, dg_beta: float,
 ) -> tuple:
-    """Route power over parallel float64 hour arrays: the one implementation
-    of the dispatch rules.
+    """Stages 1 and 2 over parallel float64 hour arrays.
 
     The battery starts from tanks ``q1``/``q2`` and takes part when
-    ``q_max > 0``.  Returns ``(columns, soc, q1, q2)``: the nine flow
-    columns of :data:`FLOW_FIELDS` from ``dg_kw`` to
-    ``conversion_loss_kw``, the end-of-hour SOC, and the final tanks.
+    ``q_max > 0``.  Returns ``(grid_inputs, (charge, discharge, soc), q1,
+    q2)``: the six arrays :func:`_grid_stage_hours` reads, the battery
+    columns, and the final tanks.
 
     Stages 1 and 3 are array expressions: every clamp keeps the comparison
-    of the per-hour rule it replaces, and the loss column adds its parts in
-    the per-hour order (PV, then battery or wind charging, then export), so
-    each hour's result is bit-identical to routing that hour alone.
+    of the per-hour rule it replaces, so each hour's result is bit-identical
+    to routing that hour alone.  They clamp and update in place
+    (``np.copyto(..., where=)``, ``out=``) on arrays they allocated
+    themselves, never on their inputs: a year-long temporary is a fresh
+    page fault per 4 KiB once the allocator has handed freed memory back
+    to the system, and those faults take about half of a battery-less
+    year's run time.
     """
     # Stage 1: wind serves load on the AC bus, then PV through the converter.
     # A masked flow is +0.0 outside its mask, and ``x - 0.0`` is ``x`` bit
     # for bit, so subtracting it leaves every other hour as it was.
     wt_to_load = np.where(wt < load, wt, load)
     residual = load - wt_to_load
-    wt_surplus = wt - wt_to_load
-    deliverable = pv * eta
-    deliverable = np.where(deliverable > conv_kw, conv_kw, deliverable)
-    deliverable = np.where(deliverable > residual, residual, deliverable)
+    wt_surplus = np.subtract(wt, wt_to_load, out=wt_to_load)
+    conv_used = pv * eta   # converter output-side throughput, once clamped
+    np.copyto(conv_used, conv_kw, where=conv_used > conv_kw)
+    np.copyto(conv_used, residual, where=conv_used > residual)
     # Positive only where the residual, the PV and the rating all are.
-    pv_to_load = deliverable > 0.0
-    conv_used = np.where(pv_to_load, deliverable, 0.0)   # converter output-side throughput
+    np.copyto(conv_used, 0.0, where=~(conv_used > 0.0))
     used_dc = conv_used / eta
     pv_surplus = pv - used_dc
     residual -= conv_used
     # Never -0.0, so equal to the per-hour ``0.0 + ...``; adding +0.0 to it
     # later leaves it as it is.
-    loss = used_dc - conv_used
+    loss = np.subtract(used_dc, conv_used, out=used_dc)
     deficit = residual > 1e-12
 
     # Stage 2: the battery, the only state carried from hour to hour.
@@ -317,42 +354,7 @@ def _dispatch_hours(
         q1, q2 = _battery_hours(
             deficit, residual, pv_surplus, wt_surplus, conv_used, loss, charge, discharge, soc,
             q1, q2, conv_kw, eta, q_max, k, c, sq_eta, floor_q1, floor_q2, q_max_eff)
-
-    # Stage 3, deficit hours: grid import, then diesel between its minimum
-    # load and rating, then unmet.  A surplus hour's residual stays at most
-    # 1e-12, so only deficit hours import or run the diesel.
-    to_grid = (residual > 1e-12) & (import_cap > 0.0)
-    grid_import = np.where(to_grid, np.where(residual < import_cap, residual, import_cap), 0.0)
-    residual -= grid_import
-    to_dg = (residual > 1e-12) & (dg_kw > 0.0) & (residual >= dg_min * dg_kw)
-    dg_out = np.where(to_dg, np.where(residual < dg_kw, residual, dg_kw), 0.0)
-    fuel = np.where(to_dg, dg_alpha * dg_kw + dg_beta * dg_out, 0.0)
-    residual -= dg_out
-    unmet = np.where(deficit & (residual > 0.0), residual, 0.0)
-
-    # Stage 3, surplus hours: export wind AC-direct, then PV through the
-    # converter room left; curtail the rest.
-    to_export = ~deficit & (export_cap > 0.0) & ((wt_surplus > 0.0) | (pv_surplus > 0.0))
-    wind_export = np.where(to_export, np.where(wt_surplus < export_cap, wt_surplus, export_cap), 0.0)
-    wt_surplus -= wind_export
-    room = conv_kw - conv_used
-    export_room = export_cap - wind_export
-    ac_possible = pv_surplus * eta
-    ac_possible = np.where(ac_possible > room, room, ac_possible)
-    ac_possible = np.where(ac_possible > export_room, export_room, ac_possible)
-    # Positive only where the PV surplus, the room and the export room all are.
-    pv_export = to_export & (ac_possible > 0.0)
-    ac_possible = np.where(pv_export, ac_possible, 0.0)
-    dc_used = ac_possible / eta
-    pv_surplus -= dc_used
-    loss += dc_used - ac_possible
-    grid_export = np.where(pv_export, wind_export + ac_possible, wind_export)
-    # Deficit hours have no wind surplus (+0.0) and curtail PV surplus only
-    # when it is positive: PV through the converter can leave -1 ulp.
-    curtailed = np.where(deficit & ~(pv_surplus > 0.0), 0.0, pv_surplus + wt_surplus)
-
-    return ((dg_out, charge, discharge, grid_import, grid_export, unmet, curtailed, fuel, loss),
-            soc, q1, q2)
+    return (deficit, residual, pv_surplus, wt_surplus, conv_used, loss), (charge, discharge, soc), q1, q2
 
 
 def _battery_hours(
@@ -362,8 +364,8 @@ def _battery_hours(
     conv_kw: float, eta: float, q_max: float, k: float, c: float, sq_eta: float,
     floor_q1: float, floor_q2: float, q_max_eff: float,
 ) -> tuple[float, float]:
-    """Stage 2 of :func:`_dispatch_hours`: charge and discharge the battery
-    hour by hour and step its tanks; returns the final ``q1, q2``.
+    """Stage 2: charge and discharge the battery hour by hour and step its
+    tanks; returns the final ``q1, q2``.
 
     Deficit hours discharge first; when nothing was discharged, PV surplus
     left by a saturated converter charges DC-direct.  Surplus hours charge
@@ -442,49 +444,147 @@ def _battery_hours(
     return q1, q2
 
 
-def _dispatch_params(design: Design, tariff: GridTariff, catalog: Catalog, q_max: float) -> dict:
-    """Keyword arguments of :func:`_dispatch_hours` other than the series
-    and the starting tanks, for a battery bank of ``q_max`` kWh."""
+def _grid_stage_hours(
+    deficit: np.ndarray, residual: np.ndarray, pv_surplus: np.ndarray, wt_surplus: np.ndarray,
+    conv_used: np.ndarray, loss: np.ndarray, conv_kw: float, eta: float,
+    import_cap: float, export_cap: float,
+    dg_kw: float, dg_min: float, dg_alpha: float, dg_beta: float,
+) -> dict[str, np.ndarray]:
+    """Stage 3 over the arrays of :func:`_battery_stage_hours`: grid
+    import, diesel and fuel, unmet load, export and curtailment.
+
+    Returns the seven flow columns it sets, keyed by their
+    :data:`FLOW_FIELDS` names.  Never writes to its inputs, which a
+    :class:`BatteryStage` shares between designs, and updates only arrays
+    it allocated (see :func:`_battery_stage_hours`).  The loss column adds
+    its export part last, as the per-hour rules do.
+    """
+    # Deficit hours: grid import, then diesel between its minimum load and
+    # rating, then unmet.  A surplus hour's residual stays at most 1e-12,
+    # so only deficit hours import or run the diesel.
+    grid_import = np.where(residual < import_cap, residual, import_cap)
+    np.copyto(grid_import, 0.0, where=~((residual > 1e-12) & (import_cap > 0.0)))
+    left = residual - grid_import
+    to_dg = (left > 1e-12) & (dg_kw > 0.0) & (left >= dg_min * dg_kw)
+    dg_out = np.where(left < dg_kw, left, dg_kw)
+    np.copyto(dg_out, 0.0, where=~to_dg)
+    fuel = dg_beta * dg_out
+    np.add(dg_alpha * dg_kw, fuel, out=fuel)
+    np.copyto(fuel, 0.0, where=~to_dg)
+    left -= dg_out
+    unmet = left
+    np.copyto(unmet, 0.0, where=~(deficit & (left > 0.0)))
+
+    # Surplus hours: export wind AC-direct, then PV through the converter
+    # room left; curtail the rest.
+    to_export = ~deficit & (export_cap > 0.0) & ((wt_surplus > 0.0) | (pv_surplus > 0.0))
+    wind_export = np.where(wt_surplus < export_cap, wt_surplus, export_cap)
+    np.copyto(wind_export, 0.0, where=~to_export)
+    wt_left = wt_surplus - wind_export
+    ac_possible = pv_surplus * eta
+    room = conv_kw - conv_used
+    np.copyto(ac_possible, room, where=ac_possible > room)
+    export_room = np.subtract(export_cap, wind_export, out=room)
+    np.copyto(ac_possible, export_room, where=ac_possible > export_room)
+    # Positive only where the PV surplus, the room and the export room all are.
+    pv_export = to_export & (ac_possible > 0.0)
+    np.copyto(ac_possible, 0.0, where=~pv_export)
+    dc_used = np.divide(ac_possible, eta, out=export_room)
+    export_loss = dc_used - ac_possible
+    loss = np.add(loss, export_loss, out=export_loss)
+    pv_left = np.subtract(pv_surplus, dc_used, out=dc_used)
+    both_export = np.add(wind_export, ac_possible, out=ac_possible)
+    grid_export = wind_export
+    np.copyto(grid_export, both_export, where=pv_export)
+    # Deficit hours have no wind surplus (+0.0) and curtail PV surplus only
+    # when it is positive: PV through the converter can leave -1 ulp.
+    curtailed = np.add(pv_left, wt_left, out=wt_left)
+    np.copyto(curtailed, 0.0, where=deficit & ~(pv_left > 0.0))
+    return {"dg_kw": dg_out, "grid_import_kw": grid_import, "grid_export_kw": grid_export,
+            "unmet_kw": unmet, "curtailed_kw": curtailed, "fuel_l_per_hr": fuel,
+            "conversion_loss_kw": loss}
+
+
+def _battery_params(conv_kw: float, catalog: Catalog, q_max: float) -> dict:
+    """Keyword arguments of :func:`_battery_stage_hours` other than the
+    series and the starting tanks, for a battery bank of ``q_max`` kWh."""
     spec = catalog.battery
     floor = spec.soc_min * q_max
+    return dict(
+        conv_kw=conv_kw, eta=catalog.converter.efficiency,
+        q_max=q_max, k=spec.rate_constant_per_hr, c=spec.capacity_ratio,
+        sq_eta=math.sqrt(spec.roundtrip_efficiency),
+        floor_q1=spec.capacity_ratio * floor, floor_q2=(1.0 - spec.capacity_ratio) * floor,
+        q_max_eff=(spec.soc_max - spec.soc_min) * q_max)
+
+
+def _grid_params(design: Design, tariff: GridTariff, catalog: Catalog) -> dict:
+    """Keyword arguments of :func:`_grid_stage_hours` other than the arrays."""
     grid_cap = design.grid_cap_kw if design.grid_cap_kw is not None else math.inf
     dg = catalog.diesel
     return dict(
         conv_kw=design.converter_kw, eta=catalog.converter.efficiency,
-        q_max=q_max, k=spec.rate_constant_per_hr, c=spec.capacity_ratio,
-        sq_eta=math.sqrt(spec.roundtrip_efficiency),
-        floor_q1=spec.capacity_ratio * floor, floor_q2=(1.0 - spec.capacity_ratio) * floor,
-        q_max_eff=(spec.soc_max - spec.soc_min) * q_max,
         import_cap=min(grid_cap, tariff.max_import_kw), export_cap=min(grid_cap, tariff.max_export_kw),
         dg_kw=design.dg_kw, dg_min=dg.min_load_ratio,
         dg_alpha=dg.fuel_intercept_l_per_hr_kw, dg_beta=dg.fuel_slope_l_per_hr_kw)
 
 
-def simulate_year(scenario: Scenario, design: Design) -> DispatchTrace:
-    """Simulate 8760 hours of operation; deterministic for fixed inputs."""
+def _check(design: Design) -> None:
     problems = design.violations()
     if problems:
         raise InvalidDesignError("; ".join(problems))
 
-    load = scenario.load.values
-    pv_avail = pv_series(scenario, design.pv_kw)
-    wt_avail = wt_series(scenario, design.wt_kw)
+
+def battery_stage(scenario: Scenario, design: Design) -> BatteryStage:
+    """Stages 1 and 2 of ``design``'s year on ``scenario``: the resource
+    series, wind and PV serving the load, and the battery.
+
+    :func:`simulate_year` accepts it for any design with the same
+    :attr:`Design.battery_key` on the same scenario.
+    """
+    _check(design)
     spec = scenario.catalog.battery
     initial = battery_state_from_spec(spec, design.bess_kwh)
-    cols, soc, q1, q2 = _dispatch_hours(
-        load, pv_avail, wt_avail, initial.q1_kwh, initial.q2_kwh,
-        **_dispatch_params(design, scenario.tariff, scenario.catalog, design.bess_kwh))
+    pv_avail = pv_series(scenario, design.pv_kw)
+    wt_avail = wt_series(scenario, design.wt_kw)
+    grid_inputs, battery, q1, q2 = _battery_stage_hours(
+        scenario.load.values, pv_avail, wt_avail, initial.q1_kwh, initial.q2_kwh,
+        **_battery_params(design.converter_kw, scenario.catalog, design.bess_kwh))
+    for array in (pv_avail, wt_avail, *battery, *grid_inputs):
+        array.flags.writeable = False
     final = BatteryState(q1_kwh=q1, q2_kwh=q2, q_max_kwh=design.bess_kwh,
                          soc_min=spec.soc_min, soc_max=spec.soc_max)
+    return BatteryStage(design.battery_key, pv_avail, wt_avail, *battery, grid_inputs,
+                        initial.stored_kwh, final)
+
+
+def simulate_year(scenario: Scenario, design: Design, battery: BatteryStage | None = None) -> DispatchTrace:
+    """Simulate 8760 hours of operation; deterministic for fixed inputs.
+
+    ``battery``, the :func:`battery_stage` of a design with the same
+    :attr:`Design.battery_key` on the same scenario, skips stages 1 and 2;
+    the trace is bit-identical to one simulated without it.
+    """
+    if battery is None:
+        battery = battery_stage(scenario, design)
+    else:
+        _check(design)
+        if battery.key != design.battery_key:
+                raise ValueError(f"battery stage of {battery.key} does not match the design's "
+                             f"(pv_kw, wt_kw, bess_kwh, converter_kw) {design.battery_key}")
+    grid_flows = _grid_stage_hours(*battery.grid_inputs,
+                                   **_grid_params(design, scenario.tariff, scenario.catalog))
     return DispatchTrace(
-        load_kw=load,
-        pv_kw=pv_avail,
-        wt_kw=wt_avail,
-        **dict(zip(FLOW_FIELDS[2:], cols)),
-        soc=soc,
-        final_battery=final,
-        initial_stored_kwh=initial.stored_kwh,
-        roundtrip_efficiency=spec.roundtrip_efficiency,
+        load_kw=scenario.load.values,
+        pv_kw=battery.pv_kw,
+        wt_kw=battery.wt_kw,
+        batt_charge_kw=battery.batt_charge_kw,
+        batt_discharge_kw=battery.batt_discharge_kw,
+        **grid_flows,
+        soc=battery.soc,
+        final_battery=battery.final_battery,
+        initial_stored_kwh=battery.initial_stored_kwh,
+        roundtrip_efficiency=scenario.catalog.battery.roundtrip_efficiency,
     )
 
 
@@ -495,12 +595,14 @@ def step_hour(state: BatteryState, load_kw: float, pv_kw: float, wt_kw: float,
     Runs the stages of :func:`simulate_year` on one-hour arrays, so
     threading ``step_hour`` through a year reproduces its trace bit for bit.
     """
-    cols, _, q1, q2 = _dispatch_hours(
+    grid_inputs, (charge, discharge, _), q1, q2 = _battery_stage_hours(
         np.array([load_kw]), np.array([pv_kw]), np.array([wt_kw]), state.q1_kwh, state.q2_kwh,
-        **_dispatch_params(design, tariff, specs, state.q_max_kwh))
+        **_battery_params(design.converter_kw, specs, state.q_max_kwh))
+    flows = _grid_stage_hours(*grid_inputs, **_grid_params(design, tariff, specs))
+    flows.update(batt_charge_kw=charge, batt_discharge_kw=discharge)
     new_state = BatteryState(q1_kwh=q1, q2_kwh=q2, q_max_kwh=state.q_max_kwh,
                              soc_min=state.soc_min, soc_max=state.soc_max)
-    return new_state, PowerFlow(pv_kw, wt_kw, *(float(col[0]) for col in cols))
+    return new_state, PowerFlow(pv_kw, wt_kw, **{name: float(flows[name][0]) for name in FLOW_FIELDS[2:]})
 
 
 def write_trace_csv(trace: DispatchTrace, path: str | Path) -> None:

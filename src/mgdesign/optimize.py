@@ -16,7 +16,7 @@ from typing import TypeVar
 
 import numpy as np
 
-from .dispatch import Design
+from .dispatch import Design, battery_stage, simulate_year
 from .metrics import METRIC_FIELDS, MetricVector, capital_cost, evaluate, fixed_om_cost
 from .scenario import Scenario
 
@@ -391,9 +391,28 @@ def select_best(evaluations: Sequence[EvaluatedDesign], weights: Weights) -> Eva
 # Grid search (lattice enumeration)
 # ----------------------------------------------------------------------
 
-def _evaluate_pair(task: tuple[Design, Scenario]) -> MetricVector:
-    design, scenario = task
-    return evaluate(design, scenario)
+def _evaluate_group(scenario: Scenario, group: Sequence[tuple[int, Design]]
+                    ) -> list[tuple[int, Design, MetricVector]]:
+    """``(index, design, metrics)`` for lattice designs that share one
+    :attr:`~mgdesign.dispatch.Design.battery_key`: the battery stage runs
+    once, then each design runs only stage 3."""
+    battery = battery_stage(scenario, group[0][1])
+    return [(index, design, evaluate(design, scenario, trace=simulate_year(scenario, design, battery)))
+            for index, design in group]
+
+
+#: The scenario of a ``grid_search`` worker process, sent once by the pool
+#: initializer instead of with every task.
+_worker_scenario: Scenario | None = None
+
+
+def _init_worker(scenario: Scenario) -> None:
+    global _worker_scenario
+    _worker_scenario = scenario
+
+
+def _evaluate_group_in_worker(group: Sequence[tuple[int, Design]]) -> list[tuple[int, Design, MetricVector]]:
+    return _evaluate_group(_worker_scenario, group)
 
 
 def grid_search(scenario: Scenario, space: SearchSpace,
@@ -405,9 +424,15 @@ def grid_search(scenario: Scenario, space: SearchSpace,
     Feasibility screens capital plus one year of size-based O&M against
     ``budget_usd`` before simulating, so infeasible designs cost nothing.
     Result order is deterministic regardless of ``jobs``: NPC ascending,
-    lattice order breaking ties.  ``jobs > 1`` parallelizes the default
-    evaluator across processes; a custom ``evaluate_fn`` always runs
-    sequentially.
+    lattice order breaking ties.
+
+    The default evaluator groups the designs by
+    :attr:`~mgdesign.dispatch.Design.battery_key` and runs the battery
+    stage of the dispatch once per group; designs that differ only in
+    diesel size or grid cap run only the grid stage, with bit-identical
+    results.  One group's stage is alive at a time.  ``jobs > 1`` spreads
+    the groups across processes, each sent the scenario once; a custom
+    ``evaluate_fn`` runs sequentially, once per design in lattice order.
     """
     if space.candidate_count() == 0:
         raise EmptySearchSpaceError("search space has no candidates")
@@ -420,22 +445,25 @@ def grid_search(scenario: Scenario, space: SearchSpace,
                 continue
         candidates.append((index, design))
 
-    if evaluate_fn is not None or jobs <= 1:
-        if evaluate_fn is None:
-            evaluate_fn = lambda design: evaluate(design, scenario)
-        metrics_list = [evaluate_fn(design) for _, design in candidates]
+    if evaluate_fn is not None:
+        evaluated = [(index, design, evaluate_fn(design)) for index, design in candidates]
     else:
-        from concurrent.futures import ProcessPoolExecutor
+        groups: dict[tuple, list[tuple[int, Design]]] = {}
+        for index, design in candidates:
+            groups.setdefault(design.battery_key, []).append((index, design))
+        if jobs <= 1:
+            per_group = [_evaluate_group(scenario, group) for group in groups.values()]
+        else:
+            from concurrent.futures import ProcessPoolExecutor
 
-        tasks = [(design, scenario) for _, design in candidates]
-        chunk = max(1, len(tasks) // (4 * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            metrics_list = list(pool.map(_evaluate_pair, tasks, chunksize=chunk))
+            chunk = max(1, len(groups) // (4 * jobs))
+            with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+                                     initargs=(scenario,)) as pool:
+                per_group = list(pool.map(_evaluate_group_in_worker, groups.values(), chunksize=chunk))
+        evaluated = [row for rows in per_group for row in rows]
 
-    results = [
-        (metrics.npc_usd, index, EvaluatedDesign(design, metrics, True))
-        for (index, design), metrics in zip(candidates, metrics_list)
-    ]
+    results = [(metrics.npc_usd, index, EvaluatedDesign(design, metrics, True))
+               for index, design, metrics in evaluated]
     results.sort(key=lambda row: (row[0], row[1]))
     return [row[2] for row in results]
 

@@ -47,6 +47,17 @@ class TestValidate:
         assert "error" in err
 
 
+    def test_malformed_yaml_exits_2(self, capsys, tmp_path):
+        path = _edited_scenario(tmp_path, "  max_import_kw: 400.0", "  max_import_kw: [400.0")
+        line = path.read_text(encoding="utf-8").splitlines().index("  max_import_kw: [400.0") + 1
+        code, out, err = _run(capsys, "validate", "--scenario", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: invalid scenario:")
+        assert f"{path}:{line + 1}:" in err and f"at line {line})" in err
+        assert "Traceback" not in err
+
+
 class TestEvaluate:
     def test_a5_summary_and_files(self, capsys, tmp_path):
         out = tmp_path / "run"

@@ -11,6 +11,7 @@ from mgdesign.dispatch import (
     FLOW_FIELDS,
     Design,
     InvalidDesignError,
+    battery_stage,
     simulate_year,
     step_hour,
     write_trace_csv,
@@ -317,6 +318,57 @@ class TestStagedKernel:
         assert calls == []
         simulate_year(bundled, self.HAND_MADE[0])
         assert len(calls) == 1
+
+
+class TestBatteryStage:
+    """A battery stage shared by designs that differ only in diesel size or
+    grid cap gives the traces those designs get on their own."""
+
+    @staticmethod
+    def assert_same_trace(actual, expected):
+        for name in FLOW_FIELDS + ("load_kw", "soc"):
+            a, e = getattr(actual, name), getattr(expected, name)
+            assert np.array_equal(a, e) and np.array_equal(np.signbit(a), np.signbit(e)), name
+        assert actual.final_battery == expected.final_battery
+        assert actual.initial_stored_kwh == expected.initial_stored_kwh
+
+    def test_shared_stage_matches_own_simulation(self):
+        for seed in range(12):
+            scenario = random_scenario(seed)
+            design = random_design(3000 + seed)
+            rng = np.random.default_rng(seed)
+            stage = battery_stage(scenario, design)
+            for dg, cap in ((0.0, None), (float(rng.uniform(10, 120)), None),
+                            (float(rng.uniform(10, 120)), float(rng.uniform(0, 300))), (60.0, 0.0)):
+                variant = replace(design, dg_kw=dg, grid_cap_kw=cap)
+                self.assert_same_trace(simulate_year(scenario, variant, stage),
+                                       simulate_year(scenario, variant))
+
+    def test_stage_is_read_only_and_left_unchanged(self, bundled, a5):
+        stage = battery_stage(bundled, a5)
+        arrays = [stage.pv_kw, stage.wt_kw, stage.batt_charge_kw, stage.batt_discharge_kw,
+                  stage.soc, *stage.grid_inputs]
+        before = [a.copy() for a in arrays]
+        assert not any(a.flags.writeable for a in arrays)
+        for dg, cap in ((0.0, None), (60.0, 60.0), (120.0, 0.0), (30.0, 500.0)):
+            trace = simulate_year(bundled, replace(a5, dg_kw=dg, grid_cap_kw=cap), stage)
+            assert trace.pv_kw is stage.pv_kw and trace.soc is stage.soc
+        for a, b in zip(arrays, before):
+            assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+    @pytest.mark.parametrize("field, value", [("pv_kw", 419.0), ("wt_kw", 0.0),
+                                              ("bess_kwh", 700.0), ("converter_kw", 250.0)])
+    def test_mismatched_stage_raises(self, bundled, a5, field, value):
+        stage = battery_stage(bundled, a5)
+        with pytest.raises(ValueError, match="does not match"):
+            simulate_year(bundled, replace(a5, **{field: value}), stage)
+
+    def test_invalid_design_rejected_with_a_stage(self, bundled, a5):
+        stage = battery_stage(bundled, a5)
+        with pytest.raises(InvalidDesignError):
+            simulate_year(bundled, replace(a5, dg_kw=-1.0), stage)
+        with pytest.raises(InvalidDesignError):
+            battery_stage(bundled, replace(a5, bess_kwh=math.nan))
 
 
 class TestStepHour:

@@ -186,6 +186,20 @@ class TestCO2Delta:
         expected = trace.renewable_kwh * (1.0 - 0.005) * 0.79
         assert co2_delta(trace, bundled) == pytest.approx(expected)
 
+    def test_credits_renewable_output_before_curtailment(self, bundled):
+        # far more PV than the converter, the load and a closed grid take
+        design = Design(pv_kw=800.0, converter_kw=60.0, grid_cap_kw=0.0)
+        trace = simulate_year(bundled, design)
+        assert trace.curtailed_kwh > 0.5 * trace.pv_kwh
+        assert trace.import_kwh == 0.0 and trace.fuel_l == 0.0
+        ef = bundled.tariff.emission_kg_per_kwh
+        kept = 1.0 - bundled.catalog.pv.degradation_per_yr
+        before_curtailment = (trace.pv_kwh * kept + trace.wt_kwh) * ef
+        after_curtailment = ((trace.pv_kwh - trace.curtailed_kwh) * kept + trace.wt_kwh) * ef
+        assert co2_delta(trace, bundled) == pytest.approx(before_curtailment, rel=1e-12)
+        assert co2_delta(trace, bundled) - after_curtailment == pytest.approx(
+            trace.curtailed_kwh * kept * ef, rel=1e-9)
+
     def test_import_only(self, bundled):
         trace = simulate_year(bundled, Design(grid_cap_kw=500.0))
         assert co2_delta(trace, bundled) == pytest.approx(-trace.import_kwh * 0.79)

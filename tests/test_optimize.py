@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mgdesign import dispatch
 from mgdesign.dispatch import Design
 from mgdesign.metrics import MetricVector, evaluate
 from mgdesign.optimize import (
@@ -30,6 +31,7 @@ from mgdesign.optimize import (
 )
 
 from .conftest import random_scenario, table2_rows
+from .test_dispatch import BENCH_LATTICE
 from .helpers import (
     brute_force_pareto_mask,
     brute_force_pareto_ranks,
@@ -452,3 +454,54 @@ class TestGridSearchParallel:
         parallel = grid_search(scenario, space, jobs=2)
         assert [r.design for r in parallel] == [r.design for r in sequential]
         assert [r.metrics.npc_usd for r in parallel] == [r.metrics.npc_usd for r in sequential]
+
+
+class TestGroupedGridSearch:
+    """The default evaluator runs the battery stage once per
+    ``(pv, wt, bess, conv)`` group and gives exactly the per-design
+    results, in the same order, with either job count."""
+
+    DG_SPACE = "pv=0:200:100,wt=0:150:150,dg=0:120:60,bess=0:400:200,conv=150"
+
+    @staticmethod
+    def oracle(scenario, space, **kwargs):
+        return grid_search(scenario, space, evaluate_fn=lambda d: evaluate(d, scenario), **kwargs)
+
+    def test_bench_lattice_matches_per_design_oracle(self, bundled):
+        space = SearchSpace.from_string(BENCH_LATTICE)
+        results = grid_search(bundled, space)
+        assert len(results) == 64
+        assert results == self.oracle(bundled, space)
+
+    @pytest.mark.parametrize("budget", [None, 450_000.0])
+    def test_dg_axis_and_grid_cap_match_per_design_oracle(self, budget):
+        scenario = random_scenario(11)
+        space = SearchSpace.from_string(self.DG_SPACE, grid_cap_kw=80.0)
+        assert len(space.axis_values()["dg_kw"]) == 3
+        results = grid_search(scenario, space, budget_usd=budget)
+        assert results == self.oracle(scenario, space, budget_usd=budget)
+        assert 0 < len(results) <= space.candidate_count()
+        assert {r.design.grid_cap_kw for r in results} == {80.0}
+
+    def test_jobs_2_matches_jobs_1_with_dg_axis(self):
+        scenario = random_scenario(12)
+        space = SearchSpace.from_string("pv=0:200:100,dg=0:120:60,bess=0:400:200,conv=150")
+        sequential = grid_search(scenario, space)
+        assert len(sequential) == 27
+        assert grid_search(scenario, space, jobs=2) == sequential
+
+    def test_battery_loop_runs_once_per_group(self, bundled, monkeypatch):
+        calls = []
+        original = dispatch._battery_hours
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(dispatch, "_battery_hours", counting)
+        space = SearchSpace.from_string(self.DG_SPACE)
+        results = grid_search(bundled, space)
+        assert len(results) == space.candidate_count() == 54
+        with_battery = {d.battery_key for d in space.designs() if d.bess_kwh > 0.0}
+        assert len(with_battery) == 12
+        assert len(calls) == len(with_battery)

@@ -3,9 +3,11 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mgdesign import scenario as scenario_module
 from mgdesign.scenario import (
     DEFAULT_DAILY_LOAD_KW,
     HOURS_PER_YEAR,
@@ -19,6 +21,8 @@ from mgdesign.scenario import (
     TimeSeriesParseError,
     ScenarioValidationError,
     Unit,
+    bundled_data_path,
+    load_scenario,
     load_timeseries,
     synthesize_irradiance,
     synthesize_load,
@@ -283,3 +287,23 @@ class TestFiniteFields:
         with pytest.raises(ScenarioValidationError) as err:
             validate_scenario(_with_field(bundled, section, name, math.inf))
         assert f"{label}: must be finite, got inf" in err.value.violations
+
+
+class TestYamlParsing:
+    def test_loaders_build_the_same_bundled_document(self):
+        text = (bundled_data_path() / "scenario.yaml").read_text(encoding="utf-8")
+        expected = yaml.load(text, Loader=yaml.SafeLoader)
+        assert yaml.load(text, Loader=scenario_module._YAML_LOADER) == expected
+        if yaml.__with_libyaml__:
+            assert scenario_module._YAML_LOADER is yaml.CSafeLoader
+            assert yaml.load(text, Loader=yaml.CSafeLoader) == expected
+
+    def test_malformed_yaml_names_file_and_line(self, tmp_path):
+        path = tmp_path / "scenario.yaml"
+        path.write_text("name: x\ntariff:\n  max_import_kw: [400.0\n  max_export_kw: 1.0\n",
+                        encoding="utf-8")
+        with pytest.raises(ScenarioValidationError) as info:
+            load_scenario(path)
+        (message,) = info.value.violations
+        assert message.startswith(f"{path}:4:")
+        assert "malformed YAML" in message and "line 3" in message
