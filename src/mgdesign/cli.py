@@ -19,15 +19,9 @@ from pathlib import Path
 from . import optimize, sensitivity
 from .dispatch import Design, InvalidDesignError, simulate_year, write_trace_csv
 from .metrics import METRIC_FIELDS, MetricVector, cost_record, evaluate, metric_record, npc
-from .optimize import (
-    EmptyInputError,
-    EmptySearchSpaceError,
-    EvaluatedDesign,
-    PolicyConfig,
-    SearchSpace,
-    Weights,
-)
+from .optimize import EmptyInputError, EmptySearchSpaceError, PolicyConfig, SearchSpace, Weights
 from .scenario import ScenarioValidationError, bundled_data_path, bundled_scenario, load_scenario
+from .tables import csv_column, write_table
 
 
 class ConfigError(ValueError):
@@ -120,11 +114,13 @@ def _print_metrics(metrics: MetricVector) -> None:
         print(f"  {key:<{width}}  {value:,.6g}")
 
 
+def _write_record(record: dict, path: Path) -> None:
+    """A one-row table: the keys as the header, the values as the row."""
+    write_table(path, list(record), [[cell] for cell in csv_column(record.values())])
+
+
 def _write_metrics_csv(metrics: MetricVector, design: Design, path: Path) -> None:
-    header = list(optimize.DESIGN_FIELDS) + list(METRIC_FIELDS)
-    values = [optimize.csv_cell(getattr(design, f)) for f in optimize.DESIGN_FIELDS]
-    values += [optimize.csv_cell(getattr(metrics, f)) for f in METRIC_FIELDS]
-    path.write_text(",".join(header) + "\n" + ",".join(values) + "\n", encoding="utf-8")
+    _write_record({**{f: getattr(design, f) for f in optimize.DESIGN_FIELDS}, **metric_record(metrics)}, path)
 
 
 def cmd_validate(args) -> int:
@@ -146,9 +142,7 @@ def cmd_evaluate(args) -> int:
     print(f"design {args.design} on scenario {scenario.name}:")
     _print_metrics(metrics)
     _write_metrics_csv(metrics, design, out / "metrics.csv")
-    record = cost_record(costs)
-    lines = [",".join(record)] + [",".join(optimize.csv_cell(v) for v in record.values())]
-    (out / "costs.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_record(cost_record(costs), out / "costs.csv")
     if args.trace:
         write_trace_csv(trace, out / "trace.csv")
     print(f"wrote {out / 'metrics.csv'} and {out / 'costs.csv'}")
@@ -245,31 +239,67 @@ def cmd_rl_search(args) -> int:
 
 def cmd_pareto(args) -> int:
     out = _outdir(args)
-    evaluations = _read_results_csv(Path(args.results))
+    columns = _read_results_csv(Path(args.results))
     path = out / "pareto_plotdata.csv"
-    ranks = optimize.write_evaluations_csv(evaluations, path, with_front_rank=True)
+    ranks = optimize.write_evaluations_csv(columns, path, with_front_rank=True)
     front = int((ranks == 0).sum())
-    print(f"{len(evaluations)} points, {front} non-dominated")
+    print(f"{len(ranks)} points, {front} non-dominated")
     print(f"wrote {path}")
     return 0
 
 
-def _read_results_csv(path: Path) -> list[EvaluatedDesign]:
+#: Columns a results file must have.  Without ``grid_cap_kw`` no design
+#: has a grid cap; without ``feasible`` every design is feasible.
+_REQUIRED_COLUMNS = optimize.DESIGN_FIELDS[:-1] + METRIC_FIELDS
+
+
+def _read_results_csv(path: Path) -> dict[str, list]:
+    """The columns of a results CSV by :data:`~mgdesign.optimize.RESULT_FIELDS`
+    name: floats, None for an empty ``grid_cap_kw``, and ``feasible`` true
+    where its cell is ``1``.  Blank lines are skipped.  A missing column, a
+    short row, a cell that is not a number or a line the CSV parser rejects
+    raises :class:`ConfigError`."""
     if not path.exists():
         raise ConfigError(f"results file not found: {path}")
-    evaluations: list[EvaluatedDesign] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            design = Design(
-                pv_kw=float(row["pv_kw"]), wt_kw=float(row["wt_kw"]), dg_kw=float(row["dg_kw"]),
-                bess_kwh=float(row["bess_kwh"]), converter_kw=float(row["converter_kw"]),
-                grid_cap_kw=float(row["grid_cap_kw"]) if row.get("grid_cap_kw") else None)
-            metrics = MetricVector(**{name: float(row[name]) for name in METRIC_FIELDS})
-            feasible = row.get("feasible", "1") == "1"
-            evaluations.append(EvaluatedDesign(design, metrics, feasible))
-    if not evaluations:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, [])
+            numbered = [(reader.line_num, row) for row in reader if row]
+        except csv.Error as exc:
+            raise ConfigError(f"{path}, line {reader.line_num}: {exc}") from None
+    if not numbered:
         raise EmptyInputError(f"no rows in {path}")
-    return evaluations
+    index = {name: i for i, name in enumerate(header)}
+    missing = [name for name in _REQUIRED_COLUMNS if name not in index]
+    if missing:
+        raise ConfigError(f"{path}: missing columns {', '.join(missing)}")
+    used = [name for name in optimize.RESULT_FIELDS if name in index]
+    width = 1 + max(index[name] for name in used)
+    lines, rows = zip(*numbered)
+    cells = list(zip(*rows))  # as many columns as the shortest row has
+    if len(cells) < width:
+        line, row = next((line, row) for line, row in numbered if len(row) < width)
+        name = next(name for name in used if index[name] >= len(row))
+        raise ConfigError(f"{path}, line {line}: the row ends before column {name}")
+
+    def column(name: str, convert=float) -> list:
+        try:
+            return list(map(convert, cells[index[name]]))
+        except ValueError:
+            for line, value in zip(lines, cells[index[name]]):
+                try:
+                    convert(value)
+                except ValueError:
+                    raise ConfigError(f"{path}, line {line}, column {name}: not a number: {value!r}") from None
+            raise
+
+    columns = {name: column(name) for name in _REQUIRED_COLUMNS}
+    columns["grid_cap_kw"] = (column("grid_cap_kw", lambda v: float(v) if v else None)
+                              if "grid_cap_kw" in index else [None] * len(rows))
+    columns["feasible"] = ([v == "1" for v in cells[index["feasible"]]]
+                           if "feasible" in index else [True] * len(rows))
+    return columns
 
 
 def cmd_sensitivity(args) -> int:

@@ -462,10 +462,12 @@ def _grid_stage_hours(
     # Deficit hours: grid import, then diesel between its minimum load and
     # rating, then unmet.  A surplus hour's residual stays at most 1e-12,
     # so only deficit hours import or run the diesel.
+    # Scalar tests pick the masks (a mask ANDed with a Python bool is slow).
     grid_import = np.where(residual < import_cap, residual, import_cap)
-    np.copyto(grid_import, 0.0, where=~((residual > 1e-12) & (import_cap > 0.0)))
+    np.copyto(grid_import, 0.0, where=~(residual > 1e-12) if import_cap > 0.0 else True)
     left = residual - grid_import
-    to_dg = (left > 1e-12) & (dg_kw > 0.0) & (left >= dg_min * dg_kw)
+    to_dg = ((left > 1e-12) & (left >= dg_min * dg_kw) if dg_kw > 0.0
+             else np.zeros(left.shape, dtype=bool))
     dg_out = np.where(left < dg_kw, left, dg_kw)
     np.copyto(dg_out, 0.0, where=~to_dg)
     fuel = dg_beta * dg_out
@@ -477,7 +479,8 @@ def _grid_stage_hours(
 
     # Surplus hours: export wind AC-direct, then PV through the converter
     # room left; curtail the rest.
-    to_export = ~deficit & (export_cap > 0.0) & ((wt_surplus > 0.0) | (pv_surplus > 0.0))
+    to_export = (~deficit & ((wt_surplus > 0.0) | (pv_surplus > 0.0)) if export_cap > 0.0
+                 else np.zeros(deficit.shape, dtype=bool))
     wind_export = np.where(wt_surplus < export_cap, wt_surplus, export_cap)
     np.copyto(wind_export, 0.0, where=~to_export)
     wt_left = wt_surplus - wind_export

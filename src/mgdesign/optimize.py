@@ -9,7 +9,7 @@ net CO2.  Every routine is deterministic for fixed inputs and seed.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TypeVar
@@ -19,6 +19,7 @@ import numpy as np
 from .dispatch import Design, battery_stage, simulate_year
 from .metrics import METRIC_FIELDS, MetricVector, capital_cost, evaluate, fixed_om_cost
 from .scenario import Scenario
+from .tables import csv_column, write_table
 
 
 _T = TypeVar("_T")
@@ -221,15 +222,18 @@ class EvaluatedDesign:
 # Pareto filtering
 # ----------------------------------------------------------------------
 
-def _minimization_matrix(points: Sequence[MetricVector]) -> np.ndarray:
-    """Objectives as an (n, 4) matrix where lower is uniformly better."""
-    m = np.array([p.objectives() for p in points], dtype=float)
+def _minimization_matrix(points: Sequence[MetricVector] | np.ndarray) -> np.ndarray:
+    """Objectives as an (n, 4) matrix where lower is uniformly better.
+    ``points`` are metric vectors or an (n, 4) array of their
+    :meth:`~mgdesign.metrics.MetricVector.objectives`."""
+    m = np.array(points if isinstance(points, np.ndarray) else [p.objectives() for p in points],
+                 dtype=float)
     m[:, 1] *= -1.0  # reliability: higher is better
     m[:, 2] *= -1.0  # efficiency: higher is better
     return m
 
 
-def _lexsorted(points: Sequence[MetricVector]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _lexsorted(points: Sequence[MetricVector] | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The rows without NaN in lexicographic order of the minimization
     matrix: ``(order, sorted_rows, starts)``, where ``order`` holds input
     indices and ``starts[k]`` marks the first row of each run of equal rows.
@@ -250,7 +254,7 @@ def _lexsorted(points: Sequence[MetricVector]) -> tuple[np.ndarray, np.ndarray, 
     return order, s, starts
 
 
-def pareto_mask(points: Sequence[MetricVector]) -> np.ndarray:
+def pareto_mask(points: Sequence[MetricVector] | np.ndarray) -> np.ndarray:
     """Boolean mask of the non-dominated points, in input order.
 
     A point is dominated when another point is at least as good in every
@@ -291,7 +295,7 @@ def pareto_filter(points: Sequence[MetricVector]) -> list[MetricVector]:
     return [p for p, keep in zip(points, mask) if keep]
 
 
-def pareto_ranks(points: Sequence[MetricVector]) -> np.ndarray:
+def pareto_ranks(points: Sequence[MetricVector] | np.ndarray) -> np.ndarray:
     """Non-dominated front index per point (0 = the Pareto front).
 
     Front k holds the points that are non-dominated once fronts
@@ -671,48 +675,46 @@ def policy_gradient_search(scenario: Scenario | None, space: SearchSpace,
 # ----------------------------------------------------------------------
 
 DESIGN_FIELDS = ("pv_kw", "wt_kw", "dg_kw", "bess_kwh", "converter_kw", "grid_cap_kw")
+#: The columns of a results file, in order; a ranked file adds
+#: ``non_dominated`` and ``front_rank``.
+RESULT_FIELDS = DESIGN_FIELDS + METRIC_FIELDS + ("feasible",)
 
 
-def csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
+def _result_columns(evaluations: Sequence[EvaluatedDesign]) -> dict[str, list]:
+    columns = {name: [getattr(e.design, name) for e in evaluations] for name in DESIGN_FIELDS}
+    columns.update((name, [getattr(e.metrics, name) for e in evaluations]) for name in METRIC_FIELDS)
+    columns["feasible"] = [e.feasible for e in evaluations]
+    return columns
 
 
-def write_evaluations_csv(evaluations: Sequence[EvaluatedDesign], path: str | Path,
-                          with_front_rank: bool = False) -> np.ndarray | None:
+def write_evaluations_csv(evaluations: Sequence[EvaluatedDesign] | Mapping[str, Sequence],
+                          path: str | Path, with_front_rank: bool = False) -> np.ndarray | None:
     """One row per evaluated design: capacities, metrics, feasibility,
     and optionally the Pareto front rank and membership flag.  Returns
-    the front ranks it wrote, or None without ``with_front_rank``."""
-    if not evaluations:
+    the front ranks it wrote, or None without ``with_front_rank``.
+
+    ``evaluations`` may also be a results table read back from a file: a
+    mapping from each :data:`RESULT_FIELDS` name to its column of values.
+    """
+    columns = evaluations if isinstance(evaluations, Mapping) else _result_columns(evaluations)
+    if not len(columns["npc_usd"]):
         raise EmptyInputError("no evaluations to write")
-    header = list(DESIGN_FIELDS) + list(METRIC_FIELDS) + ["feasible"]
+    header = list(RESULT_FIELDS)
+    cells = [csv_column(columns[name]) for name in RESULT_FIELDS]
     ranks = None
     if with_front_rank:
-        ranks = pareto_ranks([e.metrics for e in evaluations])
+        # The four objectives lead METRIC_FIELDS, in MetricVector.objectives order.
+        objectives = np.array([columns[name] for name in METRIC_FIELDS[:4]], dtype=float).T
+        ranks = pareto_ranks(objectives)
         header += ["non_dominated", "front_rank"]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for i, ev in enumerate(evaluations):
-            row = [csv_cell(getattr(ev.design, name)) for name in DESIGN_FIELDS]
-            row += [csv_cell(getattr(ev.metrics, name)) for name in METRIC_FIELDS]
-            row.append(csv_cell(ev.feasible))
-            if ranks is not None:
-                row.append(csv_cell(bool(ranks[i] == 0)))
-                row.append(csv_cell(int(ranks[i])))
-            fh.write(",".join(row) + "\n")
+        cells += [csv_column((ranks == 0).tolist()), csv_column(ranks.tolist())]
+    write_table(path, header, cells)
     return ranks
 
 
 def write_pareto_csv(evaluations: Sequence[EvaluatedDesign], path: str | Path) -> list[EvaluatedDesign]:
     """Write only the non-dominated designs (rank column included);
     returns them in input order."""
-    if not evaluations:
-        raise EmptyInputError("no evaluations to write")
     mask = pareto_mask([e.metrics for e in evaluations])
     front = [e for e, keep in zip(evaluations, mask) if keep]
     write_evaluations_csv(front, path, with_front_rank=True)

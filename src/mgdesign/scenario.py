@@ -24,6 +24,8 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from .tables import csv_column, write_table
+
 HOURS_PER_YEAR = 8760
 DAYS_PER_YEAR = 365
 
@@ -167,10 +169,7 @@ def write_timeseries(series: TimeSeries, path: str | Path) -> None:
     Values are written with ``repr`` so a round trip reproduces them
     bit-exactly.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# unit: {series.unit.value}\n")
-        for value in series.values:
-            fh.write(f"{float(value)!r}\n")
+    write_table(path, [f"# unit: {series.unit.value}"], [csv_column(series.values.tolist())])
 
 
 def synthesize_load(

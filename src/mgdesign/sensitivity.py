@@ -21,6 +21,7 @@ from pathlib import Path
 from .dispatch import Design, DispatchTrace, simulate_year
 from .metrics import MetricVector, evaluate, lcoe, npc
 from .scenario import Scenario, TimeSeries, scale_series
+from .tables import csv_column, write_table
 
 
 class PerturbTarget(enum.Enum):
@@ -115,11 +116,10 @@ def deviation_table(scenario: Scenario, design: Design,
 
 
 def write_deviation_csv(rows: list[DeviationRow], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("parameter,uncertainty_pct,npc_dev_pct,reliability_dev,efficiency_dev_pct,co2_dev_pct\n")
-        for row in rows:
-            fh.write(f"{row.target.value},{row.delta * 100.0:.6g},{row.npc_dev_pct!r},"
-                     f"{row.reliability_dev!r},{row.efficiency_dev_pct!r},{row.co2_dev_pct!r}\n")
+    deviations = ("npc_dev_pct", "reliability_dev", "efficiency_dev_pct", "co2_dev_pct")
+    columns = [[row.target.value for row in rows], [f"{row.delta * 100.0:.6g}" for row in rows]]
+    columns += [csv_column(getattr(row, name) for row in rows) for name in deviations]
+    write_table(path, ("parameter", "uncertainty_pct") + deviations, columns)
 
 
 # ----------------------------------------------------------------------
@@ -180,7 +180,4 @@ def lcoe_sweep(scenario: Scenario, design: Design, parameter: SweepParameter,
 
 
 def write_sweep_csv(curve: list[tuple[float, float]], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("multiplier,lcoe_usd_per_kwh\n")
-        for multiplier, value in curve:
-            fh.write(f"{multiplier!r},{value!r}\n")
+    write_table(path, ("multiplier", "lcoe_usd_per_kwh"), [csv_column(c) for c in zip(*curve)])

@@ -5,13 +5,14 @@ battery oracle integrates the raw two-tank dynamics with fine Euler
 steps, and the Pareto oracle is a literal O(n^2) double loop over the
 dominance definition.  The PV and wind references are the scalar
 one-hour forms of the resource laws.  The dispatch and CSV references
-are the plain per-hour and per-cell loops, and the search references the
+are the plain per-hour and per-row loops, and the search references the
 loops that call their evaluator on every request, that the package's
 faster code must reproduce exactly.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -28,17 +29,19 @@ from mgdesign.components import (
     wt_series,
 )
 from mgdesign.dispatch import FLOW_FIELDS, Design, DispatchTrace
-from mgdesign.metrics import MetricVector
+from mgdesign.metrics import COST_FIELDS, METRIC_FIELDS, MetricVector
 from mgdesign.optimize import (
     DEFAULT_STEPS,
+    DESIGN_FIELDS,
     EvaluatedDesign,
     PolicySearchResult,
     RefineResult,
     _softmax,
     default_weight_cycle,
     pareto_mask,
+    pareto_ranks,
 )
-from mgdesign.scenario import Catalog, GridTariff, PVSpec, Scenario, WindTurbineSpec
+from mgdesign.scenario import Catalog, GridTariff, PVSpec, Scenario, TimeSeries, WindTurbineSpec
 
 
 def integrate_tanks(q1, q2, power, k: float, c: float, dt: float, step: float = 1e-3):
@@ -427,6 +430,94 @@ def reference_write_trace_csv(trace: DispatchTrace, path: str | Path) -> None:
         fh.write(",".join(FLOW_FIELDS + ("soc",)) + "\n")
         for h in range(len(trace.load_kw)):
             fh.write(",".join(f"{float(a[h]):.6f}" for a in arrays) + "\n")
+
+
+# ----------------------------------------------------------------------
+# Reference result files: one object and one formatted row at a time
+# ----------------------------------------------------------------------
+
+def reference_csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
+def reference_write_evaluations_csv(evaluations, path, with_front_rank: bool = False):
+    """Results CSV written row by row; ranks from the metric vectors."""
+    header = list(DESIGN_FIELDS) + list(METRIC_FIELDS) + ["feasible"]
+    ranks = None
+    if with_front_rank:
+        ranks = pareto_ranks([e.metrics for e in evaluations])
+        header += ["non_dominated", "front_rank"]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for i, ev in enumerate(evaluations):
+            row = [reference_csv_cell(getattr(ev.design, name)) for name in DESIGN_FIELDS]
+            row += [reference_csv_cell(getattr(ev.metrics, name)) for name in METRIC_FIELDS]
+            row.append(reference_csv_cell(ev.feasible))
+            if ranks is not None:
+                row.append(reference_csv_cell(bool(ranks[i] == 0)))
+                row.append(reference_csv_cell(int(ranks[i])))
+            fh.write(",".join(row) + "\n")
+    return ranks
+
+
+def reference_write_pareto_csv(evaluations, path) -> list[EvaluatedDesign]:
+    front = [e for e, keep in zip(evaluations, pareto_mask([e.metrics for e in evaluations])) if keep]
+    reference_write_evaluations_csv(front, path, with_front_rank=True)
+    return front
+
+
+def reference_read_results_csv(path) -> list[EvaluatedDesign]:
+    """A results CSV as one ``EvaluatedDesign`` per row."""
+    evaluations = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        for row in csv.DictReader(fh):
+            design = Design(
+                pv_kw=float(row["pv_kw"]), wt_kw=float(row["wt_kw"]), dg_kw=float(row["dg_kw"]),
+                bess_kwh=float(row["bess_kwh"]), converter_kw=float(row["converter_kw"]),
+                grid_cap_kw=float(row["grid_cap_kw"]) if row.get("grid_cap_kw") else None)
+            metrics = MetricVector(**{name: float(row[name]) for name in METRIC_FIELDS})
+            evaluations.append(EvaluatedDesign(design, metrics, row.get("feasible", "1") == "1"))
+    return evaluations
+
+
+def reference_write_metrics_csv(metrics: MetricVector, design: Design, path) -> None:
+    header = list(DESIGN_FIELDS) + list(METRIC_FIELDS)
+    values = [reference_csv_cell(getattr(design, f)) for f in DESIGN_FIELDS]
+    values += [reference_csv_cell(getattr(metrics, f)) for f in METRIC_FIELDS]
+    Path(path).write_text(",".join(header) + "\n" + ",".join(values) + "\n", encoding="utf-8")
+
+
+def reference_write_costs_csv(costs, path) -> None:
+    lines = [",".join(COST_FIELDS), ",".join(reference_csv_cell(getattr(costs, f)) for f in COST_FIELDS)]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def reference_write_deviation_csv(rows, path) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("parameter,uncertainty_pct,npc_dev_pct,reliability_dev,efficiency_dev_pct,co2_dev_pct\n")
+        for row in rows:
+            fh.write(f"{row.target.value},{row.delta * 100.0:.6g},{row.npc_dev_pct!r},"
+                     f"{row.reliability_dev!r},{row.efficiency_dev_pct!r},{row.co2_dev_pct!r}\n")
+
+
+def reference_write_sweep_csv(curve, path) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("multiplier,lcoe_usd_per_kwh\n")
+        for multiplier, value in curve:
+            fh.write(f"{multiplier!r},{value!r}\n")
+
+
+def reference_write_timeseries(series: TimeSeries, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# unit: {series.unit.value}\n")
+        for value in series.values:
+            fh.write(f"{float(value)!r}\n")
 
 
 # ----------------------------------------------------------------------

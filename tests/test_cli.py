@@ -1,4 +1,6 @@
+import csv
 import filecmp
+import importlib.util
 import os
 import re
 import shutil
@@ -10,9 +12,15 @@ import pytest
 
 from mgdesign import cli, metrics, sensitivity
 from mgdesign.cli import main
+from mgdesign.dispatch import Design
+from mgdesign.metrics import METRIC_FIELDS
+from mgdesign.optimize import RESULT_FIELDS, EvaluatedDesign, write_evaluations_csv
 from mgdesign.scenario import bundled_data_path
 
+from .helpers import random_metric_vectors, reference_read_results_csv, reference_write_evaluations_csv
+
 A5_ARG = "pv=418,wt=123,dg=0,bess=704,conv=255"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _run(capsys, *argv) -> tuple[int, str, str]:
@@ -295,3 +303,135 @@ class TestPipelines:
         code, _, _ = _run(capsys, "evaluate", "--design", "pv=10,conv=10")
         assert code == 0
         assert (target / "metrics.csv").exists()
+
+
+def _bench_inputs():
+    """The benchmark's input generators, loaded from ``bench/inputs.py``."""
+    spec = importlib.util.spec_from_file_location("bench_inputs", ROOT / "bench" / "inputs.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestParetoCommand:
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_bench_archive_matches_row_oracle(self, capsys, tmp_path, seed):
+        inputs = _bench_inputs()
+        archive = tmp_path / "archive.csv"
+        fronts = inputs.write_pareto_archive(archive, seed, inputs.PARETO_ROWS, inputs.PARETO_FRONTS)
+        code, stdout, _ = _run(capsys, "pareto", "--results", str(archive), "--out", str(tmp_path / "out"))
+        assert code == 0
+        ranks = reference_write_evaluations_csv(reference_read_results_csv(archive), tmp_path / "oracle.csv",
+                                                with_front_rank=True)
+        assert ((tmp_path / "out" / "pareto_plotdata.csv").read_bytes()
+                == (tmp_path / "oracle.csv").read_bytes())
+        assert ranks.tolist() == fronts
+        assert stdout.startswith(f"{len(fronts)} points, {fronts.count(0)} non-dominated\n")
+
+    @pytest.mark.parametrize("space", ["pv=0:150:75,dg=0:60:60,conv=100", "pv=0:150:75,bess=0:200:200,conv=100"])
+    def test_search_results_round_trip(self, capsys, tmp_path, space):
+        out = tmp_path / "s"
+        assert _run(capsys, "search", "--space", space, "--out", str(out))[0] == 0
+        assert _run(capsys, "pareto", "--results", str(out / "results.csv"), "--out", str(out))[0] == 0
+        results = (out / "results.csv").read_text().splitlines()
+        plot = (out / "pareto_plotdata.csv").read_text().splitlines()
+        assert [line.split(",")[:len(RESULT_FIELDS)] for line in plot] == [line.split(",") for line in results]
+
+
+class TestMalformedResults:
+    """A bad results file exits 2 with a message that names the problem."""
+
+    @staticmethod
+    def _results(tmp_path) -> Path:
+        points = random_metric_vectors(3, 6, distinct_levels=3)
+        evaluations = [EvaluatedDesign(Design(pv_kw=25.0 * i, converter_kw=100.0,
+                                              grid_cap_kw=60.0 if i % 2 else None), m, bool(i % 4))
+                       for i, m in enumerate(points)]
+        path = tmp_path / "results.csv"
+        write_evaluations_csv(evaluations, path)
+        return path
+
+    @staticmethod
+    def _pareto(capsys, tmp_path, path: Path, out: str = "out") -> tuple[int, str, str]:
+        return _run(capsys, "pareto", "--results", str(path), "--out", str(tmp_path / out))
+
+    def _edited(self, tmp_path, line: int, edit) -> Path:
+        """The results file with ``edit`` applied to the cells of file line ``line``."""
+        path = self._results(tmp_path)
+        lines = path.read_text().splitlines()
+        lines[line - 1] = ",".join(edit(lines[line - 1].split(",")))
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_missing_columns_all_named(self, capsys, tmp_path):
+        path = tmp_path / "partial.csv"
+        path.write_text("pv_kw,wt_kw\n1,2\n")
+        code, out, err = self._pareto(capsys, tmp_path, path)
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        for name in ("dg_kw", "bess_kwh", "converter_kw") + METRIC_FIELDS:
+            assert name in err
+        assert "grid_cap_kw" not in err and "feasible" not in err
+        assert not (tmp_path / "out" / "pareto_plotdata.csv").exists()
+
+    def test_short_row_names_line_and_column(self, capsys, tmp_path):
+        path = self._edited(tmp_path, 4, lambda cells: cells[:4])
+        code, _, err = self._pareto(capsys, tmp_path, path)
+        assert code == 2
+        assert "line 4" in err and "converter_kw" in err
+
+    def test_short_row_without_feasible_cell(self, capsys, tmp_path):
+        path = self._edited(tmp_path, 7, lambda cells: cells[:-1])
+        code, _, err = self._pareto(capsys, tmp_path, path)
+        assert code == 2
+        assert "line 7" in err and "feasible" in err
+
+    @pytest.mark.parametrize("column", ["reliability", "pv_kw", "grid_cap_kw"])
+    def test_bad_cell_names_line_and_column(self, capsys, tmp_path, column):
+        index = RESULT_FIELDS.index(column)
+        path = self._edited(tmp_path, 3, lambda cells: cells[:index] + ["x"] + cells[index + 1:])
+        code, _, err = self._pareto(capsys, tmp_path, path)
+        assert code == 2
+        assert f"line 3, column {column}: not a number: 'x'" in err
+
+    def test_unparseable_line_named(self, capsys, tmp_path):
+        path = self._edited(tmp_path, 3, lambda cells: cells[:1] + ["9" * 200_000] + cells[2:])
+        code, _, err = self._pareto(capsys, tmp_path, path)
+        assert code == 2
+        assert "line 3: field larger than field limit" in err and "Traceback" not in err
+
+    def test_blank_lines_skipped(self, capsys, tmp_path):
+        path = self._results(tmp_path)
+        assert self._pareto(capsys, tmp_path, path, "plain")[0] == 0
+        lines = path.read_text().splitlines()
+        spaced = tmp_path / "spaced.csv"
+        spaced.write_text("\n".join(lines[:1] + [""] + lines[1:3] + ["", ""] + lines[3:]) + "\n\n")
+        assert self._pareto(capsys, tmp_path, spaced, "spaced")[0] == 0
+        assert ((tmp_path / "plain" / "pareto_plotdata.csv").read_bytes()
+                == (tmp_path / "spaced" / "pareto_plotdata.csv").read_bytes())
+        # Errors count the blank lines: results line 3 is file line 4.
+        spaced.write_text("\n".join(lines[:1] + [""] + lines[1:2] + [lines[2].replace(",", ",y", 1)]) + "\n")
+        code, _, err = self._pareto(capsys, tmp_path, spaced, "bad")
+        assert code == 2 and "line 4, column wt_kw" in err
+
+    def test_optional_columns_default(self, capsys, tmp_path):
+        with open(self._results(tmp_path), newline="") as fh:
+            rows = list(csv.reader(fh))
+        optional = (RESULT_FIELDS.index("grid_cap_kw"), RESULT_FIELDS.index("feasible"))
+        defaults = [rows[0]] + [[{optional[0]: "", optional[1]: "1"}.get(i, c) for i, c in enumerate(row)]
+                                for row in rows[1:]]
+        stripped = [[c for i, c in enumerate(row) if i not in optional] for row in rows]
+        for name, table in (("defaults", defaults), ("stripped", stripped)):
+            with open(tmp_path / f"{name}.csv", "w", newline="") as fh:
+                csv.writer(fh, lineterminator="\n").writerows(table)
+            assert self._pareto(capsys, tmp_path, tmp_path / f"{name}.csv", name)[0] == 0
+        assert ((tmp_path / "defaults" / "pareto_plotdata.csv").read_bytes()
+                == (tmp_path / "stripped" / "pareto_plotdata.csv").read_bytes())
+
+    @pytest.mark.parametrize("text", ["", ",".join(RESULT_FIELDS) + "\n\n"])
+    def test_no_rows(self, capsys, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        code, _, err = self._pareto(capsys, tmp_path, path)
+        assert code == 2 and "no rows" in err

@@ -28,6 +28,7 @@ from mgdesign.optimize import (
     scalarize,
     select_best,
     write_evaluations_csv,
+    write_pareto_csv,
 )
 
 from .conftest import random_scenario, table2_rows
@@ -161,6 +162,10 @@ class TestParetoEdgeValues:
         points = [_metric(*(self.VALUES[k] for k in row)) for row in picks]
         assert np.array_equal(pareto_mask(points), brute_force_pareto_mask(points))
         assert np.array_equal(pareto_ranks(points), brute_force_pareto_ranks(points))
+        # The same objectives as one matrix, as ``mgdesign pareto`` ranks them.
+        matrix = np.array([p.objectives() for p in points])
+        assert np.array_equal(pareto_mask(matrix), brute_force_pareto_mask(points))
+        assert np.array_equal(pareto_ranks(matrix), brute_force_pareto_ranks(points))
 
     def test_signed_zeros_tie(self):
         points = [_metric(npc=0.0), _metric(npc=-0.0), _metric(npc=0.0, co2=-0.0)]
@@ -444,6 +449,8 @@ class TestResultFiles:
     def test_empty_input(self, tmp_path):
         with pytest.raises(EmptyInputError):
             write_evaluations_csv([], tmp_path / "x.csv", with_front_rank=True)
+        with pytest.raises(EmptyInputError):
+            write_pareto_csv([], tmp_path / "x.csv")
 
 
 class TestGridSearchParallel:
