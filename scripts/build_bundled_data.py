@@ -29,13 +29,11 @@ tariff:
   emission_kg_per_kwh: 0.79
 economics:
   discount_rate: 0.06
-  inflation_rate: 0.02
   project_years: 25
   fuel_price_usd_per_l: 1.5
   dg_emission_kg_per_l: 2.68
 catalog:
   pv:
-    nominal_kw: 1.0
     capital_usd_per_kw: 1300.0
     replacement_usd_per_kw: 1300.0
     om_usd_per_kw_yr: 10.0
@@ -58,7 +56,6 @@ catalog:
     swept_area_m2_per_unit: 19.6
     power_coefficient: 0.40
   diesel:
-    nominal_kw: 60.0
     capital_usd_per_kw: 400.0
     replacement_usd_per_kw: 400.0
     om_usd_per_hr_kw: 0.03
@@ -67,8 +64,6 @@ catalog:
     fuel_slope_l_per_hr_kw: 0.25
     min_load_ratio: 0.25
   battery:
-    nominal_kwh: 1.0
-    nominal_voltage: 24.0
     capital_usd_per_kwh: 700.0
     replacement_usd_per_kwh: 700.0
     om_usd_per_kwh_yr: 10.0
@@ -79,13 +74,11 @@ catalog:
     capacity_ratio: 0.5
     rate_constant_per_hr: 1.0
   converter:
-    nominal_kw: 1.0
     capital_usd_per_kw: 300.0
     replacement_usd_per_kw: 300.0
     om_usd_per_kw_yr: 0.0
     lifetime_years: 15
     efficiency: 0.95
-    fixed_loss_kw: 0.0
 """
 
 README = """\

@@ -255,10 +255,10 @@ _REQUIRED_COLUMNS = optimize.DESIGN_FIELDS[:-1] + METRIC_FIELDS
 
 def _read_results_csv(path: Path) -> dict[str, list]:
     """The columns of a results CSV by :data:`~mgdesign.optimize.RESULT_FIELDS`
-    name: floats, None for an empty ``grid_cap_kw``, and ``feasible`` true
-    where its cell is ``1``.  Blank lines are skipped.  A missing column, a
-    short row, a cell that is not a number or a line the CSV parser rejects
-    raises :class:`ConfigError`."""
+    name: floats, None for an empty ``grid_cap_kw``, and ``feasible`` from
+    its ``1`` / ``0`` cells.  Blank lines are skipped.  A missing column, a
+    short row, a bad cell or a line the CSV parser rejects raises
+    :class:`ConfigError`."""
     if not path.exists():
         raise ConfigError(f"results file not found: {path}")
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -283,7 +283,7 @@ def _read_results_csv(path: Path) -> dict[str, list]:
         name = next(name for name in used if index[name] >= len(row))
         raise ConfigError(f"{path}, line {line}: the row ends before column {name}")
 
-    def column(name: str, convert=float) -> list:
+    def column(name: str, convert=float, expected: str = "a number") -> list:
         try:
             return list(map(convert, cells[index[name]]))
         except ValueError:
@@ -291,13 +291,13 @@ def _read_results_csv(path: Path) -> dict[str, list]:
                 try:
                     convert(value)
                 except ValueError:
-                    raise ConfigError(f"{path}, line {line}, column {name}: not a number: {value!r}") from None
+                    raise ConfigError(f"{path}, line {line}, column {name}: not {expected}: {value!r}") from None
             raise
 
     columns = {name: column(name) for name in _REQUIRED_COLUMNS}
     columns["grid_cap_kw"] = (column("grid_cap_kw", lambda v: float(v) if v else None)
                               if "grid_cap_kw" in index else [None] * len(rows))
-    columns["feasible"] = ([v == "1" for v in cells[index["feasible"]]]
+    columns["feasible"] = (column("feasible", lambda v: bool(("0", "1").index(v)), "0 or 1")
                            if "feasible" in index else [True] * len(rows))
     return columns
 

@@ -51,13 +51,14 @@ def wt_series(scenario: Scenario, capacity_kw: float) -> np.ndarray:
     ``(u^e - ci^e) / (rated^e - ci^e)`` scales the nameplate, with the
     swept-area aerodynamic limit ``0.5 * rho * A * u^3 * Cp`` as an upper
     clamp.  Output never exceeds nameplate capacity.  Heights are checked
-    by ``Catalog.violations`` and ``Scenario.violations``.
+    by ``Scenario.violations``.
     """
     spec = scenario.catalog.wind
     if capacity_kw <= 0.0:
         return np.zeros(len(scenario.wind_speed))
-    u = scenario.wind_speed.values * (spec.hub_height_m / scenario.anemometer_height_m) ** spec.shear_exponent
-    e = spec.curve_exponent
+    # NumPy scalars overflow to inf (and on to NaN output) where floats raise.
+    u = scenario.wind_speed.values * np.float64(spec.hub_height_m / scenario.anemometer_height_m) ** spec.shear_exponent
+    e = np.float64(spec.curve_exponent)
     fraction = np.clip((u**e - spec.cut_in_ms**e) / (spec.rated_ms**e - spec.cut_in_ms**e), 0.0, 1.0)
     power = capacity_kw * fraction
     area = spec.swept_area_m2_per_unit * capacity_kw / spec.nominal_kw

@@ -32,6 +32,11 @@ class ZeroInputError(ValueError):
     """Efficiency is undefined without energy input."""
 
 
+class NonFiniteMetricError(ValueError):
+    """A design objective came out NaN or infinite, or overflowed: the
+    scenario's numbers are beyond what a float can carry."""
+
+
 @dataclass(frozen=True)
 class CostBreakdown:
     """Components of the net present cost.
@@ -217,23 +222,13 @@ def reliability(lpsp_fraction: float, reliability_lambda: float) -> float:
     return math.exp(-reliability_lambda * lpsp_fraction)
 
 
-#: Efficiency denominator: energy input net of losses (curtailment,
-#: conversion, and battery losses), or the gross input.
-EFFICIENCY_MODES = ("net_of_losses", "gross_input")
-
-
-def efficiency(trace: DispatchTrace, mode: str = "net_of_losses") -> float:
-    """System efficiency in percent, capped at 100.
-
-    ``net_of_losses`` divides served energy by (input - losses), which by
-    the hourly energy balance equals served + exports + battery gain;
-    ``gross_input`` divides by the raw input from all sources.
-    """
-    if mode not in EFFICIENCY_MODES:
-        raise ValueError(f"mode must be one of {EFFICIENCY_MODES}, got {mode!r}")
+def efficiency(trace: DispatchTrace) -> float:
+    """System efficiency in percent: served energy over the input net of
+    curtailment, conversion and battery losses (by the hourly balance,
+    served + exports + battery gain).  Capped at 100, since a battery that
+    starts the year full and ends it lower serves a little more than that."""
     useful = trace.served_kwh
-    gross = trace.renewable_kwh + trace.dg_kwh + trace.import_kwh
-    denom = gross - trace.loss_kwh if mode == "net_of_losses" else gross
+    denom = trace.renewable_kwh + trace.dg_kwh + trace.import_kwh - trace.loss_kwh
     if denom <= 0.0:
         raise ZeroInputError("no energy input; efficiency undefined")
     return min(100.0 * useful / denom, 100.0)
@@ -260,7 +255,9 @@ def evaluate(design: Design, scenario: Scenario, trace: DispatchTrace | None = N
     pre-computed trace may be supplied to avoid re-simulation, and with
     it that trace's :func:`npc` result as ``costed`` to avoid re-costing.
     Designs that serve no energy get an infinite LCOE; traces with no
-    energy input at all count as vacuously 100% efficient.
+    energy input at all count as vacuously 100% efficient.  An objective
+    that comes out NaN or infinite, or an LCOE that overflows, raises
+    :class:`NonFiniteMetricError` naming it.
     """
     if trace is None:
         trace = simulate_year(scenario, design)
@@ -268,15 +265,15 @@ def evaluate(design: Design, scenario: Scenario, trace: DispatchTrace | None = N
     lpsp_value = lpsp(trace)
     served = trace.served_kwh
     eco = scenario.economics
-    if served > 0.0:
-        lcoe_value = lcoe(total, served, eco.discount_rate, eco.project_years)
-    else:
-        lcoe_value = math.inf
+    try:
+        lcoe_value = lcoe(total, served, eco.discount_rate, eco.project_years) if served > 0.0 else math.inf
+    except OverflowError:
+        raise NonFiniteMetricError(f"lcoe_usd_per_kwh of {design} overflows") from None
     try:
         eff = efficiency(trace)
     except ZeroInputError:
         eff = 100.0
-    return MetricVector(
+    metrics = MetricVector(
         npc_usd=total,
         reliability=reliability(lpsp_value, scenario.reliability_lambda),
         efficiency_pct=eff,
@@ -286,3 +283,8 @@ def evaluate(design: Design, scenario: Scenario, trace: DispatchTrace | None = N
         om_usd_per_yr=costs.om_usd_per_yr,
         lpsp=lpsp_value,
     )
+    bad = [f"{name} = {value}" for name, value in zip(METRIC_FIELDS, metrics.objectives())
+           if not math.isfinite(value)]
+    if bad:
+        raise NonFiniteMetricError(f"not finite for {design}: {', '.join(bad)}")
+    return metrics

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+import numbers
+import sys
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -306,15 +308,44 @@ def synthesize_wind_speed(
 # Component catalog
 # ----------------------------------------------------------------------
 
-def _non_finite(prefix: str, record) -> list[str]:
-    """One violation per numeric field of a dataclass that is NaN or infinite.
+_FLOAT_MAX = sys.float_info.max
 
-    A range check may name the same field again: each is written
-    ``not <in range>`` so that NaN fails it as well.
-    """
-    return [f"{prefix}{name}: must be finite, got {value}"
-            for name, value in vars(record).items()
-            if isinstance(value, (int, float)) and not math.isfinite(value)]
+#: Range rules, ``(text, test)``: a value that fails ``test`` is reported
+#: as ``must be <text>``.
+_GE0 = (">= 0", lambda v: v >= 0)
+_GT0 = ("> 0", lambda v: v > 0)
+_GE1 = (">= 1", lambda v: v >= 1)
+_FRACTION = ("in (0, 1]", lambda v: 0 < v <= 1)
+_SHARE = ("in [0, 1]", lambda v: 0 <= v <= 1)
+
+
+def _num(default, *rules):
+    """A numeric field: its default and its range rules."""
+    return field(default=default, metadata={"rules": rules})
+
+
+def _field_violations(prefix: str, record) -> list[str]:
+    """Violations of one section: each :func:`_num` field is checked for its
+    type (a bool is not a number; an ``int`` field takes only integers), then
+    finiteness, then its rules; a wrong type or a non-finite value is that
+    field's one message.  Series fields are checked as :class:`TimeSeries`."""
+    problems: list[str] = []
+    for f in fields(record):
+        value, name = getattr(record, f.name), prefix + f.name
+        if isinstance(value, TimeSeries):
+            problems += value.violations(name=name)
+        elif "rules" in f.metadata:
+            integer = f.type == "int"  # annotations are strings here
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                problems.append(f"{name}: must be {'an integer' if integer else 'a number'}, got {value!r}")
+            elif not abs(value) <= _FLOAT_MAX:
+                problems.append(f"{name}: must be finite, got {value}")
+            elif integer and not isinstance(value, numbers.Integral):
+                problems.append(f"{name}: must be an integer, got {value!r}")
+            else:
+                problems += [f"{name}: must be {text}, got {value}"
+                             for text, test in f.metadata["rules"] if not test(value)]
+    return problems
 
 
 @dataclass(frozen=True)
@@ -322,14 +353,13 @@ class PVSpec:
     """Flat-plate PV array: rated (STC) output scaled by derating and
     irradiance, with a linear cell-temperature correction."""
 
-    nominal_kw: float = 1.0
-    capital_usd_per_kw: float = 1300.0
-    replacement_usd_per_kw: float = 1300.0
-    om_usd_per_kw_yr: float = 10.0
-    lifetime_years: int = 20
-    derating: float = 0.8
-    temp_coeff_per_c: float = -0.004
-    degradation_per_yr: float = 0.005
+    capital_usd_per_kw: float = _num(1300.0, _GE0)
+    replacement_usd_per_kw: float = _num(1300.0, _GE0)
+    om_usd_per_kw_yr: float = _num(10.0, _GE0)
+    lifetime_years: int = _num(20, _GE1)
+    derating: float = _num(0.8, _GE0)
+    temp_coeff_per_c: float = _num(-0.004)
+    degradation_per_yr: float = _num(0.005, _GE0)
 
 
 @dataclass(frozen=True)
@@ -340,36 +370,35 @@ class WindTurbineSpec:
     ``(u^e - ci^e)/(rated^e - ci^e)`` between cut-in and rated speed (the
     curve exponent ``e`` defaults to 3; 2 reproduces a quadratic variant),
     and holds nameplate up to cut-out.  The swept-area aerodynamic limit
-    acts as an upper clamp.
+    acts as an upper clamp.  ``nominal_kw`` is the rating of one turbine.
     """
 
-    nominal_kw: float = 3.0
-    capital_usd_per_kw: float = 2300.0
-    replacement_usd_per_kw: float = 2300.0
-    om_usd_per_kw_yr: float = 207.0
-    lifetime_years: int = 20
-    cut_in_ms: float = 4.0
-    cut_out_ms: float = 24.0
-    rated_ms: float = 12.0
-    hub_height_m: float = 15.0
-    shear_exponent: float = 0.14
-    curve_exponent: float = 3.0
-    swept_area_m2_per_unit: float = 19.6
-    power_coefficient: float = 0.40
+    nominal_kw: float = _num(3.0, _GT0)
+    capital_usd_per_kw: float = _num(2300.0, _GE0)
+    replacement_usd_per_kw: float = _num(2300.0, _GE0)
+    om_usd_per_kw_yr: float = _num(207.0, _GE0)
+    lifetime_years: int = _num(20, _GE1)
+    cut_in_ms: float = _num(4.0)
+    cut_out_ms: float = _num(24.0)
+    rated_ms: float = _num(12.0)
+    hub_height_m: float = _num(15.0, _GT0)
+    shear_exponent: float = _num(0.14)
+    curve_exponent: float = _num(3.0, _GT0)
+    swept_area_m2_per_unit: float = _num(19.6, _GE0)
+    power_coefficient: float = _num(0.40, _GE0)
 
 
 @dataclass(frozen=True)
 class DieselSpec:
     """Diesel genset with a linear fuel law and a minimum load ratio."""
 
-    nominal_kw: float = 60.0
-    capital_usd_per_kw: float = 400.0
-    replacement_usd_per_kw: float = 400.0
-    om_usd_per_hr_kw: float = 0.03
-    lifetime_years: int = 15
-    fuel_intercept_l_per_hr_kw: float = 0.08
-    fuel_slope_l_per_hr_kw: float = 0.25
-    min_load_ratio: float = 0.25
+    capital_usd_per_kw: float = _num(400.0, _GE0)
+    replacement_usd_per_kw: float = _num(400.0, _GE0)
+    om_usd_per_hr_kw: float = _num(0.03, _GE0)
+    lifetime_years: int = _num(15, _GE1)
+    fuel_intercept_l_per_hr_kw: float = _num(0.08, _GE0)
+    fuel_slope_l_per_hr_kw: float = _num(0.25, _GE0)
+    min_load_ratio: float = _num(0.25, _SHARE)
 
 
 @dataclass(frozen=True)
@@ -382,34 +411,26 @@ class BatterySpec:
     capacity and the roundtrip efficiency is split as sqrt per direction.
     """
 
-    nominal_kwh: float = 1.0
-    nominal_voltage: float = 24.0
-    capital_usd_per_kwh: float = 700.0
-    replacement_usd_per_kwh: float = 700.0
-    om_usd_per_kwh_yr: float = 10.0
-    lifetime_years: int = 10
-    roundtrip_efficiency: float = 0.90
-    soc_min: float = 0.2
-    soc_max: float = 0.8
-    capacity_ratio: float = 0.5
-    rate_constant_per_hr: float = 1.0
-
-    @property
-    def depth_of_discharge(self) -> float:
-        return self.soc_max - self.soc_min
+    capital_usd_per_kwh: float = _num(700.0, _GE0)
+    replacement_usd_per_kwh: float = _num(700.0, _GE0)
+    om_usd_per_kwh_yr: float = _num(10.0, _GE0)
+    lifetime_years: int = _num(10, _GE1)
+    roundtrip_efficiency: float = _num(0.90, _FRACTION)
+    soc_min: float = _num(0.2, _SHARE)
+    soc_max: float = _num(0.8, _SHARE)
+    capacity_ratio: float = _num(0.5, ("in (0, 1)", lambda v: 0 < v < 1))
+    rate_constant_per_hr: float = _num(1.0, _GT0)
 
 
 @dataclass(frozen=True)
 class ConverterSpec:
     """Bidirectional DC/AC converter."""
 
-    nominal_kw: float = 1.0
-    capital_usd_per_kw: float = 300.0
-    replacement_usd_per_kw: float = 300.0
-    om_usd_per_kw_yr: float = 0.0
-    lifetime_years: int = 15
-    efficiency: float = 0.95
-    fixed_loss_kw: float = 0.0
+    capital_usd_per_kw: float = _num(300.0, _GE0)
+    replacement_usd_per_kw: float = _num(300.0, _GE0)
+    om_usd_per_kw_yr: float = _num(0.0, _GE0)
+    lifetime_years: int = _num(15, _GE1)
+    efficiency: float = _num(0.95, _FRACTION)
 
 
 @dataclass(frozen=True)
@@ -423,38 +444,18 @@ class Catalog:
     converter: ConverterSpec = field(default_factory=ConverterSpec)
 
     def violations(self) -> list[str]:
-        problems: list[str] = []
-        for name, spec in (("pv", self.pv), ("wind", self.wind), ("diesel", self.diesel),
-                           ("battery", self.battery), ("converter", self.converter)):
-            problems += _non_finite(f"catalog.{name}.", spec)
-            for attr, value in vars(spec).items():
-                if ("cost" in attr or "usd" in attr) and not value >= 0:
-                    problems.append(f"catalog.{name}.{attr}: cost must be >= 0, got {value}")
-            if not spec.lifetime_years >= 1:
-                problems.append(f"catalog.{name}.lifetime_years: must be >= 1, got {spec.lifetime_years}")
-        if not self.pv.derating >= 0.0:
-            problems.append(f"catalog.pv.derating: must be >= 0, got {self.pv.derating}")
-        if not self.wind.nominal_kw > 0.0:
-            problems.append(f"catalog.wind.nominal_kw: must be > 0, got {self.wind.nominal_kw}")
-        if not self.wind.hub_height_m > 0.0:
-            problems.append(f"catalog.wind.hub_height_m: must be > 0, got {self.wind.hub_height_m}")
-        if not 0.0 < self.converter.efficiency <= 1.0:
-            problems.append(f"catalog.converter.efficiency: must be in (0, 1], got {self.converter.efficiency}")
-        if not 0.0 < self.battery.roundtrip_efficiency <= 1.0:
-            problems.append(f"catalog.battery.roundtrip_efficiency: must be in (0, 1], got {self.battery.roundtrip_efficiency}")
-        if not 0.0 < self.battery.depth_of_discharge <= 1.0:
+        """Every part's field table, then the cross-field checks of the wind
+        speeds and the SOC window, each only when that part's fields passed."""
+        parts = {f.name: _field_violations(f"catalog.{f.name}.", getattr(self, f.name)) for f in fields(self)}
+        problems = [problem for part in parts.values() for problem in part]
+        wind, battery = self.wind, self.battery
+        if not parts["wind"]:
+            if not wind.cut_in_ms < wind.cut_out_ms:
+                problems.append(f"catalog.wind: cut-in {wind.cut_in_ms} must be below cut-out {wind.cut_out_ms}")
+            if not wind.cut_in_ms < wind.rated_ms <= wind.cut_out_ms:
+                problems.append("catalog.wind: rated speed must lie between cut-in and cut-out")
+        if not parts["battery"] and not 0.0 < battery.soc_max - battery.soc_min <= 1.0:
             problems.append("catalog.battery: soc window must satisfy 0 < soc_max - soc_min <= 1")
-        if not 0.0 < self.battery.capacity_ratio < 1.0:
-            problems.append(f"catalog.battery.capacity_ratio: must be in (0, 1), got {self.battery.capacity_ratio}")
-        k = self.battery.rate_constant_per_hr
-        if not k > 0.0:
-            problems.append(f"catalog.battery.rate_constant_per_hr: must be > 0, got {k}")
-        if not self.wind.cut_in_ms < self.wind.cut_out_ms:
-            problems.append(f"catalog.wind: cut-in {self.wind.cut_in_ms} must be below cut-out {self.wind.cut_out_ms}")
-        if not self.wind.cut_in_ms < self.wind.rated_ms <= self.wind.cut_out_ms:
-            problems.append("catalog.wind: rated speed must lie between cut-in and cut-out")
-        if not 0.0 <= self.diesel.min_load_ratio <= 1.0:
-            problems.append("catalog.diesel.min_load_ratio: must be in [0, 1]")
         return problems
 
 
@@ -465,30 +466,17 @@ class GridTariff:
     Prices may be flat (float) or hourly (:class:`TimeSeries`).
     """
 
-    purchase_usd_per_kwh: float | TimeSeries = 0.30
-    sellback_usd_per_kwh: float | TimeSeries = 0.10
-    max_import_kw: float = 400.0
-    max_export_kw: float = 400.0
-    emission_kg_per_kwh: float = 0.79
+    purchase_usd_per_kwh: float | TimeSeries = _num(0.30, _GE0)
+    sellback_usd_per_kwh: float | TimeSeries = _num(0.10, _GE0)
+    max_import_kw: float = _num(400.0, _GE0)
+    max_export_kw: float = _num(400.0, _GE0)
+    emission_kg_per_kwh: float = _num(0.79, _GE0)
 
     def purchase_series(self) -> np.ndarray:
         return _price_array(self.purchase_usd_per_kwh)
 
     def sellback_series(self) -> np.ndarray:
         return _price_array(self.sellback_usd_per_kwh)
-
-    def violations(self) -> list[str]:
-        problems = _non_finite("tariff.", self)
-        for name, price in (("purchase", self.purchase_usd_per_kwh), ("sellback", self.sellback_usd_per_kwh)):
-            if isinstance(price, TimeSeries):
-                problems += price.violations(name=f"tariff.{name}")
-            elif price < 0:
-                problems.append(f"tariff.{name}: price must be >= 0, got {price}")
-        if self.max_import_kw < 0 or self.max_export_kw < 0:
-            problems.append("tariff: max import/export must be >= 0")
-        if self.emission_kg_per_kwh < 0:
-            problems.append("tariff.emission_kg_per_kwh: must be >= 0")
-        return problems
 
 
 def _price_array(price: float | TimeSeries) -> np.ndarray:
@@ -502,32 +490,13 @@ class Economics:
     """Project-level financial and emission parameters.
 
     ``discount_rate`` is the real (inflation-adjusted) annual rate used to
-    discount constant-dollar cash flows.  ``inflation_rate`` is parsed but
-    not read.
+    discount constant-dollar cash flows.
     """
 
-    discount_rate: float = 0.06
-    inflation_rate: float = 0.02
-    project_years: int = 25
-    fuel_price_usd_per_l: float = 1.5
-    dg_emission_kg_per_l: float = 2.68
-
-    def violations(self) -> list[str]:
-        problems = _non_finite("economics.", self)
-        if self.discount_rate < 0:
-            problems.append(f"economics.discount_rate: must be >= 0, got {self.discount_rate}")
-        years = self.project_years
-        if isinstance(years, bool) or not isinstance(years, int):
-            problems.append(f"economics.project_years: must be an integer, got {years!r}")
-        elif years < 1:
-            problems.append(f"economics.project_years: must be >= 1, got {years}")
-        elif years > 100:
-            problems.append(f"economics.project_years: must be <= 100, got {years}")
-        if self.fuel_price_usd_per_l < 0:
-            problems.append("economics.fuel_price_usd_per_l: must be >= 0")
-        if self.dg_emission_kg_per_l < 0:
-            problems.append("economics.dg_emission_kg_per_l: must be >= 0")
-        return problems
+    discount_rate: float = _num(0.06, _GE0)
+    project_years: int = _num(25, _GE1, ("<= 100", lambda v: v <= 100))
+    fuel_price_usd_per_l: float = _num(1.5, _GE0)
+    dg_emission_kg_per_l: float = _num(2.68, _GE0)
 
 
 @dataclass(frozen=True)
@@ -537,34 +506,23 @@ class Scenario:
     load: TimeSeries
     irradiance: TimeSeries
     wind_speed: TimeSeries
-    anemometer_height_m: float = 10.0
+    anemometer_height_m: float = _num(10.0, _GT0)
     cell_temperature: TimeSeries | None = None
     tariff: GridTariff = field(default_factory=GridTariff)
     economics: Economics = field(default_factory=Economics)
     catalog: Catalog = field(default_factory=Catalog)
-    reliability_lambda: float = 100.0
+    reliability_lambda: float = _num(100.0, _GT0)
     name: str = "unnamed"
 
     def violations(self) -> list[str]:
-        problems = _non_finite("", self)
-        problems += self.load.violations(name="load")
-        problems += self.irradiance.violations(name="irradiance")
-        problems += self.wind_speed.violations(name="wind_speed")
-        if self.cell_temperature is not None:
-            problems += self.cell_temperature.violations(name="cell_temperature")
-        lengths = {len(self.load), len(self.irradiance), len(self.wind_speed)}
-        if self.cell_temperature is not None:
-            lengths.add(len(self.cell_temperature))
+        problems = _field_violations("", self)
+        lengths = {len(series) for series in (self.load, self.irradiance, self.wind_speed, self.cell_temperature)
+                   if series is not None}
         if len(lengths) > 1:
             problems.append(f"series lengths differ: {sorted(lengths)}")
-        if self.anemometer_height_m <= 0:
-            problems.append(f"anemometer_height_m: must be > 0, got {self.anemometer_height_m}")
-        if self.reliability_lambda <= 0:
-            problems.append(f"reliability_lambda: must be > 0, got {self.reliability_lambda}")
-        problems += self.tariff.violations()
-        problems += self.economics.violations()
-        problems += self.catalog.violations()
-        return problems
+        problems += _field_violations("tariff.", self.tariff)
+        problems += _field_violations("economics.", self.economics)
+        return problems + self.catalog.violations()
 
 
 def validate_scenario(scenario: Scenario) -> Scenario:
@@ -616,11 +574,42 @@ def bundled_scenario() -> Scenario:
     return load_scenario(bundled_data_path() / SCENARIO_FILE)
 
 
+#: Unit of each series a scenario file names under ``series``; all but
+#: ``cell_temperature`` are required.
+_SERIES_UNITS = {"load": Unit.KW, "irradiance": Unit.KW_PER_M2, "wind_speed": Unit.M_PER_S,
+                 "cell_temperature": Unit.CELSIUS}
+
+
+def _section(cls, doc, name: str, problems: list[str], **given):
+    """``cls`` built from the mapping ``doc``, ``given`` and defaults, and
+    each subsection (a catalog part, say) likewise.  A ``doc`` that is not a
+    mapping and each unknown key go to ``problems``; the rest is still
+    built, so that one pass finds every problem."""
+    prefix = f"{name}." if name else ""
+    if not isinstance(doc, dict):
+        problems.append(f"{name}: must be a mapping, got {doc!r}")
+        doc = {}
+    table = {f.name: f for f in fields(cls) if f.name not in given}
+    values = dict(given)
+    for key, value in doc.items():
+        f = table.get(key)
+        if f is None:
+            problems.append(f"{prefix}{key}: unknown key")
+        elif is_dataclass(f.default_factory):
+            values[key] = _section(f.default_factory, value, prefix + key, problems)
+        else:
+            values[key] = value
+    return cls(**values)
+
+
 def load_scenario(path: str | Path) -> Scenario:
     """Build and validate a :class:`Scenario` from a YAML document.
 
     Series paths inside the document are resolved relative to the
-    document's directory.  The schema is documented in the README.
+    document's directory.  The schema is documented in the README.  Every
+    problem found (malformed sections, unknown keys, missing or unreadable
+    series, field violations) is reported in one
+    :class:`ScenarioValidationError`.
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
@@ -636,48 +625,43 @@ def load_scenario(path: str | Path) -> Scenario:
             raise ScenarioValidationError([f"{where}: malformed YAML: {problem}"]) from None
     if not isinstance(doc, dict):
         raise ScenarioValidationError([f"{path}: top level must be a mapping"])
-    base = path.parent
+    base, problems = path.parent, []
 
-    def series(key: str, unit: Unit, required: bool = True) -> TimeSeries | None:
-        section = doc.get("series", {})
-        entry = section.get(key)
-        if entry is None:
-            if required:
-                raise ScenarioValidationError([f"{path}: series.{key} is required"])
+    def series(name: str, entry, unit: Unit, required: bool = True) -> TimeSeries | None:
+        if entry is None and not required:
             return None
-        return load_timeseries(base / entry, unit)
+        if not isinstance(entry, str):
+            problems.append(f"{name}: is required" if entry is None else f"{name}: must be a file name, got {entry!r}")
+            return None
+        try:
+            return load_timeseries(base / entry, unit)
+        except ScenarioValidationError as exc:
+            problems.extend(exc.violations)
+        except (OSError, ValueError) as exc:
+            problems.append(f"{name}: {exc}")
+        return None
 
-    tariff_doc = dict(doc.get("tariff", {}))
-    for key, unit in (("purchase_usd_per_kwh", Unit.USD_PER_KWH), ("sellback_usd_per_kwh", Unit.USD_PER_KWH)):
-        file_key = key.replace("_usd_per_kwh", "_file")
-        if file_key in tariff_doc:
-            tariff_doc[key] = load_timeseries(base / tariff_doc.pop(file_key), unit)
-    tariff = GridTariff(**tariff_doc)
-
-    economics = Economics(**doc.get("economics", {}))
-
-    catalog_doc = doc.get("catalog", {})
-    catalog = Catalog(
-        pv=PVSpec(**catalog_doc.get("pv", {})),
-        wind=WindTurbineSpec(**catalog_doc.get("wind", {})),
-        diesel=DieselSpec(**catalog_doc.get("diesel", {})),
-        battery=BatterySpec(**catalog_doc.get("battery", {})),
-        converter=ConverterSpec(**catalog_doc.get("converter", {})),
-    )
-
-    scenario = Scenario(
-        load=series("load", Unit.KW),
-        irradiance=series("irradiance", Unit.KW_PER_M2),
-        wind_speed=series("wind_speed", Unit.M_PER_S),
-        cell_temperature=series("cell_temperature", Unit.CELSIUS, required=False),
-        anemometer_height_m=float(doc.get("anemometer_height_m", 10.0)),
-        tariff=tariff,
-        economics=economics,
-        catalog=catalog,
-        reliability_lambda=float(doc.get("reliability_lambda", 100.0)),
-        name=str(doc.get("name", path.stem)),
-    )
-    return validate_scenario(scenario)
+    doc = dict(doc)
+    files = doc.pop("series", {})
+    if not isinstance(files, dict):
+        problems.append(f"series: must be a mapping, got {files!r}")
+        files = {}
+    problems += [f"series.{key}: unknown key" for key in files if key not in _SERIES_UNITS]
+    loaded = {key: series(f"series.{key}", files.get(key), unit, required=key != "cell_temperature")
+              for key, unit in _SERIES_UNITS.items()}
+    tariff = doc.get("tariff")
+    if isinstance(tariff, dict):
+        doc["tariff"] = tariff = dict(tariff)
+        for kind in ("purchase", "sellback"):
+            if f"{kind}_file" in tariff:
+                if (price := series(f"tariff.{kind}_file", tariff.pop(f"{kind}_file"), Unit.USD_PER_KWH)) is not None:
+                    tariff[f"{kind}_usd_per_kwh"] = price
+    doc["name"] = str(doc.get("name", path.stem))
+    scenario = _section(Scenario, doc, "", problems, **loaded)
+    problems += scenario.violations()
+    if problems:
+        raise ScenarioValidationError(problems)
+    return scenario
 
 
 def scale_series(scenario: Scenario, *, load: float = 1.0, irradiance: float = 1.0, wind: float = 1.0) -> Scenario:

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 from mgdesign import cli, metrics, sensitivity
 from mgdesign.cli import main
@@ -64,6 +65,26 @@ class TestValidate:
         assert err.startswith("error: invalid scenario:")
         assert f"{path}:{line + 1}:" in err and f"at line {line})" in err
         assert "Traceback" not in err
+
+    def test_every_schema_problem_named(self, capsys, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(bundled_data_path(), data)
+        path = data / "scenario.yaml"
+        doc = yaml.safe_load(path.read_text(encoding="utf-8"))
+        doc["economics"]["inflation_rate"] = 0.02
+        doc["catalog"]["pv"]["capital_usd_per_kw"] = "1300.0"
+        doc["catalog"]["diesel"] = [60.0]
+        doc["economics"]["project_years"] = True
+        path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        code, out, err = _run(capsys, "validate", "--scenario", str(path))
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        for message in ("economics.inflation_rate: unknown key",
+                        "catalog.pv.capital_usd_per_kw: must be a number, got '1300.0'",
+                        "catalog.diesel: must be a mapping, got [60.0]",
+                        "economics.project_years: must be an integer, got True"):
+            assert message in err
 
 
 class TestEvaluate:
@@ -394,6 +415,13 @@ class TestMalformedResults:
         code, _, err = self._pareto(capsys, tmp_path, path)
         assert code == 2
         assert f"line 3, column {column}: not a number: 'x'" in err
+
+    @pytest.mark.parametrize("cell", ["true", "True", "1.0", " 1", "2", ""])
+    def test_feasible_cell_must_be_0_or_1(self, capsys, tmp_path, cell):
+        path = self._edited(tmp_path, 5, lambda cells: cells[:-1] + [cell])
+        code, _, err = self._pareto(capsys, tmp_path, path)
+        assert code == 2
+        assert f"line 5, column feasible: not 0 or 1: {cell!r}" in err
 
     def test_unparseable_line_named(self, capsys, tmp_path):
         path = self._edited(tmp_path, 3, lambda cells: cells[:1] + ["9" * 200_000] + cells[2:])

@@ -20,7 +20,6 @@ from mgdesign.metrics import npc
 from mgdesign.scenario import (
     BatterySpec,
     Catalog,
-    ConverterSpec,
     Economics,
     Scenario,
     ScenarioValidationError,
@@ -378,15 +377,12 @@ class TestConverter:
         assert trace.curtailed_kw == pytest.approx([0.0, 100.0 - 50.0 / 0.95])
 
     def test_fixed_loss_clamp(self):
-        # the rating clamps the delivered power; ``fixed_loss_kw`` is parsed
-        # but dispatch does not read it
+        # the rating clamps the delivered power
         scenario = hand_built_scenario((200.0,), irradiance=[1.0])
         design = replace(self.PV, converter_kw=50.0)
         trace = simulate_year(scenario, design)
         assert trace.unmet_kw[0] == pytest.approx(150.0)
         assert trace.conversion_loss_kw[0] == pytest.approx(50.0 * (1.0 / 0.95 - 1.0))
-        lossy = replace(scenario, catalog=Catalog(converter=ConverterSpec(fixed_loss_kw=1.0)))
-        assert np.array_equal(simulate_year(lossy, design).conversion_loss_kw, trace.conversion_loss_kw)
 
     def test_negative_input_rejected(self):
         with pytest.raises(InvalidDesignError):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from mgdesign.dispatch import Design, simulate_year
 from mgdesign.metrics import (
+    NonFiniteMetricError,
     ZeroEnergyServedError,
     ZeroInputError,
     co2_delta,
@@ -154,29 +156,25 @@ class TestEfficiency:
     def test_lossless_pass_through(self, bundled):
         # grid-only: imports equal served load exactly, no conversion
         trace = simulate_year(bundled, Design(grid_cap_kw=500.0))
-        assert efficiency(trace, "net_of_losses") == pytest.approx(100.0)
-        assert efficiency(trace, "gross_input") == pytest.approx(100.0)
-
-    def test_modes_differ_with_losses(self, bundled, a5):
-        trace = simulate_year(bundled, a5)
-        net = efficiency(trace, "net_of_losses")
-        gross = efficiency(trace, "gross_input")
-        assert gross < net <= 100.0
+        assert efficiency(trace) == pytest.approx(100.0)
 
     def test_bundled_a5_band(self, bundled, a5):
         trace = simulate_year(bundled, a5)
         assert 88.0 <= efficiency(trace) <= 95.0
+
+    def test_capped_at_100(self, bundled):
+        # the battery starts the year full and this design ends it lower, so
+        # it serves slightly more than its net input
+        trace = simulate_year(bundled, Design(pv_kw=418.0, bess_kwh=1400.0, converter_kw=100.0))
+        net_input = trace.renewable_kwh + trace.dg_kwh + trace.import_kwh - trace.loss_kwh
+        assert 100.0 < 100.0 * trace.served_kwh / net_input < 100.2
+        assert efficiency(trace) == 100.0
 
     def test_zero_input(self, bundled):
         zero = replace(bundled, load=TimeSeries(np.zeros(8760), Unit.KW))
         trace = simulate_year(zero, Design())
         with pytest.raises(ZeroInputError):
             efficiency(trace)
-
-    def test_bad_mode(self, bundled, a5):
-        trace = simulate_year(bundled, a5)
-        with pytest.raises(ValueError):
-            efficiency(trace, "bogus")
 
 
 class TestCO2Delta:
@@ -247,6 +245,29 @@ class TestEvaluate:
         assert m.capital_usd == pytest.approx(1395600.0, rel=1e-12)
         assert m.om_usd_per_yr == pytest.approx(418 * 10 + 123 * 207 + 704 * 10, rel=1e-12)
         assert m.lpsp == 0.0
+
+    @pytest.mark.parametrize("section, field, message", [
+        ("tariff", "purchase_usd_per_kwh", "npc_usd = inf"),
+        ("tariff", "sellback_usd_per_kwh", "npc_usd = -inf"),
+        ("converter", "capital_usd_per_kw", "npc_usd = inf"),
+        ("pv", "degradation_per_yr", "co2_kg_per_yr = inf"),
+        ("pv", "derating", "efficiency_pct = nan, co2_kg_per_yr = nan"),
+        ("wind", "shear_exponent", "efficiency_pct = nan, co2_kg_per_yr = nan"),
+        ("wind", "curve_exponent", "efficiency_pct = nan, co2_kg_per_yr = nan"),
+        ("economics", "discount_rate", "lcoe_usd_per_kwh of"),
+    ])
+    def test_huge_value_names_the_metric(self, bundled, a5, section, field, message):
+        # every value here is finite, so the scenario validates
+        if section in ("tariff", "economics"):
+            broken = replace(bundled, **{section: replace(getattr(bundled, section), **{field: 1e308})})
+        else:
+            part = replace(getattr(bundled.catalog, section), **{field: 1e308})
+            broken = replace(bundled, catalog=replace(bundled.catalog, **{section: part}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # NumPy overflow in the wind curve
+            with pytest.raises(NonFiniteMetricError) as err:
+                evaluate(a5, broken)
+        assert message in str(err.value)
 
     def test_random_designs_finite(self):
         scenario = random_scenario(77)

@@ -1,4 +1,7 @@
+import copy
 import math
+import shutil
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mgdesign import scenario as scenario_module
+from mgdesign.metrics import NonFiniteMetricError, evaluate
 from mgdesign.scenario import (
     DEFAULT_DAILY_LOAD_KW,
     HOURS_PER_YEAR,
@@ -30,6 +34,8 @@ from mgdesign.scenario import (
     validate_scenario,
     write_timeseries,
 )
+
+from .conftest import A5
 
 
 def _write_lines(path, values):
@@ -215,6 +221,21 @@ class TestCatalogValidation:
         problems = self._violations(bundled, "battery", rate_constant_per_hr=rate)
         assert any("catalog.battery.rate_constant_per_hr" in v for v in problems)
 
+    @pytest.mark.parametrize("section, name", [
+        ("wind", "power_coefficient"), ("wind", "swept_area_m2_per_unit"), ("pv", "degradation_per_yr"),
+        ("diesel", "fuel_intercept_l_per_hr_kw"), ("diesel", "fuel_slope_l_per_hr_kw"),
+    ])
+    def test_negative_rate_rejected(self, bundled, section, name):
+        # negative wind output or fuel, or PV credited above its output
+        problems = self._violations(bundled, section, **{name: -1.0})
+        assert f"catalog.{section}.{name}: must be >= 0, got -1.0" in problems
+
+    @pytest.mark.parametrize("name, value", [("soc_min", -0.2), ("soc_max", 1.2)])
+    def test_soc_bounds_within_capacity(self, bundled, name, value):
+        # the window check alone lets the SOC fall below empty
+        problems = self._violations(bundled, "battery", **{name: value})
+        assert problems == [f"catalog.battery.{name}: must be in [0, 1], got {value}"]
+
     def test_wind_nominal_kw_must_be_positive(self, bundled):
         # the turbine count divides by it: 0 would raise ZeroDivisionError
         problems = self._violations(bundled, "wind", nominal_kw=0.0)
@@ -307,3 +328,150 @@ class TestYamlParsing:
         (message,) = info.value.violations
         assert message.startswith(f"{path}:4:")
         assert "malformed YAML" in message and "line 3" in message
+
+
+def _bundled_copy(directory) -> dict:
+    """Copy the bundled data into ``directory``; return its parsed YAML."""
+    shutil.copytree(bundled_data_path(), directory, dirs_exist_ok=True)
+    return yaml.safe_load((directory / "scenario.yaml").read_text(encoding="utf-8"))
+
+
+def _load(directory, doc) -> Scenario:
+    path = directory / "scenario.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    return load_scenario(path)
+
+
+class TestSchema:
+    """The field table read from the dataclasses drives parsing and checks."""
+
+    @pytest.mark.parametrize("section, key", [
+        ("catalog.pv", "nominal_kw"), ("catalog.diesel", "nominal_kw"), ("catalog.converter", "nominal_kw"),
+        ("catalog.battery", "nominal_kwh"), ("catalog.battery", "nominal_voltage"),
+        ("catalog.converter", "fixed_loss_kw"), ("economics", "inflation_rate"),
+    ])
+    def test_removed_field_is_an_unknown_key(self, tmp_path, section, key):
+        doc = _bundled_copy(tmp_path)
+        node = doc
+        for part in section.split("."):
+            node = node[part]
+        node[key] = 1.0
+        with pytest.raises(ScenarioValidationError) as err:
+            _load(tmp_path, doc)
+        assert err.value.violations == [f"{section}.{key}: unknown key"]
+
+    def test_every_problem_in_one_error(self, tmp_path):
+        doc = _bundled_copy(tmp_path)
+        doc["series"].pop("irradiance")
+        doc["series"]["load"] = 7
+        doc["series"]["wind"] = "wind_speed_ms.txt"
+        doc["tariff"] = [0.3]
+        doc["catalog"]["battery"]["soc_max"] = "0.8"
+        doc["catalog"]["battery"]["lifetime_years"] = 2.5
+        doc["catalog"]["wind"]["curve_exponent"] = 0
+        doc["colour"] = "blue"
+        with pytest.raises(ScenarioValidationError) as err:
+            _load(tmp_path, doc)
+        assert sorted(err.value.violations) == sorted([
+            "series.wind: unknown key",
+            "series.load: must be a file name, got 7",
+            "series.irradiance: is required",
+            "tariff: must be a mapping, got [0.3]",
+            "colour: unknown key",
+            "catalog.wind.curve_exponent: must be > 0, got 0",
+            "catalog.battery.lifetime_years: must be an integer, got 2.5",
+            "catalog.battery.soc_max: must be a number, got '0.8'",
+        ])
+
+    def test_unreadable_series_named(self, tmp_path):
+        doc = _bundled_copy(tmp_path)
+        doc["series"]["wind_speed"] = "missing.txt"
+        (tmp_path / "short.txt").write_text("1.0\n", encoding="utf-8")
+        doc["tariff"]["sellback_file"] = "short.txt"
+        with pytest.raises(ScenarioValidationError) as err:
+            _load(tmp_path, doc)
+        first, second = err.value.violations
+        assert first.startswith("series.wind_speed: [Errno 2]") and "missing.txt" in first
+        assert second == "tariff.sellback_file: expected 8760 hourly values, got 1"
+
+    def test_hourly_price_file(self, tmp_path):
+        doc = _bundled_copy(tmp_path)
+        _write_lines(tmp_path / "prices.txt", [0.25] * HOURS_PER_YEAR)
+        doc["tariff"]["purchase_file"] = "prices.txt"
+        scenario = _load(tmp_path, doc)
+        assert scenario.tariff.purchase_usd_per_kwh.unit is Unit.USD_PER_KWH
+        assert np.all(scenario.tariff.purchase_series() == 0.25)
+
+    @pytest.mark.parametrize("value, message", [
+        (True, "must be a number, got True"),
+        ("5", "must be a number, got '5'"),
+        (None, "must be a number, got None"),
+        (10**400, "must be finite, got 1" + "0" * 400),
+        (-1, "must be >= 0, got -1"),
+    ], ids=["bool", "str", "none", "huge-int", "negative"])
+    def test_one_message_per_field(self, bundled, value, message):
+        broken = replace(bundled, tariff=replace(bundled.tariff, max_export_kw=value))
+        with pytest.raises(ScenarioValidationError) as err:
+            validate_scenario(broken)
+        assert err.value.violations == [f"tariff.max_export_kw: {message}"]
+
+    def test_cross_field_checks_wait_for_their_fields(self, bundled):
+        wind = replace(bundled.catalog.wind, cut_in_ms=math.nan)
+        battery = replace(bundled.catalog.battery, soc_min="low")
+        broken = replace(bundled, catalog=replace(bundled.catalog, wind=wind, battery=battery))
+        with pytest.raises(ScenarioValidationError) as err:
+            validate_scenario(broken)
+        assert err.value.violations == ["catalog.wind.cut_in_ms: must be finite, got nan",
+                                        "catalog.battery.soc_min: must be a number, got 'low'"]
+
+    def test_numpy_numbers_accepted(self, bundled):
+        economics = replace(bundled.economics, project_years=np.int64(20), discount_rate=np.float64(0.05))
+        scenario = replace(bundled, economics=economics)
+        assert validate_scenario(scenario) is scenario
+
+
+def _key_paths(doc, prefix=()):
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+_BUNDLED_DOC = yaml.safe_load((bundled_data_path() / "scenario.yaml").read_text(encoding="utf-8"))
+_RENAME = object()
+
+
+class TestMutatedDocuments:
+    """A bundled document with one key set to a bad value or renamed loads
+    into a scenario on which A5's objectives are finite, or fails with an
+    error that names the problem (the CLI exits 2 on either error)."""
+
+    @pytest.fixture(scope="class")
+    def data_dir(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("data")
+        _bundled_copy(directory)
+        return directory
+
+    @settings(max_examples=60, deadline=None)
+    @given(path=st.sampled_from(list(_key_paths(_BUNDLED_DOC))),
+           value=st.sampled_from(["x", [1], True, None, 2.5, -1, 0, {"a": 1}, math.nan, 1e308, _RENAME]))
+    def test_finite_objectives_or_named_error(self, data_dir, path, value):
+        doc = copy.deepcopy(_BUNDLED_DOC)
+        *parents, key = path
+        node = doc
+        for part in parents:
+            node = node[part]
+        if value is _RENAME:
+            node[key + "_renamed"] = node.pop(key)
+        else:
+            node[key] = value
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # NumPy overflow in the wind curve
+                metrics = evaluate(A5, _load(data_dir, doc))
+        except ScenarioValidationError as exc:
+            assert exc.violations and all(isinstance(v, str) for v in exc.violations)
+        except NonFiniteMetricError as exc:
+            assert "not finite" in str(exc) or "overflows" in str(exc)
+        else:
+            assert all(math.isfinite(v) for v in metrics.objectives())
