@@ -233,17 +233,27 @@ def _minimization_matrix(points: Sequence[MetricVector] | np.ndarray) -> np.ndar
     return m
 
 
+#: Distinct rows compared per NumPy call by :func:`pareto_mask` and
+#: :func:`pareto_ranks`.  Larger blocks make fewer calls but more in-block
+#: comparisons and relaxation steps; of 16 to 256, 64 ranked the 2000-row
+#: benchmark archive fastest.
+_BLOCK_ROWS = 64
+
+
 def _lexsorted(points: Sequence[MetricVector] | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The rows without NaN in lexicographic order of the minimization
-    matrix: ``(order, sorted_rows, starts)``, where ``order`` holds input
-    indices and ``starts[k]`` marks the first row of each run of equal rows.
+    matrix, each run of equal rows collapsed to one: ``(order, run,
+    distinct)``, where ``order`` holds input indices, ``run[k]`` is the run
+    of the k-th sorted row and ``distinct`` is the (3, runs) array of each
+    run's objectives 1..3.
 
     If row i dominates row j, then at the first column where they differ
     row i is lower, so i sorts strictly before j; equal rows (``-0.0`` equals
-    ``0.0``) tie.  The order is therefore a topological order of dominance,
-    and every row before a run's first row differs from it.  Rows with NaN
-    are left out: every comparison with NaN is false, so they neither
-    dominate nor are dominated.
+    ``0.0``) tie.  The order is therefore a topological order of dominance:
+    a run is dominated exactly by the earlier runs that are no worse in
+    objectives 1..3, since every earlier run differs from it and is no
+    worse in objective 0.  Rows with NaN are left out: every comparison
+    with NaN is false, so they neither dominate nor are dominated.
     """
     m = _minimization_matrix(points)
     rows = np.flatnonzero(~np.isnan(m).any(axis=1))
@@ -251,7 +261,21 @@ def _lexsorted(points: Sequence[MetricVector] | np.ndarray) -> tuple[np.ndarray,
     s = m[order]
     starts = np.ones(len(order), dtype=bool)
     starts[1:] = (s[1:] != s[:-1]).any(axis=1)
-    return order, s, starts
+    return order, np.cumsum(starts) - 1, np.ascontiguousarray(s[starts, 1:].T)
+
+
+def _no_worse(earlier: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """``(len(block), len(earlier))`` matrix of (3, k) column arrays: entry
+    ``[i, j]`` is whether ``earlier[:, j]`` is no worse than ``block[:, i]``
+    in all three objectives."""
+    return ((earlier[0] <= block[0][:, None]) & (earlier[1] <= block[1][:, None])
+            & (earlier[2] <= block[2][:, None]))
+
+
+def _next_rank(no_worse: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """Per row of ``no_worse``, one more than the highest of ``ranks``
+    where it is true, else 0."""
+    return (no_worse * (ranks + 1)).max(axis=1, initial=0)
 
 
 def pareto_mask(points: Sequence[MetricVector] | np.ndarray) -> np.ndarray:
@@ -263,29 +287,28 @@ def pareto_mask(points: Sequence[MetricVector] | np.ndarray) -> np.ndarray:
     is always kept.
 
     Sort-based maxima filter (Kung, Luccio & Preparata 1975): walk the
-    rows in lexicographic order, a topological order of dominance (see
-    :func:`_lexsorted`), and keep a row unless a row already kept
-    dominates it.  Checking only the kept rows suffices because dominance
-    is transitive and the first row of any dominance chain is kept.
-    Every kept row sorts no higher in the first objective, so only the
-    other three are compared.  O(n * front size) comparisons.
+    distinct rows in lexicographic order, a topological order of dominance
+    (see :func:`_lexsorted`), :data:`_BLOCK_ROWS` at a time.  A block's row
+    is dropped when a row kept from an earlier block, or an earlier row of
+    its own block (the strictly lower triangle of the block's comparison
+    matrix), is no worse in objectives 1..3.  Checking only the kept rows of
+    earlier blocks suffices because dominance is transitive and the first
+    row of any dominance chain is kept.  A fixed number of NumPy calls per
+    block and O(n * (front size + block)) element comparisons.
     """
     keep = np.ones(len(points), dtype=bool)
     if len(points) == 0:
         return keep
-    order, s, starts = _lexsorted(points)
-    front = np.empty((3, len(order)))  # objectives 1..3 of the kept rows
-    size = 0
-    dominated = False
-    for index, row, start in zip(order.tolist(), s.tolist(), starts.tolist()):
-        if start:
-            _, x1, x2, x3 = row
-            dominated = bool(((front[0, :size] <= x1) & (front[1, :size] <= x2)
-                              & (front[2, :size] <= x3)).any())
-            if not dominated:
-                front[:, size] = (x1, x2, x3)
-                size += 1
-        keep[index] = not dominated
+    order, run, distinct = _lexsorted(points)
+    kept = np.empty(distinct.shape[1], dtype=bool)
+    front = distinct[:, :0]  # objectives 1..3 of the rows kept so far
+    for lo in range(0, distinct.shape[1], _BLOCK_ROWS):
+        block = distinct[:, lo:lo + _BLOCK_ROWS]
+        block_kept = ~(_no_worse(front, block).any(axis=1)
+                       | np.tril(_no_worse(block, block), -1).any(axis=1))
+        kept[lo:lo + _BLOCK_ROWS] = block_kept
+        front = np.concatenate((front, block[:, block_kept]), axis=1)
+    keep[order] = kept[run]
     return keep
 
 
@@ -301,29 +324,35 @@ def pareto_ranks(points: Sequence[MetricVector] | np.ndarray) -> np.ndarray:
     Front k holds the points that are non-dominated once fronts
     0..k-1 are removed, so a point's rank is one more than the highest
     rank among the points that dominate it, or 0 if none does.  One
-    forward pass over the lexicographic order (see :func:`_lexsorted`)
-    computes exactly that, as every dominator of a row comes before it
-    (a single non-dominated sort in the spirit of NSGA-II, Deb et al.
-    2002).  Each run of equal rows is compared once, against all rows
-    before it; those all differ from it and sort no higher in the first
-    objective, so "no worse in the other three" means "dominates".
-    Duplicates share a rank and NaN rows get rank 0.  O(n^2) comparisons
-    in O(n) extra memory.
+    forward pass over the distinct rows in lexicographic order (see
+    :func:`_lexsorted`) computes exactly that, as every dominator of a row
+    comes before it (a single non-dominated sort in the spirit of NSGA-II,
+    Deb et al. 2002).  The rows go :data:`_BLOCK_ROWS` at a time: one
+    broadcast compares a block with every earlier row, whose ranks are
+    final, and gives each row its base rank, one more than the highest
+    rank among those dominators.  Inside the block, with the strictly lower
+    triangle of its comparison matrix, ``rank = max(base, 1 + highest rank
+    of its in-block dominators)`` is relaxed until nothing changes, which
+    takes at most the block's longest dominance chain.  Duplicates share
+    a rank and NaN rows get rank 0.  O(n^2) element comparisons in
+    O(n * block) extra memory, with O(n / block) NumPy calls plus one per
+    relaxation step.
     """
     ranks = np.zeros(len(points), dtype=int)
     if len(points) == 0:
         return ranks
-    order, s, starts = _lexsorted(points)
-    c1, c2, c3 = (np.ascontiguousarray(s[:, k]) for k in (1, 2, 3))
-    sorted_ranks = np.zeros(len(order), dtype=int)
-    rank = 0
-    for pos, (row, start) in enumerate(zip(s.tolist(), starts.tolist())):
-        if start:
-            _, x1, x2, x3 = row
-            dominators = (c1[:pos] <= x1) & (c2[:pos] <= x2) & (c3[:pos] <= x3)
-            rank = int(sorted_ranks[:pos].max(initial=-1, where=dominators)) + 1
-        sorted_ranks[pos] = rank
-    ranks[order] = sorted_ranks
+    order, run, distinct = _lexsorted(points)
+    # int32 halves the (block, earlier rows) products of _next_rank.
+    run_ranks = np.empty(distinct.shape[1], dtype=np.int32)
+    for lo in range(0, distinct.shape[1], _BLOCK_ROWS):
+        block = distinct[:, lo:lo + _BLOCK_ROWS]
+        base = _next_rank(_no_worse(distinct[:, :lo], block), run_ranks[:lo])
+        inner = np.tril(_no_worse(block, block), -1)
+        rank = base
+        while not np.array_equal(relaxed := np.maximum(base, _next_rank(inner, rank)), rank):
+            rank = relaxed
+        run_ranks[lo:lo + _BLOCK_ROWS] = rank
+    ranks[order] = run_ranks[run]
     return ranks
 
 
@@ -693,6 +722,10 @@ def write_evaluations_csv(evaluations: Sequence[EvaluatedDesign] | Mapping[str, 
     and optionally the Pareto front rank and membership flag.  Returns
     the front ranks it wrote, or None without ``with_front_rank``.
 
+    Only the feasible rows are ranked, among themselves: an infeasible
+    row gets ``non_dominated`` 0, an empty ``front_rank`` cell and rank -1
+    in the returned array.
+
     ``evaluations`` may also be a results table read back from a file: a
     mapping from each :data:`RESULT_FIELDS` name to its column of values.
     """
@@ -705,9 +738,11 @@ def write_evaluations_csv(evaluations: Sequence[EvaluatedDesign] | Mapping[str, 
     if with_front_rank:
         # The four objectives lead METRIC_FIELDS, in MetricVector.objectives order.
         objectives = np.array([columns[name] for name in METRIC_FIELDS[:4]], dtype=float).T
-        ranks = pareto_ranks(objectives)
+        feasible = np.array(columns["feasible"], dtype=bool)
+        ranks = np.full(len(feasible), -1)
+        ranks[feasible] = pareto_ranks(objectives[feasible])
         header += ["non_dominated", "front_rank"]
-        cells += [csv_column((ranks == 0).tolist()), csv_column(ranks.tolist())]
+        cells += [csv_column((ranks == 0).tolist()), csv_column([None if r < 0 else r for r in ranks.tolist()])]
     write_table(path, header, cells)
     return ranks
 

@@ -141,24 +141,32 @@ def load_timeseries(path: str | Path, unit: Unit, expected_length: int | None = 
     Raises ``FileNotFoundError``, :class:`TimeSeriesParseError` (with the
     1-based offending line number), or :class:`LengthMismatchError`.
     NaN and negative values are rejected where the unit forbids them.
+
+    The lines stream through one ``map(float, …)`` over the non-blank
+    cells, so no list of lines is held; only a file with a bad cell is read
+    a second time, line by line, to name the first non-numeric or NaN one.
     """
     path = Path(path)
-    values: list[float] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            try:
-                value = float(text)
-            except ValueError:
-                raise TimeSeriesParseError(path, lineno, text) from None
-            if math.isnan(value):
-                raise TimeSeriesParseError(path, lineno, text)
-            values.append(value)
+        cells = (line.split("#", 1)[0] if "#" in line else line for line in fh)
+        try:
+            values = np.array(list(map(float, filter(None, map(str.strip, cells)))))
+        except ValueError:
+            values = None
+    if values is None or np.isnan(values).any():  # the scan raises on the first bad cell
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                text = raw.split("#", 1)[0].strip()
+                if text:
+                    try:
+                        value = float(text)
+                    except ValueError:
+                        raise TimeSeriesParseError(path, lineno, text) from None
+                    if math.isnan(value):
+                        raise TimeSeriesParseError(path, lineno, text)
     if expected_length is not None and len(values) != expected_length:
         raise LengthMismatchError(expected_length, len(values))
-    series = TimeSeries(np.array(values), unit)
+    series = TimeSeries(values, unit)
     problems = series.violations(name=str(path), expected_length=expected_length)
     if problems:
         raise ScenarioValidationError(problems)
@@ -328,12 +336,15 @@ def _field_violations(prefix: str, record) -> list[str]:
     """Violations of one section: each :func:`_num` field is checked for its
     type (a bool is not a number; an ``int`` field takes only integers), then
     finiteness, then its rules; a wrong type or a non-finite value is that
-    field's one message.  Series fields are checked as :class:`TimeSeries`."""
+    field's one message.  Series fields are checked as :class:`TimeSeries`,
+    ``str`` fields for their type."""
     problems: list[str] = []
     for f in fields(record):
         value, name = getattr(record, f.name), prefix + f.name
         if isinstance(value, TimeSeries):
             problems += value.violations(name=name)
+        elif f.type == "str" and not isinstance(value, str):
+            problems.append(f"{name}: must be a string, got {value!r}")
         elif "rules" in f.metadata:
             integer = f.type == "int"  # annotations are strings here
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -378,7 +389,7 @@ class WindTurbineSpec:
     replacement_usd_per_kw: float = _num(2300.0, _GE0)
     om_usd_per_kw_yr: float = _num(207.0, _GE0)
     lifetime_years: int = _num(20, _GE1)
-    cut_in_ms: float = _num(4.0)
+    cut_in_ms: float = _num(4.0, _GE0)
     cut_out_ms: float = _num(24.0)
     rated_ms: float = _num(12.0)
     hub_height_m: float = _num(15.0, _GT0)
@@ -656,7 +667,7 @@ def load_scenario(path: str | Path) -> Scenario:
             if f"{kind}_file" in tariff:
                 if (price := series(f"tariff.{kind}_file", tariff.pop(f"{kind}_file"), Unit.USD_PER_KWH)) is not None:
                     tariff[f"{kind}_usd_per_kwh"] = price
-    doc["name"] = str(doc.get("name", path.stem))
+    doc.setdefault("name", path.stem)
     scenario = _section(Scenario, doc, "", problems, **loaded)
     problems += scenario.violations()
     if problems:

@@ -4,10 +4,10 @@ These deliberately avoid the closed-form expressions in the package: the
 battery oracle integrates the raw two-tank dynamics with fine Euler
 steps, and the Pareto oracle is a literal O(n^2) double loop over the
 dominance definition.  The PV and wind references are the scalar
-one-hour forms of the resource laws.  The dispatch and CSV references
-are the plain per-hour and per-row loops, and the search references the
-loops that call their evaluator on every request, that the package's
-faster code must reproduce exactly.
+one-hour forms of the resource laws.  The dispatch, CSV, Pareto and
+series-file references are the plain per-hour, per-row and per-line
+loops, and the search references the loops that call their evaluator on
+every request, that the package's faster code must reproduce exactly.
 """
 
 from __future__ import annotations
@@ -36,12 +36,22 @@ from mgdesign.optimize import (
     EvaluatedDesign,
     PolicySearchResult,
     RefineResult,
+    _minimization_matrix,
     _softmax,
     default_weight_cycle,
-    pareto_mask,
-    pareto_ranks,
 )
-from mgdesign.scenario import Catalog, GridTariff, PVSpec, Scenario, TimeSeries, WindTurbineSpec
+from mgdesign.scenario import (
+    HOURS_PER_YEAR,
+    Catalog,
+    GridTariff,
+    LengthMismatchError,
+    PVSpec,
+    Scenario,
+    ScenarioValidationError,
+    TimeSeries,
+    TimeSeriesParseError,
+    WindTurbineSpec,
+)
 
 
 def integrate_tanks(q1, q2, power, k: float, c: float, dt: float, step: float = 1e-3):
@@ -119,6 +129,62 @@ def brute_force_pareto_ranks(points: list[MetricVector]) -> np.ndarray:
                 ranks[i] = front
         remaining = [i for i, keep in zip(remaining, mask) if not keep]
         front += 1
+    return ranks
+
+
+def _reference_lexsorted(points):
+    """The rows without NaN in lexicographic order of the minimization
+    matrix: ``(order, sorted_rows, starts)``, where ``starts[k]`` marks the
+    first row of each run of equal rows."""
+    m = _minimization_matrix(points)
+    rows = np.flatnonzero(~np.isnan(m).any(axis=1))
+    order = rows[np.lexsort(m[rows].T[::-1])]
+    s = m[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (s[1:] != s[:-1]).any(axis=1)
+    return order, s, starts
+
+
+def reference_pareto_mask(points) -> np.ndarray:
+    """Sort-based maxima filter, one distinct row per step: keep a row
+    unless a row already kept is no worse in objectives 1..3."""
+    keep = np.ones(len(points), dtype=bool)
+    if len(points) == 0:
+        return keep
+    order, s, starts = _reference_lexsorted(points)
+    front = np.empty((3, len(order)))
+    size = 0
+    dominated = False
+    for index, row, start in zip(order.tolist(), s.tolist(), starts.tolist()):
+        if start:
+            _, x1, x2, x3 = row
+            dominated = bool(((front[0, :size] <= x1) & (front[1, :size] <= x2)
+                              & (front[2, :size] <= x3)).any())
+            if not dominated:
+                front[:, size] = (x1, x2, x3)
+                size += 1
+        keep[index] = not dominated
+    return keep
+
+
+def reference_pareto_ranks(points) -> np.ndarray:
+    """One forward pass over the lexicographic order, one distinct row per
+    step: a row's rank is one more than the highest rank among the rows
+    before it that are no worse in objectives 1..3."""
+    ranks = np.zeros(len(points), dtype=int)
+    if len(points) == 0:
+        return ranks
+    order, s, starts = _reference_lexsorted(points)
+    c1, c2, c3 = (np.ascontiguousarray(s[:, k]) for k in (1, 2, 3))
+    sorted_ranks = np.zeros(len(order), dtype=int)
+    rank = 0
+    for pos, (row, start) in enumerate(zip(s.tolist(), starts.tolist())):
+        if start:
+            _, x1, x2, x3 = row
+            dominators = (c1[:pos] <= x1) & (c2[:pos] <= x2) & (c3[:pos] <= x3)
+            rank = int(sorted_ranks[:pos].max(initial=-1, where=dominators)) + 1
+        sorted_ranks[pos] = rank
+    ranks[order] = sorted_ranks
     return ranks
 
 
@@ -447,11 +513,14 @@ def reference_csv_cell(value) -> str:
 
 
 def reference_write_evaluations_csv(evaluations, path, with_front_rank: bool = False):
-    """Results CSV written row by row; ranks from the metric vectors."""
+    """Results CSV written row by row; ranks from the metric vectors of
+    the feasible rows, -1 for an infeasible row."""
     header = list(DESIGN_FIELDS) + list(METRIC_FIELDS) + ["feasible"]
     ranks = None
     if with_front_rank:
-        ranks = pareto_ranks([e.metrics for e in evaluations])
+        feasible = [i for i, e in enumerate(evaluations) if e.feasible]
+        ranks = np.full(len(evaluations), -1)
+        ranks[feasible] = reference_pareto_ranks([evaluations[i].metrics for i in feasible])
         header += ["non_dominated", "front_rank"]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
@@ -461,13 +530,13 @@ def reference_write_evaluations_csv(evaluations, path, with_front_rank: bool = F
             row.append(reference_csv_cell(ev.feasible))
             if ranks is not None:
                 row.append(reference_csv_cell(bool(ranks[i] == 0)))
-                row.append(reference_csv_cell(int(ranks[i])))
+                row.append(reference_csv_cell(int(ranks[i]) if ranks[i] >= 0 else None))
             fh.write(",".join(row) + "\n")
     return ranks
 
 
 def reference_write_pareto_csv(evaluations, path) -> list[EvaluatedDesign]:
-    front = [e for e, keep in zip(evaluations, pareto_mask([e.metrics for e in evaluations])) if keep]
+    front = [e for e, keep in zip(evaluations, reference_pareto_mask([e.metrics for e in evaluations])) if keep]
     reference_write_evaluations_csv(front, path, with_front_rank=True)
     return front
 
@@ -511,6 +580,31 @@ def reference_write_sweep_csv(curve, path) -> None:
         fh.write("multiplier,lcoe_usd_per_kwh\n")
         for multiplier, value in curve:
             fh.write(f"{multiplier!r},{value!r}\n")
+
+
+def reference_load_timeseries(path, unit, expected_length=HOURS_PER_YEAR) -> TimeSeries:
+    """Series file read one line at a time, each cell converted on its own."""
+    path = Path(path)
+    values: list[float] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            text = raw.split("#", 1)[0].strip()
+            if not text:
+                continue
+            try:
+                value = float(text)
+            except ValueError:
+                raise TimeSeriesParseError(path, lineno, text) from None
+            if math.isnan(value):
+                raise TimeSeriesParseError(path, lineno, text)
+            values.append(value)
+    if expected_length is not None and len(values) != expected_length:
+        raise LengthMismatchError(expected_length, len(values))
+    series = TimeSeries(np.array(values), unit)
+    problems = series.violations(name=str(path), expected_length=expected_length)
+    if problems:
+        raise ScenarioValidationError(problems)
+    return series
 
 
 def reference_write_timeseries(series: TimeSeries, path) -> None:
@@ -594,7 +688,7 @@ def reference_policy_gradient_search(space, config, seed, evaluate_fn) -> Policy
                 grad[actions[name]] += 1.0
                 theta[name] = theta[name] + config.learning_rate * advantage * grad
     final_probs = {name: _softmax(logits) for name, logits in theta.items()}
-    front_mask = pareto_mask([e.metrics for e in archive])
+    front_mask = reference_pareto_mask([e.metrics for e in archive])
     front = [e for e, keep in zip(archive, front_mask) if keep]
     return PolicySearchResult(archive=archive, front=front, probabilities=final_probs,
                               theta=theta, episodes_run=config.episodes)

@@ -66,6 +66,26 @@ class TestValidate:
         assert f"{path}:{line + 1}:" in err and f"at line {line})" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("line, replacement, message", [
+        ("name: coastal-community-synthetic", "name: [1]", "name: must be a string, got [1]"),
+        ("    cut_in_ms: 4.0", "    cut_in_ms: -1", "catalog.wind.cut_in_ms: must be >= 0, got -1"),
+    ], ids=["name", "cut_in_ms"])
+    def test_schema_field_exits_2(self, capsys, tmp_path, line, replacement, message):
+        path = _edited_scenario(tmp_path, line, replacement)
+        code, out, err = _run(capsys, "validate", "--scenario", str(path))
+        assert (code, out) == (2, "")
+        assert message in err
+
+    def test_bad_series_line_named(self, capsys, tmp_path):
+        shutil.copytree(bundled_data_path(), tmp_path / "data")
+        series = tmp_path / "data" / "load_kw.txt"
+        lines = series.read_text(encoding="utf-8").split("\n")
+        lines[99] = "x"
+        series.write_text("\n".join(lines), encoding="utf-8")
+        code, out, err = _run(capsys, "validate", "--scenario", str(tmp_path / "data" / "scenario.yaml"))
+        assert (code, out) == (2, "")
+        assert f"{series}:100: cannot parse 'x' as a number" in err
+
     def test_every_schema_problem_named(self, capsys, tmp_path):
         data = tmp_path / "data"
         shutil.copytree(bundled_data_path(), data)
@@ -349,6 +369,29 @@ class TestParetoCommand:
                 == (tmp_path / "oracle.csv").read_bytes())
         assert ranks.tolist() == fronts
         assert stdout.startswith(f"{len(fronts)} points, {fronts.count(0)} non-dominated\n")
+
+    def test_infeasible_rows_left_unranked(self, capsys, tmp_path):
+        out = tmp_path / "s"
+        assert _run(capsys, "search", "--space", "pv=0:150:75,conv=100", "--out", str(out))[0] == 0
+        with open(out / "results.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        feasible, pv = header.index("feasible"), header.index("pv_kw")
+        # pv=150 and pv=75 form the front; with both infeasible pv=0 is alone.
+        assert [row[pv] for row in rows] == ["150.0", "75.0", "0.0"]
+        for row in rows[:2]:
+            row[feasible] = "0"
+        with open(out / "edited.csv", "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header] + rows)
+        code, stdout, _ = _run(capsys, "pareto", "--results", str(out / "edited.csv"), "--out", str(out))
+        assert code == 0
+        assert stdout.startswith("3 points, 1 non-dominated\n")
+        with open(out / "pareto_plotdata.csv", newline="") as fh:
+            plot = list(csv.DictReader(fh))
+        assert [(r["feasible"], r["non_dominated"], r["front_rank"]) for r in plot] == [
+            ("0", "0", ""), ("0", "0", ""), ("1", "1", "0")]
+        evaluations = reference_read_results_csv(out / "edited.csv")
+        reference_write_evaluations_csv(evaluations, tmp_path / "oracle.csv", with_front_rank=True)
+        assert (out / "pareto_plotdata.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
     @pytest.mark.parametrize("space", ["pv=0:150:75,dg=0:60:60,conv=100", "pv=0:150:75,bess=0:200:200,conv=100"])
     def test_search_results_round_trip(self, capsys, tmp_path, space):

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mgdesign import dispatch
+from mgdesign import dispatch, optimize
 from mgdesign.dispatch import Design
 from mgdesign.metrics import MetricVector, evaluate
 from mgdesign.optimize import (
@@ -38,6 +38,8 @@ from .helpers import (
     brute_force_pareto_ranks,
     layered_archive,
     random_metric_vectors,
+    reference_pareto_mask,
+    reference_pareto_ranks,
     reference_policy_gradient_search,
     reference_refine,
     toy_two_action_eval,
@@ -181,6 +183,68 @@ class TestParetoEdgeValues:
         assert np.array_equal(pareto_mask(points), [False, True, False, True])
         assert np.array_equal(pareto_ranks(points), [2, 0, 1, 0])
         assert np.array_equal(pareto_mask([nan_row, worse]), [True, True])
+
+
+class TestBlockedPareto:
+    """The blocked passes of ``pareto_mask`` and ``pareto_ranks`` against the
+    one-row-per-step reference loops, at the module's block size and at
+    block sizes that put block boundaries inside runs of duplicates."""
+
+    VALUES = (math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, 2.0)
+
+    @staticmethod
+    def _assert_match(points):
+        assert np.array_equal(pareto_mask(points), reference_pareto_mask(points))
+        assert np.array_equal(pareto_ranks(points), reference_pareto_ranks(points))
+
+    def _edge_matrix(self, seed, n):
+        rng = np.random.default_rng(seed)
+        picks = rng.choice(len(self.VALUES), size=(n, 4), p=(0.04, 0.08, 0.08, 0.2, 0.2, 0.2, 0.2))
+        return np.array(self.VALUES)[picks]
+
+    def test_bench_sized_layered_archive(self):
+        points, expected = layered_archive(seed=1001, rows=2000, fronts=30)
+        ranks = pareto_ranks(points)
+        assert np.array_equal(ranks, expected)
+        assert np.array_equal(ranks, reference_pareto_ranks(points))
+        assert np.array_equal(pareto_mask(points), reference_pareto_mask(points))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_tied_sets_with_edge_values(self, seed):
+        n = int(np.random.default_rng(seed).integers(1, 400))
+        self._assert_match(self._edge_matrix(seed, n))
+        self._assert_match(random_metric_vectors(seed, n, distinct_levels=4))
+
+    B = optimize._BLOCK_ROWS
+
+    @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 3 * B + 5])
+    def test_sizes_around_the_block(self, n):
+        for seed in range(6):
+            self._assert_match(random_metric_vectors(seed, n, distinct_levels=3 if seed % 2 else None))
+            self._assert_match(self._edge_matrix(seed, n))
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_duplicate_runs_across_block_boundaries(self, monkeypatch, block):
+        monkeypatch.setattr(optimize, "_BLOCK_ROWS", block)
+        rng = np.random.default_rng(block)
+        for seed in range(6):
+            distinct = np.round(rng.uniform(0.0, 1.0, size=(int(rng.integers(5, 40)), 4)) * 4) / 4
+            # Runs of 1..5 equal rows, so runs start at every offset in a block.
+            rows = np.repeat(distinct, rng.integers(1, 6, len(distinct)), axis=0)
+            rows[rng.random(len(rows)) < 0.05, 1] = np.nan
+            self._assert_match(rows[rng.permutation(len(rows))])
+            self._assert_match(self._edge_matrix(seed, 3 * block + 5))
+        points, expected = layered_archive(seed=block, rows=300, fronts=10)
+        assert np.array_equal(pareto_ranks(points), expected)
+        self._assert_match(points)
+
+    def test_long_dominance_chain_inside_a_block(self):
+        # A total order: every row dominates the next, so each block's
+        # in-block relaxation runs the whole length of the block.
+        chain = np.column_stack([np.arange(200.0), -np.arange(200.0), -np.arange(200.0), np.arange(200.0)])
+        shuffled = chain[np.random.default_rng(0).permutation(200)]
+        self._assert_match(shuffled)
+        assert sorted(pareto_ranks(shuffled).tolist()) == list(range(200))
 
 
 class TestScalarize:

@@ -36,6 +36,7 @@ from mgdesign.scenario import (
 )
 
 from .conftest import A5
+from .helpers import reference_load_timeseries
 
 
 def _write_lines(path, values):
@@ -93,6 +94,81 @@ class TestLoadTimeseries:
         write_timeseries(original, path)
         back = load_timeseries(path, Unit.KW)
         assert np.array_equal(back.values, original.values)
+
+
+class TestLoadTimeseriesMatchesLineLoop:
+    """The whole-file loader gives the line-by-line loader's values bit for
+    bit, and its exceptions with the same messages."""
+
+    @staticmethod
+    def _outcome(loader, path, unit=Unit.KW, expected_length=HOURS_PER_YEAR):
+        try:
+            return loader(path, unit, expected_length).values
+        except (ValueError, OSError) as exc:
+            return type(exc), str(exc)
+
+    def _assert_same(self, path, **kwargs):
+        ours = self._outcome(load_timeseries, path, **kwargs)
+        oracle = self._outcome(reference_load_timeseries, path, **kwargs)
+        if isinstance(oracle, np.ndarray):
+            assert ours.tobytes() == oracle.tobytes()
+        else:
+            assert ours == oracle
+        return ours
+
+    @pytest.mark.parametrize("name, unit", [
+        ("load_kw.txt", Unit.KW), ("irradiance_kw_m2.txt", Unit.KW_PER_M2), ("wind_speed_ms.txt", Unit.M_PER_S),
+    ])
+    def test_bundled_files(self, name, unit):
+        values = self._assert_same(bundled_data_path() / name, unit=unit)
+        assert len(values) == HOURS_PER_YEAR
+
+    @pytest.mark.parametrize("cell", ["x", "1.0.0", "nan", "NaN", "1 2"])
+    def test_bad_cell_after_comments_and_blank_lines(self, tmp_path, cell):
+        path = tmp_path / "bad.txt"
+        lines = ["# unit: kW", "", "1.5  # first", "   ", "# note", "2.5"] + [cell] + ["3.0"] * 10
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(TimeSeriesParseError) as err:
+            load_timeseries(path, Unit.KW, expected_length=None)
+        assert err.value.line == 7
+        assert str(err.value) == f"{path}:7: cannot parse {cell!r} as a number"
+        self._assert_same(path, expected_length=None)
+
+    def test_first_bad_line_wins(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("1.0\nnan\n2.0\nx\n", encoding="utf-8")
+        with pytest.raises(TimeSeriesParseError) as err:
+            load_timeseries(path, Unit.KW, expected_length=None)
+        assert err.value.line == 2
+        path.write_text("1.0\nx\n2.0\nnan\n", encoding="utf-8")
+        with pytest.raises(TimeSeriesParseError) as err:
+            load_timeseries(path, Unit.KW, expected_length=None)
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("final_newline", [True, False])
+    def test_line_endings(self, tmp_path, newline, final_newline):
+        rng = np.random.default_rng(3)
+        lines = ["# unit: kW", ""] + [f"{v!r}  # hour" if i % 97 == 0 else repr(v)
+                                      for i, v in enumerate(rng.uniform(0.0, 300.0, HOURS_PER_YEAR).tolist())]
+        path = tmp_path / "series.txt"
+        path.write_bytes((newline.join(lines) + (newline if final_newline else "")).encode("utf-8"))
+        values = self._assert_same(path)
+        assert len(values) == HOURS_PER_YEAR
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(newline.join(lines[:50] + ["x"] + lines[51:]).encode("utf-8"))
+        with pytest.raises(TimeSeriesParseError) as err:
+            load_timeseries(bad, Unit.KW)
+        assert err.value.line == 51
+        self._assert_same(bad)
+
+    @pytest.mark.parametrize("text", ["", "\n\n# only a comment\n", "1.0\n-2.0\n", "1.0\ninf\n"],
+                             ids=["empty", "comments", "negative", "inf"])
+    def test_other_outcomes(self, tmp_path, text):
+        path = tmp_path / "series.txt"
+        path.write_text(text, encoding="utf-8")
+        self._assert_same(path)
+        self._assert_same(path, expected_length=None)
 
 
 class TestSynthesizeLoad:
@@ -423,6 +499,35 @@ class TestSchema:
             validate_scenario(broken)
         assert err.value.violations == ["catalog.wind.cut_in_ms: must be finite, got nan",
                                         "catalog.battery.soc_min: must be a number, got 'low'"]
+
+    @pytest.mark.parametrize("name", [[1], {"a": 1}, 7, None])
+    def test_name_must_be_a_string(self, tmp_path, name):
+        doc = _bundled_copy(tmp_path)
+        doc["name"] = name
+        with pytest.raises(ScenarioValidationError) as err:
+            _load(tmp_path, doc)
+        assert err.value.violations == [f"name: must be a string, got {name!r}"]
+
+    def test_name_defaults_to_the_file_stem(self, tmp_path):
+        doc = _bundled_copy(tmp_path)
+        doc.pop("name")
+        assert _load(tmp_path, doc).name == "scenario"
+
+    @pytest.mark.parametrize("value", [-1.0, -1e-9])
+    def test_negative_cut_in_speed_rejected(self, tmp_path, value):
+        # a negative cut-in makes the curve give power from the lowest speeds up
+        doc = _bundled_copy(tmp_path)
+        doc["catalog"]["wind"]["cut_in_ms"] = value
+        with pytest.raises(ScenarioValidationError) as err:
+            _load(tmp_path, doc)
+        assert err.value.violations == [f"catalog.wind.cut_in_ms: must be >= 0, got {value}"]
+
+    @pytest.mark.parametrize("name", ["rated_ms", "cut_out_ms"])
+    def test_negative_rated_and_cut_out_speeds_fail_the_order_check(self, bundled, name):
+        wind = replace(bundled.catalog.wind, **{name: -1.0})
+        with pytest.raises(ScenarioValidationError) as err:
+            validate_scenario(replace(bundled, catalog=replace(bundled.catalog, wind=wind)))
+        assert err.value.violations and all(v.startswith("catalog.wind:") for v in err.value.violations)
 
     def test_numpy_numbers_accepted(self, bundled):
         economics = replace(bundled.economics, project_years=np.int64(20), discount_rate=np.float64(0.05))
