@@ -6,7 +6,7 @@ with ``random.Random(seed)``) to one of ``"x"``, ``[1]``, ``true``, ``null``,
 the key, then runs ``mgdesign evaluate`` on A5 in this process.  Every run
 should end in exit 2 or in finite objectives; the script prints the count
 of each outcome and the mutations behind tracebacks, hangs (over 20 s) and
-exit-0 runs with a non-finite objective.
+exit-0 runs with a non-finite objective, and exits 1 if there was any.
 
     PYTHONPATH=src python scripts/mutation_probe.py [runs] [seed]
 """
@@ -33,6 +33,7 @@ from mgdesign.metrics import METRIC_FIELDS
 from mgdesign.scenario import bundled_data_path
 
 A5 = "pv=418,wt=123,dg=0,bess=704,conv=255"
+EXPECTED = ("exit 2", "exit 0, finite")
 RENAME = object()
 VALUES = ["x", [1], True, None, 2.5, -1, 0, {"a": 1}, math.nan, 1e308, 7, RENAME]
 
@@ -92,7 +93,7 @@ def run(runs: int, seed: int, workdir: Path) -> collections.Counter:
         finally:
             signal.alarm(0)
         outcomes[outcome] += 1
-        if outcome not in ("exit 2", "exit 0, finite"):
+        if outcome not in EXPECTED:
             print(f"{outcome}: {label}")
     return outcomes
 
@@ -104,3 +105,4 @@ if __name__ == "__main__":
         counts = run(runs, seed, Path(tmp))
     for outcome, count in sorted(counts.items()):
         print(f"{count:5d}  {outcome}")
+    sys.exit(1 if set(counts) - set(EXPECTED) else 0)

@@ -22,7 +22,10 @@ dispatch rules are implemented once, in three stages over the year:
    (:func:`_battery_hours`): discharge in deficit hours, PV DC-direct
    charge when nothing was discharged, PV-then-wind charge in surplus
    hours, and the kinetic-battery tank update with the closed forms of
-   ``components`` inlined.
+   ``components`` inlined.  The loop carries only the tanks: it records
+   the power delivered, the PV and wind charges and the tank sum, and a
+   few NumPy operations after it write the flows, the converter
+   throughput, the losses, the surpluses and the SOC back.
 3. NumPy arrays: grid import, diesel and fuel, unmet load, export and
    curtailment.
 
@@ -54,8 +57,6 @@ import numpy as np
 
 from .components import BatteryState, battery_state_from_spec, pv_series, wt_series
 from .scenario import Catalog, GridTariff, Scenario
-
-HOURS = 8760
 
 #: Rows converted to Python floats at a time by :func:`write_trace_csv`.
 _CSV_BLOCK_ROWS = 1024
@@ -351,28 +352,49 @@ def _battery_stage_hours(
     discharge = np.zeros(len(load))
     soc = np.zeros(len(load))
     if q_max > 0.0:
+        # The loop records the power delivered, the PV and wind charges and
+        # the tank sum; the flows follow from them here, with the per-hour
+        # rules' operations on the same operands.  An hour either discharges
+        # or charges, and adding the other direction's +0.0 leaves a value
+        # as it is: none of these arrays holds -0.0 where +0.0 is added.
+        room = np.subtract(conv_kw, conv_used)
+        delivered, wind_dc = discharge, np.zeros(len(load))
         q1, q2 = _battery_hours(
-            deficit, residual, pv_surplus, wt_surplus, conv_used, loss, charge, discharge, soc,
-            q1, q2, conv_kw, eta, q_max, k, c, sq_eta, floor_q1, floor_q2, q_max_eff)
+            deficit, residual, room, pv_surplus, wt_surplus, charge, delivered, wind_dc, soc,
+            q1, q2, eta, k, c, sq_eta, floor_q1, floor_q2, q_max_eff)
+        residual -= delivered
+        conv_used += delivered
+        conv_used += wind_dc
+        discharge = np.divide(delivered, eta, out=room)   # at the battery terminals
+        loss += np.subtract(discharge, delivered, out=delivered)
+        wind_ac = np.divide(wind_dc, eta, out=delivered)
+        wt_surplus -= wind_ac
+        loss += np.subtract(wind_ac, wind_dc, out=wind_ac)
+        pv_surplus -= charge
+        # Only where wind charged: the PV charge may be -0.0.
+        np.add(charge, wind_dc, out=charge, where=wind_dc > 0.0)
+        soc /= q_max
     return (deficit, residual, pv_surplus, wt_surplus, conv_used, loss), (charge, discharge, soc), q1, q2
 
 
 def _battery_hours(
-    deficit: np.ndarray, residual: np.ndarray, pv_surplus: np.ndarray, wt_surplus: np.ndarray,
-    conv_used: np.ndarray, loss: np.ndarray, charge: np.ndarray, discharge: np.ndarray,
-    soc: np.ndarray, q1: float, q2: float,
-    conv_kw: float, eta: float, q_max: float, k: float, c: float, sq_eta: float,
+    deficit: np.ndarray, residual: np.ndarray, room: np.ndarray, pv_surplus: np.ndarray,
+    wt_surplus: np.ndarray, charge: np.ndarray, delivered: np.ndarray, wind_dc: np.ndarray,
+    tanks: np.ndarray, q1: float, q2: float, eta: float, k: float, c: float, sq_eta: float,
     floor_q1: float, floor_q2: float, q_max_eff: float,
 ) -> tuple[float, float]:
     """Stage 2: charge and discharge the battery hour by hour and step its
     tanks; returns the final ``q1, q2``.
 
-    Deficit hours discharge first; when nothing was discharged, PV surplus
-    left by a saturated converter charges DC-direct.  Surplus hours charge
-    from PV DC-direct, then from wind through the converter room left.
-    Updates the stage arrays in place, through memoryviews that read and
-    write Python floats.  The kinetic-battery closed forms of
-    ``components`` are inlined at dt = 1 h with their per-call constants
+    Deficit hours discharge first, within the converter ``room`` left by
+    stage 1; when nothing was discharged, PV surplus left by a saturated
+    converter charges DC-direct.  Surplus hours charge from PV DC-direct,
+    then from wind through the converter room.  The loop carries only the
+    tanks: it reads the stage-1 arrays and writes, through memoryviews, the
+    power ``delivered`` to the AC bus, the PV ``charge``, the ``wind_dc``
+    charge and the tank sum (``tanks``); :func:`_battery_stage_hours` turns
+    them into the flows after the loop.  The kinetic-battery closed forms
+    of ``components`` are inlined at dt = 1 h with their per-call constants
     hoisted and every remaining expression in their operation order.
     """
     r = math.exp(-k)
@@ -381,10 +403,10 @@ def _battery_hours(
     denom = one_r + c * a
     one_c = 1.0 - c
     k_c_qmax = k * c * q_max_eff
-    res_v, ps_v, ws_v, cu_v, loss_v, chg_v, dis_v, soc_v = map(
-        memoryview, (residual, pv_surplus, wt_surplus, conv_used, loss, charge, discharge, soc))
+    chg_v, del_v, wind_v, tank_v = map(memoryview, (charge, delivered, wind_dc, tanks))
+    hours = zip(range(len(tanks)), *map(memoryview, (deficit, residual, room, pv_surplus, wt_surplus)))
 
-    for h, short, ps, ws in zip(range(len(soc)), deficit.tolist(), ps_v, ws_v):
+    for h, short, res, rm, ps, ws in hours:
         dis = 0.0
         chg = 0.0
         e1 = q1 - floor_q1
@@ -398,18 +420,13 @@ def _battery_hours(
             if internal < 0.0:
                 internal = 0.0
             deliverable = internal * sq_eta * eta
-            room = conv_kw - cu_v[h]
-            if deliverable > room:
-                deliverable = room
-            res = res_v[h]
+            if deliverable > rm:
+                deliverable = rm
             if deliverable > res:
                 deliverable = res
             if deliverable > 0.0:
                 dis = deliverable / eta
-                cu_v[h] += deliverable
-                loss_v[h] += dis - deliverable
-                res_v[h] = res - deliverable
-                dis_v[h] = dis
+                del_v[h] = deliverable
         # Charge when nothing was discharged.  A deficit hour has no wind
         # surplus (+0.0), so there only PV left by a saturated converter
         # charges.
@@ -419,28 +436,22 @@ def _battery_hours(
                 internal = 0.0
             bound = internal / sq_eta
             chg = ps if ps < bound else bound
-            ps_v[h] = ps - chg
-            cu = cu_v[h]
-            if ws > 0.0 and chg < bound and conv_kw > cu:
+            chg_v[h] = chg
+            if ws > 0.0 and chg < bound and rm > 0.0:
                 dc_possible = ws * eta
-                room = conv_kw - cu
-                if dc_possible > room:
-                    dc_possible = room
+                if dc_possible > rm:
+                    dc_possible = rm
                 if dc_possible > bound - chg:
                     dc_possible = bound - chg
                 if dc_possible > 0.0:
-                    ac_used = dc_possible / eta
-                    ws_v[h] = ws - ac_used
-                    cu_v[h] = cu + dc_possible
-                    loss_v[h] += ac_used - dc_possible
+                    wind_v[h] = dc_possible
                     chg += dc_possible
-            chg_v[h] = chg
 
         i = dis / sq_eta - chg * sq_eta
         q0 = q1 + q2
         q1, q2 = (q1 * r + ((q0 * k * c - i) * one_r - i * c * a) / k,
                   q2 * r + q0 * one_c * one_r - i * one_c * a / k)
-        soc_v[h] = (q1 + q2) / q_max
+        tank_v[h] = q1 + q2
     return q1, q2
 
 
@@ -573,7 +584,7 @@ def simulate_year(scenario: Scenario, design: Design, battery: BatteryStage | No
     else:
         _check(design)
         if battery.key != design.battery_key:
-                raise ValueError(f"battery stage of {battery.key} does not match the design's "
+            raise ValueError(f"battery stage of {battery.key} does not match the design's "
                              f"(pv_kw, wt_kw, bess_kwh, converter_kw) {design.battery_key}")
     grid_flows = _grid_stage_hours(*battery.grid_inputs,
                                    **_grid_params(design, scenario.tariff, scenario.catalog))

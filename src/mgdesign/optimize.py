@@ -379,9 +379,6 @@ class NormalizationBounds:
         return cls(npc=(lo[0], hi[0]), reliability=(lo[1], hi[1]),
                    efficiency=(lo[2], hi[2]), co2=(lo[3], hi[3]))
 
-    def as_rows(self) -> tuple[tuple[float, float], ...]:
-        return (self.npc, self.reliability, self.efficiency, self.co2)
-
 
 def _term(value: float, bounds: tuple[float, float], maximize: bool) -> float:
     """Normalized minimization term in [0, 1]; an all-equal metric across

@@ -28,7 +28,7 @@ from mgdesign.components import (
     pv_series,
     wt_series,
 )
-from mgdesign.dispatch import FLOW_FIELDS, Design, DispatchTrace
+from mgdesign.dispatch import FLOW_FIELDS, Design, DispatchTrace, _battery_stage_hours
 from mgdesign.metrics import COST_FIELDS, METRIC_FIELDS, MetricVector
 from mgdesign.optimize import (
     DEFAULT_STEPS,
@@ -487,6 +487,107 @@ def reference_dispatch_year(scenario: Scenario, design: Design):
             col.append(value)
         soc[h] = (q1 + q2) / q_max if q_max > 0.0 else 0.0
     return dict(zip(FLOW_FIELDS[2:], map(np.array, cols))), soc, q1, q2
+
+
+def reference_battery_hours(
+    deficit: np.ndarray, residual: np.ndarray, pv_surplus: np.ndarray, wt_surplus: np.ndarray,
+    conv_used: np.ndarray, loss: np.ndarray, charge: np.ndarray, discharge: np.ndarray,
+    soc: np.ndarray, q1: float, q2: float,
+    conv_kw: float, eta: float, q_max: float, k: float, c: float, sq_eta: float,
+    floor_q1: float, floor_q2: float, q_max_eff: float,
+) -> tuple[float, float]:
+    """Stage 2: charge and discharge the battery hour by hour and step its
+    tanks; returns the final ``q1, q2``.
+
+    Deficit hours discharge first; when nothing was discharged, PV surplus
+    left by a saturated converter charges DC-direct.  Surplus hours charge
+    from PV DC-direct, then from wind through the converter room left.
+    Updates the stage arrays in place, through memoryviews that read and
+    write Python floats.  The kinetic-battery closed forms of
+    ``components`` are inlined at dt = 1 h with their per-call constants
+    hoisted and every remaining expression in their operation order.
+    """
+    r = math.exp(-k)
+    one_r = 1.0 - r
+    a = k - 1.0 + r
+    denom = one_r + c * a
+    one_c = 1.0 - c
+    k_c_qmax = k * c * q_max_eff
+    res_v, ps_v, ws_v, cu_v, loss_v, chg_v, dis_v, soc_v = map(
+        memoryview, (residual, pv_surplus, wt_surplus, conv_used, loss, charge, discharge, soc))
+
+    for h, short, ps, ws in zip(range(len(soc)), deficit.tolist(), ps_v, ws_v):
+        dis = 0.0
+        chg = 0.0
+        e1 = q1 - floor_q1
+        if e1 < 0.0:
+            e1 = 0.0
+        e2 = q2 - floor_q2
+        if e2 < 0.0:
+            e2 = 0.0
+        if short:
+            internal = (k * e1 * r + (e1 + e2) * k * c * one_r) / denom
+            if internal < 0.0:
+                internal = 0.0
+            deliverable = internal * sq_eta * eta
+            room = conv_kw - cu_v[h]
+            if deliverable > room:
+                deliverable = room
+            res = res_v[h]
+            if deliverable > res:
+                deliverable = res
+            if deliverable > 0.0:
+                dis = deliverable / eta
+                cu_v[h] += deliverable
+                loss_v[h] += dis - deliverable
+                res_v[h] = res - deliverable
+                dis_v[h] = dis
+        # Charge when nothing was discharged.  A deficit hour has no wind
+        # surplus (+0.0), so there only PV left by a saturated converter
+        # charges.
+        if dis == 0.0 and (ps > 0.0 or ws > 0.0):
+            internal = (k_c_qmax - k * e1 * r - (e1 + e2) * k * c * one_r) / denom
+            if internal < 0.0:
+                internal = 0.0
+            bound = internal / sq_eta
+            chg = ps if ps < bound else bound
+            ps_v[h] = ps - chg
+            cu = cu_v[h]
+            if ws > 0.0 and chg < bound and conv_kw > cu:
+                dc_possible = ws * eta
+                room = conv_kw - cu
+                if dc_possible > room:
+                    dc_possible = room
+                if dc_possible > bound - chg:
+                    dc_possible = bound - chg
+                if dc_possible > 0.0:
+                    ac_used = dc_possible / eta
+                    ws_v[h] = ws - ac_used
+                    cu_v[h] = cu + dc_possible
+                    loss_v[h] += ac_used - dc_possible
+                    chg += dc_possible
+            chg_v[h] = chg
+
+        i = dis / sq_eta - chg * sq_eta
+        q0 = q1 + q2
+        q1, q2 = (q1 * r + ((q0 * k * c - i) * one_r - i * c * a) / k,
+                  q2 * r + q0 * one_c * one_r - i * one_c * a / k)
+        soc_v[h] = (q1 + q2) / q_max
+    return q1, q2
+
+
+def reference_battery_stage_hours(load, pv, wt, q1: float, q2: float, **params) -> tuple:
+    """:func:`mgdesign.dispatch._battery_stage_hours` with stage 2 run by
+    :func:`reference_battery_hours`, the battery loop that wrote every flow
+    back hour by hour; returns the same
+    ``(grid_inputs, (charge, discharge, soc), q1, q2)``."""
+    # Without a battery the kernel returns stage 1's arrays untouched.
+    grid_inputs, battery, _, _ = _battery_stage_hours(load, pv, wt, q1, q2, **{**params, "q_max": 0.0})
+    if params["q_max"] > 0.0:
+        q1, q2 = reference_battery_hours(*grid_inputs, *battery, q1, q2, *(
+            params[name] for name in ("conv_kw", "eta", "q_max", "k", "c", "sq_eta",
+                                      "floor_q1", "floor_q2", "q_max_eff")))
+    return grid_inputs, battery, q1, q2
 
 
 def reference_write_trace_csv(trace: DispatchTrace, path: str | Path) -> None:

@@ -1,12 +1,13 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mgdesign import dispatch
-from mgdesign.components import BatteryState, pv_series, wt_series
+from mgdesign.components import BatteryState, battery_state_from_spec, pv_series, wt_series
 from mgdesign.dispatch import (
     FLOW_FIELDS,
     Design,
@@ -23,6 +24,7 @@ from .conftest import random_design, random_scenario
 from .helpers import (
     hub_wind_speed,
     pv_output,
+    reference_battery_stage_hours,
     reference_dispatch_year,
     reference_step_hour,
     reference_write_trace_csv,
@@ -369,6 +371,94 @@ class TestBatteryStage:
             simulate_year(bundled, replace(a5, dg_kw=-1.0), stage)
         with pytest.raises(InvalidDesignError):
             battery_stage(bundled, replace(a5, bess_kwh=math.nan))
+
+
+class TestBatteryLoopWriteBacks:
+    """The battery loop records only what the tanks need, and the flows
+    are written back after it: every array of the stage and the final
+    tanks equal the loop that wrote each flow back hour by hour, down to
+    the sign of every zero."""
+
+    @staticmethod
+    def assert_same_stage(load, pv, wt, q1, q2, params):
+        actual = dispatch._battery_stage_hours(load, pv, wt, q1, q2, **params)
+        expected = reference_battery_stage_hours(load, pv, wt, q1, q2, **params)
+        names = ("deficit", "residual", "pv_surplus", "wt_surplus", "conv_used", "loss",
+                 "charge", "discharge", "soc")
+        for name, a, e in zip(names, actual[0] + actual[1], expected[0] + expected[1]):
+            assert np.array_equal(a, e) and np.array_equal(np.signbit(a), np.signbit(e)), \
+                (name, params)
+        assert actual[2:] == expected[2:]
+
+    def assert_same_year(self, scenario, design):
+        state = battery_state_from_spec(scenario.catalog.battery, design.bess_kwh)
+        self.assert_same_stage(
+            scenario.load.values, pv_series(scenario, design.pv_kw), wt_series(scenario, design.wt_kw),
+            state.q1_kwh, state.q2_kwh,
+            dispatch._battery_params(design.converter_kw, scenario.catalog, design.bess_kwh))
+
+    def test_bench_lattice_and_a5(self, bundled, a5):
+        designs = {d.battery_key: d for d in SearchSpace.from_string(BENCH_LATTICE).designs()}
+        assert len(designs) == 32
+        for design in [a5, *designs.values()]:
+            self.assert_same_year(bundled, design)
+
+    def test_random_catalogs(self):
+        for seed in range(20):
+            rng = np.random.default_rng(seed + 700)
+            scenario = random_scenario(seed + 40)
+            battery = replace(scenario.catalog.battery,
+                              rate_constant_per_hr=float(rng.uniform(0.25, 3.0)),
+                              capacity_ratio=float(rng.uniform(0.2, 0.8)),
+                              roundtrip_efficiency=float(rng.uniform(0.7, 0.98)),
+                              soc_min=float(rng.uniform(0.05, 0.3)), soc_max=float(rng.uniform(0.7, 0.95)))
+            converter = replace(scenario.catalog.converter, efficiency=float(rng.uniform(0.85, 0.99)))
+            scenario = replace(scenario, catalog=replace(scenario.catalog, battery=battery,
+                                                         converter=converter))
+            design = replace(random_design(seed + 30_000), bess_kwh=float(rng.uniform(50.0, 1200.0)))
+            self.assert_same_year(scenario, design)
+
+    def test_edge_catalogs(self, bundled, a5):
+        catalog = bundled.catalog
+        lossless = replace(catalog, converter=replace(catalog.converter, efficiency=1.0),
+                           battery=replace(catalog.battery, roundtrip_efficiency=1.0))
+        full_window = replace(catalog, battery=replace(catalog.battery, soc_min=0.0, soc_max=1.0))
+        # No converter: the battery takes only PV DC-direct and never discharges.
+        self.assert_same_year(bundled, replace(a5, converter_kw=0.0))
+        for edge in (lossless, full_window):
+            self.assert_same_year(replace(bundled, catalog=edge), a5)
+            self.assert_same_year(replace(bundled, catalog=edge), replace(a5, wt_kw=300.0, bess_kwh=200.0))
+
+    def test_pv_surplus_below_zero(self, bundled):
+        design = Design.from_string("pv=735.9375,bess=500,conv=422.96875")
+        stage_1, *_ = dispatch._battery_stage_hours(
+            bundled.load.values, pv_series(bundled, design.pv_kw), wt_series(bundled, 0.0), 0.0, 0.0,
+            **dispatch._battery_params(design.converter_kw, bundled.catalog, 0.0))
+        assert np.count_nonzero(stage_1[2] < 0.0) > 0   # PV through the converter left -1 ulp
+        self.assert_same_year(bundled, design)
+
+    def test_one_hour_arrays(self, bundled):
+        # The path step_hour takes; -0.0 PV with a wind surplus charges -0.0
+        # from PV, and wind through the converter, where there is room.
+        loads = (0.0, 1e-12, 2e-12, 20.0, 100.0)
+        pvs = (-0.0, 0.0, 31.0, 100.0 / 0.95, 400.0)
+        winds = (0.0, 20.0, 120.0)
+        for conv, bess, soc in itertools.product((0.0, 30.0, 95.0), (100.0, 400.0), (0.2, 0.5, 0.8)):
+            state = BatteryState.at_soc(bess, soc, capacity_ratio=0.5)
+            params = dispatch._battery_params(conv, bundled.catalog, bess)
+            for load, pv, wt in itertools.product(loads, pvs, winds):
+                self.assert_same_stage(np.array([load]), np.array([pv]), np.array([wt]),
+                                       state.q1_kwh, state.q2_kwh, params)
+
+    def test_stage_allocates_at_most_13_year_arrays(self, bundled, a5):
+        battery_stage(bundled, a5)
+        tracemalloc.start()
+        try:
+            battery_stage(bundled, a5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 13 * 8760 * 8
 
 
 class TestStepHour:
