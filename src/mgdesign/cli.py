@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import optimize, sensitivity
 from .dispatch import Design, InvalidDesignError, simulate_year, write_trace_csv
-from .metrics import METRIC_FIELDS, MetricVector, cost_record, evaluate, metric_record, npc
+from .metrics import METRIC_FIELDS, Evaluator, MetricVector, cost_record, evaluate, metric_record, npc
 from .optimize import EmptyInputError, EmptySearchSpaceError, PolicyConfig, SearchSpace, Weights
 from .scenario import ScenarioValidationError, bundled_data_path, bundled_scenario, load_scenario
 from .tables import csv_column, write_table
@@ -37,10 +37,10 @@ def _add_common(parser: argparse.ArgumentParser, design: bool = False, space: bo
                         help="scenario YAML (default: the bundled synthetic community)")
     parser.add_argument("--out", default=_env("OUT", "mgdesign_out"),
                         help="output directory (default: %(default)s)")
-    parser.add_argument("--seed", type=int, default=int(_env("SEED", "42")),
+    parser.add_argument("--seed", type=int, default=_env("SEED", "42"),
                         help="random seed for stochastic commands (default: %(default)s)")
-    parser.add_argument("--jobs", type=int, default=int(_env("JOBS", "1")),
-                        help="parallelism hint (default: %(default)s)")
+    parser.add_argument("--jobs", type=int, default=_env("JOBS", "1"),
+                        help="worker processes for search; other commands ignore it (default: %(default)s)")
     if design:
         parser.add_argument("--design", required=True,
                             help="capacities, e.g. pv=418,wt=123,dg=0,bess=704,conv=255[,grid=300]")
@@ -169,19 +169,6 @@ def cmd_search(args) -> int:
     return 0
 
 
-class _CountedCalls:
-    """A per-design callable that counts the calls reaching it, so a
-    command can report how many evaluations the search's memo let through."""
-
-    def __init__(self, fn) -> None:
-        self.fn = fn
-        self.calls = 0
-
-    def __call__(self, design: Design):
-        self.calls += 1
-        return self.fn(design)
-
-
 def _report_evaluations(requested: int, simulated: int) -> None:
     """Evaluation counts on stderr, so stdout and output files stay as they were."""
     print(f"evaluations: {requested} requested, {simulated} simulated, "
@@ -197,19 +184,13 @@ def cmd_refine(args) -> int:
     scenario = _load_scenario(args)
     start = Design.from_string(args.design)
     out = _outdir(args)
-    # ``refine`` runs the objective once per distinct design, so every
-    # design it scored, the winner included, is simulated exactly once.
-    evaluated: dict[Design, MetricVector] = {}
-
-    def objective(design: Design) -> float:
-        evaluated[design] = evaluate(design, scenario)
-        return evaluated[design].npc_usd
-
-    result = optimize.refine(start, objective, tolerance=args.tolerance, max_cycles=args.max_cycles)
-    metrics = evaluated[result.design]
+    evaluator = Evaluator(scenario)
+    result = optimize.refine(start, lambda design: evaluator(design).npc_usd,
+                             tolerance=args.tolerance, max_cycles=args.max_cycles)
+    metrics = evaluator(result.design)  # scored by the search, so not simulated again
     print(f"refined {_design_label(start)} -> {_design_label(result.design)} "
           f"in {result.cycles} cycles ({result.evaluations} evaluations)")
-    _report_evaluations(result.evaluations, len(evaluated))
+    _report_evaluations(result.evaluations, evaluator.simulated)
     _print_metrics(metrics)
     _write_metrics_csv(metrics, result.design, out / "refined.csv")
     print(f"wrote {out / 'refined.csv'}")
@@ -221,10 +202,10 @@ def cmd_rl_search(args) -> int:
     space = SearchSpace.from_string(args.space, grid_cap_kw=args.grid_cap)
     out = _outdir(args)
     config = PolicyConfig(episodes=args.episodes, learning_rate=args.learning_rate)
-    evaluate_fn = _CountedCalls(lambda d: evaluate(d, scenario))
+    evaluator = Evaluator(scenario)
     result = optimize.policy_gradient_search(scenario, space, config, seed=args.seed,
-                                             evaluate_fn=evaluate_fn)
-    _report_evaluations(result.episodes_run, evaluate_fn.calls)
+                                             evaluate_fn=evaluator)
+    _report_evaluations(result.episodes_run, evaluator.simulated)
     optimize.write_evaluations_csv(result.archive, out / "rl_archive.csv")
     optimize.write_evaluations_csv(result.front, out / "rl_pareto.csv", with_front_rank=True)
     print(f"{result.episodes_run} episodes, archive {len(result.archive)}, "

@@ -34,8 +34,8 @@ stages 1 and 2 read only the PV, wind, battery and converter sizes
 (:attr:`Design.battery_key`).  :func:`battery_stage` runs them and
 returns a read-only :class:`BatteryStage`; :func:`simulate_year` runs
 stage 3 on it.  Designs that differ only in diesel size or grid cap
-can therefore share one battery stage, as ``optimize.grid_search``
-does for each group of its lattice.  Stage 3 never writes to the stage.
+can therefore share one battery stage, as ``metrics.Evaluator`` does
+for consecutive designs with one key.  Stage 3 never writes to the stage.
 
 The kernel holds the only copies of two component laws: the diesel fuel
 law (``alpha * rating + beta * output`` L/hr while running, exactly zero
@@ -81,16 +81,6 @@ class Design:
     bess_kwh: float = 0.0
     converter_kw: float = 0.0
     grid_cap_kw: float | None = None
-
-    @property
-    def include_flags(self) -> dict[str, bool]:
-        return {
-            "pv": self.pv_kw > 0.0,
-            "wt": self.wt_kw > 0.0,
-            "dg": self.dg_kw > 0.0,
-            "bess": self.bess_kwh > 0.0,
-            "converter": self.converter_kw > 0.0,
-        }
 
     @property
     def battery_key(self) -> tuple[float, float, float, float]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dispatch import Design, DispatchTrace, simulate_year
+from .dispatch import BatteryStage, Design, DispatchTrace, battery_stage, simulate_year
 from .scenario import Scenario
 
 
@@ -53,11 +53,6 @@ class CostBreakdown:
     sellback_usd_per_yr: float
     replacement_usd_pw: float
     salvage_usd_pw: float
-
-    @property
-    def recurring_usd_per_yr(self) -> float:
-        return (self.om_usd_per_yr + self.fuel_usd_per_yr
-                + self.grid_energy_usd_per_yr - self.sellback_usd_per_yr)
 
 
 @dataclass(frozen=True)
@@ -288,3 +283,34 @@ def evaluate(design: Design, scenario: Scenario, trace: DispatchTrace | None = N
     if bad:
         raise NonFiniteMetricError(f"not finite for {design}: {', '.join(bad)}")
     return metrics
+
+
+class Evaluator:
+    """:func:`evaluate` on one scenario as a callable from a design to its
+    metrics, for the searches.
+
+    Each distinct design is simulated once; a repeat returns the stored
+    metrics, and no trace is kept.  The battery stage of the last design
+    simulated is kept and reused while the next designs share its
+    :attr:`~mgdesign.dispatch.Design.battery_key`, so designs fed in key
+    order run the battery loop once per key.  ``simulated`` counts the
+    designs simulated so far.
+    """
+
+    def __init__(self, scenario: Scenario) -> None:
+        self.scenario = scenario
+        self._memo: dict[Design, MetricVector] = {}
+        self._stage: BatteryStage | None = None
+
+    @property
+    def simulated(self) -> int:
+        return len(self._memo)
+
+    def __call__(self, design: Design) -> MetricVector:
+        if design not in self._memo:
+            if self._stage is None or self._stage.key != design.battery_key:
+                self._stage = None  # so only one stage is alive at a time
+                self._stage = battery_stage(self.scenario, design)
+            trace = simulate_year(self.scenario, design, self._stage)
+            self._memo[design] = evaluate(design, self.scenario, trace=trace)
+        return self._memo[design]

@@ -12,17 +12,13 @@ import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TypeVar
 
 import numpy as np
 
-from .dispatch import Design, battery_stage, simulate_year
-from .metrics import METRIC_FIELDS, MetricVector, capital_cost, evaluate, fixed_om_cost
+from .dispatch import Design
+from .metrics import METRIC_FIELDS, Evaluator, MetricVector, capital_cost, fixed_om_cost
 from .scenario import Scenario
 from .tables import csv_column, write_table
-
-
-_T = TypeVar("_T")
 
 
 class EmptySearchSpaceError(ValueError):
@@ -312,12 +308,6 @@ def pareto_mask(points: Sequence[MetricVector] | np.ndarray) -> np.ndarray:
     return keep
 
 
-def pareto_filter(points: Sequence[MetricVector]) -> list[MetricVector]:
-    """The maximal non-dominated subset, preserving input order."""
-    mask = pareto_mask(points)
-    return [p for p, keep in zip(points, mask) if keep]
-
-
 def pareto_ranks(points: Sequence[MetricVector] | np.ndarray) -> np.ndarray:
     """Non-dominated front index per point (0 = the Pareto front).
 
@@ -421,34 +411,22 @@ def select_best(evaluations: Sequence[EvaluatedDesign], weights: Weights) -> Eva
 # Grid search (lattice enumeration)
 # ----------------------------------------------------------------------
 
-def _evaluate_group(scenario: Scenario, group: Sequence[tuple[int, Design]]
-                    ) -> list[tuple[int, Design, MetricVector]]:
-    """``(index, design, metrics)`` for lattice designs that share one
-    :attr:`~mgdesign.dispatch.Design.battery_key`: the battery stage runs
-    once, then each design runs only stage 3."""
-    battery = battery_stage(scenario, group[0][1])
-    return [(index, design, evaluate(design, scenario, trace=simulate_year(scenario, design, battery)))
-            for index, design in group]
-
-
-#: The scenario of a ``grid_search`` worker process, sent once by the pool
-#: initializer instead of with every task.
-_worker_scenario: Scenario | None = None
+#: The evaluator of a ``grid_search`` worker process, built once by the
+#: pool initializer from the scenario it is sent.
+_worker_evaluator: Evaluator | None = None
 
 
 def _init_worker(scenario: Scenario) -> None:
-    global _worker_scenario
-    _worker_scenario = scenario
+    global _worker_evaluator
+    _worker_evaluator = Evaluator(scenario)
 
 
-def _evaluate_group_in_worker(group: Sequence[tuple[int, Design]]) -> list[tuple[int, Design, MetricVector]]:
-    return _evaluate_group(_worker_scenario, group)
+def _evaluate_in_worker(designs: Sequence[Design]) -> list[MetricVector]:
+    return list(map(_worker_evaluator, designs))
 
 
 def grid_search(scenario: Scenario, space: SearchSpace,
-                budget_usd: float | None = None,
-                evaluate_fn: Callable[[Design], MetricVector] | None = None,
-                jobs: int = 1) -> list[EvaluatedDesign]:
+                budget_usd: float | None = None, jobs: int = 1) -> list[EvaluatedDesign]:
     """Evaluate every lattice design, keep the feasible ones, sort by NPC.
 
     Feasibility screens capital plus one year of size-based O&M against
@@ -456,44 +434,43 @@ def grid_search(scenario: Scenario, space: SearchSpace,
     Result order is deterministic regardless of ``jobs``: NPC ascending,
     lattice order breaking ties.
 
-    The default evaluator groups the designs by
-    :attr:`~mgdesign.dispatch.Design.battery_key` and runs the battery
-    stage of the dispatch once per group; designs that differ only in
-    diesel size or grid cap run only the grid stage, with bit-identical
-    results.  One group's stage is alive at a time.  ``jobs > 1`` spreads
-    the groups across processes, each sent the scenario once; a custom
-    ``evaluate_fn`` runs sequentially, once per design in lattice order.
+    The designs are grouped by :attr:`~mgdesign.dispatch.Design.battery_key`
+    and fed to an :class:`~mgdesign.metrics.Evaluator` group by group, so
+    the battery stage of the dispatch runs once per group; designs that
+    differ only in diesel size or grid cap run only the grid stage, with
+    bit-identical results.  ``jobs > 1`` spreads the groups across
+    ``min(jobs, groups)`` processes, each with its own evaluator, built
+    once from the scenario; a single group runs in this process.
+    ``jobs < 1`` raises :class:`ValueError`.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if space.candidate_count() == 0:
         raise EmptySearchSpaceError("search space has no candidates")
 
-    candidates: list[tuple[int, Design]] = []
+    groups: dict[tuple, list[tuple[int, Design]]] = {}
     for index, design in enumerate(space.designs()):
         if budget_usd is not None:
             upfront = capital_cost(design, scenario) + fixed_om_cost(design, scenario)
             if upfront > budget_usd:
                 continue
-        candidates.append((index, design))
+        groups.setdefault(design.battery_key, []).append((index, design))
+    candidates = [row for group in groups.values() for row in group]
 
-    if evaluate_fn is not None:
-        evaluated = [(index, design, evaluate_fn(design)) for index, design in candidates]
+    workers = min(jobs, len(groups))
+    if workers <= 1:
+        metrics = list(map(Evaluator(scenario), (design for _, design in candidates)))
     else:
-        groups: dict[tuple, list[tuple[int, Design]]] = {}
-        for index, design in candidates:
-            groups.setdefault(design.battery_key, []).append((index, design))
-        if jobs <= 1:
-            per_group = [_evaluate_group(scenario, group) for group in groups.values()]
-        else:
-            from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import ProcessPoolExecutor
 
-            chunk = max(1, len(groups) // (4 * jobs))
-            with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
-                                     initargs=(scenario,)) as pool:
-                per_group = list(pool.map(_evaluate_group_in_worker, groups.values(), chunksize=chunk))
-        evaluated = [row for rows in per_group for row in rows]
+        chunk = max(1, len(groups) // (4 * workers))
+        tasks = ([design for _, design in group] for group in groups.values())
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                 initargs=(scenario,)) as pool:
+            metrics = [m for rows in pool.map(_evaluate_in_worker, tasks, chunksize=chunk) for m in rows]
 
-    results = [(metrics.npc_usd, index, EvaluatedDesign(design, metrics, True))
-               for index, design, metrics in evaluated]
+    results = [(m.npc_usd, index, EvaluatedDesign(design, m, True))
+               for (index, design), m in zip(candidates, metrics)]
     results.sort(key=lambda row: (row[0], row[1]))
     return [row[2] for row in results]
 
@@ -501,23 +478,6 @@ def grid_search(scenario: Scenario, space: SearchSpace,
 # ----------------------------------------------------------------------
 # Derivative-free refinement (cyclic coordinate search)
 # ----------------------------------------------------------------------
-
-def _memoized(fn: Callable[[Design], _T]) -> Callable[[Design], _T]:
-    """``fn`` run once per distinct design; a repeat returns the stored result.
-
-    ``Design`` is frozen and hashable, so it is the key.  One memo per
-    search call: it lives as long as the returned callable and holds only
-    the small immutable results (never a dispatch trace).
-    """
-    results: dict[Design, _T] = {}
-
-    def call(design: Design) -> _T:
-        if design not in results:
-            results[design] = fn(design)
-        return results[design]
-
-    return call
-
 
 @dataclass(frozen=True)
 class RefineResult:
@@ -545,11 +505,11 @@ def refine(start: Design, objective: Callable[[Design], float],
     every step is below ``tolerance`` or after ``max_cycles`` cycles.
     Capacities stay non-negative and inside ``space`` when given.
 
-    ``objective`` runs once per distinct design: a probe of a design
-    already scored reuses its score.  ``evaluations`` still counts every
-    requested probe, repeats included.
+    ``objective`` is called on every probe, and ``evaluations`` counts
+    them, repeats included.  An objective that reads an
+    :class:`~mgdesign.metrics.Evaluator` simulates each distinct design
+    once.
     """
-    objective = _memoized(objective)
     steps = dict(DEFAULT_STEPS if initial_steps is None else initial_steps)
     current = start if space is None else space.clip(start)
     best = objective(current)
@@ -628,11 +588,10 @@ def policy_gradient_search(scenario: Scenario | None, space: SearchSpace,
     front.  The returned front is exactly the Pareto filter of the
     archive.  Deterministic for a fixed seed.
 
-    ``evaluate_fn`` (by default :func:`~mgdesign.metrics.evaluate` on
-    ``scenario``) runs once per distinct design; an episode that samples
-    a design already seen reuses its metrics.  The archive still holds one
-    row per episode, and ``episodes_run`` counts every requested
-    evaluation.
+    ``evaluate_fn`` is called in every episode; the archive holds one row
+    per episode, and ``episodes_run`` counts them.  By default it is an
+    :class:`~mgdesign.metrics.Evaluator` on ``scenario``, which simulates
+    each distinct design once.
     """
     axes = space.axis_values()
     if any(len(v) == 0 for v in axes.values()):
@@ -640,8 +599,7 @@ def policy_gradient_search(scenario: Scenario | None, space: SearchSpace,
     if evaluate_fn is None:
         if scenario is None:
             raise ValueError("scenario is required when no evaluate_fn is given")
-        evaluate_fn = lambda design: evaluate(design, scenario)
-    evaluate_fn = _memoized(evaluate_fn)
+        evaluate_fn = Evaluator(scenario)
     cycle = list(config.weight_cycle) if config.weight_cycle else default_weight_cycle()
     grid_cap = space.effective_grid_cap()
 

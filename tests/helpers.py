@@ -29,7 +29,7 @@ from mgdesign.components import (
     wt_series,
 )
 from mgdesign.dispatch import FLOW_FIELDS, Design, DispatchTrace, _battery_stage_hours
-from mgdesign.metrics import COST_FIELDS, METRIC_FIELDS, MetricVector
+from mgdesign.metrics import COST_FIELDS, METRIC_FIELDS, MetricVector, capital_cost, evaluate, fixed_om_cost
 from mgdesign.optimize import (
     DEFAULT_STEPS,
     DESIGN_FIELDS,
@@ -718,6 +718,34 @@ def reference_write_timeseries(series: TimeSeries, path) -> None:
 # ----------------------------------------------------------------------
 # Reference searches: the evaluator runs on every request
 # ----------------------------------------------------------------------
+
+def spy_calls(monkeypatch, module, name: str) -> list[tuple]:
+    """Replace ``module.name`` with a pass-through that records the
+    positional arguments of every call; returns that list, in call order."""
+    calls = []
+    original = getattr(module, name)
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def reference_grid_search(scenario, space, budget_usd=None) -> list[EvaluatedDesign]:
+    """Lattice enumeration calling ``evaluate`` on every design, with the
+    same budget screen and ``(npc, lattice index)`` order as ``grid_search``."""
+    rows = []
+    for index, design in enumerate(space.designs()):
+        upfront = capital_cost(design, scenario) + fixed_om_cost(design, scenario)
+        if budget_usd is not None and upfront > budget_usd:
+            continue
+        metrics = evaluate(design, scenario)
+        rows.append((metrics.npc_usd, index, EvaluatedDesign(design, metrics, True)))
+    rows.sort(key=lambda row: (row[0], row[1]))
+    return [row[2] for row in rows]
+
 
 def reference_refine(start, objective, space=None, initial_steps=None, shrink=0.5,
                      tolerance=1.0, max_cycles=200) -> RefineResult:

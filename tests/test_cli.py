@@ -225,6 +225,14 @@ class TestSearch:
         assert code != 0
         assert "error" in err
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2(self, capsys, tmp_path, jobs):
+        code, stdout, err = _run(capsys, "search", "--space", self.SPACE, "--jobs", jobs,
+                                 "--out", str(tmp_path))
+        assert code == 2
+        assert stdout == ""
+        assert err == f"error: jobs must be >= 1, got {jobs}\n"
+
     def test_budget_excluding_everything_errors(self, capsys, tmp_path):
         code, _, err = _run(capsys, "search", "--space", "pv=100:200:100",
                             "--budget", "1", "--out", str(tmp_path))
@@ -287,9 +295,9 @@ class TestPipelines:
         calls = []
         original = metrics.simulate_year
 
-        def counting(scenario, design):
+        def counting(scenario, design, *stage):
             calls.append(design)
-            return original(scenario, design)
+            return original(scenario, design, *stage)
 
         monkeypatch.setattr(metrics, "simulate_year", counting)
         monkeypatch.setattr(cli, "simulate_year", counting)
@@ -344,6 +352,22 @@ class TestPipelines:
         code, _, _ = _run(capsys, "evaluate", "--design", "pv=10,conv=10")
         assert code == 0
         assert (target / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("variable, flag", [("SEED", "--seed"), ("JOBS", "--jobs")])
+    def test_bad_integer_env_exits_2_naming_flag(self, capsys, monkeypatch, variable, flag):
+        monkeypatch.setenv(f"MGDESIGN_{variable}", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["validate"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: invalid int value: 'abc'" in err
+        assert "Traceback" not in err
+
+    def test_integer_env_sets_default(self, monkeypatch):
+        monkeypatch.setenv("MGDESIGN_SEED", "7")
+        monkeypatch.setenv("MGDESIGN_JOBS", "2")
+        args = cli.build_parser().parse_args(["validate"])
+        assert (args.seed, args.jobs) == (7, 2)
 
 
 def _bench_inputs():

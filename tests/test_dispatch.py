@@ -60,10 +60,6 @@ class TestDesign:
         with pytest.raises(InvalidDesignError):
             Design.from_string("solar=10")
 
-    def test_include_flags_follow_capacities(self):
-        d = Design(pv_kw=10.0, bess_kwh=0.0)
-        assert d.include_flags["pv"] and not d.include_flags["bess"]
-
     def test_negative_capacity_rejected(self):
         with pytest.raises(InvalidDesignError):
             simulate_year(random_scenario(0), Design(pv_kw=-1.0))

@@ -5,8 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mgdesign import dispatch, metrics
 from mgdesign.dispatch import Design, simulate_year
 from mgdesign.metrics import (
+    Evaluator,
     NonFiniteMetricError,
     ZeroEnergyServedError,
     ZeroInputError,
@@ -31,6 +33,7 @@ from mgdesign.scenario import (
 )
 
 from .conftest import random_design, random_scenario
+from .helpers import spy_calls
 
 
 def _flat_scenario(load_kw=100.0, irr=0.0, wind=0.0, **kwargs):
@@ -80,7 +83,9 @@ class TestNPC:
         total, costs = npc(trace, a5, scenario)
         # independent plain-sum accumulator
         years = scenario.economics.project_years
-        plain = costs.capital_usd + years * costs.recurring_usd_per_yr
+        recurring = (costs.om_usd_per_yr + costs.fuel_usd_per_yr
+                     + costs.grid_energy_usd_per_yr - costs.sellback_usd_per_yr)
+        plain = costs.capital_usd + years * recurring
         cat = scenario.catalog
         plain += 2 * a5.bess_kwh * cat.battery.replacement_usd_per_kwh       # years 10, 20
         plain += a5.converter_kw * cat.converter.replacement_usd_per_kw      # year 15
@@ -276,6 +281,31 @@ class TestEvaluate:
             assert math.isfinite(m.npc_usd)
             assert 0.0 <= m.reliability <= 1.0
             assert m.efficiency_pct <= 100.0
+
+
+class TestEvaluator:
+    def test_repeat_returns_stored_metrics_and_simulates_nothing(self, bundled, a5, monkeypatch):
+        sims = spy_calls(monkeypatch, metrics, "simulate_year")
+        evaluator = Evaluator(bundled)
+        first = evaluator(a5)
+        assert len(sims) == 1 and evaluator.simulated == 1
+        assert evaluator(a5) is first
+        assert len(sims) == 1 and evaluator.simulated == 1
+
+    def test_designs_sharing_battery_key_run_one_battery_loop(self, bundled, a5, monkeypatch):
+        loops = spy_calls(monkeypatch, dispatch, "_battery_hours")
+        designs = [a5, replace(a5, dg_kw=60.0), replace(a5, grid_cap_kw=300.0),
+                   replace(a5, dg_kw=30.0, grid_cap_kw=100.0)]
+        evaluator = Evaluator(bundled)
+        results = [evaluator(design) for design in designs]
+        assert len(loops) == 1
+        assert evaluator.simulated == len(designs)
+        # A different key replaces the kept stage; coming back runs the loop again.
+        evaluator(replace(a5, bess_kwh=500.0))
+        evaluator(replace(a5, dg_kw=90.0))
+        assert len(loops) == 3
+        monkeypatch.undo()
+        assert results == [evaluate(design, bundled) for design in designs]
 
 
 class TestRecords:

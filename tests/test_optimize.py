@@ -5,9 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mgdesign import dispatch, optimize
+from mgdesign import dispatch, metrics, optimize
 from mgdesign.dispatch import Design
-from mgdesign.metrics import MetricVector, evaluate
+from mgdesign.metrics import Evaluator, MetricVector, evaluate
 from mgdesign.optimize import (
     DegenerateBoundsError,
     EmptyInputError,
@@ -20,7 +20,6 @@ from mgdesign.optimize import (
     Weights,
     default_weight_cycle,
     grid_search,
-    pareto_filter,
     pareto_mask,
     pareto_ranks,
     policy_gradient_search,
@@ -38,10 +37,12 @@ from .helpers import (
     brute_force_pareto_ranks,
     layered_archive,
     random_metric_vectors,
+    reference_grid_search,
     reference_pareto_mask,
     reference_pareto_ranks,
     reference_policy_gradient_search,
     reference_refine,
+    spy_calls,
     toy_two_action_eval,
     toy_two_action_space,
 )
@@ -85,19 +86,18 @@ class TestSearchSpaceParsing:
 
 class TestParetoFilter:
     def test_single_point(self):
-        points = [_metric()]
-        assert pareto_filter(points) == points
+        assert pareto_mask([_metric()]).tolist() == [True]
 
     def test_strict_dominance(self):
         a = _metric(npc=1.0, rel=1.0, eff=90.0, co2=0.0)
         b = _metric(npc=2.0, rel=0.9, eff=80.0, co2=10.0)
-        assert pareto_filter([a, b]) == [a]
-        assert pareto_filter([b, a]) == [a]
+        assert pareto_mask([a, b]).tolist() == [True, False]
+        assert pareto_mask([b, a]).tolist() == [False, True]
 
     def test_duplicates_all_kept(self):
         a = _metric(npc=1.0)
         b = _metric(npc=1.0)
-        assert pareto_filter([a, b]) == [a, b]
+        assert pareto_mask([a, b]).tolist() == [True, True]
 
     def test_matches_brute_force_on_random_sets(self):
         for seed in range(12):
@@ -451,16 +451,12 @@ class TestMemoizedEvaluations:
 
         return metrics
 
-    def test_rl_evaluates_each_distinct_design_once(self, bundled):
-        calls = Counter()
-
-        def counting(design):
-            calls[design] += 1
-            return evaluate(design, bundled)
-
+    def test_rl_evaluates_each_distinct_design_once(self, bundled, monkeypatch):
+        sims = spy_calls(monkeypatch, metrics, "simulate_year")
         space = SearchSpace.from_string(self.RL_SPACE)
         result = policy_gradient_search(bundled, space, PolicyConfig(episodes=100), seed=42,
-                                        evaluate_fn=counting)
+                                        evaluate_fn=Evaluator(bundled))
+        calls = Counter(args[1] for args in sims)
         assert len(result.archive) == result.episodes_run == 100
         assert set(calls) == {e.design for e in result.archive}
         assert set(calls.values()) == {1}
@@ -479,16 +475,26 @@ class TestMemoizedEvaluations:
             assert np.array_equal(result.theta[name], expected.theta[name])
             assert np.array_equal(result.probabilities[name], expected.probabilities[name])
 
-    def test_refine_scores_each_distinct_candidate_once(self, bundled_metrics):
-        calls = Counter()
-
-        def counting(design):
-            calls[design] += 1
-            return bundled_metrics(design).npc_usd
-
-        result = refine(Design.from_string(self.STARTS[0]), counting)
+    def test_refine_scores_each_distinct_candidate_once(self, bundled, monkeypatch):
+        sims = spy_calls(monkeypatch, metrics, "simulate_year")
+        evaluator = Evaluator(bundled)
+        result = refine(Design.from_string(self.STARTS[0]), lambda design: evaluator(design).npc_usd)
+        calls = Counter(args[1] for args in sims)
         assert set(calls.values()) == {1}
         assert len(calls) < result.evaluations
+
+    # The second start has one pair of consecutive simulations that share a stage.
+    @pytest.mark.parametrize("start", ["pv=300,bess=50,conv=255", "pv=325,wt=5,bess=100,conv=255"])
+    def test_refine_runs_battery_loop_once_per_key_change(self, bundled, monkeypatch, start):
+        loops = spy_calls(monkeypatch, dispatch, "_battery_hours")
+        sims = spy_calls(monkeypatch, metrics, "simulate_year")
+        evaluator = Evaluator(bundled)
+        refine(Design.from_string(start), lambda design: evaluator(design).npc_usd)
+        order = [args[1] for args in sims]
+        with_battery = sum(d.bess_kwh > 0.0 for d in order)
+        shared = sum(a.bess_kwh > 0.0 and a.battery_key == b.battery_key for a, b in zip(order, order[1:]))
+        assert with_battery > 0
+        assert len(loops) == with_battery - shared
 
     @pytest.mark.parametrize("start", STARTS)
     def test_refine_matches_reference_loop(self, bundled_metrics, start):
@@ -517,7 +523,57 @@ class TestResultFiles:
             write_pareto_csv([], tmp_path / "x.csv")
 
 
+class _InlineExecutor:
+    """Stands in for ``ProcessPoolExecutor``: records ``max_workers`` and
+    runs the initializer and every task in this process, so no worker
+    process is started."""
+
+    created: list[int] = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.created.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
 class TestGridSearchParallel:
+    @pytest.fixture
+    def executors(self, monkeypatch) -> list[int]:
+        """The ``max_workers`` of every pool ``grid_search`` creates."""
+        import concurrent.futures
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlineExecutor)
+        monkeypatch.setattr(optimize, "_worker_evaluator", None)
+        monkeypatch.setattr(_InlineExecutor, "created", [])
+        return _InlineExecutor.created
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_raise(self, executors, jobs):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            grid_search(random_scenario(9), SearchSpace.from_string("pv=0:200:100,conv=100"), jobs=jobs)
+        assert executors == []
+
+    @pytest.mark.parametrize("jobs, workers", [(2, [2]), (3, [3]), (64, [3]), (10**6, [3])])
+    def test_workers_capped_at_group_count(self, executors, jobs, workers):
+        scenario = random_scenario(9)
+        space = SearchSpace.from_string("pv=0:200:100,dg=0:60:60,bess=100,conv=100")  # 3 groups
+        assert grid_search(scenario, space, jobs=jobs) == grid_search(scenario, space)
+        assert executors == workers
+
+    def test_one_group_runs_in_process(self, executors):
+        scenario = random_scenario(9)
+        space = SearchSpace.from_string("pv=100,dg=0:120:60,bess=100,conv=100")
+        assert len(grid_search(scenario, space, jobs=4)) == 3
+        assert executors == []
+
     def test_jobs_match_sequential(self):
         scenario = random_scenario(9)
         space = SearchSpace.from_string("pv=0:200:100,bess=0:200:200,conv=100")
@@ -534,9 +590,7 @@ class TestGroupedGridSearch:
 
     DG_SPACE = "pv=0:200:100,wt=0:150:150,dg=0:120:60,bess=0:400:200,conv=150"
 
-    @staticmethod
-    def oracle(scenario, space, **kwargs):
-        return grid_search(scenario, space, evaluate_fn=lambda d: evaluate(d, scenario), **kwargs)
+    oracle = staticmethod(reference_grid_search)
 
     def test_bench_lattice_matches_per_design_oracle(self, bundled):
         space = SearchSpace.from_string(BENCH_LATTICE)
