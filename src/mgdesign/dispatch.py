@@ -21,11 +21,11 @@ dispatch rules are implemented once, in three stages over the year:
 2. A Python loop over the hours, run only for a design with a battery
    (:func:`_battery_hours`): discharge in deficit hours, PV DC-direct
    charge when nothing was discharged, PV-then-wind charge in surplus
-   hours, and the kinetic-battery tank update with the closed forms of
-   ``components`` inlined.  The loop carries only the tanks: it records
-   the power delivered, the PV and wind charges and the tank sum, and a
-   few NumPy operations after it write the flows, the converter
-   throughput, the losses, the surpluses and the SOC back.
+   hours, and the tank update of the two-tank kinetic battery.  The loop
+   carries only the tanks: it records the power delivered, the PV and
+   wind charges and the tank sum, and a few NumPy operations after it
+   write the flows, the converter throughput, the losses, the surpluses
+   and the SOC back.
 3. NumPy arrays: grid import, diesel and fuel, unmet load, export and
    curtailment.
 
@@ -37,14 +37,17 @@ stage 3 on it.  Designs that differ only in diesel size or grid cap
 can therefore share one battery stage, as ``metrics.Evaluator`` does
 for consecutive designs with one key.  Stage 3 never writes to the stage.
 
-The kernel holds the only copies of two component laws: the diesel fuel
-law (``alpha * rating + beta * output`` L/hr while running, exactly zero
-when off) and the converter loss (``delivered * (1/efficiency - 1)`` per
-crossing).  The available PV and wind production comes from the resource
-series of ``components``.  :func:`simulate_year` runs the stages over the
-year and :func:`step_hour` over one-hour arrays.  The tests hold them
+The kernel holds the only copies of three component laws: the kinetic
+battery (Manwell & McGowan, Solar Energy 1993: an available and a bound
+tank exchanging charge at a fixed rate, used within [``soc_min``,
+``soc_max``] of nominal capacity; :func:`_battery_hours`), the diesel
+fuel law (``alpha * rating + beta * output`` L/hr while running, exactly
+zero when off) and the converter loss (``delivered * (1/efficiency - 1)``
+per crossing).  The available PV and wind production comes from the
+resource series of ``components``.  The tests hold :func:`simulate_year`
 bit-exact, signs of zeros included, against a plain per-hour reference
-loop (``tests/helpers.py``).
+loop, and the battery's closed forms against an integration of the tank
+dynamics (``tests/helpers.py``).
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .components import BatteryState, battery_state_from_spec, pv_series, wt_series
+from .components import pv_series, wt_series
 from .scenario import Catalog, GridTariff, Scenario
 
 #: Rows converted to Python floats at a time by :func:`write_trace_csv`.
@@ -136,8 +139,7 @@ class Design:
         return design
 
 
-#: Column order of one hour of power flows, shared by PowerFlow, the trace
-#: arrays, and the CSV export.
+#: Column order of the flow arrays of a trace and of its CSV export.
 FLOW_FIELDS = (
     "pv_kw", "wt_kw", "dg_kw", "batt_charge_kw", "batt_discharge_kw",
     "grid_import_kw", "grid_export_kw", "unmet_kw", "curtailed_kw",
@@ -146,27 +148,17 @@ FLOW_FIELDS = (
 
 
 @dataclass(frozen=True)
-class PowerFlow:
-    """Power flows for a single hour, all non-negative kW (fuel in L/hr).
+class BatteryState:
+    """Two-tank charge state: ``q1_kwh`` is the immediately available
+    charge and ``q2_kwh`` the chemically bound charge, both absolute (tank
+    totals include the energy parked below ``soc_min``)."""
 
-    ``pv_kw`` and ``wt_kw`` are the available productions at their bus
-    (PV on DC, wind on AC), before any curtailment; ``curtailed_kw`` is
-    the unused remainder measured at the source bus.  Charge and
-    discharge are measured at the battery terminals and are never both
-    positive.
-    """
+    q1_kwh: float
+    q2_kwh: float
 
-    pv_kw: float
-    wt_kw: float
-    dg_kw: float
-    batt_charge_kw: float
-    batt_discharge_kw: float
-    grid_import_kw: float
-    grid_export_kw: float
-    unmet_kw: float
-    curtailed_kw: float
-    fuel_l_per_hr: float
-    conversion_loss_kw: float
+    @property
+    def stored_kwh(self) -> float:
+        return self.q1_kwh + self.q2_kwh
 
 
 @dataclass
@@ -383,9 +375,12 @@ def _battery_hours(
     tanks: it reads the stage-1 arrays and writes, through memoryviews, the
     power ``delivered`` to the AC bus, the PV ``charge``, the ``wind_dc``
     charge and the tank sum (``tanks``); :func:`_battery_stage_hours` turns
-    them into the flows after the loop.  The kinetic-battery closed forms
-    of ``components`` are inlined at dt = 1 h with their per-call constants
-    hoisted and every remaining expression in their operation order.
+    them into the flows after the loop.  The tanks follow the kinetic
+    battery model at dt = 1 h: the discharge and charge bounds that keep
+    the available tank within the usable window, and the exact tank update,
+    in closed form with their constants hoisted out of the loop.  Each
+    direction carries ``sq_eta`` of the roundtrip efficiency, and the
+    update takes exactly the internal power ``i`` from ``q1 + q2``.
     """
     r = math.exp(-k)
     one_r = 1.0 - r
@@ -548,7 +543,9 @@ def battery_stage(scenario: Scenario, design: Design) -> BatteryStage:
     """
     _check(design)
     spec = scenario.catalog.battery
-    initial = battery_state_from_spec(spec, design.bess_kwh)
+    # A full window, the tanks in their equilibrium split.
+    stored = design.bess_kwh * spec.soc_max
+    initial = BatteryState(spec.capacity_ratio * stored, (1.0 - spec.capacity_ratio) * stored)
     pv_avail = pv_series(scenario, design.pv_kw)
     wt_avail = wt_series(scenario, design.wt_kw)
     grid_inputs, battery, q1, q2 = _battery_stage_hours(
@@ -556,10 +553,8 @@ def battery_stage(scenario: Scenario, design: Design) -> BatteryStage:
         **_battery_params(design.converter_kw, scenario.catalog, design.bess_kwh))
     for array in (pv_avail, wt_avail, *battery, *grid_inputs):
         array.flags.writeable = False
-    final = BatteryState(q1_kwh=q1, q2_kwh=q2, q_max_kwh=design.bess_kwh,
-                         soc_min=spec.soc_min, soc_max=spec.soc_max)
     return BatteryStage(design.battery_key, pv_avail, wt_avail, *battery, grid_inputs,
-                        initial.stored_kwh, final)
+                        initial.stored_kwh, BatteryState(q1, q2))
 
 
 def simulate_year(scenario: Scenario, design: Design, battery: BatteryStage | None = None) -> DispatchTrace:
@@ -592,26 +587,9 @@ def simulate_year(scenario: Scenario, design: Design, battery: BatteryStage | No
     )
 
 
-def step_hour(state: BatteryState, load_kw: float, pv_kw: float, wt_kw: float,
-              design: Design, tariff: GridTariff, specs: Catalog) -> tuple[BatteryState, PowerFlow]:
-    """Dispatch a single hour.
-
-    Runs the stages of :func:`simulate_year` on one-hour arrays, so
-    threading ``step_hour`` through a year reproduces its trace bit for bit.
-    """
-    grid_inputs, (charge, discharge, _), q1, q2 = _battery_stage_hours(
-        np.array([load_kw]), np.array([pv_kw]), np.array([wt_kw]), state.q1_kwh, state.q2_kwh,
-        **_battery_params(design.converter_kw, specs, state.q_max_kwh))
-    flows = _grid_stage_hours(*grid_inputs, **_grid_params(design, tariff, specs))
-    flows.update(batt_charge_kw=charge, batt_discharge_kw=discharge)
-    new_state = BatteryState(q1_kwh=q1, q2_kwh=q2, q_max_kwh=state.q_max_kwh,
-                             soc_min=state.soc_min, soc_max=state.soc_max)
-    return new_state, PowerFlow(pv_kw, wt_kw, **{name: float(flows[name][0]) for name in FLOW_FIELDS[2:]})
-
-
 def write_trace_csv(trace: DispatchTrace, path: str | Path) -> None:
-    """Write the hourly trace: the PowerFlow columns plus ``soc``, one
-    row per hour in hour order."""
+    """Write the hourly trace: the :data:`FLOW_FIELDS` columns plus
+    ``soc``, one row per hour in hour order."""
     arrays = [getattr(trace, name) for name in FLOW_FIELDS] + [trace.soc]
     row = ",".join(["{:.6f}"] * len(arrays)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:

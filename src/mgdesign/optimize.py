@@ -211,7 +211,6 @@ class EvaluatedDesign:
     design: Design
     metrics: MetricVector
     feasible: bool = True
-    violation_notes: tuple[str, ...] = ()
 
 
 # ----------------------------------------------------------------------

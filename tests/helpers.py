@@ -4,10 +4,13 @@ These deliberately avoid the closed-form expressions in the package: the
 battery oracle integrates the raw two-tank dynamics with fine Euler
 steps, and the Pareto oracle is a literal O(n^2) double loop over the
 dominance definition.  The PV and wind references are the scalar
-one-hour forms of the resource laws.  The dispatch, CSV, Pareto and
-series-file references are the plain per-hour, per-row and per-line
-loops, and the search references the loops that call their evaluator on
-every request, that the package's faster code must reproduce exactly.
+one-hour forms of the resource laws, and the kinetic-battery references
+the scalar closed forms of one hour's step.  The dispatch, CSV,
+Pareto and series-file references are the plain per-hour, per-row and
+per-line loops, and the search references the loops that call their
+evaluator on every request, that the package's faster code must
+reproduce exactly.  :func:`kernel_battery_hour` and :func:`step_hour`
+drive the package's own dispatch stages on one-hour arrays.
 """
 
 from __future__ import annotations
@@ -19,16 +22,16 @@ from pathlib import Path
 
 import numpy as np
 
-from mgdesign.components import (
-    BatteryState,
-    _kinetic_charge_bound,
-    _kinetic_discharge_bound,
-    _kinetic_step,
-    battery_state_from_spec,
-    pv_series,
-    wt_series,
+from mgdesign.components import pv_series, wt_series
+from mgdesign.dispatch import (
+    FLOW_FIELDS,
+    Design,
+    DispatchTrace,
+    _battery_params,
+    _battery_stage_hours,
+    _grid_params,
+    _grid_stage_hours,
 )
-from mgdesign.dispatch import FLOW_FIELDS, Design, DispatchTrace, _battery_stage_hours
 from mgdesign.metrics import COST_FIELDS, METRIC_FIELDS, MetricVector, capital_cost, evaluate, fixed_om_cost
 from mgdesign.optimize import (
     DEFAULT_STEPS,
@@ -85,6 +88,68 @@ def ode_max_charge(q1, q2, q_max, k: float, c: float, dt: float = 1.0, step: flo
     b, _ = integrate_tanks(q1, q2, -1.0, k, c, dt, step)
     slope = b - a  # q1 rise per unit charging power
     return (c * np.asarray(q_max, dtype=float) - a) / slope
+
+
+def equilibrium_tanks(q_max: float, soc: float, c: float) -> tuple[float, float]:
+    """Tanks ``(q1, q2)`` of a battery of ``q_max`` kWh at ``soc``, split in
+    the equilibrium ratio ``c : (1 - c)``, as ``dispatch.battery_stage``
+    starts a year at ``soc_max``."""
+    stored = q_max * soc
+    return c * stored, (1.0 - c) * stored
+
+
+def kernel_battery_hour(q1: float, q2: float, q_max: float, power_kw: float, k: float = 1.0,
+                        c: float = 0.5, roundtrip_efficiency: float = 0.90,
+                        soc_min: float = 0.2, soc_max: float = 0.8) -> tuple[float, float, float]:
+    """One hour of the dispatch kernel's battery at terminal power
+    ``power_kw`` (positive charges, negative discharges).  Returns the
+    terminal power it ran (charge minus discharge) and the new tanks.
+
+    The hour is a PV surplus of ``power_kw`` or a load of ``-power_kw``
+    through a lossless, unlimited converter, so the kernel runs exactly
+    the requested power up to its kinetic bound: ``power_kw = +1e12``
+    gives the charge bound and ``-1e12`` the discharge bound.
+    """
+    floor = soc_min * q_max
+    _, (charge, discharge, _), q1, q2 = _battery_stage_hours(
+        np.array([max(-power_kw, 0.0)]), np.array([max(power_kw, 0.0)]), np.zeros(1), q1, q2,
+        conv_kw=math.inf, eta=1.0, q_max=q_max, k=k, c=c, sq_eta=math.sqrt(roundtrip_efficiency),
+        floor_q1=c * floor, floor_q2=(1.0 - c) * floor, q_max_eff=(soc_max - soc_min) * q_max)
+    return float(charge[0] - discharge[0]), q1, q2
+
+
+# ----------------------------------------------------------------------
+# Kinetic battery closed forms (Manwell & McGowan 1993), one-hour step
+# ----------------------------------------------------------------------
+
+def kinetic_discharge_bound(q1: float, q2: float, k: float, c: float) -> float:
+    """Maximum constant power (kW) the tanks can deliver over an hour: the
+    power that empties the available tank exactly at the end of it."""
+    r = math.exp(-k)
+    denom = 1.0 - r + c * (k - 1.0 + r)
+    bound = (k * q1 * r + (q1 + q2) * k * c * (1.0 - r)) / denom
+    return max(bound, 0.0)
+
+
+def kinetic_charge_bound(q1: float, q2: float, q_max: float, k: float, c: float) -> float:
+    """Maximum constant power (kW) the tanks can absorb over an hour: the
+    power that fills the available tank (capacity ``c * q_max``) exactly."""
+    r = math.exp(-k)
+    denom = 1.0 - r + c * (k - 1.0 + r)
+    bound = (k * c * q_max - k * q1 * r - (q1 + q2) * k * c * (1.0 - r)) / denom
+    return max(bound, 0.0)
+
+
+def kinetic_step(q1: float, q2: float, internal_kw: float, k: float, c: float) -> tuple[float, float]:
+    """Advance the tanks one hour at constant internal power (positive
+    discharges): the exact solution of the linear dynamics."""
+    r = math.exp(-k)
+    q0 = q1 + q2
+    i = internal_kw
+    a = k - 1.0 + r
+    new_q1 = q1 * r + ((q0 * k * c - i) * (1.0 - r) - i * c * a) / k
+    new_q2 = q2 * r + q0 * (1.0 - c) * (1.0 - r) - i * (1.0 - c) * a / k
+    return new_q1, new_q2
 
 
 def brute_force_pareto_mask(points: list[MetricVector]) -> np.ndarray:
@@ -317,8 +382,8 @@ def _dispatch_hour(
 ) -> tuple:
     """Route one hour of power.  Returns the updated tanks and flows.
 
-    Pure float arithmetic calling the ``components`` closed forms; the
-    reference that the dispatch kernel must match bit for bit.
+    Pure float arithmetic calling the kinetic-battery closed forms above;
+    the reference that the dispatch kernel must match bit for bit.
     """
     conv_used = 0.0   # converter output-side throughput this hour
     conv_loss = 0.0
@@ -354,8 +419,8 @@ def _dispatch_hour(
     if residual > 1e-12:
         # Deficit: battery, then grid, then diesel, then unmet.
         if bess_on:
-            internal = _kinetic_discharge_bound(
-                max(q1 - floor_q1, 0.0), max(q2 - floor_q2, 0.0), k, c, 1.0)
+            internal = kinetic_discharge_bound(
+                max(q1 - floor_q1, 0.0), max(q2 - floor_q2, 0.0), k, c)
             deliverable = internal * sq_eta * eta
             room = conv_kw - conv_used
             if deliverable > room:
@@ -380,8 +445,8 @@ def _dispatch_hour(
         # because discharge also needed converter room).
         if pv_surplus > 0.0:
             if bess_on and discharge == 0.0:
-                internal = _kinetic_charge_bound(
-                    max(q1 - floor_q1, 0.0), max(q2 - floor_q2, 0.0), q_max_eff, k, c, 1.0)
+                internal = kinetic_charge_bound(
+                    max(q1 - floor_q1, 0.0), max(q2 - floor_q2, 0.0), q_max_eff, k, c)
                 bound = internal / sq_eta
                 charge = pv_surplus if pv_surplus < bound else bound
                 pv_surplus -= charge
@@ -392,8 +457,8 @@ def _dispatch_hour(
         # Surplus: charge (PV DC-direct first, wind via converter), then
         # export (wind AC-direct first, PV via converter), then curtail.
         if bess_on and (pv_surplus > 0.0 or wt_surplus > 0.0):
-            internal = _kinetic_charge_bound(
-                max(q1 - floor_q1, 0.0), max(q2 - floor_q2, 0.0), q_max_eff, k, c, 1.0)
+            internal = kinetic_charge_bound(
+                max(q1 - floor_q1, 0.0), max(q2 - floor_q2, 0.0), q_max_eff, k, c)
             bound = internal / sq_eta
             charge = pv_surplus if pv_surplus < bound else bound
             pv_surplus -= charge
@@ -430,7 +495,7 @@ def _dispatch_hour(
 
     if bess_on:
         internal_current = discharge / sq_eta - charge * sq_eta
-        q1, q2 = _kinetic_step(q1, q2, internal_current, k, c, 1.0)
+        q1, q2 = kinetic_step(q1, q2, internal_current, k, c)
 
     return (q1, q2, dg_out, charge, discharge, grid_import, grid_export,
             unmet, curtailed, fuel, conv_loss)
@@ -453,13 +518,27 @@ def _reference_params(design: Design, tariff: GridTariff, catalog: Catalog, q_ma
     )
 
 
-def reference_step_hour(state: BatteryState, load: float, pv: float, wt: float, design: Design,
+def step_hour(q1: float, q2: float, load: float, pv: float, wt: float, design: Design,
+              tariff: GridTariff, catalog: Catalog) -> tuple[dict[str, float], float, float]:
+    """Dispatch one hour from tanks ``q1``/``q2`` through the kernel's
+    stages on one-hour arrays.  Returns ``(flows, q1, q2)`` with every
+    :data:`FLOW_FIELDS` column; threading it through a year reproduces
+    ``simulate_year`` bit for bit."""
+    grid_inputs, (charge, discharge, _), q1, q2 = _battery_stage_hours(
+        np.array([load]), np.array([pv]), np.array([wt]), q1, q2,
+        **_battery_params(design.converter_kw, catalog, design.bess_kwh))
+    flows = _grid_stage_hours(*grid_inputs, **_grid_params(design, tariff, catalog))
+    flows.update(batt_charge_kw=charge, batt_discharge_kw=discharge)
+    return {"pv_kw": pv, "wt_kw": wt, **{name: float(flows[name][0]) for name in FLOW_FIELDS[2:]}}, q1, q2
+
+
+def reference_step_hour(q1: float, q2: float, load: float, pv: float, wt: float, design: Design,
                         tariff: GridTariff, catalog: Catalog):
-    """One hour through :func:`_dispatch_hour` from ``state``.  Returns
-    ``(flows, q1, q2)`` with the flows keyed like
+    """One hour through :func:`_dispatch_hour` from tanks ``q1``/``q2``.
+    Returns ``(flows, q1, q2)`` with the flows keyed like
     :func:`reference_dispatch_year`'s."""
-    q1, q2, *flows = _dispatch_hour(load, pv, wt, state.q1_kwh, state.q2_kwh,
-                                    *_reference_params(design, tariff, catalog, state.q_max_kwh))
+    q1, q2, *flows = _dispatch_hour(load, pv, wt, q1, q2,
+                                    *_reference_params(design, tariff, catalog, design.bess_kwh))
     return dict(zip(FLOW_FIELDS[2:], flows)), q1, q2
 
 
@@ -477,8 +556,7 @@ def reference_dispatch_year(scenario: Scenario, design: Design):
     spec = scenario.catalog.battery
     q_max = design.bess_kwh
     params = _reference_params(design, scenario.tariff, scenario.catalog, q_max)
-    initial = battery_state_from_spec(spec, q_max)
-    q1, q2 = initial.q1_kwh, initial.q2_kwh
+    q1, q2 = equilibrium_tanks(q_max, spec.soc_max, spec.capacity_ratio)
     cols: list[list[float]] = [[] for _ in range(9)]
     soc = np.empty(len(load))
     for h in range(len(load)):
@@ -503,9 +581,9 @@ def reference_battery_hours(
     left by a saturated converter charges DC-direct.  Surplus hours charge
     from PV DC-direct, then from wind through the converter room left.
     Updates the stage arrays in place, through memoryviews that read and
-    write Python floats.  The kinetic-battery closed forms of
-    ``components`` are inlined at dt = 1 h with their per-call constants
-    hoisted and every remaining expression in their operation order.
+    write Python floats.  The kinetic-battery closed forms above are
+    inlined at dt = 1 h with their per-call constants hoisted and every
+    remaining expression in their operation order.
     """
     r = math.exp(-k)
     one_r = 1.0 - r

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from mgdesign.cli import main as cli_main
-from mgdesign.components import BatteryState, bess_max_charge, bess_max_discharge, bess_step
 from mgdesign.dispatch import Design, simulate_year
 from mgdesign.metrics import evaluate
 from mgdesign.optimize import (
@@ -31,6 +30,8 @@ from mgdesign.sensitivity import Perturbation, PerturbTarget, SweepParameter, de
 from .conftest import random_design, random_scenario, table2_rows
 from .helpers import (
     brute_force_pareto_mask,
+    equilibrium_tanks,
+    kernel_battery_hour,
     ode_max_charge,
     ode_max_discharge,
     random_metric_vectors,
@@ -69,26 +70,28 @@ def test_criterion_02_battery_bounds_and_roundtrip():
     oracle_cs = ode_max_charge(q1, q2, q_max=q_eff, k=k, c=c, dt=1.0)
     worst = 0.0
     for i in range(n):
-        state = BatteryState(q1_kwh=q1[i] + 0.2 * q_max[i] * c[i],
-                             q2_kwh=q2[i] + 0.2 * q_max[i] * (1.0 - c[i]),
-                             q_max_kwh=q_max[i])
-        analytic_d = bess_max_discharge(state, 1.0, k[i], c[i], roundtrip_efficiency=1.0)
+        # The dispatch kernel's battery hour, lossless, against a load or a
+        # PV surplus of 1e12 kW: it delivers or takes exactly its bound.
+        tanks = (q1[i] + 0.2 * q_max[i] * c[i], q2[i] + 0.2 * q_max[i] * (1.0 - c[i]), q_max[i])
+        analytic_d = -kernel_battery_hour(*tanks, -1e12, k[i], c[i], roundtrip_efficiency=1.0)[0]
         oracle_d = float(oracle_ds[i])
         if oracle_d > 1e-9 * q_max[i]:
             worst = max(worst, abs(analytic_d - oracle_d) / oracle_d)
-        analytic_c = bess_max_charge(state, 1.0, k[i], c[i], roundtrip_efficiency=1.0)
+        analytic_c = kernel_battery_hour(*tanks, 1e12, k[i], c[i], roundtrip_efficiency=1.0)[0]
         oracle_c = float(oracle_cs[i])
         if oracle_c > 1e-9 * q_max[i]:
             worst = max(worst, abs(analytic_c - oracle_c) / oracle_c)
-    assert worst < 0.005, f"analytic bound deviates {worst:.4%} from the dt=1e-3 integrator"
+    assert worst < 0.005, f"kernel bound deviates {worst:.4%} from the dt=1e-3 integrator"
 
-    # roundtrip energy recovery at the catalog efficiency
-    state = BatteryState.at_soc(100.0, 0.5, capacity_ratio=0.5)
-    charged = bess_step(state, 10.0, 1.0, roundtrip_efficiency=0.9)
-    gain = charged.stored_kwh - state.stored_kwh
+    # roundtrip energy recovery at the catalog efficiency, through the kernel
+    q1_0, q2_0 = equilibrium_tanks(100.0, 0.5, 0.5)
+    charge, *charged = kernel_battery_hour(q1_0, q2_0, 100.0, 10.0, roundtrip_efficiency=0.9)
+    assert charge == 10.0
+    gain = sum(charged) - (q1_0 + q2_0)
     recovered_power = gain * math.sqrt(0.9)
-    after = bess_step(charged, -recovered_power, 1.0, roundtrip_efficiency=0.9)
-    assert after.stored_kwh == pytest.approx(state.stored_kwh, abs=1e-9)
+    ran, *after = kernel_battery_hour(*charged, 100.0, -recovered_power, roundtrip_efficiency=0.9)
+    assert ran == -recovered_power
+    assert sum(after) == pytest.approx(q1_0 + q2_0, abs=1e-9)
     recovery = recovered_power * 1.0 / (10.0 * 1.0)
     assert abs(recovery - 0.9) < 1e-6 * 0.9
 

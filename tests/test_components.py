@@ -6,15 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mgdesign.components import (
-    BatteryState,
-    BoundViolationError,
-    bess_max_charge,
-    bess_max_discharge,
-    bess_step,
-    pv_series,
-    wt_series,
-)
+from mgdesign.components import pv_series, wt_series
 from mgdesign.dispatch import Design, InvalidDesignError, simulate_year
 from mgdesign.metrics import npc
 from mgdesign.scenario import (
@@ -29,7 +21,7 @@ from mgdesign.scenario import (
     validate_scenario,
 )
 
-from .helpers import integrate_tanks, ode_max_charge, ode_max_discharge
+from .helpers import equilibrium_tanks, integrate_tanks, kernel_battery_hour, ode_max_charge, ode_max_discharge
 
 WT = WindTurbineSpec()
 
@@ -186,55 +178,52 @@ class TestDieselFuel:
         assert trace.unmet_kw[3] == pytest.approx(10.0)
 
 
-class TestBatteryBounds:
-    SPEC = BatterySpec()
+def max_discharge(q1, q2, q_max=100.0, k=1.0, c=0.5, roundtrip_efficiency=0.90):
+    """The kernel's discharge bound at the terminals: an hour asking for far more."""
+    return -kernel_battery_hour(q1, q2, q_max, -1e12, k, c, roundtrip_efficiency)[0]
 
-    def _state(self, q_max=100.0, soc=0.8):
-        return BatteryState.at_soc(q_max, soc, capacity_ratio=0.5)
+
+def max_charge(q1, q2, q_max=100.0, k=1.0, c=0.5, roundtrip_efficiency=0.90):
+    """The kernel's charge bound at the terminals: an hour offering far more."""
+    return kernel_battery_hour(q1, q2, q_max, 1e12, k, c, roundtrip_efficiency)[0]
+
+
+class TestBatteryBounds:
+    """The kinetic bounds of the dispatch kernel's battery, with the
+    bundled window [0.2, 0.8]."""
 
     def test_empty_above_floor_discharge_zero(self):
-        state = self._state(soc=0.2)
-        assert bess_max_discharge(state) == 0.0
+        assert max_discharge(*equilibrium_tanks(100.0, 0.2, 0.5)) == 0.0
 
     def test_full_charge_zero(self):
-        state = self._state(soc=0.8)
-        assert bess_max_charge(state) == 0.0
+        # The window top as the kernel computes it, 0.2 * 100 + (0.8 - 0.2)
+        # * 100, is 1 ulp above 0.8 * 100: the closed form leaves ~5e-15 kW.
+        assert max_charge(*equilibrium_tanks(100.0, 0.8, 0.5)) <= 1e-12 * 100.0
 
     def test_discharge_bound_against_ode_oracle(self):
         # q_max=100, soc=0.8 with window [0.2, 0.8]: 30 kWh in each tank
-        state = self._state()
-        bound = bess_max_discharge(state, 1.0, 1.0, 0.5, roundtrip_efficiency=1.0)
+        bound = max_discharge(*equilibrium_tanks(100.0, 0.8, 0.5), roundtrip_efficiency=1.0)
         assert bound == pytest.approx(36.761990206816925, rel=1e-12)
         oracle = ode_max_discharge(30.0, 30.0, k=1.0, c=0.5, dt=1.0)
         assert bound == pytest.approx(float(oracle), rel=5e-3)
 
     def test_charge_bound_against_ode_oracle(self):
-        state = self._state(soc=0.2)  # empty above the floor
-        bound = bess_max_charge(state, 1.0, 1.0, 0.5, roundtrip_efficiency=1.0)
+        # empty above the floor
+        bound = max_charge(*equilibrium_tanks(100.0, 0.2, 0.5), roundtrip_efficiency=1.0)
         oracle = ode_max_charge(0.0, 0.0, q_max=60.0, k=1.0, c=0.5, dt=1.0)
-        assert bound == pytest.approx(float(oracle), rel=5e-3)
-
-    def test_small_dt_matches_oracle(self):
-        state = self._state()
-        dt = 0.01
-        bound = bess_max_discharge(state, dt, 1.0, 0.5, roundtrip_efficiency=1.0)
-        oracle = ode_max_discharge(30.0, 30.0, k=1.0, c=0.5, dt=dt, step=1e-5)
         assert bound == pytest.approx(float(oracle), rel=5e-3)
 
     def test_efficiency_symmetric_bounds(self):
         # with unit efficiency the charge bound at the mirrored state
         # equals the discharge bound
-        full = self._state(soc=0.8)
-        empty = self._state(soc=0.2)
-        d = bess_max_discharge(full, 1.0, 1.0, 0.5, roundtrip_efficiency=1.0)
-        c = bess_max_charge(empty, 1.0, 1.0, 0.5, roundtrip_efficiency=1.0)
+        d = max_discharge(*equilibrium_tanks(100.0, 0.8, 0.5), roundtrip_efficiency=1.0)
+        c = max_charge(*equilibrium_tanks(100.0, 0.2, 0.5), roundtrip_efficiency=1.0)
         assert d == pytest.approx(c, rel=1e-12)
 
     def test_discharge_monotone_in_q1(self):
         prev = -1.0
         for q1 in np.linspace(10.0, 40.0, 13):
-            state = BatteryState(q1_kwh=float(q1), q2_kwh=30.0, q_max_kwh=100.0)
-            bound = bess_max_discharge(state)
+            bound = max_discharge(float(q1), 30.0)
             assert bound >= prev
             prev = bound
 
@@ -250,78 +239,59 @@ class TestBatteryBounds:
         q_eff_max = 0.6 * q_max
         q1 = 0.2 * q_max * c + u1 * c * q_eff_max
         q2 = 0.2 * q_max * (1.0 - c) + u2 * (1.0 - c) * q_eff_max
-        state = BatteryState(q1_kwh=q1, q2_kwh=q2, q_max_kwh=q_max)
         q1e = q1 - 0.2 * q_max * c
         q2e = q2 - 0.2 * q_max * (1.0 - c)
-        discharge = bess_max_discharge(state, 1.0, k, c, roundtrip_efficiency=1.0)
+        discharge = max_discharge(q1, q2, q_max, k, c, roundtrip_efficiency=1.0)
         oracle = float(ode_max_discharge(q1e, q2e, k=k, c=c, dt=1.0))
         if oracle > 1e-6 * q_max:
             assert discharge == pytest.approx(oracle, rel=5e-3)
-        charge = bess_max_charge(state, 1.0, k, c, roundtrip_efficiency=1.0)
+        charge = max_charge(q1, q2, q_max, k, c, roundtrip_efficiency=1.0)
         oracle_c = float(ode_max_charge(q1e, q2e, q_max=q_eff_max, k=k, c=c, dt=1.0))
         if oracle_c > 1e-6 * q_max:
             assert charge == pytest.approx(oracle_c, rel=5e-3)
 
 
 class TestBatteryStep:
+    """The kernel's tank update, one hour at a time."""
+
     def test_zero_power_equilibrates(self):
-        state = BatteryState(q1_kwh=50.0, q2_kwh=10.0, q_max_kwh=100.0)
+        q1, q2 = 50.0, 10.0
         for _ in range(30):
-            state = bess_step(state, 0.0, dt_hr=1.0)
-        assert state.q1_kwh / state.stored_kwh == pytest.approx(0.5, abs=1e-6)
-        assert state.stored_kwh == pytest.approx(60.0, rel=1e-12)
+            _, q1, q2 = kernel_battery_hour(q1, q2, 100.0, 0.0)
+        assert q1 / (q1 + q2) == pytest.approx(0.5, abs=1e-6)
+        assert q1 + q2 == pytest.approx(60.0, rel=1e-12)
 
     def test_roundtrip_efficiency(self):
-        state = BatteryState.at_soc(100.0, 0.5, capacity_ratio=0.5)
-        charged = bess_step(state, +10.0, dt_hr=1.0, roundtrip_efficiency=0.9)
-        stored_gain = charged.stored_kwh - state.stored_kwh
+        q1, q2 = equilibrium_tanks(100.0, 0.5, 0.5)
+        charge, *charged = kernel_battery_hour(q1, q2, 100.0, +10.0, roundtrip_efficiency=0.9)
+        assert charge == 10.0
+        stored_gain = sum(charged) - (q1 + q2)
         assert stored_gain == pytest.approx(10.0 * math.sqrt(0.9), rel=1e-12)
         # pull the stored gain back out in one hour
         discharge_power = stored_gain * math.sqrt(0.9)
-        back = bess_step(charged, -discharge_power, dt_hr=1.0, roundtrip_efficiency=0.9)
-        assert back.stored_kwh == pytest.approx(state.stored_kwh, abs=1e-9)
+        ran, *back = kernel_battery_hour(*charged, 100.0, -discharge_power, roundtrip_efficiency=0.9)
+        assert ran == -discharge_power
+        assert sum(back) == pytest.approx(q1 + q2, abs=1e-9)
         assert discharge_power / 10.0 == pytest.approx(0.9, rel=1e-9)
 
     def test_soc_window_respected_on_random_walk(self):
         rng = np.random.default_rng(3)
-        state = BatteryState.at_soc(200.0, 0.8, capacity_ratio=0.5)
+        q1, q2 = equilibrium_tanks(200.0, 0.8, 0.5)
         for _ in range(500):
             if rng.integers(0, 2):
-                power = +rng.uniform(0.0, 1.0) * bess_max_charge(state)
+                power = +rng.uniform(0.0, 1.0) * max_charge(q1, q2, 200.0)
             else:
-                power = -rng.uniform(0.0, 1.0) * bess_max_discharge(state)
-            state = bess_step(state, power)
-            assert 0.2 - 1e-9 <= state.soc <= 0.8 + 1e-9
-
-    def test_energy_conservation_random_sequence(self):
-        rng = np.random.default_rng(11)
-        state = BatteryState.at_soc(500.0, 0.8, capacity_ratio=0.5)
-        initial = state.stored_kwh
-        net_internal = 0.0
-        sq = math.sqrt(0.9)
-        for _ in range(300):
-            if rng.integers(0, 2):
-                power = rng.uniform(0.0, 1.0) * bess_max_charge(state)
-                net_internal += power * sq
-            else:
-                power = -rng.uniform(0.0, 1.0) * bess_max_discharge(state)
-                net_internal += power / sq
-            state = bess_step(state, power)
-        assert abs(state.stored_kwh - initial - net_internal) < 1e-6 * 500.0
-
-    def test_bound_violation_raises(self):
-        state = BatteryState.at_soc(100.0, 0.8, capacity_ratio=0.5)
-        bound = bess_max_charge(state)
-        with pytest.raises(BoundViolationError):
-            bess_step(state, bound + 1.0)
+                power = -rng.uniform(0.0, 1.0) * max_discharge(q1, q2, 200.0)
+            _, q1, q2 = kernel_battery_hour(q1, q2, 200.0, power)
+            assert 0.2 - 1e-9 <= (q1 + q2) / 200.0 <= 0.8 + 1e-9
 
     def test_step_agrees_with_fine_integrator(self):
-        state = BatteryState(q1_kwh=35.0, q2_kwh=25.0, q_max_kwh=100.0)
         power = -10.0  # discharge 10 kW delivered
-        stepped = bess_step(state, power, dt_hr=1.0, roundtrip_efficiency=1.0)
+        ran, q1_new, q2_new = kernel_battery_hour(35.0, 25.0, 100.0, power, roundtrip_efficiency=1.0)
+        assert ran == power
         q1, q2 = integrate_tanks(35.0, 25.0, 10.0, k=1.0, c=0.5, dt=1.0)
-        assert stepped.q1_kwh == pytest.approx(float(q1), rel=1e-3)
-        assert stepped.q2_kwh == pytest.approx(float(q2), rel=1e-3)
+        assert q1_new == pytest.approx(float(q1), rel=1e-3)
+        assert q2_new == pytest.approx(float(q2), rel=1e-3)
 
 
 def battery_purchases(project_years: int, lifetime_years: int) -> float:

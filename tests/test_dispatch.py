@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 from mgdesign import dispatch
-from mgdesign.components import BatteryState, battery_state_from_spec, pv_series, wt_series
+from mgdesign.components import pv_series, wt_series
 from mgdesign.dispatch import (
     FLOW_FIELDS,
     Design,
     InvalidDesignError,
     battery_stage,
     simulate_year,
-    step_hour,
     write_trace_csv,
 )
 from mgdesign.optimize import SearchSpace
@@ -22,12 +21,14 @@ from mgdesign.scenario import Scenario, TimeSeries, Unit
 
 from .conftest import random_design, random_scenario
 from .helpers import (
+    equilibrium_tanks,
     hub_wind_speed,
     pv_output,
     reference_battery_stage_hours,
     reference_dispatch_year,
     reference_step_hour,
     reference_write_trace_csv,
+    step_hour,
     wt_output,
 )
 
@@ -197,6 +198,17 @@ class TestSimulateYear:
             assert trace.soc.min() >= 0.2 - 1e-9
             assert trace.soc.max() <= 0.8 + 1e-9
 
+    @pytest.mark.parametrize("design", ["pv=418,wt=123,dg=0,bess=704,conv=255",
+                                        "pv=620,wt=210,bess=950,conv=400", "pv=300,bess=50,conv=255"])
+    def test_stored_delta_is_net_energy_into_the_tanks(self, bundled, design):
+        # Charge reaches the tanks times sqrt(eta); discharge leaves them
+        # divided by it.
+        design = Design.from_string(design)
+        trace = simulate_year(bundled, design)
+        sq = math.sqrt(trace.roundtrip_efficiency)
+        net = trace.batt_charge_kw.sum() * sq - trace.batt_discharge_kw.sum() / sq
+        assert abs(trace.stored_delta_kwh - net) < 1e-6 * design.bess_kwh
+
     def test_deterministic(self, bundled, a5):
         t1 = simulate_year(bundled, a5)
         t2 = simulate_year(bundled, a5)
@@ -287,18 +299,17 @@ class TestStagedKernel:
         pvs = (0.0, 5e-13, 31.0, 100.0, 100.0 / 0.95, 400.0)
         winds = (0.0, 5e-13, 20.0, 40.0, 100.0, 120.0)
         for design in designs:
-            states = ([BatteryState.at_soc(0.0, 0.0, capacity_ratio=0.5)] if design.bess_kwh == 0.0 else
-                      [BatteryState.at_soc(design.bess_kwh, soc, capacity_ratio=0.5)
-                       for soc in (0.2, 0.5, 0.8)])
+            states = [equilibrium_tanks(design.bess_kwh, soc, 0.5)
+                      for soc in ((0.0,) if design.bess_kwh == 0.0 else (0.2, 0.5, 0.8))]
             for state, load, pv, wt in itertools.product(states, loads, pvs, winds):
-                new_state, flow = step_hour(state, load, pv, wt, design, bundled.tariff, bundled.catalog)
-                flows, q1, q2 = reference_step_hour(state, load, pv, wt, design,
+                flow, *new_state = step_hour(*state, load, pv, wt, design, bundled.tariff, bundled.catalog)
+                flows, q1, q2 = reference_step_hour(*state, load, pv, wt, design,
                                                     bundled.tariff, bundled.catalog)
                 for name, expected in flows.items():
-                    actual = getattr(flow, name)
+                    actual = flow[name]
                     assert (actual, math.copysign(1.0, actual)) == (expected, math.copysign(1.0, expected)), \
                         (name, design, state, load, pv, wt)
-                assert (new_state.q1_kwh, new_state.q2_kwh) == (q1, q2)
+                assert tuple(new_state) == (q1, q2)
 
     def test_battery_less_design_runs_no_loop(self, bundled, monkeypatch):
         calls = []
@@ -311,8 +322,8 @@ class TestStagedKernel:
         monkeypatch.setattr(dispatch, "_battery_hours", counting)
         for design in self.HAND_MADE[1:5]:
             simulate_year(bundled, design)
-        step_hour(BatteryState.at_soc(0.0, 0.0, capacity_ratio=0.5), 100.0, 50.0, 20.0,
-                  Design(pv_kw=60.0, converter_kw=50.0), bundled.tariff, bundled.catalog)
+        step_hour(0.0, 0.0, 100.0, 50.0, 20.0, Design(pv_kw=60.0, converter_kw=50.0),
+                  bundled.tariff, bundled.catalog)
         assert calls == []
         simulate_year(bundled, self.HAND_MADE[0])
         assert len(calls) == 1
@@ -387,10 +398,10 @@ class TestBatteryLoopWriteBacks:
         assert actual[2:] == expected[2:]
 
     def assert_same_year(self, scenario, design):
-        state = battery_state_from_spec(scenario.catalog.battery, design.bess_kwh)
+        spec = scenario.catalog.battery
         self.assert_same_stage(
             scenario.load.values, pv_series(scenario, design.pv_kw), wt_series(scenario, design.wt_kw),
-            state.q1_kwh, state.q2_kwh,
+            *equilibrium_tanks(design.bess_kwh, spec.soc_max, spec.capacity_ratio),
             dispatch._battery_params(design.converter_kw, scenario.catalog, design.bess_kwh))
 
     def test_bench_lattice_and_a5(self, bundled, a5):
@@ -440,11 +451,10 @@ class TestBatteryLoopWriteBacks:
         pvs = (-0.0, 0.0, 31.0, 100.0 / 0.95, 400.0)
         winds = (0.0, 20.0, 120.0)
         for conv, bess, soc in itertools.product((0.0, 30.0, 95.0), (100.0, 400.0), (0.2, 0.5, 0.8)):
-            state = BatteryState.at_soc(bess, soc, capacity_ratio=0.5)
+            q1, q2 = equilibrium_tanks(bess, soc, 0.5)
             params = dispatch._battery_params(conv, bundled.catalog, bess)
             for load, pv, wt in itertools.product(loads, pvs, winds):
-                self.assert_same_stage(np.array([load]), np.array([pv]), np.array([wt]),
-                                       state.q1_kwh, state.q2_kwh, params)
+                self.assert_same_stage(np.array([load]), np.array([pv]), np.array([wt]), q1, q2, params)
 
     def test_stage_allocates_at_most_13_year_arrays(self, bundled, a5):
         battery_stage(bundled, a5)
@@ -458,62 +468,54 @@ class TestBatteryLoopWriteBacks:
 
 
 class TestStepHour:
-    def test_all_zero_hour(self, bundled):
-        from mgdesign.components import BatteryState
+    """The kernel's stages on one-hour arrays (``helpers.step_hour``)."""
 
-        state = BatteryState.at_soc(100.0, 0.5, capacity_ratio=0.5)
+    def test_all_zero_hour(self, bundled):
+        q1, q2 = equilibrium_tanks(100.0, 0.5, 0.5)
         design = Design(bess_kwh=100.0, converter_kw=50.0)
-        new_state, flow = step_hour(state, 0.0, 0.0, 0.0, design, bundled.tariff, bundled.catalog)
-        assert flow.unmet_kw == 0.0 and flow.grid_import_kw == 0.0
-        assert flow.batt_charge_kw == 0.0 and flow.batt_discharge_kw == 0.0
+        flow, *new_state = step_hour(q1, q2, 0.0, 0.0, 0.0, design, bundled.tariff, bundled.catalog)
+        assert flow["unmet_kw"] == 0.0 and flow["grid_import_kw"] == 0.0
+        assert flow["batt_charge_kw"] == 0.0 and flow["batt_discharge_kw"] == 0.0
         # tanks equilibrate but hold their total
-        assert new_state.stored_kwh == pytest.approx(state.stored_kwh, rel=1e-12)
+        assert sum(new_state) == pytest.approx(q1 + q2, rel=1e-12)
 
     def test_shortfall_is_exact_residual(self, bundled):
-        from mgdesign.components import BatteryState
-
-        state = BatteryState.at_soc(0.0, 0.0, capacity_ratio=0.5)
         design = Design(grid_cap_kw=40.0)
-        _, flow = step_hour(state, 100.0, 0.0, 0.0, design, bundled.tariff, bundled.catalog)
-        assert flow.grid_import_kw == pytest.approx(40.0)
-        assert flow.unmet_kw == pytest.approx(60.0)
+        flow, _, _ = step_hour(0.0, 0.0, 100.0, 0.0, 0.0, design, bundled.tariff, bundled.catalog)
+        assert flow["grid_import_kw"] == pytest.approx(40.0)
+        assert flow["unmet_kw"] == pytest.approx(60.0)
 
     def test_surplus_with_no_outlet_curtails(self, bundled):
-        from mgdesign.components import BatteryState
-
-        state = BatteryState.at_soc(100.0, 0.8, capacity_ratio=0.5)  # full
+        full = equilibrium_tanks(100.0, 0.8, 0.5)
         design = Design(pv_kw=100.0, bess_kwh=100.0, converter_kw=100.0, grid_cap_kw=0.0)
-        _, flow = step_hour(state, 0.0, 80.0, 0.0, design, bundled.tariff, bundled.catalog)
-        assert flow.grid_export_kw == 0.0
-        assert flow.curtailed_kw == pytest.approx(80.0)
+        flow, _, _ = step_hour(*full, 0.0, 80.0, 0.0, design, bundled.tariff, bundled.catalog)
+        assert flow["grid_export_kw"] == 0.0
+        assert flow["curtailed_kw"] == pytest.approx(80.0)
 
     def test_matches_simulate_year_first_hour(self, bundled, a5):
-        from mgdesign.components import battery_state_from_spec
-
         trace = simulate_year(bundled, a5)
-        state = battery_state_from_spec(bundled.catalog.battery, a5.bess_kwh)
+        spec = bundled.catalog.battery
         pv = float(pv_series(bundled, a5.pv_kw)[0])
         wt = float(wt_series(bundled, a5.wt_kw)[0])
-        _, flow = step_hour(state, float(bundled.load.values[0]), pv, wt,
-                            a5, bundled.tariff, bundled.catalog)
-        assert flow.grid_import_kw == pytest.approx(float(trace.grid_import_kw[0]), abs=1e-12)
-        assert flow.batt_discharge_kw == pytest.approx(float(trace.batt_discharge_kw[0]), abs=1e-12)
+        flow, _, _ = step_hour(*equilibrium_tanks(a5.bess_kwh, spec.soc_max, spec.capacity_ratio),
+                               float(bundled.load.values[0]), pv, wt, a5, bundled.tariff, bundled.catalog)
+        assert flow["grid_import_kw"] == pytest.approx(float(trace.grid_import_kw[0]), abs=1e-12)
+        assert flow["batt_discharge_kw"] == pytest.approx(float(trace.batt_discharge_kw[0]), abs=1e-12)
 
     def test_threaded_year_equals_simulate_year(self, bundled, a5):
-        from mgdesign.components import battery_state_from_spec
-
         trace = simulate_year(bundled, a5)
-        state = battery_state_from_spec(bundled.catalog.battery, a5.bess_kwh)
+        spec = bundled.catalog.battery
+        q1, q2 = equilibrium_tanks(a5.bess_kwh, spec.soc_max, spec.capacity_ratio)
         inputs = zip(bundled.load.values.tolist(), trace.pv_kw.tolist(), trace.wt_kw.tolist())
         flows, soc = [], []
         for load, pv, wt in inputs:
-            state, flow = step_hour(state, load, pv, wt, a5, bundled.tariff, bundled.catalog)
+            flow, q1, q2 = step_hour(q1, q2, load, pv, wt, a5, bundled.tariff, bundled.catalog)
             flows.append(flow)
-            soc.append(state.soc)
+            soc.append((q1 + q2) / a5.bess_kwh)
         for name in FLOW_FIELDS:
-            assert np.array_equal([getattr(f, name) for f in flows], getattr(trace, name)), name
+            assert np.array_equal([f[name] for f in flows], getattr(trace, name)), name
         assert np.array_equal(soc, trace.soc)
-        assert state == trace.final_battery
+        assert (q1, q2) == (trace.final_battery.q1_kwh, trace.final_battery.q2_kwh)
 
 
 class TestTraceExport:
