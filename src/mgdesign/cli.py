@@ -237,12 +237,12 @@ _REQUIRED_COLUMNS = optimize.DESIGN_FIELDS[:-1] + METRIC_FIELDS
 def _read_results_csv(path: Path) -> dict[str, list]:
     """The columns of a results CSV by :data:`~mgdesign.optimize.RESULT_FIELDS`
     name: floats, None for an empty ``grid_cap_kw``, and ``feasible`` from
-    its ``1`` / ``0`` cells.  Blank lines are skipped.  A missing column, a
-    short row, a bad cell or a line the CSV parser rejects raises
-    :class:`ConfigError`."""
+    its ``1`` / ``0`` cells.  A leading byte-order mark and blank lines are
+    skipped.  A missing column, a short row, a bad cell or a line the CSV
+    parser rejects raises :class:`ConfigError`."""
     if not path.exists():
         raise ConfigError(f"results file not found: {path}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, [])

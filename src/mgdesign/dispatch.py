@@ -61,8 +61,34 @@ import numpy as np
 from .components import pv_series, wt_series
 from .scenario import Catalog, GridTariff, Scenario
 
-#: Rows converted to Python floats at a time by :func:`write_trace_csv`.
-_CSV_BLOCK_ROWS = 1024
+#: Rows that :func:`write_trace_csv` formats per NumPy pass.  A block's
+#: arrays take ~0.7 MB at most, however long the trace; 512 rows also ran
+#: faster than 256, 1024 or 2048 (A5 trace, 2-core VM).
+_CSV_BLOCK_ROWS = 512
+
+
+def _word_tables() -> list[np.ndarray]:
+    """Four-byte words of trace text, indexed by a cell's number parts.
+
+    Integer part, one word per group of three digits, index ``g + 1000 *
+    state + 3000 * negative``: a sign byte (``-`` only in the leading group
+    of a negative cell) and the digits of ``g``; state 0 is a group above
+    the number (all NUL), 1 its leading group (leading zeros NUL), 2 a
+    group below that (zero-padded).  Then ``.`` and the first three
+    decimals, and the last three decimals and ``,``.  NUL bytes are
+    dropped from the text."""
+    n = np.arange(1000)[:, None]
+    digits = n // np.array([100, 10, 1]) % 10 + ord("0")
+    lead = np.where(n >= np.array([100, 10, 0]), digits, 0)
+    groups = np.tile(np.concatenate([np.zeros_like(digits), lead, digits]), (2, 1))
+    sign = np.zeros((6000, 1), dtype=int)
+    sign[4000:5000] = ord("-")
+    column = np.ones((1000, 1), dtype=int)
+    return [np.hstack(parts).astype(np.uint8).view(np.uint32).ravel()
+            for parts in ((sign, groups), (column * ord("."), digits), (digits, column * ord(",")))]
+
+
+_WHOLE_WORDS, _POINT_WORDS, _COMMA_WORDS = _word_tables()
 
 
 class InvalidDesignError(ValueError):
@@ -589,13 +615,58 @@ def simulate_year(scenario: Scenario, design: Design, battery: BatteryStage | No
 
 def write_trace_csv(trace: DispatchTrace, path: str | Path) -> None:
     """Write the hourly trace: the :data:`FLOW_FIELDS` columns plus
-    ``soc``, one row per hour in hour order."""
+    ``soc``, one row per hour in hour order, each cell as ``{:.6f}``."""
     arrays = [getattr(trace, name) for name in FLOW_FIELDS] + [trace.soc]
-    row = ",".join(["{:.6f}"] * len(arrays)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(FLOW_FIELDS + ("soc",)) + "\n")
-        # Python floats format fastest; converting a block of rows at a time
-        # keeps the copies small.
+    with open(path, "wb") as fh:
+        fh.write((",".join(FLOW_FIELDS + ("soc",)) + "\n").encode())
         for start in range(0, len(trace.load_kw), _CSV_BLOCK_ROWS):
-            columns = [a[start:start + _CSV_BLOCK_ROWS].tolist() for a in arrays]
-            fh.writelines(row.format(*values) for values in zip(*columns))
+            fh.write(_format_rows(np.stack([a[start:start + _CSV_BLOCK_ROWS] for a in arrays], axis=1)))
+
+
+def _format_rows(block: np.ndarray) -> bytes:
+    """The CSV lines of a (rows, columns) float block, each cell as
+    ``{:.6f}`` formats it.
+
+    A cell is ``m = rint(|x| * 1e6)`` printed as ``m // 10**6``, a point
+    and six digits, after a ``-`` wherever the sign bit of ``x`` is set (so
+    ``-0.0`` gives ``-0.000000``, as ``format`` does); every part is looked
+    up in :func:`_word_tables`, and the NUL bytes are dropped.  Below 2**52
+    every half is a double, and rounding the product to the nearest double
+    never carries it across one, so the product decides ``m`` unless it is
+    a half itself, 2**52 or more, or not finite: a row holding such a cell
+    is formatted by ``str.format``, which rounds the exact binary value.
+    Every quotient here floors exactly below 2**52.
+    """
+    rows, cols = block.shape
+    flat = block.ravel()
+    scaled = np.abs(flat) * 1e6
+    m = np.rint(scaled)
+    with np.errstate(invalid="ignore"):
+        exact = (np.abs(scaled - m) != 0.5) & (scaled < 2.0 ** 52)
+    fallback = []
+    if not exact.all():
+        fallback = np.flatnonzero(~exact.reshape(rows, cols).all(axis=1)).tolist()
+        m[~exact] = 0.0
+    whole = np.floor(m / 1e6)
+    frac = m - whole * 1e6
+    high = np.floor(frac / 1000.0)
+    top = whole.max()
+    groups = 1 + int(top >= 1e3) + int(top >= 1e6) + int(top >= 1e9)
+    words = np.empty((rows * cols, groups + 2), dtype=np.uint32)
+    words[:, groups] = _POINT_WORDS[high.astype(np.intp)]
+    words[:, groups + 1] = _COMMA_WORDS[(frac - high * 1000.0).astype(np.intp)]
+    negative = np.signbit(flat) * 3000.0
+    rest = whole
+    for k in range(groups):  # the lowest group first
+        above = np.floor(rest / 1000.0)
+        state = (above > 0.0) * 1000.0 + ((rest > 0.0) * 1000.0 if k else 1000.0)
+        words[:, groups - 1 - k] = _WHOLE_WORDS[(rest - above * 1000.0 + state + negative).astype(np.intp)]
+        rest = above
+    text = words.view(np.uint8).reshape(rows, cols, -1)
+    text[:, -1, -1] = ord("\n")
+    row = ",".join(["{:.6f}"] * cols) + "\n"
+    pieces, start = [], 0
+    for r in fallback:
+        pieces += [text[start:r].tobytes().translate(None, b"\0"), row.format(*block[r].tolist()).encode()]
+        start = r + 1
+    return b"".join(pieces + [text[start:].tobytes().translate(None, b"\0")])

@@ -19,6 +19,7 @@ import enum
 import math
 import numbers
 import sys
+import warnings
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -142,28 +143,26 @@ def load_timeseries(path: str | Path, unit: Unit, expected_length: int | None = 
     1-based offending line number), or :class:`LengthMismatchError`.
     NaN and negative values are rejected where the unit forbids them.
 
-    The lines stream through one ``map(float, …)`` over the non-blank
-    cells, so no list of lines is held; only a file with a bad cell is read
-    a second time, line by line, to name the first non-numeric or NaN one.
+    The file is read as UTF-8 with an optional byte-order mark, and NumPy's
+    ``loadtxt`` parses it in one call.  A file it refuses, or that gives more
+    than one column or a NaN, is read again line by line with ``float``
+    (:func:`_scan_series`), which decides: it names the first bad line, or
+    returns the values when every cell is a number that ``loadtxt`` does not
+    read, such as ``1_0``.
     """
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        cells = (line.split("#", 1)[0] if "#" in line else line for line in fh)
-        try:
-            values = np.array(list(map(float, filter(None, map(str.strip, cells)))))
+    with open(path, "r", encoding="utf-8-sig") as fh, warnings.catch_warnings():
+        # An empty series ends in the length check, not in NumPy's warning
+        # (worded as the second alternative before NumPy 1.23).
+        warnings.filterwarnings("ignore", "loadtxt: (input contained no data|Empty input file)", UserWarning)
+        try:  # two dimensions, so that one line of two values is not read as two hours
+            values = np.loadtxt(fh, comments="#", ndmin=2)
         except ValueError:
             values = None
-    if values is None or np.isnan(values).any():  # the scan raises on the first bad cell
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                text = raw.split("#", 1)[0].strip()
-                if text:
-                    try:
-                        value = float(text)
-                    except ValueError:
-                        raise TimeSeriesParseError(path, lineno, text) from None
-                    if math.isnan(value):
-                        raise TimeSeriesParseError(path, lineno, text)
+    if values is None or values.shape[1] != 1 or np.isnan(values).any():
+        values = _scan_series(path)
+    else:
+        values = values[:, 0]
     if expected_length is not None and len(values) != expected_length:
         raise LengthMismatchError(expected_length, len(values))
     series = TimeSeries(values, unit)
@@ -171,6 +170,25 @@ def load_timeseries(path: str | Path, unit: Unit, expected_length: int | None = 
     if problems:
         raise ScenarioValidationError(problems)
     return series
+
+
+def _scan_series(path: Path) -> np.ndarray:
+    """The values of a series file, one ``float`` per non-blank line with
+    the ``#`` comment cut off.  Raises :class:`TimeSeriesParseError` at the
+    first cell that ``float`` rejects or reads as NaN."""
+    values = []
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            text = raw.split("#", 1)[0].strip()
+            if text:
+                try:
+                    value = float(text)
+                except ValueError:
+                    raise TimeSeriesParseError(path, lineno, text) from None
+                if math.isnan(value):
+                    raise TimeSeriesParseError(path, lineno, text)
+                values.append(value)
+    return np.array(values)
 
 
 def write_timeseries(series: TimeSeries, path: str | Path) -> None:

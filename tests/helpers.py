@@ -7,7 +7,7 @@ dominance definition.  The PV and wind references are the scalar
 one-hour forms of the resource laws, and the kinetic-battery references
 the scalar closed forms of one hour's step.  The dispatch, CSV,
 Pareto and series-file references are the plain per-hour, per-row and
-per-line loops, and the search references the loops that call their
+per-cell loops, and the search references the loops that call their
 evaluator on every request, that the package's faster code must
 reproduce exactly.  :func:`kernel_battery_hour` and :func:`step_hour`
 drive the package's own dispatch stages on one-hour arrays.
@@ -16,7 +16,9 @@ drive the package's own dispatch stages on one-hour arrays.
 from __future__ import annotations
 
 import csv
+import importlib.util
 import math
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -669,12 +671,15 @@ def reference_battery_stage_hours(load, pv, wt, q1: float, q2: float, **params) 
 
 
 def reference_write_trace_csv(trace: DispatchTrace, path: str | Path) -> None:
-    """Trace export formatting one NumPy scalar per cell."""
+    """Trace export formatting each row with ``str.format`` on Python
+    floats, 1024 rows converted at a time."""
     arrays = [getattr(trace, name) for name in FLOW_FIELDS] + [trace.soc]
+    row = ",".join(["{:.6f}"] * len(arrays)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(FLOW_FIELDS + ("soc",)) + "\n")
-        for h in range(len(trace.load_kw)):
-            fh.write(",".join(f"{float(a[h]):.6f}" for a in arrays) + "\n")
+        for start in range(0, len(trace.load_kw), 1024):
+            columns = [a[start:start + 1024].tolist() for a in arrays]
+            fh.writelines(row.format(*values) for values in zip(*columns))
 
 
 # ----------------------------------------------------------------------
@@ -762,24 +767,30 @@ def reference_write_sweep_csv(curve, path) -> None:
 
 
 def reference_load_timeseries(path, unit, expected_length=HOURS_PER_YEAR) -> TimeSeries:
-    """Series file read one line at a time, each cell converted on its own."""
+    """Series file read as UTF-8 through one ``map(float, ...)`` over the
+    non-blank cells; a file with a bad cell is read again line by line to
+    name the first non-numeric or NaN one."""
     path = Path(path)
-    values: list[float] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            try:
-                value = float(text)
-            except ValueError:
-                raise TimeSeriesParseError(path, lineno, text) from None
-            if math.isnan(value):
-                raise TimeSeriesParseError(path, lineno, text)
-            values.append(value)
+        cells = (line.split("#", 1)[0] if "#" in line else line for line in fh)
+        try:
+            values = np.array(list(map(float, filter(None, map(str.strip, cells)))))
+        except ValueError:
+            values = None
+    if values is None or np.isnan(values).any():
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                text = raw.split("#", 1)[0].strip()
+                if text:
+                    try:
+                        value = float(text)
+                    except ValueError:
+                        raise TimeSeriesParseError(path, lineno, text) from None
+                    if math.isnan(value):
+                        raise TimeSeriesParseError(path, lineno, text)
     if expected_length is not None and len(values) != expected_length:
         raise LengthMismatchError(expected_length, len(values))
-    series = TimeSeries(np.array(values), unit)
+    series = TimeSeries(values, unit)
     problems = series.violations(name=str(path), expected_length=expected_length)
     if problems:
         raise ScenarioValidationError(problems)
@@ -791,6 +802,16 @@ def reference_write_timeseries(series: TimeSeries, path) -> None:
         fh.write(f"# unit: {series.unit.value}\n")
         for value in series.values:
             fh.write(f"{float(value)!r}\n")
+
+
+def bench_inputs():
+    """The benchmark's input generators, loaded from ``bench/inputs.py``."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 # ----------------------------------------------------------------------

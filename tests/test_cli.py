@@ -1,6 +1,5 @@
 import csv
 import filecmp
-import importlib.util
 import os
 import re
 import shutil
@@ -18,7 +17,7 @@ from mgdesign.metrics import METRIC_FIELDS
 from mgdesign.optimize import RESULT_FIELDS, EvaluatedDesign, write_evaluations_csv
 from mgdesign.scenario import bundled_data_path
 
-from .helpers import random_metric_vectors, reference_read_results_csv, reference_write_evaluations_csv
+from .helpers import bench_inputs, random_metric_vectors, reference_read_results_csv, reference_write_evaluations_csv
 
 A5_ARG = "pv=418,wt=123,dg=0,bess=704,conv=255"
 ROOT = Path(__file__).resolve().parents[1]
@@ -85,6 +84,38 @@ class TestValidate:
         code, out, err = _run(capsys, "validate", "--scenario", str(tmp_path / "data" / "scenario.yaml"))
         assert (code, out) == (2, "")
         assert f"{series}:100: cannot parse 'x' as a number" in err
+
+    def test_series_with_byte_order_mark_crlf_and_comments(self, capsys, tmp_path):
+        """Series files that start with a byte-order mark and have CRLF line
+        ends, comments and blank lines give the bundled run's files."""
+        data = tmp_path / "data"
+        shutil.copytree(bundled_data_path(), data)
+        for name in ("load_kw.txt", "irradiance_kw_m2.txt", "wind_speed_ms.txt"):
+            lines = (data / name).read_text(encoding="utf-8").splitlines()
+            lines = ["# rewritten", ""] + [f"{line}  # hour {i}" if i % 100 == 0 else line
+                                           for i, line in enumerate(lines)] + ["", "# end"]
+            (data / name).write_bytes(b"\xef\xbb\xbf" + "\r\n".join(lines).encode("utf-8") + b"\r\n")
+        assert _run(capsys, "validate", "--scenario", str(data / "scenario.yaml"))[0] == 0
+        for run, scenario in (("bundled", []), ("rewritten", ["--scenario", str(data / "scenario.yaml")])):
+            code, _, _ = _run(capsys, "evaluate", "--design", A5_ARG, "--trace", "--out", str(tmp_path / run),
+                              *scenario)
+            assert code == 0
+        for name in ("metrics.csv", "costs.csv", "trace.csv"):
+            assert (tmp_path / "bundled" / name).read_bytes() == (tmp_path / "rewritten" / name).read_bytes()
+
+    def test_empty_series_reports_length_only(self, tmp_path):
+        """An empty series file ends in the length error; no NumPy warning
+        reaches stderr."""
+        data = tmp_path / "data"
+        shutil.copytree(bundled_data_path(), data)
+        (data / "load_kw.txt").write_text("", encoding="utf-8")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mgdesign.cli", "validate", "--scenario", str(data / "scenario.yaml")],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: invalid scenario:\n  series.load: expected 8760 hourly values, got 0\n"
 
     def test_every_schema_problem_named(self, capsys, tmp_path):
         data = tmp_path / "data"
@@ -370,19 +401,10 @@ class TestPipelines:
         assert (args.seed, args.jobs) == (7, 2)
 
 
-def _bench_inputs():
-    """The benchmark's input generators, loaded from ``bench/inputs.py``."""
-    spec = importlib.util.spec_from_file_location("bench_inputs", ROOT / "bench" / "inputs.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestParetoCommand:
     @pytest.mark.parametrize("seed", [3, 17])
     def test_bench_archive_matches_row_oracle(self, capsys, tmp_path, seed):
-        inputs = _bench_inputs()
+        inputs = bench_inputs()
         archive = tmp_path / "archive.csv"
         fronts = inputs.write_pareto_archive(archive, seed, inputs.PARETO_ROWS, inputs.PARETO_FRONTS)
         code, stdout, _ = _run(capsys, "pareto", "--results", str(archive), "--out", str(tmp_path / "out"))
@@ -509,6 +531,15 @@ class TestMalformedResults:
         spaced.write_text("\n".join(lines[:1] + [""] + lines[1:2] + [lines[2].replace(",", ",y", 1)]) + "\n")
         code, _, err = self._pareto(capsys, tmp_path, spaced, "bad")
         assert code == 2 and "line 4, column wt_kw" in err
+
+    def test_byte_order_mark_skipped(self, capsys, tmp_path):
+        path = self._results(tmp_path)
+        assert self._pareto(capsys, tmp_path, path, "plain")[0] == 0
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert self._pareto(capsys, tmp_path, marked, "marked")[0] == 0
+        assert ((tmp_path / "plain" / "pareto_plotdata.csv").read_bytes()
+                == (tmp_path / "marked" / "pareto_plotdata.csv").read_bytes())
 
     def test_optional_columns_default(self, capsys, tmp_path):
         with open(self._results(tmp_path), newline="") as fh:

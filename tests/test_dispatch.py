@@ -21,6 +21,7 @@ from mgdesign.scenario import Scenario, TimeSeries, Unit
 
 from .conftest import random_design, random_scenario
 from .helpers import (
+    bench_inputs,
     equilibrium_tanks,
     hub_wind_speed,
     pv_output,
@@ -529,8 +530,53 @@ class TestTraceExport:
                             "fuel_l_per_hr,conversion_loss_kw,soc")
         assert len(lines) == 8761
 
-    def test_csv_bytes_match_per_cell_formatter(self, tmp_path, bundled, a5):
-        trace = simulate_year(bundled, a5)
+    @staticmethod
+    def assert_same_bytes(tmp_path, trace) -> bytes:
         write_trace_csv(trace, tmp_path / "fast.csv")
         reference_write_trace_csv(trace, tmp_path / "reference.csv")
-        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        text = (tmp_path / "fast.csv").read_bytes()
+        assert text == (tmp_path / "reference.csv").read_bytes()
+        return text
+
+    def test_csv_bytes_match_per_cell_formatter(self, tmp_path, bundled, a5):
+        text = self.assert_same_bytes(tmp_path, simulate_year(bundled, a5))
+        assert text.count(b"-0.000000") == 18  # curtailed_kw cells at -1 ulp
+
+    @pytest.mark.parametrize("design, negative_zeros", [("pv=735.9375,conv=422.96875", 66)]
+                             + [(design, None) for design in bench_inputs().SENSITIVITY_DESIGNS])
+    def test_design_traces_match_oracle(self, tmp_path, bundled, design, negative_zeros):
+        text = self.assert_same_bytes(tmp_path, simulate_year(bundled, Design.from_string(design)))
+        if negative_zeros is not None:
+            assert text.count(b"-0.000000") == negative_zeros
+
+    def test_adversarial_columns_match_oracle(self, tmp_path, bundled, a5):
+        """Exact six-decimal ties, signed zeros, -1 ulp cells, subnormals,
+        integer parts of up to 16 digits, NaN and infinities, each column
+        spread over rows that also hold ordinary values."""
+        rng = np.random.default_rng(15)
+        hours = len(bundled.load)
+        ties = (np.arange(hours) + 0.5) * 1e-6
+        special = np.array([0.0, -0.0, -1e-14, 1e-14, 5e-324, -5e-324, 2.2e-308, 5e-7, 2.5e-6, 9.9999995,
+                            999.9999996, 999999.9999995, 1e9, 999999999.9999999, 4.6e9, -4.6e9,
+                            4503599627.3704, 1e15, np.nan, np.inf, -np.inf])
+        columns = [ties, -ties, rng.choice(special, hours), np.where(rng.random(hours) < 0.01, np.nan, 1.0),
+                   np.round(rng.uniform(-10.0, 10.0, hours), 6) + 5e-7, rng.uniform(-1e-6, 1e-6, hours),
+                   rng.standard_normal(hours) * 10.0 ** rng.integers(-12, 10, hours), rng.uniform(0.0, 1e12, hours),
+                   np.zeros(hours), -np.zeros(hours), rng.uniform(-1e3, 1e3, hours), rng.uniform(0.0, 1.0, hours)]
+        trace = simulate_year(bundled, a5)
+        self.assert_same_bytes(tmp_path, replace(trace, **dict(zip(FLOW_FIELDS + ("soc",), columns))))
+        for column in columns:  # one special column among ordinary ones
+            ordinary = [rng.uniform(0.0, 500.0, hours) for _ in FLOW_FIELDS]
+            self.assert_same_bytes(tmp_path, replace(trace, **dict(zip(FLOW_FIELDS + ("soc",), ordinary + [column]))))
+
+    def test_formats_by_blocks(self, tmp_path, bundled, a5):
+        """Formatting holds a block of rows at a time, not the year."""
+        trace = simulate_year(bundled, a5)
+        write_trace_csv(trace, tmp_path / "warm.csv")
+        tracemalloc.start()
+        try:
+            write_trace_csv(trace, tmp_path / "trace.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_000_000

@@ -7,7 +7,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mgdesign import scenario as scenario_module
@@ -96,14 +96,27 @@ class TestLoadTimeseries:
         assert np.array_equal(back.values, original.values)
 
 
+#: Lines of generated series files: numbers, the cells ``float`` reads and
+#: ``loadtxt`` does not, NaN, infinities, two values on a line, blank lines,
+#: comments and cells that are no number.
+_SERIES_LINES = st.one_of(
+    st.floats(allow_nan=False).map(repr),
+    st.sampled_from(["1_0", "\u0661\u0662", "nan", "NaN", "-nan", "inf", "-Infinity", "1e999", "+.5e-3",
+                     "1 2", "3\t4", "", "   ", "\t", "# comment", "5.5  # note", "\t7 ", "x", "0x10", "1,5"]),
+)
+
+
 class TestLoadTimeseriesMatchesLineLoop:
-    """The whole-file loader gives the line-by-line loader's values bit for
-    bit, and its exceptions with the same messages."""
+    """The NumPy loader gives the ``float``-per-cell loader's values bit for
+    bit, and its exceptions with the same messages, and lets no warning
+    out."""
 
     @staticmethod
     def _outcome(loader, path, unit=Unit.KW, expected_length=HOURS_PER_YEAR):
         try:
-            return loader(path, unit, expected_length).values
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                return loader(path, unit, expected_length).values
         except (ValueError, OSError) as exc:
             return type(exc), str(exc)
 
@@ -169,6 +182,37 @@ class TestLoadTimeseriesMatchesLineLoop:
         path.write_text(text, encoding="utf-8")
         self._assert_same(path)
         self._assert_same(path, expected_length=None)
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=st.lists(_SERIES_LINES, max_size=12), newline=st.sampled_from(["\n", "\r\n", "\r"]),
+           final_newline=st.booleans(), unit=st.sampled_from([Unit.KW, Unit.CELSIUS]),
+           length=st.sampled_from(["cells", None, HOURS_PER_YEAR]))
+    def test_generated_files(self, tmp_path, lines, newline, final_newline, unit, length):
+        path = tmp_path / "series.txt"
+        path.write_bytes((newline.join(lines) + (newline if final_newline and lines else "")).encode("utf-8"))
+        if length == "cells":
+            length = sum(1 for line in lines if line.split("#", 1)[0].strip())
+        self._assert_same(path, unit=unit, expected_length=length)
+
+    @pytest.mark.parametrize("cell, value", [("1_0", 10.0), ("\u0661\u0662", 12.0), ("2_5.0_1", 25.01)])
+    def test_numbers_only_float_reads(self, tmp_path, cell, value):
+        path = tmp_path / "series.txt"
+        path.write_text(f"# unit: kW\n1.5\n{cell}  # hour 2\n3.0\n", encoding="utf-8")
+        values = self._assert_same(path, expected_length=None)
+        assert values.tolist() == [1.5, value, 3.0]
+
+    def test_byte_order_mark(self, tmp_path):
+        """A file that starts with a UTF-8 byte-order mark reads as the same
+        file without it."""
+        text = (bundled_data_path() / "load_kw.txt").read_text(encoding="utf-8")
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        values = load_timeseries(marked, Unit.KW).values
+        assert values.tobytes() == reference_load_timeseries(plain, Unit.KW).values.tobytes()
+        marked.write_bytes(b"\xef\xbb\xbf" + b"x\n")
+        with pytest.raises(TimeSeriesParseError, match=":1: cannot parse 'x' as a number"):
+            load_timeseries(marked, Unit.KW)
 
 
 class TestSynthesizeLoad:
