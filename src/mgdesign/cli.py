@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
+import functools
 import os
 import sys
 from pathlib import Path
@@ -20,7 +22,7 @@ from . import optimize, sensitivity
 from .dispatch import Design, InvalidDesignError, simulate_year, write_trace_csv
 from .metrics import METRIC_FIELDS, Evaluator, MetricVector, cost_record, evaluate, metric_record, npc
 from .optimize import EmptyInputError, EmptySearchSpaceError, PolicyConfig, SearchSpace, Weights
-from .scenario import ScenarioValidationError, bundled_data_path, bundled_scenario, load_scenario
+from .scenario import NotUtf8Error, ScenarioValidationError, bundled_data_path, bundled_scenario, load_scenario
 from .tables import csv_column, write_table
 
 
@@ -239,7 +241,8 @@ def _read_results_csv(path: Path) -> dict[str, list]:
     name: floats, None for an empty ``grid_cap_kw``, and ``feasible`` from
     its ``1`` / ``0`` cells.  A leading byte-order mark and blank lines are
     skipped.  A missing column, a short row, a bad cell or a line the CSV
-    parser rejects raises :class:`ConfigError`."""
+    parser rejects raises :class:`ConfigError`, and a byte that is not
+    UTF-8 :class:`~mgdesign.scenario.NotUtf8Error`."""
     if not path.exists():
         raise ConfigError(f"results file not found: {path}")
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -249,6 +252,8 @@ def _read_results_csv(path: Path) -> dict[str, list]:
             numbered = [(reader.line_num, row) for row in reader if row]
         except csv.Error as exc:
             raise ConfigError(f"{path}, line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            raise NotUtf8Error(path) from None
     if not numbered:
         raise EmptyInputError(f"no rows in {path}")
     index = {name: i for i, name in enumerate(header)}
@@ -326,7 +331,38 @@ _COMMANDS = {
 }
 
 
+#: glibc's ``mallopt`` parameters (``malloc.h``).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Ask glibc to keep freed heap memory for the process's next arrays.
+
+    By default glibc hands freed memory back to the system once 128 KiB are
+    free at the top of the heap, so every year-long array of a simulation
+    comes back as fresh pages, one page fault per 4 KiB.  A trim threshold
+    of 256 MiB keeps them.  Setting it switches off glibc's sliding mmap
+    threshold, so the mmap threshold is raised as well (to 32 MiB, its
+    largest), or every block of 128 KiB or more would be a fresh mmap.
+    Changes no result.  Linux only, and nothing happens where the C
+    library has no ``mallopt``.  Forked ``search`` workers inherit it.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+
+
 def main(argv: list[str] | None = None) -> int:
+    _keep_freed_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

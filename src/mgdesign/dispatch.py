@@ -22,10 +22,15 @@ dispatch rules are implemented once, in three stages over the year:
    (:func:`_battery_hours`): discharge in deficit hours, PV DC-direct
    charge when nothing was discharged, PV-then-wind charge in surplus
    hours, and the tank update of the two-tank kinetic battery.  The loop
-   carries only the tanks: it records the power delivered, the PV and
-   wind charges and the tank sum, and a few NumPy operations after it
-   write the flows, the converter throughput, the losses, the surpluses
-   and the SOC back.
+   carries only the tanks and reads per hour only the deficit flag, the
+   discharge limit and whether there is a surplus to charge from, all
+   computed by NumPy before it.  Each kind of hour runs only the
+   operations whose results it uses: a deficit hour that cannot discharge
+   skips the discharge bound, and an hour that neither charges nor
+   discharges steps the tanks without the terms of the internal power.
+   The loop records the power delivered, the PV and wind charges and the
+   tank sum, and a few NumPy operations after it write the flows, the
+   converter throughput, the losses, the surpluses and the SOC back.
 3. NumPy arrays: grid import, diesel and fuel, unmet load, export and
    curtailment.
 
@@ -331,10 +336,12 @@ def _battery_stage_hours(
     of the per-hour rule it replaces, so each hour's result is bit-identical
     to routing that hour alone.  They clamp and update in place
     (``np.copyto(..., where=)``, ``out=``) on arrays they allocated
-    themselves, never on their inputs: a year-long temporary is a fresh
-    page fault per 4 KiB once the allocator has handed freed memory back
-    to the system, and those faults take about half of a battery-less
-    year's run time.
+    themselves, never on their inputs, which keeps a stage to at most 13
+    year-long arrays.  Each one is still fresh memory to the kernel, one
+    page fault per 4 KiB, wherever the allocator hands freed memory back
+    to the system: glibc does by default, and those faults took about half
+    of a battery-less year's run time.  ``mgdesign.cli.main`` asks glibc
+    to keep it, so in the CLI a year reuses the pages of the last.
     """
     # Stage 1: wind serves load on the AC bus, then PV through the converter.
     # A masked flow is +0.0 outside its mask, and ``x - 0.0`` is ``x`` bit
@@ -360,20 +367,26 @@ def _battery_stage_hours(
     discharge = np.zeros(len(load))
     soc = np.zeros(len(load))
     if q_max > 0.0:
-        # The loop records the power delivered, the PV and wind charges and
-        # the tank sum; the flows follow from them here, with the per-hour
-        # rules' operations on the same operands.  An hour either discharges
-        # or charges, and adding the other direction's +0.0 leaves a value
-        # as it is: none of these arrays holds -0.0 where +0.0 is added.
-        room = np.subtract(conv_kw, conv_used)
+        # The loop reads the deficit flags, the discharge limit (the room the
+        # converter has left, and no more than the residual in a deficit
+        # hour) and whether PV or wind has a surplus to charge from.  It
+        # records the power delivered, the PV and wind charges and the tank
+        # sum; the flows follow from them here, with the per-hour rules'
+        # operations on the same operands.  An hour either discharges or
+        # charges, and adding the other direction's +0.0 leaves a value as
+        # it is: none of these arrays holds -0.0 where +0.0 is added.
+        limit = np.subtract(conv_kw, conv_used)
+        np.copyto(limit, residual, where=deficit & (residual < limit))
+        spare = pv_surplus > 0.0
+        spare |= wt_surplus > 0.0
         delivered, wind_dc = discharge, np.zeros(len(load))
         q1, q2 = _battery_hours(
-            deficit, residual, room, pv_surplus, wt_surplus, charge, delivered, wind_dc, soc,
+            deficit, limit, spare, pv_surplus, wt_surplus, charge, delivered, wind_dc, soc,
             q1, q2, eta, k, c, sq_eta, floor_q1, floor_q2, q_max_eff)
         residual -= delivered
         conv_used += delivered
         conv_used += wind_dc
-        discharge = np.divide(delivered, eta, out=room)   # at the battery terminals
+        discharge = np.divide(delivered, eta, out=limit)   # at the battery terminals
         loss += np.subtract(discharge, delivered, out=delivered)
         wind_ac = np.divide(wind_dc, eta, out=delivered)
         wt_surplus -= wind_ac
@@ -386,7 +399,7 @@ def _battery_stage_hours(
 
 
 def _battery_hours(
-    deficit: np.ndarray, residual: np.ndarray, room: np.ndarray, pv_surplus: np.ndarray,
+    deficit: np.ndarray, limit: np.ndarray, spare: np.ndarray, pv_surplus: np.ndarray,
     wt_surplus: np.ndarray, charge: np.ndarray, delivered: np.ndarray, wind_dc: np.ndarray,
     tanks: np.ndarray, q1: float, q2: float, eta: float, k: float, c: float, sq_eta: float,
     floor_q1: float, floor_q2: float, q_max_eff: float,
@@ -394,19 +407,29 @@ def _battery_hours(
     """Stage 2: charge and discharge the battery hour by hour and step its
     tanks; returns the final ``q1, q2``.
 
-    Deficit hours discharge first, within the converter ``room`` left by
-    stage 1; when nothing was discharged, PV surplus left by a saturated
-    converter charges DC-direct.  Surplus hours charge from PV DC-direct,
-    then from wind through the converter room.  The loop carries only the
-    tanks: it reads the stage-1 arrays and writes, through memoryviews, the
-    power ``delivered`` to the AC bus, the PV ``charge``, the ``wind_dc``
-    charge and the tank sum (``tanks``); :func:`_battery_stage_hours` turns
-    them into the flows after the loop.  The tanks follow the kinetic
-    battery model at dt = 1 h: the discharge and charge bounds that keep
-    the available tank within the usable window, and the exact tank update,
-    in closed form with their constants hoisted out of the loop.  Each
-    direction carries ``sq_eta`` of the roundtrip efficiency, and the
-    update takes exactly the internal power ``i`` from ``q1 + q2``.
+    Deficit hours discharge first, up to the discharge ``limit``; when
+    nothing was discharged, PV surplus left by a saturated converter
+    charges DC-direct.  Surplus hours (``spare``: PV or wind has some)
+    charge from PV DC-direct, then from wind through the converter room,
+    which is the ``limit`` of a surplus hour.  The loop carries only the
+    tanks: it writes, through memoryviews, the power ``delivered`` to the
+    AC bus, the PV ``charge``, the ``wind_dc`` charge and the tank sum
+    (``tanks``); :func:`_battery_stage_hours` turns them into the flows
+    after the loop.  The tanks follow the kinetic battery model at dt =
+    1 h: the discharge and charge bounds that keep the available tank
+    within the usable window, and the exact tank update, in closed form
+    with their constants hoisted out of the loop.  Each direction carries
+    ``sq_eta`` of the roundtrip efficiency, and the update takes exactly
+    the internal power ``i`` from ``q1 + q2``.
+
+    Each kind of hour runs only the operations whose results it uses, in
+    the operation order of the full rules, so every result is bit for bit
+    the same.  A deficit hour with no limit, or with both tanks at or below
+    their floors, cannot discharge and skips the discharge bound (it gives
+    0 there).  A discharging hour's ``i`` drops the charge term, and an hour
+    that neither charges nor discharges (``i`` is +0.0) runs the update
+    without its ``i`` terms, which are +0.0: ``x - 0.0`` is ``x`` bit for
+    bit.  The surpluses are read only in hours that charge.
     """
     r = math.exp(-k)
     one_r = 1.0 - r
@@ -414,55 +437,68 @@ def _battery_hours(
     denom = one_r + c * a
     one_c = 1.0 - c
     k_c_qmax = k * c * q_max_eff
-    chg_v, del_v, wind_v, tank_v = map(memoryview, (charge, delivered, wind_dc, tanks))
-    hours = zip(range(len(tanks)), *map(memoryview, (deficit, residual, room, pv_surplus, wt_surplus)))
+    ps_v, ws_v, chg_v, del_v, wind_v, tank_v = map(
+        memoryview, (pv_surplus, wt_surplus, charge, delivered, wind_dc, tanks))
+    hours = zip(range(len(tanks)), *map(memoryview, (deficit, limit, spare)))
+    q0 = q1 + q2
 
-    for h, short, res, rm, ps, ws in hours:
-        dis = 0.0
-        chg = 0.0
-        e1 = q1 - floor_q1
-        if e1 < 0.0:
-            e1 = 0.0
-        e2 = q2 - floor_q2
-        if e2 < 0.0:
-            e2 = 0.0
-        if short:
+    for h, short, lim, surplus in hours:
+        if short and lim > 0.0 and (q1 > floor_q1 or q2 > floor_q2):
+            e1 = q1 - floor_q1
+            if e1 < 0.0:
+                e1 = 0.0
+            e2 = q2 - floor_q2
+            if e2 < 0.0:
+                e2 = 0.0
             internal = (k * e1 * r + (e1 + e2) * k * c * one_r) / denom
             if internal < 0.0:
                 internal = 0.0
             deliverable = internal * sq_eta * eta
-            if deliverable > rm:
-                deliverable = rm
-            if deliverable > res:
-                deliverable = res
+            if deliverable > lim:
+                deliverable = lim
             if deliverable > 0.0:
-                dis = deliverable / eta
                 del_v[h] = deliverable
+                i = deliverable / eta / sq_eta
+                q1, q2 = (q1 * r + ((q0 * k * c - i) * one_r - i * c * a) / k,
+                          q2 * r + q0 * one_c * one_r - i * one_c * a / k)
+                tank_v[h] = q0 = q1 + q2
+                continue
         # Charge when nothing was discharged.  A deficit hour has no wind
         # surplus (+0.0), so there only PV left by a saturated converter
         # charges.
-        if dis == 0.0 and (ps > 0.0 or ws > 0.0):
+        if surplus:
+            e1 = q1 - floor_q1
+            if e1 < 0.0:
+                e1 = 0.0
+            e2 = q2 - floor_q2
+            if e2 < 0.0:
+                e2 = 0.0
             internal = (k_c_qmax - k * e1 * r - (e1 + e2) * k * c * one_r) / denom
             if internal < 0.0:
                 internal = 0.0
             bound = internal / sq_eta
+            ps = ps_v[h]
             chg = ps if ps < bound else bound
             chg_v[h] = chg
-            if ws > 0.0 and chg < bound and rm > 0.0:
+            ws = ws_v[h]
+            if ws > 0.0 and chg < bound and lim > 0.0:
                 dc_possible = ws * eta
-                if dc_possible > rm:
-                    dc_possible = rm
+                if dc_possible > lim:
+                    dc_possible = lim
                 if dc_possible > bound - chg:
                     dc_possible = bound - chg
                 if dc_possible > 0.0:
                     wind_v[h] = dc_possible
                     chg += dc_possible
-
-        i = dis / sq_eta - chg * sq_eta
-        q0 = q1 + q2
-        q1, q2 = (q1 * r + ((q0 * k * c - i) * one_r - i * c * a) / k,
-                  q2 * r + q0 * one_c * one_r - i * one_c * a / k)
-        tank_v[h] = q1 + q2
+            # ``0.0 - chg * sq_eta`` when not zero; a zero is an idle hour.
+            i = -chg * sq_eta
+            if i:
+                q1, q2 = (q1 * r + ((q0 * k * c - i) * one_r - i * c * a) / k,
+                          q2 * r + q0 * one_c * one_r - i * one_c * a / k)
+                tank_v[h] = q0 = q1 + q2
+                continue
+        q1, q2 = q1 * r + q0 * k * c * one_r / k, q2 * r + q0 * one_c * one_r
+        tank_v[h] = q0 = q1 + q2
     return q1, q2
 
 

@@ -79,6 +79,25 @@ class TimeSeriesParseError(ValueError):
         super().__init__(f"{path}:{line}: cannot parse {content!r} as a number")
 
 
+class NotUtf8Error(ValueError):
+    """A text file is not UTF-8: names the file and the 1-based line of
+    its first bad byte."""
+
+    def __init__(self, path: str | Path) -> None:
+        # A decoder reading a stream counts positions from its chunk, so the
+        # whole file is decoded again to find the byte.
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            bad = exc.start
+        else:  # the file changed after it failed to decode
+            bad = len(data)
+        self.path = str(path)
+        self.line = data.count(b"\n", 0, bad) + 1
+        super().__init__(f"{path}, line {self.line}: not UTF-8 text")
+
+
 class LengthMismatchError(ValueError):
     """A series did not have the expected number of hourly values."""
 
@@ -139,8 +158,9 @@ class TimeSeries:
 def load_timeseries(path: str | Path, unit: Unit, expected_length: int | None = HOURS_PER_YEAR) -> TimeSeries:
     """Read a plain-text series: one value per line, ``#`` comments allowed.
 
-    Raises ``FileNotFoundError``, :class:`TimeSeriesParseError` (with the
-    1-based offending line number), or :class:`LengthMismatchError`.
+    Raises ``FileNotFoundError``, :class:`TimeSeriesParseError` or
+    :class:`NotUtf8Error` (with the 1-based offending line number), or
+    :class:`LengthMismatchError`.
     NaN and negative values are rejected where the unit forbids them.
 
     The file is read as UTF-8 with an optional byte-order mark, and NumPy's
@@ -160,7 +180,10 @@ def load_timeseries(path: str | Path, unit: Unit, expected_length: int | None = 
         except ValueError:
             values = None
     if values is None or values.shape[1] != 1 or np.isnan(values).any():
-        values = _scan_series(path)
+        try:
+            values = _scan_series(path)
+        except UnicodeDecodeError:
+            raise NotUtf8Error(path) from None
     else:
         values = values[:, 0]
     if expected_length is not None and len(values) != expected_length:
@@ -644,6 +667,8 @@ def load_scenario(path: str | Path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = yaml.load(fh, Loader=_YAML_LOADER)
+        except UnicodeDecodeError:
+            raise ScenarioValidationError([str(NotUtf8Error(path))]) from None
         except yaml.YAMLError as exc:
             mark = getattr(exc, "problem_mark", None)
             where = f"{path}:{mark.line + 1}:{mark.column + 1}" if mark is not None else str(path)

@@ -1,11 +1,13 @@
 import csv
 import filecmp
 import os
+import platform
 import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 import yaml
@@ -84,6 +86,30 @@ class TestValidate:
         code, out, err = _run(capsys, "validate", "--scenario", str(tmp_path / "data" / "scenario.yaml"))
         assert (code, out) == (2, "")
         assert f"{series}:100: cannot parse 'x' as a number" in err
+
+    @pytest.mark.parametrize("mark, newline", [(b"", b"\n"), (b"\xef\xbb\xbf", b"\r\n")], ids=["lf", "bom-crlf"])
+    def test_non_utf8_series_names_file_and_line(self, capsys, tmp_path, mark, newline):
+        """A Latin-1 byte far past the decoder's first chunk is named by the
+        file and its line, not by a position in the chunk."""
+        shutil.copytree(bundled_data_path(), tmp_path / "data")
+        series = tmp_path / "data" / "load_kw.txt"
+        lines = series.read_bytes().split(b"\n")
+        lines[5000] += b"  # 25\xb0C"
+        series.write_bytes(mark + newline.join(lines))
+        code, out, err = _run(capsys, "validate", "--scenario", str(tmp_path / "data" / "scenario.yaml"))
+        assert (code, out) == (2, "")
+        assert err == f"error: invalid scenario:\n  series.load: {series}, line 5001: not UTF-8 text\n"
+
+    def test_non_utf8_scenario_file_names_line(self, capsys, tmp_path):
+        shutil.copytree(bundled_data_path(), tmp_path / "data")
+        path = tmp_path / "data" / "scenario.yaml"
+        lines = path.read_bytes().split(b"\n")
+        line = lines.index(b"  battery:") + 1
+        lines[line - 1] += b"  # 25\xb0C"
+        path.write_bytes(b"\n".join(lines))
+        code, out, err = _run(capsys, "validate", "--scenario", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: invalid scenario:\n  {path}, line {line}: not UTF-8 text\n"
 
     def test_series_with_byte_order_mark_crlf_and_comments(self, capsys, tmp_path):
         """Series files that start with a byte-order mark and have CRLF line
@@ -541,6 +567,21 @@ class TestMalformedResults:
         assert ((tmp_path / "plain" / "pareto_plotdata.csv").read_bytes()
                 == (tmp_path / "marked" / "pareto_plotdata.csv").read_bytes())
 
+    @pytest.mark.parametrize("line", [5, 1500])
+    def test_non_utf8_byte_names_line(self, capsys, tmp_path, line):
+        """The bench archive is 2000 rows, so line 1500 lies past the
+        decoder's first chunk."""
+        path = tmp_path / "archive.csv"
+        inputs = bench_inputs()
+        inputs.write_pareto_archive(path, 3, inputs.PARETO_ROWS, inputs.PARETO_FRONTS)
+        lines = path.read_bytes().split(b"\n")
+        lines[line - 1] = lines[line - 1].replace(b",", b",\xb0", 1)
+        path.write_bytes(b"\n".join(lines))
+        code, out, err = self._pareto(capsys, tmp_path, path)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}, line {line}: not UTF-8 text\n"
+        assert not (tmp_path / "out" / "pareto_plotdata.csv").exists()
+
     def test_optional_columns_default(self, capsys, tmp_path):
         with open(self._results(tmp_path), newline="") as fh:
             rows = list(csv.reader(fh))
@@ -561,3 +602,77 @@ class TestMalformedResults:
         path.write_text(text)
         code, _, err = self._pareto(capsys, tmp_path, path)
         assert code == 2 and "no rows" in err
+
+
+class TestKeepFreedHeap:
+    """``main`` asks glibc to keep freed heap memory, so the year-long
+    arrays of one simulation reuse the pages of the last."""
+
+    def test_main_calls_it(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "_keep_freed_heap", lambda: calls.append(None))
+        assert _run(capsys, "validate")[0] == 0
+        assert len(calls) == 1
+
+    def test_sets_both_thresholds(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(cli.sys, "platform", "linux")
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+        assert cli._keep_freed_heap.__wrapped__() is None
+        assert calls == [(-1, 256 << 20), (-3, 32 << 20)]   # M_TRIM_THRESHOLD, M_MMAP_THRESHOLD
+
+    def test_does_nothing_off_linux(self, monkeypatch):
+        def fail(name):
+            raise AssertionError("no C library is opened off Linux")
+
+        monkeypatch.setattr(cli.sys, "platform", "darwin")
+        monkeypatch.setattr(cli.ctypes, "CDLL", fail)
+        assert cli._keep_freed_heap.__wrapped__() is None
+
+    @pytest.mark.parametrize("library", ["unloadable", "without mallopt"])
+    def test_does_nothing_without_mallopt(self, monkeypatch, library):
+        def cdll(name):
+            if library == "unloadable":
+                raise OSError("no such library")
+            return SimpleNamespace()
+
+        monkeypatch.setattr(cli.sys, "platform", "linux")
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        assert cli._keep_freed_heap.__wrapped__() is None
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                        reason="mallopt is glibc's")
+    def test_simulations_reuse_freed_pages(self):
+        """40 battery-less years (no battery loop: the arrays are most of
+        the time) take at most a quarter of the minor page faults after the
+        setting that they take without it, each in a fresh process."""
+        script = "\n".join([
+            "import resource, sys",
+            "from mgdesign import cli",
+            "from mgdesign.dispatch import Design, simulate_year",
+            "from mgdesign.scenario import bundled_scenario",
+            "if sys.argv[1] == 'keep':",
+            "    cli._keep_freed_heap()",
+            "scenario, design = bundled_scenario(), Design.from_string('pv=735.9375,conv=422.96875')",
+            "for _ in range(5):",
+            "    simulate_year(scenario, design)",
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
+            "for _ in range(40):",
+            "    simulate_year(scenario, design)",
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)",
+        ])
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        faults = {}
+        for mode in ("default", "keep"):
+            proc = subprocess.run([sys.executable, "-c", script, mode], capture_output=True, text=True,
+                                  env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            faults[mode] = int(proc.stdout)
+        assert faults["default"] > 0
+        assert faults["keep"] * 4 <= faults["default"], faults

@@ -457,6 +457,77 @@ class TestBatteryLoopWriteBacks:
             for load, pv, wt in itertools.product(loads, pvs, winds):
                 self.assert_same_stage(np.array([load]), np.array([pv]), np.array([wt]), q1, q2, params)
 
+    #: Every kind of hour the loop runs apart, and the edges between them.
+    HOUR_KINDS = {
+        "discharge", "deficit at the floor", "deficit at the floor with PV surplus",
+        "deficit above the floor with a zero limit", "charge from PV", "charge from wind",
+        "exact balance", "tanks exactly at their floors", "discharge limited by room == residual",
+        "-0.0 room", "soc_min = 0",
+    }
+
+    @staticmethod
+    def hour_kinds(hour, q1, q2, params) -> set[str]:
+        """The kinds of one-hour ``hour`` from tanks ``q1``/``q2``, read off
+        stage 1 and the reference loop's results."""
+        (deficit, residual, pv_surplus, wt_surplus, conv_used, _), *_ = dispatch._battery_stage_hours(
+            *hour, q1, q2, **{**params, "q_max": 0.0})
+        (_, residual_after, pv_after, wt_after, _, _), (_, discharge, _), *_ = \
+            reference_battery_stage_hours(*hour, q1, q2, **params)
+        room = params["conv_kw"] - conv_used[0]
+        at_floor = q1 <= params["floor_q1"] and q2 <= params["floor_q2"]
+        kinds = set()
+        if deficit[0]:
+            if discharge[0] > 0.0:
+                kinds.add("discharge")
+            if room == residual[0] and residual_after[0] == 0.0:
+                kinds.add("discharge limited by room == residual")
+            if at_floor:
+                kinds.add("deficit at the floor with PV surplus" if pv_surplus[0] > 0.0 else "deficit at the floor")
+            elif room == 0.0:
+                kinds.add("deficit above the floor with a zero limit")
+        else:
+            if pv_after[0] < pv_surplus[0]:
+                kinds.add("charge from PV")
+            if wt_after[0] < wt_surplus[0]:
+                kinds.add("charge from wind")
+            if not (pv_surplus[0] > 0.0 or wt_surplus[0] > 0.0):
+                kinds.add("exact balance")
+        if q1 == params["floor_q1"] and q2 == params["floor_q2"]:
+            kinds.add("tanks exactly at their floors")
+        if room == 0.0 and math.copysign(1.0, room) < 0.0:
+            kinds.add("-0.0 room")
+        if params["floor_q1"] == 0.0:
+            kinds.add("soc_min = 0")
+        return kinds
+
+    def test_every_hour_kind(self, bundled):
+        """Each kind of hour, alone and in a sequence of all of them, from
+        tanks at their floors, half full and full: a converter of -0.0 kW
+        leaves -0.0 room, 30 kW ties room and residual at a 30 kW load or
+        saturates under 100 kW of PV, and ``soc_min = 0`` puts the floors at
+        empty tanks.  The bundled ``k = 1`` makes ``x / k`` exact, so one
+        catalog has other battery and converter constants."""
+        catalog = bundled.catalog
+        floorless = replace(catalog, battery=replace(catalog.battery, soc_min=0.0))
+        skewed = replace(catalog, converter=replace(catalog.converter, efficiency=0.93),
+                         battery=replace(catalog.battery, rate_constant_per_hr=0.6, capacity_ratio=0.3,
+                                         roundtrip_efficiency=0.85, soc_min=0.15, soc_max=0.9))
+        hours = [np.array(column) for column in zip(*itertools.product(
+            (0.0, 20.0, 30.0, 100.0), (0.0, 100.0), (0.0, 20.0, 120.0)))]
+        seen = set()
+        for edge, conv, bess in itertools.product((catalog, floorless, skewed), (-0.0, 0.0, 30.0, 95.0),
+                                                  (100.0, 400.0)):
+            spec = edge.battery
+            params = dispatch._battery_params(conv, edge, bess)
+            for soc in (spec.soc_min, 0.5, spec.soc_max):
+                q1, q2 = equilibrium_tanks(bess, soc, spec.capacity_ratio)
+                self.assert_same_stage(*hours, q1, q2, params)
+                for hour in zip(*hours):
+                    hour = [np.array([value]) for value in hour]
+                    self.assert_same_stage(*hour, q1, q2, params)
+                    seen |= self.hour_kinds(hour, q1, q2, params)
+        assert seen == self.HOUR_KINDS
+
     def test_stage_allocates_at_most_13_year_arrays(self, bundled, a5):
         battery_stage(bundled, a5)
         tracemalloc.start()
