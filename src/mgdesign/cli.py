@@ -14,12 +14,13 @@ import argparse
 import csv
 import ctypes
 import functools
+import math
 import os
 import sys
 from pathlib import Path
 
 from . import optimize, sensitivity
-from .dispatch import Design, InvalidDesignError, simulate_year, write_trace_csv
+from .dispatch import CAPACITIES, Design, InvalidDesignError, simulate_year, write_trace_csv
 from .metrics import METRIC_FIELDS, Evaluator, MetricVector, cost_record, evaluate, metric_record, npc
 from .optimize import EmptyInputError, EmptySearchSpaceError, PolicyConfig, SearchSpace, Weights
 from .scenario import NotUtf8Error, ScenarioValidationError, bundled_data_path, bundled_scenario, load_scenario
@@ -32,6 +33,22 @@ class ConfigError(ValueError):
 
 def _env(name: str, fallback: str | None = None) -> str | None:
     return os.environ.get(f"MGDESIGN_{name}", fallback)
+
+
+def _finite(text: str) -> float:
+    """A number that is neither infinite nor NaN (an argparse ``type``)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _finite_list(text: str) -> list[float]:
+    """Comma-separated finite numbers (an argparse ``type``)."""
+    return [_finite(part) for part in text.split(",")]
 
 
 def _add_common(parser: argparse.ArgumentParser, design: bool = False, space: bool = False) -> None:
@@ -68,13 +85,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="enumerate a capacity lattice and rank by cost")
     _add_common(p, space=True)
-    p.add_argument("--budget", type=float, default=None, help="capital + first-year O&M budget in $")
+    p.add_argument("--budget", type=_finite, default=None, help="capital + first-year O&M budget in $")
     p.add_argument("--weights", default="0.25,0.25,0.25,0.25",
                    help="scalarization weights w_npc,w_rel,w_eff,w_co2 (default equal)")
 
     p = sub.add_parser("refine", help="derivative-free cost refinement from a starting design")
     _add_common(p, design=True)
-    p.add_argument("--tolerance", type=float, default=1.0, help="stop once steps shrink below this (kW/kWh)")
+    p.add_argument("--tolerance", type=_finite, default=1.0, help="stop once steps shrink below this (kW/kWh)")
     p.add_argument("--max-cycles", type=int, default=200)
 
     p = sub.add_parser("rl-search", help="policy-gradient Pareto front exploration")
@@ -93,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, design=True)
     p.add_argument("--parameter", choices=[s.value for s in sensitivity.SweepParameter] + ["all"],
                    default="all")
-    p.add_argument("--multipliers", default="0.8,0.9,1.0,1.1,1.2")
+    p.add_argument("--multipliers", type=_finite_list, default="0.8,0.9,1.0,1.1,1.2")
     return parser
 
 
@@ -178,8 +195,7 @@ def _report_evaluations(requested: int, simulated: int) -> None:
 
 
 def _design_label(design: Design) -> str:
-    return (f"pv={design.pv_kw:g},wt={design.wt_kw:g},dg={design.dg_kw:g},"
-            f"bess={design.bess_kwh:g},conv={design.converter_kw:g}")
+    return ",".join(f"{short}={getattr(design, name):g}" for short, name in CAPACITIES.items())
 
 
 def cmd_refine(args) -> int:
@@ -306,12 +322,11 @@ def cmd_lcoe_sweep(args) -> int:
     scenario = _load_scenario(args)
     design = Design.from_string(args.design)
     out = _outdir(args)
-    multipliers = [float(m) for m in args.multipliers.split(",")]
     parameters = (list(sensitivity.SweepParameter) if args.parameter == "all"
                   else [sensitivity.SweepParameter(args.parameter)])
     trace = simulate_year(scenario, design)
     for parameter in parameters:
-        curve = sensitivity.lcoe_sweep(scenario, design, parameter, multipliers, trace=trace)
+        curve = sensitivity.lcoe_sweep(scenario, design, parameter, args.multipliers, trace=trace)
         path = out / f"lcoe_{parameter.value}.csv"
         sensitivity.write_sweep_csv(curve, path)
         lo, hi = min(v for _, v in curve), max(v for _, v in curve)

@@ -100,6 +100,12 @@ class InvalidDesignError(ValueError):
     """Design capacities are negative or not finite."""
 
 
+#: The short name of each capacity of a :class:`Design`, mapped to its
+#: field, in field order.  Design strings, search axes and results files
+#: all take their capacity names and order from here.
+CAPACITIES = {"pv": "pv_kw", "wt": "wt_kw", "dg": "dg_kw", "bess": "bess_kwh", "conv": "converter_kw"}
+
+
 @dataclass(frozen=True)
 class Design:
     """Candidate capacities.  A source is included exactly when its
@@ -123,13 +129,7 @@ class Design:
         return (self.pv_kw, self.wt_kw, self.bess_kwh, self.converter_kw)
 
     def capacities(self) -> dict[str, float]:
-        return {
-            "pv_kw": self.pv_kw,
-            "wt_kw": self.wt_kw,
-            "dg_kw": self.dg_kw,
-            "bess_kwh": self.bess_kwh,
-            "converter_kw": self.converter_kw,
-        }
+        return {name: getattr(self, name) for name in CAPACITIES.values()}
 
     def violations(self) -> list[str]:
         problems = []
@@ -140,14 +140,12 @@ class Design:
             problems.append(f"grid_cap_kw: must be finite and >= 0, got {self.grid_cap_kw}")
         return problems
 
-    _FIELD_ALIASES = {
-        "pv": "pv_kw", "wt": "wt_kw", "dg": "dg_kw", "bess": "bess_kwh",
-        "conv": "converter_kw", "converter": "converter_kw", "grid": "grid_cap_kw",
-    }
+    _FIELD_ALIASES = {**CAPACITIES, "converter": "converter_kw", "grid": "grid_cap_kw"}
 
     @classmethod
     def from_string(cls, text: str) -> "Design":
-        """Parse ``pv=418,wt=123,dg=0,bess=704,conv=255[,grid=300]``."""
+        """Parse ``pv=418,wt=123,dg=0,bess=704,conv=255[,grid=300]``.
+        ``-0`` reads as ``0.0``."""
         kwargs: dict[str, float] = {}
         for part in text.split(","):
             part = part.strip()
@@ -160,7 +158,7 @@ class Design:
             if key is None:
                 raise InvalidDesignError(f"unknown capacity {name.strip()!r}")
             try:
-                kwargs[key] = float(value)
+                kwargs[key] = float(value) + 0.0  # -0.0 + 0.0 is 0.0; exact for every other value
             except ValueError:
                 raise InvalidDesignError(f"bad number for {name.strip()!r}: {value!r}") from None
         design = cls(**kwargs)

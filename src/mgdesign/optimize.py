@@ -8,6 +8,7 @@ net CO2.  Every routine is deterministic for fixed inputs and seed.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dispatch import Design
+from .dispatch import CAPACITIES, Design
 from .metrics import METRIC_FIELDS, Evaluator, MetricVector, capital_cost, fixed_om_cost
 from .scenario import Scenario
 from .tables import csv_column, write_table
@@ -56,7 +57,9 @@ class Range:
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Per-dimension capacity lattice.
+    """Per-dimension capacity lattice: one :class:`Range` per capacity of
+    :class:`~mgdesign.dispatch.Design`, its :data:`AXES` in the order of
+    :data:`~mgdesign.dispatch.CAPACITIES`.
 
     ``grid_cap_kw = None`` applies the rule "grid capacity equals the
     largest diesel capacity in the space" when the diesel axis is
@@ -70,7 +73,7 @@ class SearchSpace:
     converter_kw: Range = field(default_factory=lambda: Range(0.0, 400.0, 25.0))
     grid_cap_kw: float | None = None
 
-    AXES = ("pv_kw", "wt_kw", "dg_kw", "bess_kwh", "converter_kw")
+    AXES = tuple(CAPACITIES.values())
 
     def axis_values(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name).values() for name in self.AXES}
@@ -82,61 +85,48 @@ class SearchSpace:
         return dg_max if dg_max > 0.0 else None
 
     def candidate_count(self) -> int:
-        count = 1
-        for values in self.axis_values().values():
-            count *= len(values)
-        return count
+        return math.prod(len(values) for values in self.axis_values().values())
 
     def designs(self) -> Iterable[Design]:
         """All lattice designs in row-major axis order (pv outermost)."""
-        axes = self.axis_values()
         grid_cap = self.effective_grid_cap()
-        for pv in axes["pv_kw"]:
-            for wt in axes["wt_kw"]:
-                for dg in axes["dg_kw"]:
-                    for bess in axes["bess_kwh"]:
-                        for conv in axes["converter_kw"]:
-                            yield Design(pv_kw=float(pv), wt_kw=float(wt), dg_kw=float(dg),
-                                         bess_kwh=float(bess), converter_kw=float(conv),
-                                         grid_cap_kw=grid_cap)
+        for values in itertools.product(*self.axis_values().values()):
+            yield Design(**dict(zip(self.AXES, map(float, values))), grid_cap_kw=grid_cap)
 
     def clip(self, design: Design) -> Design:
         """Clamp a design onto the axis-aligned bounding box (not the lattice)."""
-        return replace(
-            design,
-            pv_kw=min(max(design.pv_kw, self.pv_kw.lo), self.pv_kw.hi),
-            wt_kw=min(max(design.wt_kw, self.wt_kw.lo), self.wt_kw.hi),
-            dg_kw=min(max(design.dg_kw, self.dg_kw.lo), self.dg_kw.hi),
-            bess_kwh=min(max(design.bess_kwh, self.bess_kwh.lo), self.bess_kwh.hi),
-            converter_kw=min(max(design.converter_kw, self.converter_kw.lo), self.converter_kw.hi),
-        )
+        bounds = {name: getattr(self, name) for name in self.AXES}
+        return replace(design, **{name: min(max(getattr(design, name), axis.lo), axis.hi)
+                                  for name, axis in bounds.items()})
 
     @classmethod
     def from_string(cls, text: str, grid_cap_kw: float | None = None) -> "SearchSpace":
         """Parse ``pv=0:500:25,wt=0:300:25,bess=0:1000:50,...``.
 
+        Axes take the capacity names of
+        :meth:`~mgdesign.dispatch.Design.from_string`, except ``grid``.
         Axes not mentioned collapse to the fixed value 0.  A bare number
-        fixes an axis, ``lo:hi:step`` spans it.
+        fixes an axis, ``lo:hi:step`` spans it.  A bound or step that is
+        not finite, or a span of more steps than a float can count, is a
+        bad spec.
         """
-        alias = {"pv": "pv_kw", "wt": "wt_kw", "dg": "dg_kw",
-                 "bess": "bess_kwh", "conv": "converter_kw", "converter": "converter_kw"}
         ranges: dict[str, Range] = {name: Range.fixed(0.0) for name in cls.AXES}
         for part in text.split(","):
             part = part.strip()
             if not part:
                 continue
             name, _, spec_text = part.partition("=")
-            key = alias.get(name.strip().lower())
-            if key is None:
+            key = Design._FIELD_ALIASES.get(name.strip().lower())
+            if key not in cls.AXES:
                 raise EmptySearchSpaceError(f"unknown axis {name.strip()!r}")
-            pieces = spec_text.split(":")
             try:
-                if len(pieces) == 1:
-                    ranges[key] = Range.fixed(float(pieces[0]))
-                elif len(pieces) == 3:
-                    ranges[key] = Range(float(pieces[0]), float(pieces[1]), float(pieces[2]))
-                else:
+                numbers = [float(piece) for piece in spec_text.split(":")]
+                if len(numbers) not in (1, 3) or not all(map(math.isfinite, numbers)):
                     raise ValueError
+                axis = Range.fixed(numbers[0]) if len(numbers) == 1 else Range(*numbers)
+                if axis.delta > 0.0 and not math.isfinite((axis.hi - axis.lo) / axis.delta):
+                    raise ValueError
+                ranges[key] = axis
             except ValueError:
                 raise EmptySearchSpaceError(f"bad axis spec {part!r}; use lo:hi:step or value") from None
         return cls(grid_cap_kw=grid_cap_kw, **ranges)
@@ -228,19 +218,18 @@ def _minimization_matrix(points: Sequence[MetricVector] | np.ndarray) -> np.ndar
     return m
 
 
-#: Distinct rows compared per NumPy call by :func:`pareto_mask` and
-#: :func:`pareto_ranks`.  Larger blocks make fewer calls but more in-block
-#: comparisons and relaxation steps; of 16 to 256, 64 ranked the 2000-row
-#: benchmark archive fastest.
+#: Distinct rows compared per NumPy call by :func:`pareto_ranks`.  Larger
+#: blocks make fewer calls but more in-block comparisons and relaxation
+#: steps; of 16 to 256, 64 ranked the 2000-row benchmark archive fastest.
 _BLOCK_ROWS = 64
 
 
 def _lexsorted(points: Sequence[MetricVector] | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The rows without NaN in lexicographic order of the minimization
-    matrix, each run of equal rows collapsed to one: ``(order, run,
-    distinct)``, where ``order`` holds input indices, ``run[k]`` is the run
-    of the k-th sorted row and ``distinct`` is the (3, runs) array of each
-    run's objectives 1..3.
+    matrix, each run of equal rows collapsed to one, for the rank pass of
+    :func:`pareto_ranks`: ``(order, run, distinct)``, where ``order`` holds
+    input indices, ``run[k]`` is the run of the k-th sorted row and
+    ``distinct`` is the (3, runs) array of each run's objectives 1..3.
 
     If row i dominates row j, then at the first column where they differ
     row i is lower, so i sorts strictly before j; equal rows (``-0.0`` equals
@@ -274,37 +263,15 @@ def _next_rank(no_worse: np.ndarray, ranks: np.ndarray) -> np.ndarray:
 
 
 def pareto_mask(points: Sequence[MetricVector] | np.ndarray) -> np.ndarray:
-    """Boolean mask of the non-dominated points, in input order.
+    """Boolean mask of the non-dominated points, in input order: front 0
+    of :func:`pareto_ranks`.
 
     A point is dominated when another point is at least as good in every
     objective and strictly better in one.  Duplicates do not dominate
     each other, so tied optima are all kept; a point with a NaN objective
     is always kept.
-
-    Sort-based maxima filter (Kung, Luccio & Preparata 1975): walk the
-    distinct rows in lexicographic order, a topological order of dominance
-    (see :func:`_lexsorted`), :data:`_BLOCK_ROWS` at a time.  A block's row
-    is dropped when a row kept from an earlier block, or an earlier row of
-    its own block (the strictly lower triangle of the block's comparison
-    matrix), is no worse in objectives 1..3.  Checking only the kept rows of
-    earlier blocks suffices because dominance is transitive and the first
-    row of any dominance chain is kept.  A fixed number of NumPy calls per
-    block and O(n * (front size + block)) element comparisons.
     """
-    keep = np.ones(len(points), dtype=bool)
-    if len(points) == 0:
-        return keep
-    order, run, distinct = _lexsorted(points)
-    kept = np.empty(distinct.shape[1], dtype=bool)
-    front = distinct[:, :0]  # objectives 1..3 of the rows kept so far
-    for lo in range(0, distinct.shape[1], _BLOCK_ROWS):
-        block = distinct[:, lo:lo + _BLOCK_ROWS]
-        block_kept = ~(_no_worse(front, block).any(axis=1)
-                       | np.tril(_no_worse(block, block), -1).any(axis=1))
-        kept[lo:lo + _BLOCK_ROWS] = block_kept
-        front = np.concatenate((front, block[:, block_kept]), axis=1)
-    keep[order] = kept[run]
-    return keep
+    return pareto_ranks(points) == 0
 
 
 def pareto_ranks(points: Sequence[MetricVector] | np.ndarray) -> np.ndarray:
@@ -486,8 +453,8 @@ class RefineResult:
     evaluations: int
 
 
-#: Default coordinate steps, matching the default lattice resolution.
-DEFAULT_STEPS = {"pv_kw": 25.0, "wt_kw": 25.0, "dg_kw": 60.0, "bess_kwh": 50.0, "converter_kw": 25.0}
+#: Default coordinate steps: the steps of the default lattice.
+DEFAULT_STEPS = {name: getattr(SearchSpace(), name).delta for name in SearchSpace.AXES}
 
 
 def refine(start: Design, objective: Callable[[Design], float],
@@ -613,14 +580,7 @@ def policy_gradient_search(scenario: Scenario | None, space: SearchSpace,
     for episode in range(config.episodes):
         probs = {name: _softmax(logits) for name, logits in theta.items()}
         actions = {name: int(rng.choice(len(p), p=p)) for name, p in probs.items()}
-        design = Design(
-            pv_kw=float(axes["pv_kw"][actions["pv_kw"]]),
-            wt_kw=float(axes["wt_kw"][actions["wt_kw"]]),
-            dg_kw=float(axes["dg_kw"][actions["dg_kw"]]),
-            bess_kwh=float(axes["bess_kwh"][actions["bess_kwh"]]),
-            converter_kw=float(axes["converter_kw"][actions["converter_kw"]]),
-            grid_cap_kw=grid_cap,
-        )
+        design = Design(**{name: float(axes[name][i]) for name, i in actions.items()}, grid_cap_kw=grid_cap)
         metrics = evaluate_fn(design)
         archive.append(EvaluatedDesign(design, metrics, True))
 
@@ -657,7 +617,7 @@ def policy_gradient_search(scenario: Scenario | None, space: SearchSpace,
 # Result files
 # ----------------------------------------------------------------------
 
-DESIGN_FIELDS = ("pv_kw", "wt_kw", "dg_kw", "bess_kwh", "converter_kw", "grid_cap_kw")
+DESIGN_FIELDS = SearchSpace.AXES + ("grid_cap_kw",)
 #: The columns of a results file, in order; a ranked file adds
 #: ``non_dominated`` and ``front_rank``.
 RESULT_FIELDS = DESIGN_FIELDS + METRIC_FIELDS + ("feasible",)

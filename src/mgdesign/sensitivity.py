@@ -15,6 +15,7 @@ trace and only re-cost it; the series perturbations re-simulate.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -165,8 +166,8 @@ def lcoe_sweep(scenario: Scenario, design: Design, parameter: SweepParameter,
     ``scenario`` may be supplied, so sweeps of several parameters share
     one simulation.
     """
-    if any(m <= 0.0 for m in multipliers):
-        raise ValueError("multipliers must be > 0")
+    if not all(0.0 < m < math.inf for m in multipliers):
+        raise ValueError("multipliers must be finite and > 0")
     if trace is None:
         trace = simulate_year(scenario, design)
     served = trace.served_kwh

@@ -186,6 +186,15 @@ class TestEvaluate:
         assert code != 0
         assert "error" in err
 
+    def test_negative_zero_capacity_writes_the_files_of_zero(self, capsys, tmp_path):
+        for name, conv in (("neg", "-0"), ("pos", "0")):
+            code, _, _ = _run(capsys, "evaluate", "--design", f"pv=100,bess=100,conv={conv}",
+                              "--out", str(tmp_path / name))
+            assert code == 0
+        for name in ("metrics.csv", "costs.csv"):
+            assert (tmp_path / "neg" / name).read_bytes() == (tmp_path / "pos" / name).read_bytes()
+        assert b"-0.0" not in (tmp_path / "neg" / "metrics.csv").read_bytes()
+
     @pytest.mark.parametrize("line, field", [
         ("capital_usd_per_kw: 1300.0", "catalog.pv.capital_usd_per_kw"),
         ("rate_constant_per_hr: 1.0", "catalog.battery.rate_constant_per_hr"),
@@ -295,6 +304,12 @@ class TestSearch:
                             "--budget", "1", "--out", str(tmp_path))
         assert code != 0
         assert "no feasible design" in err
+
+    def test_infinite_axis_bound_exits_2_naming_the_spec(self, capsys, tmp_path):
+        code, stdout, err = _run(capsys, "search", "--space", "pv=0:inf:100", "--out", str(tmp_path))
+        assert code == 2
+        assert stdout == ""
+        assert err == "error: bad axis spec 'pv=0:inf:100'; use lo:hi:step or value\n"
 
 
 class TestDeterminism:
@@ -419,6 +434,28 @@ class TestPipelines:
         err = capsys.readouterr().err
         assert f"argument {flag}: invalid int value: 'abc'" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["search", "--space", "pv=0:100:100", "--budget", "nan"], "--budget", "nan"),
+        (["refine", "--design", "pv=100,conv=100", "--tolerance", "nan"], "--tolerance", "nan"),
+        (["lcoe-sweep", "--design", A5_ARG, "--multipliers", "0.9,nan"], "--multipliers", "nan"),
+        (["lcoe-sweep", "--design", A5_ARG, "--multipliers", "inf"], "--multipliers", "inf"),
+    ])
+    def test_non_finite_number_exits_2_naming_flag(self, capsys, tmp_path, argv, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: expected a finite number, got '{value}'" in captured.err
+        assert not any(tmp_path.iterdir())
+
+    def test_refine_labels_every_axis(self, capsys, tmp_path):
+        code, stdout, _ = _run(capsys, "refine", "--design", "conv=150,bess=200.5,dg=60,wt=50,pv=100,grid=300",
+                               "--max-cycles", "0", "--out", str(tmp_path))
+        assert code == 0
+        assert stdout.splitlines()[0] == ("refined pv=100,wt=50,dg=60,bess=200.5,conv=150 -> "
+                                          "pv=100,wt=50,dg=60,bess=200.5,conv=150 in 0 cycles (1 evaluations)")
 
     def test_integer_env_sets_default(self, monkeypatch):
         monkeypatch.setenv("MGDESIGN_SEED", "7")

@@ -62,6 +62,18 @@ class TestDesign:
         with pytest.raises(InvalidDesignError):
             Design.from_string("solar=10")
 
+    def test_from_string_reads_negative_zero_as_zero(self):
+        d = Design.from_string("pv=-0,wt=-0.0,dg=0,bess=-0e5,conv=-0,grid=-0")
+        values = [*d.capacities().values(), d.grid_cap_kw]
+        assert [math.copysign(1.0, v) for v in values] == [1.0] * 6
+        assert d == Design(grid_cap_kw=0.0)
+        assert hash(d) == hash(Design(grid_cap_kw=0.0))
+
+    def test_capacities_in_field_order(self):
+        d = Design.from_string("Converter=5,bess=4,dg=3,wt=2,pv=1")
+        assert d.capacities() == {"pv_kw": 1.0, "wt_kw": 2.0, "dg_kw": 3.0, "bess_kwh": 4.0, "converter_kw": 5.0}
+        assert list(d.capacities()) == ["pv_kw", "wt_kw", "dg_kw", "bess_kwh", "converter_kw"]
+
     def test_negative_capacity_rejected(self):
         with pytest.raises(InvalidDesignError):
             simulate_year(random_scenario(0), Design(pv_kw=-1.0))

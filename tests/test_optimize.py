@@ -83,6 +83,43 @@ class TestSearchSpaceParsing:
         explicit = SearchSpace.from_string("pv=0:50:25", grid_cap_kw=300.0)
         assert explicit.effective_grid_cap() == 300.0
 
+    def test_converter_alias_accepted_grid_rejected(self):
+        space = SearchSpace.from_string("Converter=0:50:25,BESS=100")
+        assert list(space.axis_values()["converter_kw"]) == [0.0, 25.0, 50.0]
+        assert list(space.axis_values()["bess_kwh"]) == [100.0]
+        with pytest.raises(EmptySearchSpaceError, match="^unknown axis 'grid'$"):
+            SearchSpace.from_string("pv=0:50:25,grid=300")
+
+    @pytest.mark.parametrize("spec", ["pv=0:inf:100", "pv=-inf:0:100", "pv=0:100:inf", "pv=0:100:nan",
+                                      "pv=0:1e300:1e-300", "pv=-1e308:1e308:1", "pv=nan", "pv=inf"])
+    def test_non_finite_bound_or_step_is_a_bad_spec(self, spec):
+        with pytest.raises(EmptySearchSpaceError, match=f"^bad axis spec '{spec}'; use lo:hi:step or value$"):
+            SearchSpace.from_string(f"wt=0:50:25,{spec}")
+
+    def test_design_order_of_a_two_per_axis_lattice(self):
+        space = SearchSpace.from_string("pv=1:2:1,wt=3:4:1,dg=5:6:1,bess=7:8:1,conv=9:10:1")
+        expected = [(pv, wt, dg, bess, conv) for pv in (1.0, 2.0) for wt in (3.0, 4.0)
+                    for dg in (5.0, 6.0) for bess in (7.0, 8.0) for conv in (9.0, 10.0)]
+        designs = list(space.designs())
+        assert [(d.pv_kw, d.wt_kw, d.dg_kw, d.bess_kwh, d.converter_kw) for d in designs] == expected
+        assert {d.grid_cap_kw for d in designs} == {6.0}
+        assert all(type(value) is float for d in designs for value in d.capacities().values())
+
+    def test_clip_on_every_axis(self):
+        space = SearchSpace.from_string("pv=100:200:50,wt=10:20:5,dg=30:60:30,bess=400:800:100,conv=50:70:10")
+        low = Design(pv_kw=0.0, wt_kw=0.0, dg_kw=0.0, bess_kwh=0.0, converter_kw=0.0, grid_cap_kw=7.0)
+        assert space.clip(low) == Design(100.0, 10.0, 30.0, 400.0, 50.0, grid_cap_kw=7.0)
+        high = Design(pv_kw=900.0, wt_kw=900.0, dg_kw=900.0, bess_kwh=900.0, converter_kw=900.0)
+        assert space.clip(high) == Design(200.0, 20.0, 60.0, 800.0, 70.0)
+        inside = Design(pv_kw=120.0, wt_kw=12.5, dg_kw=45.0, bess_kwh=401.0, converter_kw=55.0)
+        assert space.clip(inside) == inside
+
+    def test_default_steps_and_result_columns(self):
+        assert optimize.DEFAULT_STEPS == {"pv_kw": 25.0, "wt_kw": 25.0, "dg_kw": 60.0,
+                                          "bess_kwh": 50.0, "converter_kw": 25.0}
+        assert optimize.DESIGN_FIELDS == ("pv_kw", "wt_kw", "dg_kw", "bess_kwh", "converter_kw", "grid_cap_kw")
+        assert SearchSpace.AXES == optimize.DESIGN_FIELDS[:-1]
+
 
 class TestParetoFilter:
     def test_single_point(self):
