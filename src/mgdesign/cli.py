@@ -51,6 +51,19 @@ def _finite_list(text: str) -> list[float]:
     return [_finite(part) for part in text.split(",")]
 
 
+def _at_least(minimum: int):
+    """An argparse ``type``: an integer no smaller than ``minimum``."""
+    def count(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+        return value
+    return count
+
+
 def _add_common(parser: argparse.ArgumentParser, design: bool = False, space: bool = False) -> None:
     parser.add_argument("--scenario", default=_env("SCENARIO"),
                         help="scenario YAML (default: the bundled synthetic community)")
@@ -92,12 +105,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("refine", help="derivative-free cost refinement from a starting design")
     _add_common(p, design=True)
     p.add_argument("--tolerance", type=_finite, default=1.0, help="stop once steps shrink below this (kW/kWh)")
-    p.add_argument("--max-cycles", type=int, default=200)
+    p.add_argument("--max-cycles", type=_at_least(0), default=200)
 
     p = sub.add_parser("rl-search", help="policy-gradient Pareto front exploration")
     _add_common(p, space=True)
-    p.add_argument("--episodes", type=int, default=500)
-    p.add_argument("--learning-rate", type=float, default=0.2)
+    p.add_argument("--episodes", type=_at_least(1), default=500)
+    p.add_argument("--learning-rate", type=_finite, default=0.2)
 
     p = sub.add_parser("pareto", help="flag non-dominated rows in a search results CSV")
     _add_common(p)

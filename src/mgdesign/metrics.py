@@ -3,22 +3,24 @@ and the annual CO2 balance.
 
 Sign conventions
 ----------------
+:data:`OBJECTIVE_SENSES` says which objectives are minimized and which
+maximized.
+
 * ``npc_usd`` -- discounted lifetime cost in constant dollars; the
-  scenario's ``discount_rate`` is the real rate.  Lower is better.
-* ``reliability`` -- ``exp(-lambda * LPSP)`` in [0, 1].  Higher is better.
+  scenario's ``discount_rate`` is the real rate.
+* ``reliability`` -- ``exp(-lambda * LPSP)`` in [0, 1].
 * ``efficiency_pct`` -- served energy over net energy input, <= 100.
-  Higher is better.
 * ``co2_kg_per_yr`` -- net annual CO2: emissions from diesel fuel and
   grid imports *minus* the grid emissions displaced by renewable
   production.  Negative values mean the design displaces more than it
-  emits.  Lower is better.  :func:`co2_delta` returns the same quantity
-  with the opposite sign (positive = net avoided emissions).
+  emits.  :func:`co2_delta` returns the same quantity with the opposite
+  sign (positive = net avoided emissions).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .dispatch import BatteryStage, Design, DispatchTrace, battery_stage, simulate_year
 from .scenario import Scenario
@@ -69,20 +71,17 @@ class MetricVector:
     lpsp: float
 
     def objectives(self) -> tuple[float, float, float, float]:
-        """(npc, reliability, efficiency, co2) in the documented orientations."""
-        return (self.npc_usd, self.reliability, self.efficiency_pct, self.co2_kg_per_yr)
+        """The four objectives, in :data:`OBJECTIVE_SENSES` order."""
+        return tuple(getattr(self, name) for name in OBJECTIVE_SENSES)
 
+
+#: Each objective's sense, in :meth:`MetricVector.objectives` order: an
+#: objective times its sense is minimized (1.0: lower is better).
+OBJECTIVE_SENSES = {"npc_usd": 1.0, "reliability": -1.0, "efficiency_pct": -1.0, "co2_kg_per_yr": 1.0}
 
 #: Stable serialization order for CSV rows and key/value records.
-METRIC_FIELDS = (
-    "npc_usd", "reliability", "efficiency_pct", "co2_kg_per_yr",
-    "lcoe_usd_per_kwh", "capital_usd", "om_usd_per_yr", "lpsp",
-)
-
-COST_FIELDS = (
-    "capital_usd", "om_usd_per_yr", "fuel_usd_per_yr", "grid_energy_usd_per_yr",
-    "sellback_usd_per_yr", "replacement_usd_pw", "salvage_usd_pw",
-)
+METRIC_FIELDS = tuple(f.name for f in fields(MetricVector))
+COST_FIELDS = tuple(f.name for f in fields(CostBreakdown))
 
 
 def metric_record(m: MetricVector) -> dict[str, float]:
@@ -278,7 +277,7 @@ def evaluate(design: Design, scenario: Scenario, trace: DispatchTrace | None = N
         om_usd_per_yr=costs.om_usd_per_yr,
         lpsp=lpsp_value,
     )
-    bad = [f"{name} = {value}" for name, value in zip(METRIC_FIELDS, metrics.objectives())
+    bad = [f"{name} = {value}" for name, value in zip(OBJECTIVE_SENSES, metrics.objectives())
            if not math.isfinite(value)]
     if bad:
         raise NonFiniteMetricError(f"not finite for {design}: {', '.join(bad)}")

@@ -1,9 +1,9 @@
 """Design-space search: lattice enumeration, Pareto filtering, weighted
 scalarization, derivative-free refinement, and a policy-gradient explorer.
 
-All searches work on the four-objective :class:`~mgdesign.metrics.MetricVector`
-orientation: lower cost, higher reliability, higher efficiency, lower
-net CO2.  Every routine is deterministic for fixed inputs and seed.
+All searches orient the four objectives of :class:`~mgdesign.metrics.MetricVector`
+by :data:`~mgdesign.metrics.OBJECTIVE_SENSES`.  Every routine is
+deterministic for fixed inputs and seed.
 """
 
 from __future__ import annotations
@@ -11,13 +11,13 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .dispatch import CAPACITIES, Design
-from .metrics import METRIC_FIELDS, Evaluator, MetricVector, capital_cost, fixed_om_cost
+from .metrics import METRIC_FIELDS, OBJECTIVE_SENSES, Evaluator, MetricVector, capital_cost, fixed_om_cost
 from .scenario import Scenario
 from .tables import csv_column, write_table
 
@@ -34,6 +34,19 @@ class DegenerateBoundsError(ValueError):
     """Normalization bounds with min > max."""
 
 
+class LatticeTooLargeError(ValueError):
+    """A lattice axis or a searched lattice too large to hold in memory."""
+
+
+#: Most values one lattice axis may have: 10**6 float64 values are 8 MB,
+#: and the policy search keeps three arrays of that length per axis.
+_MAX_AXIS_VALUES = 10**6
+#: Most designs :func:`grid_search` enumerates: each design it keeps holds
+#: ~1 KB (its Design, MetricVector, EvaluatedDesign and sort row), so
+#: 10**6 designs are ~1 GB.
+_MAX_LATTICE_DESIGNS = 10**6
+
+
 @dataclass(frozen=True)
 class Range:
     """Inclusive lattice axis [lo, hi] with step ``delta``."""
@@ -42,13 +55,16 @@ class Range:
     hi: float
     delta: float
 
-    def values(self) -> np.ndarray:
+    def count(self) -> int:
+        """The number of lattice values, from the bounds and step alone."""
         if self.delta <= 0.0:
             raise EmptySearchSpaceError(f"step must be > 0, got {self.delta}")
         if self.hi < self.lo:
             raise EmptySearchSpaceError(f"range [{self.lo}, {self.hi}] is empty")
-        count = int(math.floor((self.hi - self.lo) / self.delta + 1e-9)) + 1
-        return self.lo + self.delta * np.arange(count)
+        return int(math.floor((self.hi - self.lo) / self.delta + 1e-9)) + 1
+
+    def values(self) -> np.ndarray:
+        return self.lo + self.delta * np.arange(self.count())
 
     @classmethod
     def fixed(cls, value: float) -> "Range":
@@ -75,7 +91,17 @@ class SearchSpace:
 
     AXES = tuple(CAPACITIES.values())
 
+    def axis_counts(self) -> dict[str, int]:
+        """Values per axis, counted without building them.  An axis of more
+        than :data:`_MAX_AXIS_VALUES` raises :class:`LatticeTooLargeError`."""
+        counts = {name: getattr(self, name).count() for name in self.AXES}
+        for name, count in counts.items():
+            if count > _MAX_AXIS_VALUES:
+                raise LatticeTooLargeError(f"axis {name} has {count} values; the most is {_MAX_AXIS_VALUES}")
+        return counts
+
     def axis_values(self) -> dict[str, np.ndarray]:
+        self.axis_counts()  # an axis too long to build raises here
         return {name: getattr(self, name).values() for name in self.AXES}
 
     def effective_grid_cap(self) -> float | None:
@@ -85,7 +111,7 @@ class SearchSpace:
         return dg_max if dg_max > 0.0 else None
 
     def candidate_count(self) -> int:
-        return math.prod(len(values) for values in self.axis_values().values())
+        return math.prod(self.axis_counts().values())
 
     def designs(self) -> Iterable[Design]:
         """All lattice designs in row-major axis order (pv outermost)."""
@@ -157,12 +183,9 @@ class Weights:
     @classmethod
     def focus(cls, objective: str, epsilon: float = 1e-6) -> "Weights":
         """Nearly all weight on one objective (the w -> 1 limit)."""
-        names = ("npc", "reliability", "efficiency", "co2")
-        if objective not in names:
-            raise ValueError(f"objective must be one of {names}, got {objective!r}")
-        values = {name: epsilon for name in names}
-        values[objective] = 1.0 - 3.0 * epsilon
-        return cls(**values)
+        if objective not in _WEIGHT_NAMES:
+            raise ValueError(f"objective must be one of {_WEIGHT_NAMES}, got {objective!r}")
+        return _emphasis(epsilon, 1.0 - 3.0 * epsilon, [objective])
 
     @classmethod
     def from_string(cls, text: str) -> "Weights":
@@ -172,26 +195,24 @@ class Weights:
         return cls(*parts)
 
 
+_WEIGHT_NAMES = tuple(f.name for f in fields(Weights))
+
+
+def _emphasis(base: float, lead: float, picked: Iterable[str]) -> Weights:
+    """``lead`` on each picked objective, ``base`` on the others."""
+    values = dict.fromkeys(_WEIGHT_NAMES, base)
+    values.update(dict.fromkeys(picked, lead))
+    return Weights(**values)
+
+
 def default_weight_cycle() -> list[Weights]:
     """The 13-point simplex grid used to trace the front: the centroid,
     four single-objective emphases, four milder emphases, and four
     adjacent two-objective blends."""
-    cycle = [Weights()]
-    for name in ("npc", "reliability", "efficiency", "co2"):
-        values = {"npc": 0.05, "reliability": 0.05, "efficiency": 0.05, "co2": 0.05}
-        values[name] = 0.85
-        cycle.append(Weights(**values))
-    for name in ("npc", "reliability", "efficiency", "co2"):
-        values = {"npc": 0.2, "reliability": 0.2, "efficiency": 0.2, "co2": 0.2}
-        values[name] = 0.4
-        cycle.append(Weights(**values))
-    for pair in (("npc", "reliability"), ("reliability", "efficiency"),
-                 ("efficiency", "co2"), ("co2", "npc")):
-        values = {"npc": 0.15, "reliability": 0.15, "efficiency": 0.15, "co2": 0.15}
-        values[pair[0]] = 0.35
-        values[pair[1]] = 0.35
-        cycle.append(Weights(**values))
-    return cycle
+    names = _WEIGHT_NAMES
+    return ([Weights()] + [_emphasis(0.05, 0.85, [name]) for name in names]
+            + [_emphasis(0.2, 0.4, [name]) for name in names]
+            + [_emphasis(0.15, 0.35, pair) for pair in zip(names, names[1:] + names[:1])])
 
 
 @dataclass(frozen=True)
@@ -207,15 +228,16 @@ class EvaluatedDesign:
 # Pareto filtering
 # ----------------------------------------------------------------------
 
+_SENSES = np.array(list(OBJECTIVE_SENSES.values()))
+
+
 def _minimization_matrix(points: Sequence[MetricVector] | np.ndarray) -> np.ndarray:
-    """Objectives as an (n, 4) matrix where lower is uniformly better.
-    ``points`` are metric vectors or an (n, 4) array of their
-    :meth:`~mgdesign.metrics.MetricVector.objectives`."""
-    m = np.array(points if isinstance(points, np.ndarray) else [p.objectives() for p in points],
-                 dtype=float)
-    m[:, 1] *= -1.0  # reliability: higher is better
-    m[:, 2] *= -1.0  # efficiency: higher is better
-    return m
+    """Objectives as an (n, 4) matrix where lower is uniformly better: each
+    times its sense.  ``points`` are metric vectors or an (n, 4) array of
+    their :meth:`~mgdesign.metrics.MetricVector.objectives`."""
+    m = np.asarray(points if isinstance(points, np.ndarray) else [p.objectives() for p in points],
+                   dtype=float)
+    return m * _SENSES
 
 
 #: Distinct rows compared per NumPy call by :func:`pareto_ranks`.  Larger
@@ -318,50 +340,33 @@ def pareto_ranks(points: Sequence[MetricVector] | np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NormalizationBounds:
-    """Per-objective (min, max) over a candidate pool, used to bring the
-    four objectives onto a common [0, 1] scale."""
+    """Per-objective minimum ``lo`` and maximum ``hi`` over a candidate
+    pool, in :meth:`~mgdesign.metrics.MetricVector.objectives` order, used
+    to bring the four objectives onto a common [0, 1] scale."""
 
-    npc: tuple[float, float]
-    reliability: tuple[float, float]
-    efficiency: tuple[float, float]
-    co2: tuple[float, float]
+    lo: tuple[float, float, float, float]
+    hi: tuple[float, float, float, float]
 
     @classmethod
     def from_metrics(cls, points: Sequence[MetricVector]) -> "NormalizationBounds":
         if not points:
             raise EmptyInputError("cannot derive bounds from an empty pool")
         m = np.array([p.objectives() for p in points], dtype=float)
-        lo, hi = m.min(axis=0), m.max(axis=0)
-        return cls(npc=(lo[0], hi[0]), reliability=(lo[1], hi[1]),
-                   efficiency=(lo[2], hi[2]), co2=(lo[3], hi[3]))
-
-
-def _term(value: float, bounds: tuple[float, float], maximize: bool) -> float:
-    """Normalized minimization term in [0, 1]; an all-equal metric across
-    the pool contributes nothing."""
-    lo, hi = bounds
-    if hi < lo:
-        raise DegenerateBoundsError(f"bounds {bounds} have min > max")
-    if hi == lo:
-        return 0.0
-    n = (value - lo) / (hi - lo)
-    return 1.0 - n if maximize else n
+        return cls(tuple(m.min(axis=0)), tuple(m.max(axis=0)))
 
 
 def scalarize(m: MetricVector, weights: Weights, bounds: NormalizationBounds) -> float:
-    """Weighted scalar score, lower is better.
-
-    Cost and CO2 enter as their normalized values; reliability and
-    efficiency as one minus theirs, so all four terms are minimized.
-    """
-    terms = (
-        _term(m.npc_usd, bounds.npc, maximize=False),
-        _term(m.reliability, bounds.reliability, maximize=True),
-        _term(m.efficiency_pct, bounds.efficiency, maximize=True),
-        _term(m.co2_kg_per_yr, bounds.co2, maximize=False),
-    )
-    w = weights.as_tuple()
-    return sum(wi * ti for wi, ti in zip(w, terms))
+    """Weighted scalar score, lower is better: each objective min-max
+    normalized over ``bounds``, or one minus that where its sense (see
+    :data:`~mgdesign.metrics.OBJECTIVE_SENSES`) is to maximize.  An
+    all-equal objective (lo == hi) contributes 0."""
+    terms = []
+    for value, lo, hi, sense in zip(m.objectives(), bounds.lo, bounds.hi, OBJECTIVE_SENSES.values()):
+        if hi < lo:
+            raise DegenerateBoundsError(f"bounds {(lo, hi)} have min > max")
+        n = 0.0 if hi == lo else (value - lo) / (hi - lo)
+        terms.append(1.0 - n if sense < 0.0 and hi != lo else n)
+    return sum(wi * ti for wi, ti in zip(weights.as_tuple(), terms))
 
 
 def select_best(evaluations: Sequence[EvaluatedDesign], weights: Weights) -> EvaluatedDesign:
@@ -407,12 +412,14 @@ def grid_search(scenario: Scenario, space: SearchSpace,
     bit-identical results.  ``jobs > 1`` spreads the groups across
     ``min(jobs, groups)`` processes, each with its own evaluator, built
     once from the scenario; a single group runs in this process.
-    ``jobs < 1`` raises :class:`ValueError`.
+    ``jobs < 1`` raises :class:`ValueError`, and a lattice of more than
+    :data:`_MAX_LATTICE_DESIGNS` designs :class:`LatticeTooLargeError`.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if space.candidate_count() == 0:
-        raise EmptySearchSpaceError("search space has no candidates")
+    count = space.candidate_count()
+    if count > _MAX_LATTICE_DESIGNS:
+        raise LatticeTooLargeError(f"search space has {count} designs; the most is {_MAX_LATTICE_DESIGNS}")
 
     groups: dict[tuple, list[tuple[int, Design]]] = {}
     for index, design in enumerate(space.designs()):
@@ -513,12 +520,15 @@ def refine(start: Design, objective: Callable[[Design], float],
 
 @dataclass(frozen=True)
 class PolicyConfig:
-    """Hyperparameters of the policy-gradient explorer."""
+    """Episodes and policy step size of the policy-gradient explorer; its
+    baselines decay by :data:`_BASELINE_DECAY` per episode and its
+    preference weights follow :func:`default_weight_cycle`."""
 
     episodes: int = 500
     learning_rate: float = 0.2
-    baseline_decay: float = 0.99
-    weight_cycle: tuple[Weights, ...] | None = None
+
+
+_BASELINE_DECAY = 0.99
 
 
 @dataclass
@@ -560,19 +570,15 @@ def policy_gradient_search(scenario: Scenario | None, space: SearchSpace,
     each distinct design once.
     """
     axes = space.axis_values()
-    if any(len(v) == 0 for v in axes.values()):
-        raise EmptySearchSpaceError("search space has no candidates")
     if evaluate_fn is None:
         if scenario is None:
             raise ValueError("scenario is required when no evaluate_fn is given")
         evaluate_fn = Evaluator(scenario)
-    cycle = list(config.weight_cycle) if config.weight_cycle else default_weight_cycle()
+    cycle = default_weight_cycle()
     grid_cap = space.effective_grid_cap()
 
     rng = np.random.default_rng(seed)
     theta = {name: np.zeros(len(values)) for name, values in axes.items()}
-    baselines = np.zeros(4)
-    baseline_ready = False
     lo = np.full(4, np.inf)
     hi = np.full(4, -np.inf)
     archive: list[EvaluatedDesign] = []
@@ -586,19 +592,17 @@ def policy_gradient_search(scenario: Scenario | None, space: SearchSpace,
 
         # Orient all four objectives so higher is better, then normalize
         # against the running archive envelope.
-        oriented = np.array([-metrics.npc_usd, metrics.reliability,
-                             metrics.efficiency_pct, -metrics.co2_kg_per_yr])
+        oriented = -_SENSES * np.array(metrics.objectives())
         lo = np.minimum(lo, oriented)
         hi = np.maximum(hi, oriented)
         span = hi - lo
         rewards = np.where(span > 0.0, (oriented - lo) / np.where(span > 0.0, span, 1.0), 0.0)
 
-        if not baseline_ready:
+        if episode == 0:
             baselines = rewards.copy()
-            baseline_ready = True
         weights = np.array(cycle[episode % len(cycle)].as_tuple())
         advantage = float(weights @ (rewards - baselines))
-        baselines = config.baseline_decay * baselines + (1.0 - config.baseline_decay) * rewards
+        baselines = _BASELINE_DECAY * baselines + (1.0 - _BASELINE_DECAY) * rewards
 
         if config.learning_rate != 0.0 and advantage != 0.0:
             for name, p in probs.items():
@@ -650,8 +654,7 @@ def write_evaluations_csv(evaluations: Sequence[EvaluatedDesign] | Mapping[str, 
     cells = [csv_column(columns[name]) for name in RESULT_FIELDS]
     ranks = None
     if with_front_rank:
-        # The four objectives lead METRIC_FIELDS, in MetricVector.objectives order.
-        objectives = np.array([columns[name] for name in METRIC_FIELDS[:4]], dtype=float).T
+        objectives = np.array([columns[name] for name in OBJECTIVE_SENSES], dtype=float).T
         feasible = np.array(columns["feasible"], dtype=bool)
         ranks = np.full(len(feasible), -1)
         ranks[feasible] = pareto_ranks(objectives[feasible])

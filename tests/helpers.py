@@ -38,10 +38,11 @@ from mgdesign.metrics import COST_FIELDS, METRIC_FIELDS, MetricVector, capital_c
 from mgdesign.optimize import (
     DEFAULT_STEPS,
     DESIGN_FIELDS,
+    DegenerateBoundsError,
     EvaluatedDesign,
     PolicySearchResult,
     RefineResult,
-    _minimization_matrix,
+    _BASELINE_DECAY,
     _softmax,
     default_weight_cycle,
 )
@@ -199,11 +200,21 @@ def brute_force_pareto_ranks(points: list[MetricVector]) -> np.ndarray:
     return ranks
 
 
+def reference_minimization_matrix(points) -> np.ndarray:
+    """Objectives as an (n, 4) matrix where lower is uniformly better,
+    with the maximized columns flipped by hand."""
+    m = np.array(points if isinstance(points, np.ndarray) else [p.objectives() for p in points],
+                 dtype=float)
+    m[:, 1] *= -1.0  # reliability: higher is better
+    m[:, 2] *= -1.0  # efficiency: higher is better
+    return m
+
+
 def _reference_lexsorted(points):
     """The rows without NaN in lexicographic order of the minimization
     matrix: ``(order, sorted_rows, starts)``, where ``starts[k]`` marks the
     first row of each run of equal rows."""
-    m = _minimization_matrix(points)
+    m = reference_minimization_matrix(points)
     rows = np.flatnonzero(~np.isnan(m).any(axis=1))
     order = rows[np.lexsort(m[rows].T[::-1])]
     s = m[order]
@@ -253,6 +264,32 @@ def reference_pareto_ranks(points) -> np.ndarray:
         sorted_ranks[pos] = rank
     ranks[order] = sorted_ranks
     return ranks
+
+
+def _reference_term(value: float, bounds: tuple[float, float], maximize: bool) -> float:
+    """Normalized minimization term in [0, 1]; an all-equal metric across
+    the pool contributes nothing."""
+    lo, hi = bounds
+    if hi < lo:
+        raise DegenerateBoundsError(f"bounds {bounds} have min > max")
+    if hi == lo:
+        return 0.0
+    n = (value - lo) / (hi - lo)
+    return 1.0 - n if maximize else n
+
+
+def reference_scalarize(m: MetricVector, weights, bounds) -> float:
+    """Weighted scalar score with one hand-written term per objective:
+    cost and CO2 minimized, reliability and efficiency maximized."""
+    npc, reliability, efficiency, co2 = zip(bounds.lo, bounds.hi)
+    terms = (
+        _reference_term(m.npc_usd, npc, maximize=False),
+        _reference_term(m.reliability, reliability, maximize=True),
+        _reference_term(m.efficiency_pct, efficiency, maximize=True),
+        _reference_term(m.co2_kg_per_yr, co2, maximize=False),
+    )
+    w = weights.as_tuple()
+    return sum(wi * ti for wi, ti in zip(w, terms))
 
 
 def layered_archive(seed: int, rows: int, fronts: int) -> tuple[list[MetricVector], np.ndarray]:
@@ -882,7 +919,7 @@ def reference_refine(start, objective, space=None, initial_steps=None, shrink=0.
 def reference_policy_gradient_search(space, config, seed, evaluate_fn) -> PolicySearchResult:
     """Single-step REINFORCE calling ``evaluate_fn`` in every episode."""
     axes = space.axis_values()
-    cycle = list(config.weight_cycle) if config.weight_cycle else default_weight_cycle()
+    cycle = default_weight_cycle()
     grid_cap = space.effective_grid_cap()
     rng = np.random.default_rng(seed)
     theta = {name: np.zeros(len(values)) for name, values in axes.items()}
@@ -909,7 +946,7 @@ def reference_policy_gradient_search(space, config, seed, evaluate_fn) -> Policy
             baseline_ready = True
         weights = np.array(cycle[episode % len(cycle)].as_tuple())
         advantage = float(weights @ (rewards - baselines))
-        baselines = config.baseline_decay * baselines + (1.0 - config.baseline_decay) * rewards
+        baselines = _BASELINE_DECAY * baselines + (1.0 - _BASELINE_DECAY) * rewards
         if config.learning_rate != 0.0 and advantage != 0.0:
             for name, p in probs.items():
                 grad = -p

@@ -311,6 +311,16 @@ class TestSearch:
         assert stdout == ""
         assert err == "error: bad axis spec 'pv=0:inf:100'; use lo:hi:step or value\n"
 
+    @pytest.mark.parametrize("space, message", [
+        ("pv=0:1e6:1e-3", "axis pv_kw has 1000000001 values; the most is 1000000"),
+        ("pv=0:1e5:1,wt=0:1e5:1", "search space has 10000200001 designs; the most is 1000000"),
+    ])
+    def test_lattice_too_large_exits_2_naming_the_axis_or_count(self, capsys, tmp_path, space, message):
+        code, stdout, err = _run(capsys, "search", "--space", space, "--budget", "1", "--out", str(tmp_path))
+        assert code == 2
+        assert stdout == ""
+        assert err == f"error: {message}\n"
+
 
 class TestDeterminism:
     def test_repeated_runs_byte_identical(self, capsys, tmp_path):
@@ -448,6 +458,37 @@ class TestPipelines:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"argument {flag}: expected a finite number, got '{value}'" in captured.err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("value", ["-3", "0", "2.5", "many"])
+    def test_episodes_below_one_exits_2_naming_flag(self, capsys, tmp_path, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["rl-search", "--space", "pv=0:100:100", "--episodes", value, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --episodes: expected an integer >= 1, got '{value}'" in captured.err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("value", ["-1", "-200", "x"])
+    def test_max_cycles_below_zero_exits_2_naming_flag(self, capsys, tmp_path, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["refine", "--design", "pv=100", "--max-cycles", value, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --max-cycles: expected an integer >= 0, got '{value}'" in captured.err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+    def test_non_finite_learning_rate_exits_2_naming_flag(self, capsys, tmp_path, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["rl-search", "--space", "pv=0:100:100", "--episodes", "5", "--learning-rate", value,
+                  "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --learning-rate: expected a finite number, got '{value}'" in captured.err
         assert not any(tmp_path.iterdir())
 
     def test_refine_labels_every_axis(self, capsys, tmp_path):

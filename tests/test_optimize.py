@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -7,12 +8,15 @@ import pytest
 
 from mgdesign import dispatch, metrics, optimize
 from mgdesign.dispatch import Design
-from mgdesign.metrics import Evaluator, MetricVector, evaluate
+from mgdesign.metrics import OBJECTIVE_SENSES, Evaluator, MetricVector, evaluate
 from mgdesign.optimize import (
+    _MAX_AXIS_VALUES,
+    _MAX_LATTICE_DESIGNS,
     DegenerateBoundsError,
     EmptyInputError,
     EmptySearchSpaceError,
     EvaluatedDesign,
+    LatticeTooLargeError,
     NormalizationBounds,
     PolicyConfig,
     Range,
@@ -28,6 +32,7 @@ from mgdesign.optimize import (
     select_best,
     write_evaluations_csv,
     write_pareto_csv,
+    _minimization_matrix,
 )
 
 from .conftest import random_scenario, table2_rows
@@ -38,10 +43,12 @@ from .helpers import (
     layered_archive,
     random_metric_vectors,
     reference_grid_search,
+    reference_minimization_matrix,
     reference_pareto_mask,
     reference_pareto_ranks,
     reference_policy_gradient_search,
     reference_refine,
+    reference_scalarize,
     spy_calls,
     toy_two_action_eval,
     toy_two_action_space,
@@ -331,7 +338,7 @@ class TestScalarize:
         assert scalarize(b, Weights(), bounds) == pytest.approx(0.25)
 
     def test_inverted_bounds_raise(self):
-        bad = NormalizationBounds(npc=(1.0, 0.0), reliability=(0, 1), efficiency=(0, 1), co2=(0, 1))
+        bad = NormalizationBounds(lo=(1.0, 0, 0, 0), hi=(0.0, 1, 1, 1))
         with pytest.raises(DegenerateBoundsError):
             scalarize(_metric(), Weights(), bad)
 
@@ -341,6 +348,132 @@ class TestScalarize:
         with pytest.raises(ValueError):
             Weights(1.0, 0.0, 0.0, 0.0)
         assert len(default_weight_cycle()) == 13
+
+
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+class TestObjectiveSenses:
+    """One table says which objectives are minimized; the Pareto matrix,
+    the scalarization and the RL reward read it."""
+
+    def test_senses_in_objective_order(self):
+        assert list(OBJECTIVE_SENSES.items()) == [
+            ("npc_usd", 1.0), ("reliability", -1.0), ("efficiency_pct", -1.0), ("co2_kg_per_yr", 1.0)]
+        assert _metric(npc=1.0, rel=2.0, eff=3.0, co2=4.0).objectives() == (1.0, 2.0, 3.0, 4.0)
+
+    def test_minimization_row_of_one_vector(self):
+        m = _metric(npc=4.8e6, rel=0.97, eff=88.5, co2=-1250.0)
+        assert _minimization_matrix([m]).tolist() == [[4.8e6, -0.97, -88.5, -1250.0]]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_minimization_matrix_bit_equal_to_column_flip(self, seed):
+        values = (math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -2.5)
+        picks = np.random.default_rng(seed).choice(len(values), size=(40, 4))
+        points = [_metric(*(values[k] for k in row)) for row in picks]
+        matrix = np.array([p.objectives() for p in points])
+        for given in (points, matrix):
+            assert _minimization_matrix(given).tobytes() == reference_minimization_matrix(given).tobytes()
+        assert matrix.tobytes() == np.array([p.objectives() for p in points]).tobytes()  # input untouched
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_scalarize_bit_equal_to_per_objective_terms(self, seed):
+        rng = np.random.default_rng(seed)
+        flat = list(OBJECTIVE_SENSES)[seed % 4]
+        pool = [replace(p, **{flat: 7.0}) for p in random_metric_vectors(seed, 40, distinct_levels=3)]
+        bounds = NormalizationBounds.from_metrics(pool)
+        nan_at = (seed + 1) % 4
+        with_nan = [
+            NormalizationBounds(tuple(math.nan if i == nan_at else v for i, v in enumerate(bounds.lo)), bounds.hi),
+            NormalizationBounds(bounds.lo, tuple(math.nan if i == nan_at else v for i, v in enumerate(bounds.hi))),
+        ]
+        raw = rng.uniform(0.05, 1.0, size=(5, 4))
+        weights = [Weights(*(row / row.sum())) for row in raw] + [Weights(), Weights.focus("co2")]
+        for b in [bounds] + with_nan:
+            for w in weights:
+                for p in pool:
+                    assert _bits(scalarize(p, w, b)) == _bits(reference_scalarize(p, w, b))
+
+    @pytest.mark.parametrize("inverted", range(4))
+    def test_inverted_bounds_raise_as_the_per_objective_terms(self, inverted):
+        lo = tuple(1.0 if i == inverted else 0.0 for i in range(4))
+        hi = tuple(0.0 if i == inverted else 1.0 for i in range(4))
+        bad = NormalizationBounds(lo, hi)
+        with pytest.raises(DegenerateBoundsError) as got:
+            scalarize(_metric(), Weights(), bad)
+        with pytest.raises(DegenerateBoundsError) as expected:
+            reference_scalarize(_metric(), Weights(), bad)
+        assert str(got.value) == str(expected.value) == "bounds (1.0, 0.0) have min > max"
+
+    def test_default_weight_cycle_in_order(self):
+        assert [w.as_tuple() for w in default_weight_cycle()] == [
+            (0.25, 0.25, 0.25, 0.25),
+            (0.85, 0.05, 0.05, 0.05), (0.05, 0.85, 0.05, 0.05),
+            (0.05, 0.05, 0.85, 0.05), (0.05, 0.05, 0.05, 0.85),
+            (0.4, 0.2, 0.2, 0.2), (0.2, 0.4, 0.2, 0.2), (0.2, 0.2, 0.4, 0.2), (0.2, 0.2, 0.2, 0.4),
+            (0.35, 0.35, 0.15, 0.15), (0.15, 0.35, 0.35, 0.15),
+            (0.15, 0.15, 0.35, 0.35), (0.35, 0.15, 0.15, 0.35),
+        ]
+
+    @pytest.mark.parametrize("name, position", [("npc", 0), ("reliability", 1), ("efficiency", 2), ("co2", 3)])
+    def test_focus_on_each_name(self, name, position):
+        lead = 1.0 - 3.0 * 1e-6
+        assert Weights.focus(name).as_tuple() == tuple(lead if i == position else 1e-6 for i in range(4))
+        assert Weights.focus(name, epsilon=0.1).as_tuple() == tuple(
+            1.0 - 3.0 * 0.1 if i == position else 0.1 for i in range(4))
+
+    def test_focus_on_unknown_name(self):
+        with pytest.raises(ValueError, match=r"objective must be one of \('npc', 'reliability', "
+                                             r"'efficiency', 'co2'\), got 'cost'"):
+            Weights.focus("cost")
+
+
+class TestLatticeLimits:
+    """An axis or a searched lattice too large to hold is counted from its
+    bounds and steps and refused before any array is built."""
+
+    PEAK_BYTES = 1 << 20
+
+    def _peak(self, call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_count_from_bounds_and_step(self):
+        assert Range(0.0, 1e6, 1e-3).count() == 10**9 + 1
+        assert Range(0.0, 100.0, 25.0).count() == len(Range(0.0, 100.0, 25.0).values()) == 5
+        assert SearchSpace.from_string("pv=0:100:25,wt=0:10:5").candidate_count() == 15
+
+    def test_axis_over_the_limit_raises_naming_it(self):
+        scenario = random_scenario(4)
+        space = SearchSpace.from_string("wt=0:100:50,pv=0:1e6:1e-3")
+
+        def search():
+            with pytest.raises(LatticeTooLargeError, match=r"^axis pv_kw has 1000000001 values; the most is 1000000$"):
+                grid_search(scenario, space, budget_usd=1.0)
+            with pytest.raises(LatticeTooLargeError, match="axis pv_kw"):
+                policy_gradient_search(scenario, space, PolicyConfig(episodes=1))
+        assert self._peak(search) < self.PEAK_BYTES
+
+    def test_axis_at_the_limit_is_counted(self):
+        space = SearchSpace(pv_kw=Range(0.0, _MAX_AXIS_VALUES - 1.0, 1.0))
+        assert space.axis_counts()["pv_kw"] == _MAX_AXIS_VALUES
+        with pytest.raises(LatticeTooLargeError, match="axis pv_kw has 1000001 values"):
+            SearchSpace(pv_kw=Range(0.0, float(_MAX_AXIS_VALUES), 1.0)).axis_counts()
+
+    def test_lattice_over_the_limit_raises_with_its_count(self):
+        scenario = random_scenario(4)
+        space = SearchSpace.from_string("pv=0:999:1,wt=0:999:1,bess=0:1:1")
+        assert space.candidate_count() == 2 * _MAX_LATTICE_DESIGNS
+
+        def search():
+            with pytest.raises(LatticeTooLargeError, match=r"^search space has 2000000 designs; the most is 1000000$"):
+                grid_search(scenario, space)
+        assert self._peak(search) < self.PEAK_BYTES
 
 
 class TestGridSearch:
