@@ -4,16 +4,16 @@ policy-gradient explorer instead of exhaustive enumeration.
 Run:  python demos/04_policy_gradient_front.py   (~10 seconds: 240 episodes)
 """
 
-from mgdesign import PolicyConfig, SearchSpace, bundled_scenario, policy_gradient_search
+from mgdesign import Evaluator, PolicyConfig, SearchSpace, bundled_scenario, policy_gradient_search
 
 scenario = bundled_scenario()
 space = SearchSpace.from_string("pv=0:600:150,wt=0:200:100,bess=0:900:300,conv=255")
 print(f"lattice: {space.candidate_count()} candidates; sampling 240 episodes")
 
-result = policy_gradient_search(scenario, space, PolicyConfig(episodes=240), seed=42)
+result = policy_gradient_search(Evaluator(scenario), space, PolicyConfig(episodes=240), seed=42)
 
 unique = {tuple(sorted(e.design.capacities().items())) for e in result.archive}
-print(f"episodes: {result.episodes_run}, distinct designs visited: {len(unique)}, "
+print(f"episodes: {len(result.archive)}, distinct designs visited: {len(unique)}, "
       f"front size: {len(result.front)}")
 
 print("\nlearned preferences per axis:")

@@ -12,7 +12,7 @@ and the demos use.
 """
 
 from .dispatch import Design, simulate_year, write_trace_csv
-from .metrics import evaluate, npc
+from .metrics import Evaluator, evaluate, npc
 from .optimize import (
     PolicyConfig,
     SearchSpace,

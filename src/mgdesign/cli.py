@@ -64,12 +64,20 @@ def _at_least(minimum: int):
     return count
 
 
+def _weights(text: str) -> Weights:
+    """Scalarization weights ``w_npc,w_rel,w_eff,w_co2`` (an argparse ``type``)."""
+    try:
+        return Weights.from_string(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_common(parser: argparse.ArgumentParser, design: bool = False, space: bool = False) -> None:
     parser.add_argument("--scenario", default=_env("SCENARIO"),
                         help="scenario YAML (default: the bundled synthetic community)")
     parser.add_argument("--out", default=_env("OUT", "mgdesign_out"),
                         help="output directory (default: %(default)s)")
-    parser.add_argument("--seed", type=int, default=_env("SEED", "42"),
+    parser.add_argument("--seed", type=_at_least(0), default=_env("SEED", "42"),
                         help="random seed for stochastic commands (default: %(default)s)")
     parser.add_argument("--jobs", type=int, default=_env("JOBS", "1"),
                         help="worker processes for search; other commands ignore it (default: %(default)s)")
@@ -99,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="enumerate a capacity lattice and rank by cost")
     _add_common(p, space=True)
     p.add_argument("--budget", type=_finite, default=None, help="capital + first-year O&M budget in $")
-    p.add_argument("--weights", default="0.25,0.25,0.25,0.25",
+    p.add_argument("--weights", type=_weights, default="0.25,0.25,0.25,0.25",
                    help="scalarization weights w_npc,w_rel,w_eff,w_co2 (default equal)")
 
     p = sub.add_parser("refine", help="derivative-free cost refinement from a starting design")
@@ -184,18 +192,17 @@ def cmd_evaluate(args) -> int:
 def cmd_search(args) -> int:
     scenario = _load_scenario(args)
     space = SearchSpace.from_string(args.space, grid_cap_kw=args.grid_cap)
-    weights = Weights.from_string(args.weights)
     out = _outdir(args)
     results = optimize.grid_search(scenario, space, budget_usd=args.budget, jobs=args.jobs)
     if not results:
         raise EmptyInputError("no feasible design in the search space")
     optimize.write_evaluations_csv(results, out / "results.csv")
     front = optimize.write_pareto_csv(results, out / "pareto.csv")
-    best = optimize.select_best(results, weights)
+    best = optimize.select_best(results, args.weights)
     print(f"evaluated {space.candidate_count()} candidates, {len(results)} feasible, "
           f"{len(front)} non-dominated")
     print(f"lowest NPC: {_design_label(results[0].design)} at ${results[0].metrics.npc_usd:,.0f}")
-    print(f"weighted pick ({args.weights}): {_design_label(best.design)}")
+    print(f"weighted pick ({','.join(map(str, args.weights.as_tuple()))}): {_design_label(best.design)}")
     _print_metrics(best.metrics)
     print(f"wrote {out / 'results.csv'} and {out / 'pareto.csv'}")
     return 0
@@ -229,18 +236,16 @@ def cmd_refine(args) -> int:
 
 
 def cmd_rl_search(args) -> int:
-    scenario = _load_scenario(args)
+    evaluator = Evaluator(_load_scenario(args))
     space = SearchSpace.from_string(args.space, grid_cap_kw=args.grid_cap)
     out = _outdir(args)
     config = PolicyConfig(episodes=args.episodes, learning_rate=args.learning_rate)
-    evaluator = Evaluator(scenario)
-    result = optimize.policy_gradient_search(scenario, space, config, seed=args.seed,
-                                             evaluate_fn=evaluator)
-    _report_evaluations(result.episodes_run, evaluator.simulated)
+    result = optimize.policy_gradient_search(evaluator, space, config, seed=args.seed)
+    episodes = len(result.archive)
+    _report_evaluations(episodes, evaluator.simulated)
     optimize.write_evaluations_csv(result.archive, out / "rl_archive.csv")
     optimize.write_evaluations_csv(result.front, out / "rl_pareto.csv", with_front_rank=True)
-    print(f"{result.episodes_run} episodes, archive {len(result.archive)}, "
-          f"front {len(result.front)}")
+    print(f"{episodes} episodes, archive {episodes}, front {len(result.front)}")
     for name, probs in result.probabilities.items():
         top = probs.argmax()
         values = space.axis_values()[name]
@@ -338,8 +343,8 @@ def cmd_lcoe_sweep(args) -> int:
     parameters = (list(sensitivity.SweepParameter) if args.parameter == "all"
                   else [sensitivity.SweepParameter(args.parameter)])
     trace = simulate_year(scenario, design)
-    for parameter in parameters:
-        curve = sensitivity.lcoe_sweep(scenario, design, parameter, args.multipliers, trace=trace)
+    curves = {p: sensitivity.lcoe_sweep(scenario, design, p, args.multipliers, trace=trace) for p in parameters}
+    for parameter, curve in curves.items():
         path = out / f"lcoe_{parameter.value}.csv"
         sensitivity.write_sweep_csv(curve, path)
         lo, hi = min(v for _, v in curve), max(v for _, v in curve)
@@ -396,7 +401,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (ConfigError, InvalidDesignError, EmptySearchSpaceError, EmptyInputError,
-            ScenarioValidationError, FileNotFoundError, ValueError) as exc:
+            ScenarioValidationError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -119,12 +119,6 @@ class SearchSpace:
         for values in itertools.product(*self.axis_values().values()):
             yield Design(**dict(zip(self.AXES, map(float, values))), grid_cap_kw=grid_cap)
 
-    def clip(self, design: Design) -> Design:
-        """Clamp a design onto the axis-aligned bounding box (not the lattice)."""
-        bounds = {name: getattr(self, name) for name in self.AXES}
-        return replace(design, **{name: min(max(getattr(design, name), axis.lo), axis.hi)
-                                  for name, axis in bounds.items()})
-
     @classmethod
     def from_string(cls, text: str, grid_cap_kw: float | None = None) -> "SearchSpace":
         """Parse ``pv=0:500:25,wt=0:300:25,bess=0:1000:50,...``.
@@ -181,11 +175,12 @@ class Weights:
         return (self.npc, self.reliability, self.efficiency, self.co2)
 
     @classmethod
-    def focus(cls, objective: str, epsilon: float = 1e-6) -> "Weights":
-        """Nearly all weight on one objective (the w -> 1 limit)."""
+    def focus(cls, objective: str) -> "Weights":
+        """Nearly all weight on one objective (the w -> 1 limit), 1e-6 on
+        each of the others."""
         if objective not in _WEIGHT_NAMES:
             raise ValueError(f"objective must be one of {_WEIGHT_NAMES}, got {objective!r}")
-        return _emphasis(epsilon, 1.0 - 3.0 * epsilon, [objective])
+        return _emphasis(1e-6, 1.0 - 3.0 * 1e-6, [objective])
 
     @classmethod
     def from_string(cls, text: str) -> "Weights":
@@ -217,11 +212,10 @@ def default_weight_cycle() -> list[Weights]:
 
 @dataclass(frozen=True)
 class EvaluatedDesign:
-    """A design together with its metrics and feasibility verdict."""
+    """A design together with its metrics."""
 
     design: Design
     metrics: MetricVector
-    feasible: bool = True
 
 
 # ----------------------------------------------------------------------
@@ -442,7 +436,7 @@ def grid_search(scenario: Scenario, space: SearchSpace,
                                  initargs=(scenario,)) as pool:
             metrics = [m for rows in pool.map(_evaluate_in_worker, tasks, chunksize=chunk) for m in rows]
 
-    results = [(m.npc_usd, index, EvaluatedDesign(design, m, True))
+    results = [(m.npc_usd, index, EvaluatedDesign(design, m))
                for (index, design), m in zip(candidates, metrics)]
     results.sort(key=lambda row: (row[0], row[1]))
     return [row[2] for row in results]
@@ -460,32 +454,31 @@ class RefineResult:
     evaluations: int
 
 
-#: Default coordinate steps: the steps of the default lattice.
+#: Initial coordinate steps: the steps of the default lattice.
 DEFAULT_STEPS = {name: getattr(SearchSpace(), name).delta for name in SearchSpace.AXES}
+#: Factor every step is multiplied by after a cycle without a move.
+_STEP_SHRINK = 0.5
 
 
 def refine(start: Design, objective: Callable[[Design], float],
-           space: SearchSpace | None = None,
-           initial_steps: dict[str, float] | None = None,
-           shrink: float = 0.5, tolerance: float = 1.0,
-           max_cycles: int = 200) -> RefineResult:
+           tolerance: float = 1.0, max_cycles: int = 200) -> RefineResult:
     """Cyclic coordinate descent on a scalar objective (minimization).
 
-    One capacity at a time is perturbed by +/- its current step; a move
-    is accepted only if it strictly lowers the objective, so the
-    incumbent score is non-increasing.  After a full cycle without an
-    acceptance all steps shrink by ``shrink``; the search stops once
-    every step is below ``tolerance`` or after ``max_cycles`` cycles.
-    Capacities stay non-negative and inside ``space`` when given.
+    One capacity at a time is perturbed by +/- its current step, starting
+    from :data:`DEFAULT_STEPS`; a move is accepted only if it strictly
+    lowers the objective, so the incumbent score is non-increasing.  After
+    a full cycle without an acceptance all steps halve
+    (:data:`_STEP_SHRINK`); the search stops once every step is below
+    ``tolerance`` or after ``max_cycles`` cycles.  Capacities stay
+    non-negative.
 
     ``objective`` is called on every probe, and ``evaluations`` counts
     them, repeats included.  An objective that reads an
     :class:`~mgdesign.metrics.Evaluator` simulates each distinct design
     once.
     """
-    steps = dict(DEFAULT_STEPS if initial_steps is None else initial_steps)
-    current = start if space is None else space.clip(start)
-    best = objective(current)
+    steps = dict(DEFAULT_STEPS)
+    current, best = start, objective(start)
     evaluations = 1
     cycles = 0
 
@@ -493,13 +486,9 @@ def refine(start: Design, objective: Callable[[Design], float],
         cycles += 1
         improved = False
         for name, step in steps.items():
-            if step <= 0.0:
-                continue
             for direction in (+1.0, -1.0):
                 value = getattr(current, name) + direction * step
                 candidate = replace(current, **{name: max(value, 0.0)})
-                if space is not None:
-                    candidate = space.clip(candidate)
                 if candidate == current:
                     continue
                 score = objective(candidate)
@@ -509,7 +498,7 @@ def refine(start: Design, objective: Callable[[Design], float],
                     improved = True
                     break
         if not improved:
-            steps = {name: step * shrink for name, step in steps.items()}
+            steps = {name: step * _STEP_SHRINK for name, step in steps.items()}
     return RefineResult(design=current, objective_value=best, cycles=cycles,
                         evaluations=evaluations)
 
@@ -540,7 +529,6 @@ class PolicySearchResult:
     front: list[EvaluatedDesign]
     probabilities: dict[str, np.ndarray]
     theta: dict[str, np.ndarray]
-    episodes_run: int
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -549,9 +537,8 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def policy_gradient_search(scenario: Scenario | None, space: SearchSpace,
-                           config: PolicyConfig = PolicyConfig(), seed: int = 42,
-                           evaluate_fn: Callable[[Design], MetricVector] | None = None) -> PolicySearchResult:
+def policy_gradient_search(evaluate: Callable[[Design], MetricVector], space: SearchSpace,
+                           config: PolicyConfig = PolicyConfig(), seed: int = 42) -> PolicySearchResult:
     """Trace the Pareto front with single-step REINFORCE episodes.
 
     Each episode samples one lattice value per capacity axis from an
@@ -564,16 +551,11 @@ def policy_gradient_search(scenario: Scenario | None, space: SearchSpace,
     front.  The returned front is exactly the Pareto filter of the
     archive.  Deterministic for a fixed seed.
 
-    ``evaluate_fn`` is called in every episode; the archive holds one row
-    per episode, and ``episodes_run`` counts them.  By default it is an
-    :class:`~mgdesign.metrics.Evaluator` on ``scenario``, which simulates
-    each distinct design once.
+    ``evaluate`` scores the design of every episode, and the archive
+    holds one row per episode.  An :class:`~mgdesign.metrics.Evaluator`
+    simulates each distinct design once.
     """
     axes = space.axis_values()
-    if evaluate_fn is None:
-        if scenario is None:
-            raise ValueError("scenario is required when no evaluate_fn is given")
-        evaluate_fn = Evaluator(scenario)
     cycle = default_weight_cycle()
     grid_cap = space.effective_grid_cap()
 
@@ -587,8 +569,8 @@ def policy_gradient_search(scenario: Scenario | None, space: SearchSpace,
         probs = {name: _softmax(logits) for name, logits in theta.items()}
         actions = {name: int(rng.choice(len(p), p=p)) for name, p in probs.items()}
         design = Design(**{name: float(axes[name][i]) for name, i in actions.items()}, grid_cap_kw=grid_cap)
-        metrics = evaluate_fn(design)
-        archive.append(EvaluatedDesign(design, metrics, True))
+        metrics = evaluate(design)
+        archive.append(EvaluatedDesign(design, metrics))
 
         # Orient all four objectives so higher is better, then normalize
         # against the running archive envelope.
@@ -613,8 +595,7 @@ def policy_gradient_search(scenario: Scenario | None, space: SearchSpace,
     final_probs = {name: _softmax(logits) for name, logits in theta.items()}
     front_mask = pareto_mask([e.metrics for e in archive])
     front = [e for e, keep in zip(archive, front_mask) if keep]
-    return PolicySearchResult(archive=archive, front=front, probabilities=final_probs,
-                              theta=theta, episodes_run=config.episodes)
+    return PolicySearchResult(archive=archive, front=front, probabilities=final_probs, theta=theta)
 
 
 # ----------------------------------------------------------------------
@@ -630,22 +611,23 @@ RESULT_FIELDS = DESIGN_FIELDS + METRIC_FIELDS + ("feasible",)
 def _result_columns(evaluations: Sequence[EvaluatedDesign]) -> dict[str, list]:
     columns = {name: [getattr(e.design, name) for e in evaluations] for name in DESIGN_FIELDS}
     columns.update((name, [getattr(e.metrics, name) for e in evaluations]) for name in METRIC_FIELDS)
-    columns["feasible"] = [e.feasible for e in evaluations]
+    columns["feasible"] = [True] * len(evaluations)
     return columns
 
 
 def write_evaluations_csv(evaluations: Sequence[EvaluatedDesign] | Mapping[str, Sequence],
                           path: str | Path, with_front_rank: bool = False) -> np.ndarray | None:
-    """One row per evaluated design: capacities, metrics, feasibility,
-    and optionally the Pareto front rank and membership flag.  Returns
-    the front ranks it wrote, or None without ``with_front_rank``.
-
-    Only the feasible rows are ranked, among themselves: an infeasible
-    row gets ``non_dominated`` 0, an empty ``front_rank`` cell and rank -1
-    in the returned array.
+    """One row per evaluated design: capacities, metrics, a ``feasible``
+    flag, and optionally the Pareto front rank and membership flag.
+    Returns the front ranks it wrote, or None without ``with_front_rank``.
 
     ``evaluations`` may also be a results table read back from a file: a
     mapping from each :data:`RESULT_FIELDS` name to its column of values.
+    Every evaluated design is feasible, as the searches drop over-budget
+    designs unevaluated, but a table's ``feasible`` column may hold
+    False.  Only the feasible rows are ranked, among themselves: an
+    infeasible row gets ``non_dominated`` 0, an empty ``front_rank`` cell
+    and rank -1 in the returned array.
     """
     columns = evaluations if isinstance(evaluations, Mapping) else _result_columns(evaluations)
     if not len(columns["npc_usd"]):

@@ -273,15 +273,20 @@ def _month_of_day() -> np.ndarray:
     return np.repeat(np.arange(12), _MONTH_DAYS)
 
 
-def synthesize_irradiance(
-    monthly_daily_kwh_m2: tuple[float, ...] | np.ndarray,
-    seed: int,
-    latitude_deg: float = -36.3,
-) -> TimeSeries:
+#: The synthetic series' site latitude in degrees (south < 0), and the
+#: hour-to-hour AR(1) coefficient, stationary standard deviation (m/s) and
+#: afternoon swell of their wind fluctuation.
+_LATITUDE_DEG = -36.3
+_WIND_AUTOCORRELATION = 0.87
+_WIND_SIGMA_MS = 1.9
+_WIND_DIURNAL_AMPLITUDE = 0.14
+
+
+def synthesize_irradiance(monthly_daily_kwh_m2: tuple[float, ...] | np.ndarray, seed: int) -> TimeSeries:
     """Build an hourly global irradiance series from monthly daily means.
 
     Each day gets a half-sine irradiance bell spanning the astronomical
-    day length for ``latitude_deg``, scaled so the daily integral matches
+    day length at :data:`_LATITUDE_DEG`, scaled so the daily integral matches
     the (smoothly interpolated) monthly mean after a random clearness
     factor is applied.  Values are renormalized month by month so the
     monthly means are met exactly; the result is deterministic for a
@@ -294,7 +299,7 @@ def synthesize_irradiance(
 
     daily_target = _daily_values_from_monthly(monthly)
     clearness = rng.uniform(0.45, 1.0, DAYS_PER_YEAR) ** 0.7
-    day_len = _day_lengths_hours(latitude_deg)
+    day_len = _day_lengths_hours(_LATITUDE_DEG)
 
     hours = np.arange(24).reshape(1, 24) + 0.5
     half = (day_len / 2.0).reshape(-1, 1)
@@ -314,13 +319,7 @@ def synthesize_irradiance(
     return TimeSeries(daily.reshape(-1), Unit.KW_PER_M2)
 
 
-def synthesize_wind_speed(
-    monthly_mean_ms: tuple[float, ...] | np.ndarray,
-    seed: int,
-    autocorrelation: float = 0.87,
-    sigma_ms: float = 1.9,
-    diurnal_amplitude: float = 0.14,
-) -> TimeSeries:
+def synthesize_wind_speed(monthly_mean_ms: tuple[float, ...] | np.ndarray, seed: int) -> TimeSeries:
     """Build an hourly wind speed series from monthly means.
 
     An AR(1) fluctuation around the interpolated monthly mean plus a mild
@@ -334,13 +333,14 @@ def synthesize_wind_speed(
 
     mean_by_day = _daily_values_from_monthly(monthly)
     base = np.repeat(mean_by_day, 24)
-    diurnal = 1.0 + diurnal_amplitude * np.sin(2.0 * np.pi * (np.tile(np.arange(24), DAYS_PER_YEAR) - 9.0) / 24.0)
+    hour = np.tile(np.arange(24), DAYS_PER_YEAR)
+    diurnal = 1.0 + _WIND_DIURNAL_AMPLITUDE * np.sin(2.0 * np.pi * (hour - 9.0) / 24.0)
 
     noise = np.empty(HOURS_PER_YEAR)
-    shocks = rng.normal(0.0, sigma_ms * math.sqrt(1.0 - autocorrelation**2), HOURS_PER_YEAR)
+    shocks = rng.normal(0.0, _WIND_SIGMA_MS * math.sqrt(1.0 - _WIND_AUTOCORRELATION**2), HOURS_PER_YEAR)
     level = 0.0
     for h in range(HOURS_PER_YEAR):
-        level = autocorrelation * level + shocks[h]
+        level = _WIND_AUTOCORRELATION * level + shocks[h]
         noise[h] = level
 
     values = np.maximum(base * diurnal + noise, 0.0)

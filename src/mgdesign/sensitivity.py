@@ -19,8 +19,10 @@ import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from .dispatch import Design, DispatchTrace, simulate_year
-from .metrics import MetricVector, evaluate, lcoe, npc
+from .metrics import MetricVector, NonFiniteMetricError, evaluate, lcoe, npc
 from .scenario import Scenario, TimeSeries, scale_series
 from .tables import csv_column, write_table
 
@@ -107,13 +109,10 @@ def standard_perturbations() -> list[Perturbation]:
     return grid
 
 
-def deviation_table(scenario: Scenario, design: Design,
-                    perturbations: list[Perturbation] | None = None) -> list[DeviationRow]:
-    """Run a perturbation grid against one shared baseline."""
-    if perturbations is None:
-        perturbations = standard_perturbations()
+def deviation_table(scenario: Scenario, design: Design) -> list[DeviationRow]:
+    """Run :func:`standard_perturbations` against one shared baseline."""
     baseline = evaluate(design, scenario)
-    return [perturb_and_evaluate(scenario, design, p, baseline) for p in perturbations]
+    return [perturb_and_evaluate(scenario, design, p, baseline) for p in standard_perturbations()]
 
 
 def write_deviation_csv(rows: list[DeviationRow], path: str | Path) -> None:
@@ -164,7 +163,9 @@ def lcoe_sweep(scenario: Scenario, design: Design, parameter: SweepParameter,
     The dispatch never looks at prices, so the trace is simulated once
     and re-costed per point.  A pre-computed ``trace`` of ``design`` on
     ``scenario`` may be supplied, so sweeps of several parameters share
-    one simulation.
+    one simulation.  An LCOE that comes out NaN or infinite raises
+    :class:`~mgdesign.metrics.NonFiniteMetricError` naming the parameter
+    and the multiplier.
     """
     if not all(0.0 < m < math.inf for m in multipliers):
         raise ValueError("multipliers must be finite and > 0")
@@ -175,8 +176,12 @@ def lcoe_sweep(scenario: Scenario, design: Design, parameter: SweepParameter,
     curve = []
     for multiplier in multipliers:
         scaled = _scaled_scenario(scenario, parameter, multiplier)
-        total, _ = npc(trace, design, scaled)
-        curve.append((multiplier, lcoe(total, served, eco.discount_rate, eco.project_years)))
+        with np.errstate(over="ignore", invalid="ignore"):  # caught below, not warned
+            total, _ = npc(trace, design, scaled)
+        value = lcoe(total, served, eco.discount_rate, eco.project_years)
+        if not math.isfinite(value):
+            raise NonFiniteMetricError(f"lcoe_usd_per_kwh = {value} with {parameter.value} x {multiplier!r}")
+        curve.append((multiplier, value))
     return curve
 
 

@@ -733,22 +733,24 @@ def reference_csv_cell(value) -> str:
     return repr(float(value))
 
 
-def reference_write_evaluations_csv(evaluations, path, with_front_rank: bool = False):
-    """Results CSV written row by row; ranks from the metric vectors of
-    the feasible rows, -1 for an infeasible row."""
+def reference_write_evaluations_csv(evaluations, path, with_front_rank: bool = False, feasible=None):
+    """Results CSV written row by row, with the ``feasible`` flags (all
+    true by default); ranks from the metric vectors of the feasible rows,
+    -1 for an infeasible row."""
     header = list(DESIGN_FIELDS) + list(METRIC_FIELDS) + ["feasible"]
+    feasible = [True] * len(evaluations) if feasible is None else feasible
     ranks = None
     if with_front_rank:
-        feasible = [i for i, e in enumerate(evaluations) if e.feasible]
+        kept = [i for i, flag in enumerate(feasible) if flag]
         ranks = np.full(len(evaluations), -1)
-        ranks[feasible] = reference_pareto_ranks([evaluations[i].metrics for i in feasible])
+        ranks[kept] = reference_pareto_ranks([evaluations[i].metrics for i in kept])
         header += ["non_dominated", "front_rank"]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for i, ev in enumerate(evaluations):
             row = [reference_csv_cell(getattr(ev.design, name)) for name in DESIGN_FIELDS]
             row += [reference_csv_cell(getattr(ev.metrics, name)) for name in METRIC_FIELDS]
-            row.append(reference_csv_cell(ev.feasible))
+            row.append(reference_csv_cell(bool(feasible[i])))
             if ranks is not None:
                 row.append(reference_csv_cell(bool(ranks[i] == 0)))
                 row.append(reference_csv_cell(int(ranks[i]) if ranks[i] >= 0 else None))
@@ -762,9 +764,10 @@ def reference_write_pareto_csv(evaluations, path) -> list[EvaluatedDesign]:
     return front
 
 
-def reference_read_results_csv(path) -> list[EvaluatedDesign]:
-    """A results CSV as one ``EvaluatedDesign`` per row."""
-    evaluations = []
+def reference_read_results_csv(path) -> tuple[list[EvaluatedDesign], list[bool]]:
+    """A results CSV as one ``EvaluatedDesign`` per row, and the rows'
+    ``feasible`` flags."""
+    evaluations, feasible = [], []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for row in csv.DictReader(fh):
             design = Design(
@@ -772,8 +775,9 @@ def reference_read_results_csv(path) -> list[EvaluatedDesign]:
                 bess_kwh=float(row["bess_kwh"]), converter_kw=float(row["converter_kw"]),
                 grid_cap_kw=float(row["grid_cap_kw"]) if row.get("grid_cap_kw") else None)
             metrics = MetricVector(**{name: float(row[name]) for name in METRIC_FIELDS})
-            evaluations.append(EvaluatedDesign(design, metrics, row.get("feasible", "1") == "1"))
-    return evaluations
+            evaluations.append(EvaluatedDesign(design, metrics))
+            feasible.append(row.get("feasible", "1") == "1")
+    return evaluations, feasible
 
 
 def reference_write_metrics_csv(metrics: MetricVector, design: Design, path) -> None:
@@ -878,16 +882,15 @@ def reference_grid_search(scenario, space, budget_usd=None) -> list[EvaluatedDes
         if budget_usd is not None and upfront > budget_usd:
             continue
         metrics = evaluate(design, scenario)
-        rows.append((metrics.npc_usd, index, EvaluatedDesign(design, metrics, True)))
+        rows.append((metrics.npc_usd, index, EvaluatedDesign(design, metrics)))
     rows.sort(key=lambda row: (row[0], row[1]))
     return [row[2] for row in rows]
 
 
-def reference_refine(start, objective, space=None, initial_steps=None, shrink=0.5,
-                     tolerance=1.0, max_cycles=200) -> RefineResult:
+def reference_refine(start, objective, tolerance=1.0, max_cycles=200) -> RefineResult:
     """Cyclic coordinate descent calling ``objective`` on every probe."""
-    steps = dict(DEFAULT_STEPS if initial_steps is None else initial_steps)
-    current = start if space is None else space.clip(start)
+    steps = dict(DEFAULT_STEPS)
+    current = start
     best = objective(current)
     evaluations = 1
     cycles = 0
@@ -900,8 +903,6 @@ def reference_refine(start, objective, space=None, initial_steps=None, shrink=0.
             for direction in (+1.0, -1.0):
                 value = getattr(current, name) + direction * step
                 candidate = replace(current, **{name: max(value, 0.0)})
-                if space is not None:
-                    candidate = space.clip(candidate)
                 if candidate == current:
                     continue
                 score = objective(candidate)
@@ -911,13 +912,13 @@ def reference_refine(start, objective, space=None, initial_steps=None, shrink=0.
                     improved = True
                     break
         if not improved:
-            steps = {name: step * shrink for name, step in steps.items()}
+            steps = {name: step * 0.5 for name, step in steps.items()}
     return RefineResult(design=current, objective_value=best, cycles=cycles,
                         evaluations=evaluations)
 
 
-def reference_policy_gradient_search(space, config, seed, evaluate_fn) -> PolicySearchResult:
-    """Single-step REINFORCE calling ``evaluate_fn`` in every episode."""
+def reference_policy_gradient_search(space, config, seed, evaluate) -> PolicySearchResult:
+    """Single-step REINFORCE calling ``evaluate`` in every episode."""
     axes = space.axis_values()
     cycle = default_weight_cycle()
     grid_cap = space.effective_grid_cap()
@@ -933,8 +934,8 @@ def reference_policy_gradient_search(space, config, seed, evaluate_fn) -> Policy
         actions = {name: int(rng.choice(len(p), p=p)) for name, p in probs.items()}
         design = Design(grid_cap_kw=grid_cap,
                         **{name: float(axes[name][actions[name]]) for name in axes})
-        metrics = evaluate_fn(design)
-        archive.append(EvaluatedDesign(design, metrics, True))
+        metrics = evaluate(design)
+        archive.append(EvaluatedDesign(design, metrics))
         oriented = np.array([-metrics.npc_usd, metrics.reliability,
                              metrics.efficiency_pct, -metrics.co2_kg_per_yr])
         lo = np.minimum(lo, oriented)
@@ -955,5 +956,4 @@ def reference_policy_gradient_search(space, config, seed, evaluate_fn) -> Policy
     final_probs = {name: _softmax(logits) for name, logits in theta.items()}
     front_mask = reference_pareto_mask([e.metrics for e in archive])
     front = [e for e, keep in zip(archive, front_mask) if keep]
-    return PolicySearchResult(archive=archive, front=front, probabilities=final_probs,
-                              theta=theta, episodes_run=config.episodes)
+    return PolicySearchResult(archive=archive, front=front, probabilities=final_probs, theta=theta)

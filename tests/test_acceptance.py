@@ -218,8 +218,7 @@ def test_criterion_09_policy_gradient_toy_convergence():
     space = toy_two_action_space()
     final_probs = []
     for seed in range(10):
-        result = policy_gradient_search(None, space, PolicyConfig(episodes=500), seed=seed,
-                                        evaluate_fn=toy_two_action_eval)
+        result = policy_gradient_search(toy_two_action_eval, space, PolicyConfig(episodes=500), seed=seed)
         probability = result.probabilities["pv_kw"][1]
         final_probs.append(probability)
         assert probability >= 0.9, f"seed {seed}: P(dominant)={probability:.3f}"

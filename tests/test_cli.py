@@ -1,4 +1,5 @@
 import csv
+import errno
 import filecmp
 import os
 import platform
@@ -6,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -16,7 +18,7 @@ from mgdesign import cli, metrics, sensitivity
 from mgdesign.cli import main
 from mgdesign.dispatch import Design
 from mgdesign.metrics import METRIC_FIELDS
-from mgdesign.optimize import RESULT_FIELDS, EvaluatedDesign, write_evaluations_csv
+from mgdesign.optimize import RESULT_FIELDS, EvaluatedDesign, _result_columns, write_evaluations_csv
 from mgdesign.scenario import bundled_data_path
 
 from .helpers import bench_inputs, random_metric_vectors, reference_read_results_csv, reference_write_evaluations_csv
@@ -442,7 +444,8 @@ class TestPipelines:
             main(["validate"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert f"argument {flag}: invalid int value: 'abc'" in err
+        problem = {"--seed": "expected an integer >= 0, got 'abc'", "--jobs": "invalid int value: 'abc'"}[flag]
+        assert f"argument {flag}: {problem}" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv, flag, value", [
@@ -491,6 +494,43 @@ class TestPipelines:
         assert f"argument --learning-rate: expected a finite number, got '{value}'" in captured.err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv, message", [
+        (["search", "--space", "pv=0:100:100", "--weights", "a,b,c,d"],
+         "argument --weights: could not convert string to float: 'a'"),
+        (["search", "--space", "pv=0:100:100", "--weights", "0.25,0.25,0.25"],
+         "argument --weights: need 4 comma-separated weights, got 3"),
+        (["rl-search", "--space", "pv=0:100:100", "--episodes", "5", "--seed", "-1"],
+         "argument --seed: expected an integer >= 0, got '-1'"),
+    ], ids=["weights-not-numbers", "three-weights", "negative-seed"])
+    def test_bad_weights_or_seed_exits_2_naming_flag(self, capsys, tmp_path, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert not any(tmp_path.iterdir())
+
+    def test_weighted_pick_prints_the_parsed_weights(self, capsys, tmp_path):
+        code, stdout, _ = _run(capsys, "search", "--space", "pv=0:100:100,conv=100", "--weights",
+                               "0.70,0.1,1e-1,.1", "--out", str(tmp_path))
+        assert code == 0
+        assert "\nweighted pick (0.7,0.1,0.1,0.1): " in stdout
+
+    @pytest.mark.parametrize("parameter, value", [
+        ("purchase_price", "inf"), ("sellback_price", "-inf"), ("battery_capital", "nan"), ("pv_capital", "nan"),
+        ("all", "inf"),
+    ])
+    def test_overflowing_lcoe_exits_2_naming_parameter(self, capsys, tmp_path, parameter, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no NumPy overflow warning besides the error
+            code, stdout, stderr = _run(capsys, "lcoe-sweep", "--design", A5_ARG, "--parameter", parameter,
+                                        "--multipliers", "1.0,1e305", "--out", str(tmp_path))
+        name = "purchase_price" if parameter == "all" else parameter
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: lcoe_usd_per_kwh = {value} with {name} x 1e+305\n"
+        assert not any(tmp_path.iterdir())
+
     def test_refine_labels_every_axis(self, capsys, tmp_path):
         code, stdout, _ = _run(capsys, "refine", "--design", "conv=150,bess=200.5,dg=60,wt=50,pv=100,grid=300",
                                "--max-cycles", "0", "--out", str(tmp_path))
@@ -505,6 +545,26 @@ class TestPipelines:
         assert (args.seed, args.jobs) == (7, 2)
 
 
+class TestPathErrors:
+    """A path of the wrong kind exits 2 with the system's message, which names it."""
+
+    @pytest.mark.parametrize("case", ["out-is-a-file", "out-below-a-file", "results-is-a-directory",
+                                      "scenario-is-a-directory"])
+    def test_exits_2_naming_the_path(self, capsys, tmp_path, case):
+        file, folder, out = tmp_path / "file", tmp_path / "folder", str(tmp_path / "out")
+        file.write_text("x\n")
+        folder.mkdir()
+        argv, path, number = {
+            "out-is-a-file": (["evaluate", "--design", "pv=100", "--out", str(file)], file, errno.EEXIST),
+            "out-below-a-file": (["evaluate", "--design", "pv=100", "--out", str(file / "sub")], file / "sub",
+                                 errno.ENOTDIR),
+            "results-is-a-directory": (["pareto", "--results", str(folder), "--out", out], folder, errno.EISDIR),
+            "scenario-is-a-directory": (["evaluate", "--design", "pv=100", "--scenario", str(folder), "--out", out],
+                                        folder, errno.EISDIR),
+        }[case]
+        assert _run(capsys, *argv) == (2, "", f"error: [Errno {number}] {os.strerror(number)}: '{path}'\n")
+
+
 class TestParetoCommand:
     @pytest.mark.parametrize("seed", [3, 17])
     def test_bench_archive_matches_row_oracle(self, capsys, tmp_path, seed):
@@ -513,8 +573,9 @@ class TestParetoCommand:
         fronts = inputs.write_pareto_archive(archive, seed, inputs.PARETO_ROWS, inputs.PARETO_FRONTS)
         code, stdout, _ = _run(capsys, "pareto", "--results", str(archive), "--out", str(tmp_path / "out"))
         assert code == 0
-        ranks = reference_write_evaluations_csv(reference_read_results_csv(archive), tmp_path / "oracle.csv",
-                                                with_front_rank=True)
+        evaluations, feasible = reference_read_results_csv(archive)
+        ranks = reference_write_evaluations_csv(evaluations, tmp_path / "oracle.csv", with_front_rank=True,
+                                                feasible=feasible)
         assert ((tmp_path / "out" / "pareto_plotdata.csv").read_bytes()
                 == (tmp_path / "oracle.csv").read_bytes())
         assert ranks.tolist() == fronts
@@ -539,8 +600,8 @@ class TestParetoCommand:
             plot = list(csv.DictReader(fh))
         assert [(r["feasible"], r["non_dominated"], r["front_rank"]) for r in plot] == [
             ("0", "0", ""), ("0", "0", ""), ("1", "1", "0")]
-        evaluations = reference_read_results_csv(out / "edited.csv")
-        reference_write_evaluations_csv(evaluations, tmp_path / "oracle.csv", with_front_rank=True)
+        evaluations, feasible = reference_read_results_csv(out / "edited.csv")
+        reference_write_evaluations_csv(evaluations, tmp_path / "oracle.csv", with_front_rank=True, feasible=feasible)
         assert (out / "pareto_plotdata.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
     @pytest.mark.parametrize("space", ["pv=0:150:75,dg=0:60:60,conv=100", "pv=0:150:75,bess=0:200:200,conv=100"])
@@ -560,10 +621,11 @@ class TestMalformedResults:
     def _results(tmp_path) -> Path:
         points = random_metric_vectors(3, 6, distinct_levels=3)
         evaluations = [EvaluatedDesign(Design(pv_kw=25.0 * i, converter_kw=100.0,
-                                              grid_cap_kw=60.0 if i % 2 else None), m, bool(i % 4))
+                                              grid_cap_kw=60.0 if i % 2 else None), m)
                        for i, m in enumerate(points)]
         path = tmp_path / "results.csv"
-        write_evaluations_csv(evaluations, path)
+        write_evaluations_csv({**_result_columns(evaluations), "feasible": [bool(i % 4) for i in range(len(points))]},
+                              path)
         return path
 
     @staticmethod

@@ -112,15 +112,6 @@ class TestSearchSpaceParsing:
         assert {d.grid_cap_kw for d in designs} == {6.0}
         assert all(type(value) is float for d in designs for value in d.capacities().values())
 
-    def test_clip_on_every_axis(self):
-        space = SearchSpace.from_string("pv=100:200:50,wt=10:20:5,dg=30:60:30,bess=400:800:100,conv=50:70:10")
-        low = Design(pv_kw=0.0, wt_kw=0.0, dg_kw=0.0, bess_kwh=0.0, converter_kw=0.0, grid_cap_kw=7.0)
-        assert space.clip(low) == Design(100.0, 10.0, 30.0, 400.0, 50.0, grid_cap_kw=7.0)
-        high = Design(pv_kw=900.0, wt_kw=900.0, dg_kw=900.0, bess_kwh=900.0, converter_kw=900.0)
-        assert space.clip(high) == Design(200.0, 20.0, 60.0, 800.0, 70.0)
-        inside = Design(pv_kw=120.0, wt_kw=12.5, dg_kw=45.0, bess_kwh=401.0, converter_kw=55.0)
-        assert space.clip(inside) == inside
-
     def test_default_steps_and_result_columns(self):
         assert optimize.DEFAULT_STEPS == {"pv_kw": 25.0, "wt_kw": 25.0, "dg_kw": 60.0,
                                           "bess_kwh": 50.0, "converter_kw": 25.0}
@@ -420,8 +411,6 @@ class TestObjectiveSenses:
     def test_focus_on_each_name(self, name, position):
         lead = 1.0 - 3.0 * 1e-6
         assert Weights.focus(name).as_tuple() == tuple(lead if i == position else 1e-6 for i in range(4))
-        assert Weights.focus(name, epsilon=0.1).as_tuple() == tuple(
-            1.0 - 3.0 * 0.1 if i == position else 0.1 for i in range(4))
 
     def test_focus_on_unknown_name(self):
         with pytest.raises(ValueError, match=r"objective must be one of \('npc', 'reliability', "
@@ -456,7 +445,7 @@ class TestLatticeLimits:
             with pytest.raises(LatticeTooLargeError, match=r"^axis pv_kw has 1000000001 values; the most is 1000000$"):
                 grid_search(scenario, space, budget_usd=1.0)
             with pytest.raises(LatticeTooLargeError, match="axis pv_kw"):
-                policy_gradient_search(scenario, space, PolicyConfig(episodes=1))
+                policy_gradient_search(Evaluator(scenario), space, PolicyConfig(episodes=1))
         assert self._peak(search) < self.PEAK_BYTES
 
     def test_axis_at_the_limit_is_counted(self):
@@ -527,8 +516,7 @@ class TestRefine:
 
     def test_local_optimum_fixed_point(self):
         start = Design(pv_kw=137.5)
-        result = refine(start, self._quadratic, initial_steps={"pv_kw": 25.0},
-                        tolerance=1.0)
+        result = refine(start, self._quadratic, tolerance=1.0)
         assert result.design.pv_kw == 137.5
 
     def test_never_degrades(self):
@@ -545,12 +533,6 @@ class TestRefine:
         assert result.objective_value <= scores[0]
         assert result.objective_value == min(scores)
 
-    def test_respects_space_bounds(self):
-        # true minimizer 137.5 lies below the box: refinement lands on the edge
-        space = SearchSpace(pv_kw=Range(200.0, 500.0, 25.0))
-        result = refine(Design(pv_kw=300.0), self._quadratic, space=space)
-        assert result.design.pv_kw == 200.0
-
 
 class TestPolicyGradient:
     _toy_space = staticmethod(toy_two_action_space)
@@ -559,24 +541,20 @@ class TestPolicyGradient:
     def test_dominant_action_learned(self):
         space = self._toy_space()
         for seed in range(3):
-            result = policy_gradient_search(None, space, PolicyConfig(episodes=500),
-                                            seed=seed, evaluate_fn=self._toy_eval)
+            result = policy_gradient_search(self._toy_eval, space, PolicyConfig(episodes=500), seed=seed)
             probs = result.probabilities["pv_kw"]
             assert probs[1] >= 0.9
 
     def test_zero_learning_rate_keeps_theta(self):
         space = self._toy_space()
-        result = policy_gradient_search(None, space,
-                                        PolicyConfig(episodes=50, learning_rate=0.0),
-                                        seed=0, evaluate_fn=self._toy_eval)
+        result = policy_gradient_search(self._toy_eval, space, PolicyConfig(episodes=50, learning_rate=0.0), seed=0)
         assert all(np.all(t == 0.0) for t in result.theta.values())
         assert np.allclose(result.probabilities["pv_kw"], 0.5)
 
     def test_fixed_seed_reproducible(self):
         space = self._toy_space()
         runs = [
-            policy_gradient_search(None, space, PolicyConfig(episodes=100),
-                                   seed=7, evaluate_fn=self._toy_eval)
+            policy_gradient_search(self._toy_eval, space, PolicyConfig(episodes=100), seed=7)
             for _ in range(2)
         ]
         designs0 = [(e.design.pv_kw) for e in runs[0].archive]
@@ -586,16 +564,14 @@ class TestPolicyGradient:
 
     def test_front_equals_filter_of_archive(self):
         space = self._toy_space()
-        result = policy_gradient_search(None, space, PolicyConfig(episodes=60),
-                                        seed=3, evaluate_fn=self._toy_eval)
+        result = policy_gradient_search(self._toy_eval, space, PolicyConfig(episodes=60), seed=3)
         mask = pareto_mask([e.metrics for e in result.archive])
         expected = [e for e, keep in zip(result.archive, mask) if keep]
         assert result.front == expected
 
     def test_archive_on_lattice(self):
         space = self._toy_space()
-        result = policy_gradient_search(None, space, PolicyConfig(episodes=40),
-                                        seed=1, evaluate_fn=self._toy_eval)
+        result = policy_gradient_search(self._toy_eval, space, PolicyConfig(episodes=40), seed=1)
         for entry in result.archive:
             assert entry.design.pv_kw in (0.0, 100.0)
             assert entry.design.bess_kwh == 0.0
@@ -624,10 +600,9 @@ class TestMemoizedEvaluations:
     def test_rl_evaluates_each_distinct_design_once(self, bundled, monkeypatch):
         sims = spy_calls(monkeypatch, metrics, "simulate_year")
         space = SearchSpace.from_string(self.RL_SPACE)
-        result = policy_gradient_search(bundled, space, PolicyConfig(episodes=100), seed=42,
-                                        evaluate_fn=Evaluator(bundled))
+        result = policy_gradient_search(Evaluator(bundled), space, PolicyConfig(episodes=100), seed=42)
         calls = Counter(args[1] for args in sims)
-        assert len(result.archive) == result.episodes_run == 100
+        assert len(result.archive) == 100
         assert set(calls) == {e.design for e in result.archive}
         assert set(calls.values()) == {1}
         assert len(calls) < 100
@@ -636,11 +611,10 @@ class TestMemoizedEvaluations:
     def test_rl_matches_reference_loop(self, bundled_metrics, seed):
         space = SearchSpace.from_string(self.RL_SPACE)
         config = PolicyConfig(episodes=300)
-        result = policy_gradient_search(None, space, config, seed=seed, evaluate_fn=bundled_metrics)
+        result = policy_gradient_search(bundled_metrics, space, config, seed=seed)
         expected = reference_policy_gradient_search(space, config, seed, bundled_metrics)
         assert result.archive == expected.archive
         assert result.front == expected.front
-        assert result.episodes_run == expected.episodes_run
         for name in expected.theta:
             assert np.array_equal(result.theta[name], expected.theta[name])
             assert np.array_equal(result.probabilities[name], expected.probabilities[name])

@@ -1,7 +1,9 @@
+import warnings
+
 import pytest
 
 from mgdesign.dispatch import simulate_year
-from mgdesign.metrics import evaluate, metric_record
+from mgdesign.metrics import NonFiniteMetricError, evaluate, metric_record
 from mgdesign.sensitivity import (
     Perturbation,
     PerturbTarget,
@@ -55,7 +57,7 @@ class TestPerturbations:
         assert all(row.reliability_dev == 0.0 for row in rows)
 
     def test_csv_layout(self, tmp_path, bundled, a5):
-        rows = deviation_table(bundled, a5, [Perturbation(PerturbTarget.LOAD, 0.05)])
+        rows = [perturb_and_evaluate(bundled, a5, Perturbation(PerturbTarget.LOAD, 0.05))]
         path = tmp_path / "dev.csv"
         write_deviation_csv(rows, path)
         lines = path.read_text().splitlines()
@@ -99,6 +101,17 @@ class TestLcoeSweep:
     def test_bad_multiplier(self, bundled, a5):
         with pytest.raises(ValueError):
             lcoe_sweep(bundled, a5, SweepParameter.PURCHASE_PRICE, [0.0, 1.0])
+
+    @pytest.mark.parametrize("parameter, value", [
+        (SweepParameter.PURCHASE_PRICE, "inf"), (SweepParameter.SELLBACK_PRICE, "-inf"),
+        (SweepParameter.BATTERY_CAPITAL, "nan"), (SweepParameter.PV_CAPITAL, "nan"),
+    ])
+    def test_overflowing_multiplier_raises_naming_it(self, bundled, a5, parameter, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflow is reported once, as the error
+            with pytest.raises(NonFiniteMetricError) as exc:
+                lcoe_sweep(bundled, a5, parameter, [1.0, 1e305])
+        assert str(exc.value) == f"lcoe_usd_per_kwh = {value} with {parameter.value} x 1e+305"
 
     def test_supplied_trace_gives_the_same_curve(self, bundled, a5):
         trace = simulate_year(bundled, a5)

@@ -9,7 +9,7 @@ import pytest
 from mgdesign import cli
 from mgdesign.dispatch import Design
 from mgdesign.metrics import CostBreakdown, MetricVector, cost_record
-from mgdesign.optimize import EvaluatedDesign, write_evaluations_csv, write_pareto_csv
+from mgdesign.optimize import EvaluatedDesign, _result_columns, write_evaluations_csv, write_pareto_csv
 from mgdesign.scenario import TimeSeries, Unit, write_timeseries
 from mgdesign.sensitivity import DeviationRow, PerturbTarget, write_deviation_csv, write_sweep_csv
 from mgdesign.tables import csv_column, write_table
@@ -33,10 +33,10 @@ CELLS = FLOATS + (None, True, False, 0, 418, -3, np.int64(7), np.float64(0.1), n
                   np.float64(math.nan), np.float32(0.5), np.bool_(True))
 
 
-def _awkward_evaluations(seed: int, n: int = 24) -> list[EvaluatedDesign]:
+def _awkward_evaluations(seed: int, n: int = 24) -> tuple[list[EvaluatedDesign], list[bool]]:
     """Int, float and ``np.float64`` capacities, ``None`` and int grid caps,
     metrics drawn from awkward floats, their ``np.float64`` and small ints
-    (ties, so several fronts), and infeasible rows."""
+    (ties, so several fronts); and ``feasible`` flags with infeasible rows."""
     rng = np.random.default_rng(seed)
 
     def pick():
@@ -48,8 +48,8 @@ def _awkward_evaluations(seed: int, n: int = 24) -> list[EvaluatedDesign]:
         capacities = [418, 123.0, np.float64(60.0), 704, 255.5]
         grid = (None, 300, 0.0, np.float64(1e-300))[i % 4]
         metrics = MetricVector(*(pick() for _ in range(8)))
-        rows.append(EvaluatedDesign(Design(*capacities, grid_cap_kw=grid), metrics, bool(i % 3)))
-    return rows
+        rows.append(EvaluatedDesign(Design(*capacities, grid_cap_kw=grid), metrics))
+    return rows, [bool(i % 3) for i in range(n)]
 
 
 class TestCells:
@@ -70,26 +70,31 @@ class TestResultWriters:
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("with_front_rank", [False, True])
     def test_evaluations_csv(self, tmp_path, seed, with_front_rank):
-        evaluations = _awkward_evaluations(seed)
-        ranks = write_evaluations_csv(evaluations, tmp_path / "new.csv", with_front_rank=with_front_rank)
+        evaluations, feasible = _awkward_evaluations(seed)
+        table = {**_result_columns(evaluations), "feasible": feasible}
+        ranks = write_evaluations_csv(table, tmp_path / "new.csv", with_front_rank=with_front_rank)
         expected = reference_write_evaluations_csv(evaluations, tmp_path / "old.csv",
-                                                   with_front_rank=with_front_rank)
+                                                   with_front_rank=with_front_rank, feasible=feasible)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
         if with_front_rank:
             assert np.array_equal(ranks, expected)
             assert ranks.max() > 0
         else:
             assert ranks is None
+        # Evaluated designs are written as feasible.
+        write_evaluations_csv(evaluations, tmp_path / "all_new.csv", with_front_rank=with_front_rank)
+        reference_write_evaluations_csv(evaluations, tmp_path / "all_old.csv", with_front_rank=with_front_rank)
+        assert (tmp_path / "all_new.csv").read_bytes() == (tmp_path / "all_old.csv").read_bytes()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_pareto_csv(self, tmp_path, seed):
-        evaluations = _awkward_evaluations(seed)
+        evaluations, _ = _awkward_evaluations(seed)
         front = write_pareto_csv(evaluations, tmp_path / "new.csv")
         assert front == reference_write_pareto_csv(evaluations, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     def test_metrics_csv(self, tmp_path):
-        for i, ev in enumerate(_awkward_evaluations(5, n=8)):
+        for i, ev in enumerate(_awkward_evaluations(5, n=8)[0]):
             cli._write_metrics_csv(ev.metrics, ev.design, tmp_path / f"new{i}.csv")
             reference_write_metrics_csv(ev.metrics, ev.design, tmp_path / f"old{i}.csv")
             assert (tmp_path / f"new{i}.csv").read_bytes() == (tmp_path / f"old{i}.csv").read_bytes()
