@@ -46,6 +46,17 @@ def _finite(text: str) -> float:
     return value
 
 
+def _non_negative(text: str) -> float:
+    """A finite number no smaller than 0 (an argparse ``type``)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
 def _finite_list(text: str) -> list[float]:
     """Comma-separated finite numbers (an argparse ``type``)."""
     return [_finite(part) for part in text.split(",")]
@@ -79,7 +90,7 @@ def _add_common(parser: argparse.ArgumentParser, design: bool = False, space: bo
                         help="output directory (default: %(default)s)")
     parser.add_argument("--seed", type=_at_least(0), default=_env("SEED", "42"),
                         help="random seed for stochastic commands (default: %(default)s)")
-    parser.add_argument("--jobs", type=int, default=_env("JOBS", "1"),
+    parser.add_argument("--jobs", type=_at_least(1), default=_env("JOBS", "1"),
                         help="worker processes for search; other commands ignore it (default: %(default)s)")
     if design:
         parser.add_argument("--design", required=True,
@@ -87,7 +98,7 @@ def _add_common(parser: argparse.ArgumentParser, design: bool = False, space: bo
     if space:
         parser.add_argument("--space", required=True,
                             help="lattice axes, e.g. pv=0:500:125,bess=0:800:200,conv=255")
-        parser.add_argument("--grid-cap", type=float, default=None,
+        parser.add_argument("--grid-cap", type=_non_negative, default=None,
                             help="explicit grid capacity kW (default: largest diesel in the space)")
 
 

@@ -330,10 +330,16 @@ def _battery_stage_hours(
     q2)``: the six arrays :func:`_grid_stage_hours` reads, the battery
     columns, and the final tanks.
 
-    Stages 1 and 3 are array expressions: every clamp keeps the comparison
-    of the per-hour rule it replaces, so each hour's result is bit-identical
-    to routing that hour alone.  They clamp and update in place
-    (``np.copyto(..., where=)``, ``out=``) on arrays they allocated
+    Stages 1 and 3 are array expressions, and each hour's result is
+    bit-identical to routing that hour alone.  A clamp is ``np.minimum`` or
+    ``np.maximum`` with the per-hour rule's kept value as the second
+    operand, which NumPy returns on a tie (on x86; ARM orders -0.0 below
+    +0.0, and every tie of zeros of different sign is folded to +0.0 by a
+    later ``np.maximum(..., 0.0)`` or masked write), or ``np.where`` with
+    the rule's comparison where that sign would survive.  An hour zeroed in
+    a column that is never negative or -0.0 is a multiply by a mask; in any
+    other column it is a masked write.  They clamp and update in place
+    (``out=``, ``*=``, ``np.copyto(..., where=)``) on arrays they allocated
     themselves, never on their inputs, which keeps a stage to at most 13
     year-long arrays.  Each one is still fresh memory to the kernel, one
     page fault per 4 KiB, wherever the allocator hands freed memory back
@@ -344,14 +350,17 @@ def _battery_stage_hours(
     # Stage 1: wind serves load on the AC bus, then PV through the converter.
     # A masked flow is +0.0 outside its mask, and ``x - 0.0`` is ``x`` bit
     # for bit, so subtracting it leaves every other hour as it was.
+    # A -0.0 wind hour (a "-0" speed with a cut-in of 0) at a +0.0 load
+    # takes the load's zero: np.minimum could take either on a tie.
     wt_to_load = np.where(wt < load, wt, load)
     residual = load - wt_to_load
     wt_surplus = np.subtract(wt, wt_to_load, out=wt_to_load)
     conv_used = pv * eta   # converter output-side throughput, once clamped
-    np.copyto(conv_used, conv_kw, where=conv_used > conv_kw)
-    np.copyto(conv_used, residual, where=conv_used > residual)
-    # Positive only where the residual, the PV and the rating all are.
-    np.copyto(conv_used, 0.0, where=~(conv_used > 0.0))
+    np.minimum(conv_kw, conv_used, out=conv_used)
+    np.minimum(residual, conv_used, out=conv_used)
+    # Positive only where the residual, the PV and the rating all are; a
+    # -0.0 rating's -0.0 becomes +0.0 here.
+    np.maximum(conv_used, 0.0, out=conv_used)
     used_dc = conv_used / eta
     pv_surplus = pv - used_dc
     residual -= conv_used
@@ -517,34 +526,43 @@ def _grid_stage_hours(
     """
     # Deficit hours: grid import, then diesel between its minimum load and
     # rating, then unmet.  A surplus hour's residual stays at most 1e-12,
-    # so only deficit hours import or run the diesel.
+    # so only deficit hours import or run the diesel.  The residual, the
+    # import, the diesel output and what is left after them are never
+    # negative or -0.0, so a multiply by a mask zeroes them as +0.0.
     # Scalar tests pick the masks (a mask ANDed with a Python bool is slow).
-    grid_import = np.where(residual < import_cap, residual, import_cap)
-    np.copyto(grid_import, 0.0, where=~(residual > 1e-12) if import_cap > 0.0 else True)
+    if import_cap > 0.0:
+        grid_import = np.minimum(residual, import_cap)
+        grid_import *= residual > 1e-12
+    else:
+        grid_import = np.zeros(residual.shape)
     left = residual - grid_import
-    to_dg = ((left > 1e-12) & (left >= dg_min * dg_kw) if dg_kw > 0.0
-             else np.zeros(left.shape, dtype=bool))
-    dg_out = np.where(left < dg_kw, left, dg_kw)
-    np.copyto(dg_out, 0.0, where=~to_dg)
-    fuel = dg_beta * dg_out
-    np.add(dg_alpha * dg_kw, fuel, out=fuel)
-    np.copyto(fuel, 0.0, where=~to_dg)
-    left -= dg_out
-    unmet = left
-    np.copyto(unmet, 0.0, where=~(deficit & (left > 0.0)))
+    if dg_kw > 0.0:
+        to_dg = (left > 1e-12) & (left >= dg_min * dg_kw)
+        dg_out = np.minimum(left, dg_kw)
+        dg_out *= to_dg
+        fuel = dg_beta * dg_out
+        np.add(dg_alpha * dg_kw, fuel, out=fuel)
+        # Fuel is -0.0 when both coefficients are.
+        np.copyto(fuel, 0.0, where=~to_dg)
+        left -= dg_out
+    else:
+        dg_out = np.zeros(left.shape)
+        fuel = np.zeros(left.shape)
+    unmet = np.multiply(left, deficit, out=left)
 
     # Surplus hours: export wind AC-direct, then PV through the converter
-    # room left; curtail the rest.
+    # room left; curtail the rest.  Both surpluses can be -0.0 or 1 ulp
+    # below zero, so their masks stay masked writes.
     to_export = (~deficit & ((wt_surplus > 0.0) | (pv_surplus > 0.0)) if export_cap > 0.0
                  else np.zeros(deficit.shape, dtype=bool))
-    wind_export = np.where(wt_surplus < export_cap, wt_surplus, export_cap)
+    wind_export = np.minimum(wt_surplus, export_cap)
     np.copyto(wind_export, 0.0, where=~to_export)
     wt_left = wt_surplus - wind_export
     ac_possible = pv_surplus * eta
     room = conv_kw - conv_used
-    np.copyto(ac_possible, room, where=ac_possible > room)
+    np.minimum(room, ac_possible, out=ac_possible)
     export_room = np.subtract(export_cap, wind_export, out=room)
-    np.copyto(ac_possible, export_room, where=ac_possible > export_room)
+    np.minimum(export_room, ac_possible, out=ac_possible)
     # Positive only where the PV surplus, the room and the export room all are.
     pv_export = to_export & (ac_possible > 0.0)
     np.copyto(ac_possible, 0.0, where=~pv_export)

@@ -21,7 +21,6 @@ import numbers
 import sys
 import warnings
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -155,30 +154,43 @@ class TimeSeries:
         return problems
 
 
+#: Name endings that ``np.loadtxt`` opens through a decompressor.
+_DECOMPRESSED_SUFFIXES = frozenset({".gz", ".bz2", ".xz", ".lzma"})
+
+
 def load_timeseries(path: str | Path, unit: Unit, expected_length: int | None = HOURS_PER_YEAR) -> TimeSeries:
     """Read a plain-text series: one value per line, ``#`` comments allowed.
 
-    Raises ``FileNotFoundError``, :class:`TimeSeriesParseError` or
+    Raises an ``OSError`` such as ``FileNotFoundError`` (``[Errno N]``,
+    naming the path), :class:`TimeSeriesParseError` or
     :class:`NotUtf8Error` (with the 1-based offending line number), or
     :class:`LengthMismatchError`.
     NaN and negative values are rejected where the unit forbids them.
 
-    The file is read as UTF-8 with an optional byte-order mark, and NumPy's
-    ``loadtxt`` parses it in one call.  A file it refuses, or that gives more
-    than one column or a NaN, is read again line by line with ``float``
+    The file is read as UTF-8 with an optional byte-order mark: NumPy's
+    ``loadtxt`` opens it by name and parses it in one call, a chunk of
+    text at a time.  A file it refuses, or that gives more than one column
+    or a NaN, is read again line by line with ``float``
     (:func:`_scan_series`), which decides: it names the first bad line, or
     returns the values when every cell is a number that ``loadtxt`` does not
-    read, such as ``1_0``.
+    read, such as ``1_0``.  So does a name that ``loadtxt`` would open
+    through a decompressor (``.gz``, ``.bz2``, ``.xz``, ``.lzma``): a series
+    file is plain text.
     """
     path = Path(path)
-    with open(path, "r", encoding="utf-8-sig") as fh, warnings.catch_warnings():
-        # An empty series ends in the length check, not in NumPy's warning
-        # (worded as the second alternative before NumPy 1.23).
-        warnings.filterwarnings("ignore", "loadtxt: (input contained no data|Empty input file)", UserWarning)
-        try:  # two dimensions, so that one line of two values is not read as two hours
-            values = np.loadtxt(fh, comments="#", ndmin=2)
-        except ValueError:
-            values = None
+    # A missing or unreadable path fails here with its ``[Errno N]`` text;
+    # NumPy's own message for a missing file drops it.
+    open(path, "rb").close()
+    values = None
+    if path.suffix not in _DECOMPRESSED_SUFFIXES:
+        with warnings.catch_warnings():
+            # An empty series ends in the length check, not in NumPy's warning
+            # (worded as the second alternative before NumPy 1.23).
+            warnings.filterwarnings("ignore", "loadtxt: (input contained no data|Empty input file)", UserWarning)
+            try:  # two dimensions, so that one line of two values is not read as two hours
+                values = np.loadtxt(path, comments="#", ndmin=2, encoding="utf-8-sig")
+            except ValueError:
+                pass
     if values is None or values.shape[1] != 1 or np.isnan(values).any():
         try:
             values = _scan_series(path)
@@ -618,7 +630,7 @@ def build_bundled_series(seed: int = BUNDLED_SEED) -> dict[str, TimeSeries]:
 
 def bundled_data_path() -> Path:
     """Directory holding the bundled synthetic scenario files."""
-    return Path(resources.files("mgdesign").joinpath("data"))
+    return Path(__file__).parent / "data"
 
 
 def bundled_scenario() -> Scenario:

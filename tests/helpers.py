@@ -9,8 +9,10 @@ the scalar closed forms of one hour's step.  The dispatch, CSV,
 Pareto and series-file references are the plain per-hour, per-row and
 per-cell loops, and the search references the loops that call their
 evaluator on every request, that the package's faster code must
-reproduce exactly.  :func:`kernel_battery_hour` and :func:`step_hour`
-drive the package's own dispatch stages on one-hour arrays.
+reproduce exactly; :func:`reference_grid_stage_hours` is the grid stage
+written with comparisons and masked writes.  :func:`kernel_battery_hour`
+and :func:`step_hour` drive the package's own dispatch stages on one-hour
+arrays.
 """
 
 from __future__ import annotations
@@ -705,6 +707,65 @@ def reference_battery_stage_hours(load, pv, wt, q1: float, q2: float, **params) 
             params[name] for name in ("conv_kw", "eta", "q_max", "k", "c", "sq_eta",
                                       "floor_q1", "floor_q2", "q_max_eff")))
     return grid_inputs, battery, q1, q2
+
+
+def reference_grid_stage_hours(
+    deficit: np.ndarray, residual: np.ndarray, pv_surplus: np.ndarray, wt_surplus: np.ndarray,
+    conv_used: np.ndarray, loss: np.ndarray, conv_kw: float, eta: float,
+    import_cap: float, export_cap: float,
+    dg_kw: float, dg_min: float, dg_alpha: float, dg_beta: float,
+) -> dict[str, np.ndarray]:
+    """:func:`mgdesign.dispatch._grid_stage_hours` with every clamp a
+    comparison, ``np.where(a < b, a, b)`` or ``np.copyto(x, s, where=x > s)``,
+    and every zeroed hour a masked write of +0.0; returns the same seven
+    flow columns."""
+    # Deficit hours: grid import, then diesel between its minimum load and
+    # rating, then unmet.  A surplus hour's residual stays at most 1e-12,
+    # so only deficit hours import or run the diesel.
+    # Scalar tests pick the masks (a mask ANDed with a Python bool is slow).
+    grid_import = np.where(residual < import_cap, residual, import_cap)
+    np.copyto(grid_import, 0.0, where=~(residual > 1e-12) if import_cap > 0.0 else True)
+    left = residual - grid_import
+    to_dg = ((left > 1e-12) & (left >= dg_min * dg_kw) if dg_kw > 0.0
+             else np.zeros(left.shape, dtype=bool))
+    dg_out = np.where(left < dg_kw, left, dg_kw)
+    np.copyto(dg_out, 0.0, where=~to_dg)
+    fuel = dg_beta * dg_out
+    np.add(dg_alpha * dg_kw, fuel, out=fuel)
+    np.copyto(fuel, 0.0, where=~to_dg)
+    left -= dg_out
+    unmet = left
+    np.copyto(unmet, 0.0, where=~(deficit & (left > 0.0)))
+
+    # Surplus hours: export wind AC-direct, then PV through the converter
+    # room left; curtail the rest.
+    to_export = (~deficit & ((wt_surplus > 0.0) | (pv_surplus > 0.0)) if export_cap > 0.0
+                 else np.zeros(deficit.shape, dtype=bool))
+    wind_export = np.where(wt_surplus < export_cap, wt_surplus, export_cap)
+    np.copyto(wind_export, 0.0, where=~to_export)
+    wt_left = wt_surplus - wind_export
+    ac_possible = pv_surplus * eta
+    room = conv_kw - conv_used
+    np.copyto(ac_possible, room, where=ac_possible > room)
+    export_room = np.subtract(export_cap, wind_export, out=room)
+    np.copyto(ac_possible, export_room, where=ac_possible > export_room)
+    # Positive only where the PV surplus, the room and the export room all are.
+    pv_export = to_export & (ac_possible > 0.0)
+    np.copyto(ac_possible, 0.0, where=~pv_export)
+    dc_used = np.divide(ac_possible, eta, out=export_room)
+    export_loss = dc_used - ac_possible
+    loss = np.add(loss, export_loss, out=export_loss)
+    pv_left = np.subtract(pv_surplus, dc_used, out=dc_used)
+    both_export = np.add(wind_export, ac_possible, out=ac_possible)
+    grid_export = wind_export
+    np.copyto(grid_export, both_export, where=pv_export)
+    # Deficit hours have no wind surplus (+0.0) and curtail PV surplus only
+    # when it is positive: PV through the converter can leave -1 ulp.
+    curtailed = np.add(pv_left, wt_left, out=wt_left)
+    np.copyto(curtailed, 0.0, where=deficit & ~(pv_left > 0.0))
+    return {"dg_kw": dg_out, "grid_import_kw": grid_import, "grid_export_kw": grid_export,
+            "unmet_kw": unmet, "curtailed_kw": curtailed, "fuel_l_per_hr": fuel,
+            "conversion_loss_kw": loss}
 
 
 def reference_write_trace_csv(trace: DispatchTrace, path: str | Path) -> None:

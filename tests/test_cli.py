@@ -295,11 +295,13 @@ class TestSearch:
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exits_2(self, capsys, tmp_path, jobs):
-        code, stdout, err = _run(capsys, "search", "--space", self.SPACE, "--jobs", jobs,
-                                 "--out", str(tmp_path))
-        assert code == 2
-        assert stdout == ""
-        assert err == f"error: jobs must be >= 1, got {jobs}\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--space", self.SPACE, "--jobs", jobs, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --jobs: expected an integer >= 1, got '{jobs}'" in captured.err
+        assert not any(tmp_path.iterdir())
 
     def test_budget_excluding_everything_errors(self, capsys, tmp_path):
         code, _, err = _run(capsys, "search", "--space", "pv=100:200:100",
@@ -444,7 +446,7 @@ class TestPipelines:
             main(["validate"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        problem = {"--seed": "expected an integer >= 0, got 'abc'", "--jobs": "invalid int value: 'abc'"}[flag]
+        problem = {"--seed": "expected an integer >= 0, got 'abc'", "--jobs": "expected an integer >= 1, got 'abc'"}[flag]
         assert f"argument {flag}: {problem}" in err
         assert "Traceback" not in err
 
@@ -461,6 +463,31 @@ class TestPipelines:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"argument {flag}: expected a finite number, got '{value}'" in captured.err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["refine", "--design", "pv=100,conv=100"], ["evaluate", "--design", "pv=100"], ["validate"],
+        ["rl-search", "--space", "pv=0:100:100"], ["sensitivity", "--design", "pv=100"],
+    ], ids=lambda argv: argv[0])
+    def test_jobs_below_one_exits_2_on_every_command(self, capsys, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--jobs", "-4", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --jobs: expected an integer >= 1, got '-4'" in captured.err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["search", "rl-search"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-5", "-0.5", "wide"])
+    def test_grid_cap_not_finite_or_negative_exits_2_naming_flag(self, capsys, tmp_path, command, value):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--space", "pv=0:100:100,conv=100", "--grid-cap", value, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --grid-cap: expected a finite number >= 0, got '{value}'" in captured.err
+        assert "grid_cap_kw" not in captured.err
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("value", ["-3", "0", "2.5", "many"])

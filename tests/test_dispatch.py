@@ -27,6 +27,7 @@ from .helpers import (
     pv_output,
     reference_battery_stage_hours,
     reference_dispatch_year,
+    reference_grid_stage_hours,
     reference_step_hour,
     reference_write_trace_csv,
     step_hour,
@@ -276,6 +277,8 @@ class TestStagedKernel:
         Design(pv_kw=600.0, wt_kw=250.0, converter_kw=90.0, grid_cap_kw=40.0),
         Design(pv_kw=200.0, wt_kw=150.0, dg_kw=90.0, bess_kwh=300.0, converter_kw=60.0,
                grid_cap_kw=0.0),
+        Design(pv_kw=300.0, wt_kw=80.0, dg_kw=-0.0, bess_kwh=200.0, converter_kw=-0.0,
+               grid_cap_kw=-0.0),
     )
 
     @staticmethod
@@ -303,14 +306,14 @@ class TestStagedKernel:
     def test_boundary_hours(self, bundled):
         # Hours on the rules' thresholds: residuals at and below 1e-12, wind
         # exactly meeting load, wind surplus at the export cap, PV filling
-        # or saturating the converter; from an empty, a mid and a full
-        # battery, and with none.
+        # or saturating the converter, zero loads and wind of either sign;
+        # from an empty, a mid and a full battery, and with none.
         designs = [Design(pv_kw=200.0, wt_kw=200.0, dg_kw=40.0, converter_kw=conv,
                           bess_kwh=bess, grid_cap_kw=cap)
                    for conv in (0.0, 30.0, 95.0) for bess in (0.0, 100.0) for cap in (None, 0.0, 20.0)]
-        loads = (0.0, 5e-13, 1e-12, 2e-12, 20.0, 95.0, 100.0)
+        loads = (-0.0, 0.0, 5e-13, 1e-12, 2e-12, 20.0, 95.0, 100.0)
         pvs = (0.0, 5e-13, 31.0, 100.0, 100.0 / 0.95, 400.0)
-        winds = (0.0, 5e-13, 20.0, 40.0, 100.0, 120.0)
+        winds = (-0.0, 0.0, 5e-13, 20.0, 40.0, 100.0, 120.0)
         for design in designs:
             states = [equilibrium_tanks(design.bess_kwh, soc, 0.5)
                       for soc in ((0.0,) if design.bess_kwh == 0.0 else (0.2, 0.5, 0.8))]
@@ -549,6 +552,110 @@ class TestBatteryLoopWriteBacks:
         finally:
             tracemalloc.stop()
         assert peak <= 13 * 8760 * 8
+
+
+class _NeonOrderedNumPy:
+    """NumPy whose ``minimum`` and ``maximum`` order -0.0 below +0.0, as
+    ARM's NEON instructions do; on x86 NumPy returns the second operand of
+    an equal pair."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def _give(result, out):
+        if out is None:
+            return result
+        np.copyto(out, result)
+        return out
+
+    def minimum(self, a, b, out=None):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        return self._give(np.where(a < b, a, np.where(b < a, b, np.where(np.signbit(a), a, b))), out)
+
+    def maximum(self, a, b, out=None):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        return self._give(np.where(a > b, a, np.where(b > a, b, np.where(np.signbit(a), b, a))), out)
+
+
+def random_grid_inputs(rng, hours: int, conv_kw: float) -> tuple[np.ndarray, ...]:
+    """Stage 3's six input arrays as stages 1 and 2 leave them: a residual
+    that is never negative or -0.0 (at most 1e-12 in a surplus hour),
+    surpluses that may be -0.0 or 1 ulp below zero (a deficit hour's wind
+    surplus mostly +0.0), converter use up to the rating and a loss that is
+    never negative.  Each array is read-only, as a shared stage's are."""
+    deficit = rng.random(hours) < 0.5
+    residual = np.where(deficit, rng.choice([0.0, 1e-13, 2e-12, 5.0, 30.0, 300.0], hours),
+                        rng.choice([0.0, 5e-13, 1e-12], hours))
+    below = -np.spacing(100.0)
+    pv_surplus = rng.choice([-0.0, 0.0, below, 5e-13, 10.0, 31.0, 200.0], hours)
+    wt_surplus = rng.choice([-0.0, 0.0, below, 5e-13, 20.0, 120.0], hours)
+    wt_surplus[deficit & (rng.random(hours) < 0.8)] = 0.0
+    conv_used = rng.choice([0.0, 0.5, 1.0], hours) * max(conv_kw, 0.0)
+    conv_used[rng.random(hours) < 0.2] = conv_kw
+    loss = rng.choice([0.0, 0.3, 2.0], hours)
+    arrays = (deficit, residual, pv_surplus, wt_surplus, conv_used, loss)
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+class TestSignedZeroTies:
+    """Stage 3 against the grid stage written with comparisons and masked
+    writes, down to the sign of every zero, and both array stages with the
+    ties of ``np.minimum``/``np.maximum`` ordered as on ARM: every tie that
+    pairs zeros of different sign is folded to +0.0 later, by
+    ``np.maximum(..., 0.0)`` or by a masked write, or is an ``np.where``."""
+
+    #: Signed-zero and zero capacities and caps, and an infinite cap.
+    GRID_PARAMS = [dict(conv_kw=conv, eta=eta, import_cap=import_cap, export_cap=export_cap, dg_kw=dg,
+                        dg_min=0.25, dg_alpha=alpha, dg_beta=beta)
+                   for conv, eta, import_cap, export_cap, dg, (alpha, beta) in itertools.product(
+                       (-0.0, 0.0, 30.0), (0.95, 1.0), (-0.0, 0.0, 20.0, math.inf), (-0.0, 0.0, 20.0, math.inf),
+                       (-0.0, 0.0, 40.0), ((0.08, 0.25), (-0.0, -0.0)))]
+
+    @staticmethod
+    def assert_same_columns(actual, expected, context):
+        assert actual.keys() == expected.keys()
+        for name, e in expected.items():
+            a = actual[name]
+            assert np.array_equal(a, e) and np.array_equal(np.signbit(a), np.signbit(e)), (name, context)
+
+    def grid_cases(self):
+        rng = np.random.default_rng(20)
+        for params in self.GRID_PARAMS:
+            for hours in (1, 3, 64):
+                yield random_grid_inputs(rng, hours, params["conv_kw"]), params
+
+    def test_grid_stage_matches_reference(self):
+        for inputs, params in self.grid_cases():
+            self.assert_same_columns(dispatch._grid_stage_hours(*inputs, **params),
+                                     reference_grid_stage_hours(*inputs, **params), params)
+
+    def test_grid_stage_with_ties_ordered_as_on_arm(self, monkeypatch):
+        cases = [(inputs, params, reference_grid_stage_hours(*inputs, **params))
+                 for inputs, params in self.grid_cases()]
+        monkeypatch.setattr(dispatch, "np", _NeonOrderedNumPy())
+        for inputs, params, expected in cases:
+            self.assert_same_columns(dispatch._grid_stage_hours(*inputs, **params), expected, params)
+
+    def test_battery_stage_with_ties_ordered_as_on_arm(self, bundled, monkeypatch):
+        """Zero loads, PV and wind of either sign (a \"-0\" wind speed with a
+        cut-in of 0 gives -0.0 wind), and a -0.0 converter."""
+        hours = [np.array(column) for column in zip(*itertools.product(
+            (-0.0, 0.0, 1e-12, 20.0, 30.0, 100.0), (-0.0, 0.0, 31.0, 100.0 / 0.95, 400.0),
+            (-0.0, 0.0, 20.0, 30.0, 120.0)))]
+        cases = []
+        for conv, bess in itertools.product((-0.0, 0.0, 30.0, 95.0), (0.0, 100.0, 400.0)):
+            params = dispatch._battery_params(conv, bundled.catalog, bess)
+            for q1, q2 in {(0.0, 0.0), (0.4 * bess, 0.4 * bess), (0.1 * bess, 0.1 * bess)}:
+                cases.append((q1, q2, params, dispatch._battery_stage_hours(*hours, q1, q2, **params)))
+        monkeypatch.setattr(dispatch, "np", _NeonOrderedNumPy())
+        for q1, q2, params, expected in cases:
+            actual = dispatch._battery_stage_hours(*hours, q1, q2, **params)
+            for a, e in zip(actual[0] + actual[1], expected[0] + expected[1]):
+                assert np.array_equal(a, e) and np.array_equal(np.signbit(a), np.signbit(e)), params
+            assert actual[2:] == expected[2:]
 
 
 class TestStepHour:

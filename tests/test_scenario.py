@@ -1,4 +1,7 @@
+import bz2
 import copy
+import gzip
+import lzma
 import math
 import shutil
 import warnings
@@ -20,6 +23,7 @@ from mgdesign.scenario import (
     Economics,
     GridTariff,
     LengthMismatchError,
+    NotUtf8Error,
     Scenario,
     TimeSeries,
     TimeSeriesParseError,
@@ -200,6 +204,34 @@ class TestLoadTimeseriesMatchesLineLoop:
         path.write_text(f"# unit: kW\n1.5\n{cell}  # hour 2\n3.0\n", encoding="utf-8")
         values = self._assert_same(path, expected_length=None)
         assert values.tolist() == [1.5, value, 3.0]
+
+    def test_missing_path_or_directory_named(self, tmp_path):
+        """A missing path fails with ``[Errno 2]`` naming it, even beside a
+        compressed file of the same name plus ``.gz``, and a directory with
+        ``[Errno 21]``."""
+        (tmp_path / "folder.txt").mkdir()
+        (tmp_path / "missing.txt.gz").write_bytes(gzip.compress(b"1.0\n"))
+        for name, errno in (("missing.txt", 2), ("folder.txt", 21)):
+            kind, message = self._assert_same(tmp_path / name)
+            assert kind is (FileNotFoundError if errno == 2 else IsADirectoryError)
+            assert message.startswith(f"[Errno {errno}] ") and message.endswith(f"'{tmp_path / name}'")
+
+    @pytest.mark.parametrize("suffix, compress", [
+        (".gz", gzip.compress), (".bz2", bz2.compress), (".xz", lzma.compress),
+        (".lzma", lambda data: lzma.compress(data, format=lzma.FORMAT_ALONE)),
+    ])
+    def test_compressed_name_is_read_as_plain_text(self, tmp_path, suffix, compress):
+        """NumPy would open these names through a decompressor; a series file
+        is read as the text it holds."""
+        text = (bundled_data_path() / "load_kw.txt").read_bytes()
+        path = tmp_path / f"load_kw.txt{suffix}"
+        path.write_bytes(compress(text))
+        with pytest.raises(NotUtf8Error) as err:
+            load_timeseries(path, Unit.KW)
+        assert str(err.value) == f"{path}, line 1: not UTF-8 text"
+        path.write_bytes(text)
+        values = self._assert_same(path)
+        assert values.tobytes() == load_timeseries(bundled_data_path() / "load_kw.txt", Unit.KW).values.tobytes()
 
     def test_byte_order_mark(self, tmp_path):
         """A file that starts with a UTF-8 byte-order mark reads as the same
@@ -505,12 +537,15 @@ class TestSchema:
 
     def test_unreadable_series_named(self, tmp_path):
         doc = _bundled_copy(tmp_path)
+        (tmp_path / "folder").mkdir()
+        doc["series"]["irradiance"] = "folder"
         doc["series"]["wind_speed"] = "missing.txt"
         (tmp_path / "short.txt").write_text("1.0\n", encoding="utf-8")
         doc["tariff"]["sellback_file"] = "short.txt"
         with pytest.raises(ScenarioValidationError) as err:
             _load(tmp_path, doc)
-        first, second = err.value.violations
+        directory, first, second = err.value.violations
+        assert directory.startswith("series.irradiance: [Errno 21]") and "folder" in directory
         assert first.startswith("series.wind_speed: [Errno 2]") and "missing.txt" in first
         assert second == "tariff.sellback_file: expected 8760 hourly values, got 1"
 
