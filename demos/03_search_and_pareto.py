@@ -7,6 +7,7 @@ Run:  python demos/03_search_and_pareto.py   (a few seconds: 48 annual simulatio
 from pathlib import Path
 
 from mgdesign import (
+    Evaluator,
     SearchSpace,
     Weights,
     bundled_scenario,
@@ -20,7 +21,7 @@ scenario = bundled_scenario()
 space = SearchSpace.from_string("pv=0:600:200,wt=0:200:100,bess=0:900:300,conv=255")
 print(f"lattice: {space.candidate_count()} candidates")
 
-results = grid_search(scenario, space)
+results = grid_search(Evaluator(scenario), space)
 front_flags = pareto_mask([r.metrics for r in results])
 front = [r for r, keep in zip(results, front_flags) if keep]
 print(f"feasible: {len(results)}, non-dominated: {len(front)}")

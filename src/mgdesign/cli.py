@@ -35,26 +35,22 @@ def _env(name: str, fallback: str | None = None) -> str | None:
     return os.environ.get(f"MGDESIGN_{name}", fallback)
 
 
-def _finite(text: str) -> float:
-    """A number that is neither infinite nor NaN (an argparse ``type``)."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
+def _number(convert, accept, expected: str):
+    """An argparse ``type``: ``convert(text)`` where ``accept`` holds of it,
+    else an error ``expected <expected>, got '<text>'``."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return parse
 
 
-def _non_negative(text: str) -> float:
-    """A finite number no smaller than 0 (an argparse ``type``)."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0.0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
-    return value
+_finite = _number(float, math.isfinite, "a finite number")
+_non_negative = _number(float, lambda value: 0.0 <= value < math.inf, "a finite number >= 0")
 
 
 def _finite_list(text: str) -> list[float]:
@@ -64,15 +60,7 @@ def _finite_list(text: str) -> list[float]:
 
 def _at_least(minimum: int):
     """An argparse ``type``: an integer no smaller than ``minimum``."""
-    def count(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = minimum - 1
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
-        return value
-    return count
+    return _number(int, lambda value: value >= minimum, f"an integer >= {minimum}")
 
 
 def _weights(text: str) -> Weights:
@@ -204,7 +192,7 @@ def cmd_search(args) -> int:
     scenario = _load_scenario(args)
     space = SearchSpace.from_string(args.space, grid_cap_kw=args.grid_cap)
     out = _outdir(args)
-    results = optimize.grid_search(scenario, space, budget_usd=args.budget, jobs=args.jobs)
+    results = optimize.grid_search(Evaluator(scenario, jobs=args.jobs), space, budget_usd=args.budget)
     if not results:
         raise EmptyInputError("no feasible design in the search space")
     optimize.write_evaluations_csv(results, out / "results.csv")
@@ -226,7 +214,14 @@ def _report_evaluations(requested: int, simulated: int) -> None:
 
 
 def _design_label(design: Design) -> str:
-    return ",".join(f"{short}={getattr(design, name):g}" for short, name in CAPACITIES.items())
+    """The design as :meth:`~mgdesign.dispatch.Design.from_string` reads it
+    back: every capacity, then ``grid=`` if it has a grid cap.  A value is
+    printed in ``:g`` form unless that rounds it, then in full."""
+    values = {short: getattr(design, name) for short, name in CAPACITIES.items()}
+    if design.grid_cap_kw is not None:
+        values["grid"] = design.grid_cap_kw
+    return ",".join(f"{short}={value:g}" if float(f"{value:g}") == value else f"{short}={value!r}"
+                    for short, value in values.items())
 
 
 def cmd_refine(args) -> int:

@@ -20,6 +20,7 @@ maximized.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 
 from .dispatch import BatteryStage, Design, DispatchTrace, battery_stage, simulate_year
@@ -293,11 +294,14 @@ class Evaluator:
     simulated is kept and reused while the next designs share its
     :attr:`~mgdesign.dispatch.Design.battery_key`, so designs fed in key
     order run the battery loop once per key.  ``simulated`` counts the
-    designs simulated so far.
+    designs simulated so far, and ``jobs`` >= 1 caps the processes of :meth:`map`.
     """
 
-    def __init__(self, scenario: Scenario) -> None:
+    def __init__(self, scenario: Scenario, jobs: int = 1) -> None:
+        if jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.scenario = scenario
+        self.jobs = jobs
         self._memo: dict[Design, MetricVector] = {}
         self._stage: BatteryStage | None = None
 
@@ -313,3 +317,43 @@ class Evaluator:
             trace = simulate_year(self.scenario, design, self._stage)
             self._memo[design] = evaluate(design, self.scenario, trace=trace)
         return self._memo[design]
+
+    def map(self, designs: Iterable[Design]) -> list[MetricVector]:
+        """The metrics of each design, in input order.  Only the distinct
+        designs not in the memo are simulated, one battery key after
+        another; with ``jobs > 1`` and two keys or more, the keys go to
+        ``min(jobs, keys)`` processes instead, each with an evaluator built
+        from the scenario, in a pool that lives for this call."""
+        designs = list(designs)
+        groups: dict[tuple, list[Design]] = {}
+        for design in dict.fromkeys(designs):
+            if design not in self._memo:
+                groups.setdefault(design.battery_key, []).append(design)
+        workers = min(self.jobs, len(groups))
+        if workers <= 1:
+            for group in groups.values():
+                for design in group:
+                    self(design)
+        else:
+            from concurrent.futures import ProcessPoolExecutor
+
+            chunk = max(1, len(groups) // (4 * workers))
+            with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                     initargs=(self.scenario,)) as pool:
+                for scored in pool.map(_evaluate_in_worker, groups.values(), chunksize=chunk):
+                    self._memo.update(scored)
+        return [self._memo[design] for design in designs]
+
+
+#: The evaluator of a :meth:`Evaluator.map` worker process, built once by
+#: the pool initializer from the scenario it is sent.
+_worker_evaluator: Evaluator | None = None
+
+
+def _init_worker(scenario: Scenario) -> None:
+    global _worker_evaluator
+    _worker_evaluator = Evaluator(scenario)
+
+
+def _evaluate_in_worker(designs: list[Design]) -> dict[Design, MetricVector]:
+    return {design: _worker_evaluator(design) for design in designs}

@@ -18,7 +18,6 @@ import numpy as np
 
 from .dispatch import CAPACITIES, Design
 from .metrics import METRIC_FIELDS, OBJECTIVE_SENSES, Evaluator, MetricVector, capital_cost, fixed_om_cost
-from .scenario import Scenario
 from .tables import csv_column, write_table
 
 
@@ -42,7 +41,7 @@ class LatticeTooLargeError(ValueError):
 #: and the policy search keeps three arrays of that length per axis.
 _MAX_AXIS_VALUES = 10**6
 #: Most designs :func:`grid_search` enumerates: each design it keeps holds
-#: ~1 KB (its Design, MetricVector, EvaluatedDesign and sort row), so
+#: ~1 KB (its Design, MetricVector, memo entry and EvaluatedDesign), so
 #: 10**6 designs are ~1 GB.
 _MAX_LATTICE_DESIGNS = 10**6
 
@@ -376,70 +375,24 @@ def select_best(evaluations: Sequence[EvaluatedDesign], weights: Weights) -> Eva
 # Grid search (lattice enumeration)
 # ----------------------------------------------------------------------
 
-#: The evaluator of a ``grid_search`` worker process, built once by the
-#: pool initializer from the scenario it is sent.
-_worker_evaluator: Evaluator | None = None
-
-
-def _init_worker(scenario: Scenario) -> None:
-    global _worker_evaluator
-    _worker_evaluator = Evaluator(scenario)
-
-
-def _evaluate_in_worker(designs: Sequence[Design]) -> list[MetricVector]:
-    return list(map(_worker_evaluator, designs))
-
-
-def grid_search(scenario: Scenario, space: SearchSpace,
-                budget_usd: float | None = None, jobs: int = 1) -> list[EvaluatedDesign]:
+def grid_search(evaluator: Evaluator, space: SearchSpace,
+                budget_usd: float | None = None) -> list[EvaluatedDesign]:
     """Evaluate every lattice design, keep the feasible ones, sort by NPC.
 
     Feasibility screens capital plus one year of size-based O&M against
     ``budget_usd`` before simulating, so infeasible designs cost nothing.
-    Result order is deterministic regardless of ``jobs``: NPC ascending,
-    lattice order breaking ties.
-
-    The designs are grouped by :attr:`~mgdesign.dispatch.Design.battery_key`
-    and fed to an :class:`~mgdesign.metrics.Evaluator` group by group, so
-    the battery stage of the dispatch runs once per group; designs that
-    differ only in diesel size or grid cap run only the grid stage, with
-    bit-identical results.  ``jobs > 1`` spreads the groups across
-    ``min(jobs, groups)`` processes, each with its own evaluator, built
-    once from the scenario; a single group runs in this process.
-    ``jobs < 1`` raises :class:`ValueError`, and a lattice of more than
-    :data:`_MAX_LATTICE_DESIGNS` designs :class:`LatticeTooLargeError`.
+    The rest go to :meth:`~mgdesign.metrics.Evaluator.map` as one batch.
+    Result order is deterministic regardless of the evaluator's ``jobs``:
+    NPC ascending, lattice order breaking ties.  A lattice of more than
+    :data:`_MAX_LATTICE_DESIGNS` designs raises :class:`LatticeTooLargeError`.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     count = space.candidate_count()
     if count > _MAX_LATTICE_DESIGNS:
         raise LatticeTooLargeError(f"search space has {count} designs; the most is {_MAX_LATTICE_DESIGNS}")
-
-    groups: dict[tuple, list[tuple[int, Design]]] = {}
-    for index, design in enumerate(space.designs()):
-        if budget_usd is not None:
-            upfront = capital_cost(design, scenario) + fixed_om_cost(design, scenario)
-            if upfront > budget_usd:
-                continue
-        groups.setdefault(design.battery_key, []).append((index, design))
-    candidates = [row for group in groups.values() for row in group]
-
-    workers = min(jobs, len(groups))
-    if workers <= 1:
-        metrics = list(map(Evaluator(scenario), (design for _, design in candidates)))
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunk = max(1, len(groups) // (4 * workers))
-        tasks = ([design for _, design in group] for group in groups.values())
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                 initargs=(scenario,)) as pool:
-            metrics = [m for rows in pool.map(_evaluate_in_worker, tasks, chunksize=chunk) for m in rows]
-
-    results = [(m.npc_usd, index, EvaluatedDesign(design, m))
-               for (index, design), m in zip(candidates, metrics)]
-    results.sort(key=lambda row: (row[0], row[1]))
-    return [row[2] for row in results]
+    scenario = evaluator.scenario
+    designs = [design for design in space.designs() if budget_usd is None
+               or capital_cost(design, scenario) + fixed_om_cost(design, scenario) <= budget_usd]
+    return sorted(map(EvaluatedDesign, designs, evaluator.map(designs)), key=lambda e: e.metrics.npc_usd)
 
 
 # ----------------------------------------------------------------------

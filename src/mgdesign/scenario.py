@@ -165,7 +165,8 @@ def load_timeseries(path: str | Path, unit: Unit, expected_length: int | None = 
     naming the path), :class:`TimeSeriesParseError` or
     :class:`NotUtf8Error` (with the 1-based offending line number), or
     :class:`LengthMismatchError`.
-    NaN and negative values are rejected where the unit forbids them.
+    NaN and negative values are rejected where the unit forbids them, and
+    ``-0`` reads as ``0.0``.
 
     The file is read as UTF-8 with an optional byte-order mark: NumPy's
     ``loadtxt`` opens it by name and parses it in one call, a chunk of
@@ -200,7 +201,7 @@ def load_timeseries(path: str | Path, unit: Unit, expected_length: int | None = 
         values = values[:, 0]
     if expected_length is not None and len(values) != expected_length:
         raise LengthMismatchError(expected_length, len(values))
-    series = TimeSeries(values, unit)
+    series = TimeSeries(values + 0.0, unit)  # -0.0 + 0.0 is 0.0; exact for every other value
     problems = series.violations(name=str(path), expected_length=expected_length)
     if problems:
         raise ScenarioValidationError(problems)

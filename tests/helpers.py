@@ -870,8 +870,8 @@ def reference_write_sweep_csv(curve, path) -> None:
 
 def reference_load_timeseries(path, unit, expected_length=HOURS_PER_YEAR) -> TimeSeries:
     """Series file read as UTF-8 through one ``map(float, ...)`` over the
-    non-blank cells; a file with a bad cell is read again line by line to
-    name the first non-numeric or NaN one."""
+    non-blank cells, ``-0`` as ``0.0``; a file with a bad cell is read again
+    line by line to name the first non-numeric or NaN one."""
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
         cells = (line.split("#", 1)[0] if "#" in line else line for line in fh)
@@ -892,7 +892,7 @@ def reference_load_timeseries(path, unit, expected_length=HOURS_PER_YEAR) -> Tim
                         raise TimeSeriesParseError(path, lineno, text)
     if expected_length is not None and len(values) != expected_length:
         raise LengthMismatchError(expected_length, len(values))
-    series = TimeSeries(values, unit)
+    series = TimeSeries(np.where(values == 0.0, 0.0, values), unit)
     problems = series.violations(name=str(path), expected_length=expected_length)
     if problems:
         raise ScenarioValidationError(problems)

@@ -18,7 +18,7 @@ from mgdesign import cli, metrics, sensitivity
 from mgdesign.cli import main
 from mgdesign.dispatch import Design
 from mgdesign.metrics import METRIC_FIELDS
-from mgdesign.optimize import RESULT_FIELDS, EvaluatedDesign, _result_columns, write_evaluations_csv
+from mgdesign.optimize import DESIGN_FIELDS, RESULT_FIELDS, EvaluatedDesign, _result_columns, write_evaluations_csv
 from mgdesign.scenario import bundled_data_path
 
 from .helpers import bench_inputs, random_metric_vectors, reference_read_results_csv, reference_write_evaluations_csv
@@ -130,6 +130,21 @@ class TestValidate:
             assert code == 0
         for name in ("metrics.csv", "costs.csv", "trace.csv"):
             assert (tmp_path / "bundled" / name).read_bytes() == (tmp_path / "rewritten" / name).read_bytes()
+
+    def test_negative_zero_wind_speed_gives_the_files_of_zero(self, capsys, tmp_path):
+        """With a cut-in speed of 0, a wind speed written ``-0`` on every 50th
+        line gives the files of ``0`` there: no ``-0.0`` kW reaches the trace."""
+        for zero in ("-0", "0"):
+            path = _edited_scenario(tmp_path / zero, "    cut_in_ms: 4.0", "    cut_in_ms: 0")
+            speeds = path.parent / "wind_speed_ms.txt"
+            lines = speeds.read_text(encoding="utf-8").splitlines()
+            lines[49::50] = [zero] * len(lines[49::50])
+            speeds.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            code, _, _ = _run(capsys, "evaluate", "--scenario", str(path), "--design", A5_ARG, "--trace",
+                              "--out", str(tmp_path / f"run{zero}"))
+            assert code == 0
+        for name in ("metrics.csv", "costs.csv", "trace.csv"):
+            assert (tmp_path / "run-0" / name).read_bytes() == (tmp_path / "run0" / name).read_bytes()
 
     def test_empty_series_reports_length_only(self, tmp_path):
         """An empty series file ends in the length error; no NumPy warning
@@ -562,8 +577,36 @@ class TestPipelines:
         code, stdout, _ = _run(capsys, "refine", "--design", "conv=150,bess=200.5,dg=60,wt=50,pv=100,grid=300",
                                "--max-cycles", "0", "--out", str(tmp_path))
         assert code == 0
-        assert stdout.splitlines()[0] == ("refined pv=100,wt=50,dg=60,bess=200.5,conv=150 -> "
-                                          "pv=100,wt=50,dg=60,bess=200.5,conv=150 in 0 cycles (1 evaluations)")
+        assert stdout.splitlines()[0] == ("refined pv=100,wt=50,dg=60,bess=200.5,conv=150,grid=300 -> "
+                                          "pv=100,wt=50,dg=60,bess=200.5,conv=150,grid=300 in 0 cycles (1 evaluations)")
+
+    def test_printed_labels_reproduce_the_design(self, capsys, tmp_path):
+        """The picks of a capped search and a refine result, printed in full
+        with their grid cap, read back to the same design, and ``evaluate``
+        of the label gives its ``results.csv`` metrics."""
+        code, stdout, _ = _run(capsys, "search", "--space", "pv=0:400:100,dg=0:120:60,bess=0:400:200,conv=150",
+                               "--grid-cap", "120", "--out", str(tmp_path / "search"))
+        assert code == 0
+        with open(tmp_path / "search" / "results.csv", newline="") as fh:
+            rows = {Design(**{name: float(row[name]) for name in DESIGN_FIELDS}): row for row in csv.DictReader(fh)}
+        lowest = re.search(r"^lowest NPC: (\S+) at ", stdout, re.M).group(1)
+        weighted = re.search(r"^weighted pick \(.*\): (\S+)$", stdout, re.M).group(1)
+        assert lowest.endswith(",grid=120")
+        for label in (lowest, weighted):
+            row = rows[Design.from_string(label)]
+            assert _run(capsys, "evaluate", "--design", label, "--out", str(tmp_path / "evaluate"))[0] == 0
+            with open(tmp_path / "evaluate" / "metrics.csv", newline="") as fh:
+                evaluated = next(csv.DictReader(fh))
+            assert {name: evaluated[name] for name in METRIC_FIELDS} == {name: row[name] for name in METRIC_FIELDS}
+
+        code, stdout, _ = _run(capsys, "refine", "--design", "pv=300,conv=255,grid=150", "--out", str(tmp_path / "refine"))
+        assert code == 0
+        label = re.search(r" -> (\S+) in ", stdout).group(1)
+        with open(tmp_path / "refine" / "refined.csv", newline="") as fh:
+            refined = next(csv.DictReader(fh))
+        assert Design.from_string(label) == Design(**{name: float(refined[name]) for name in DESIGN_FIELDS})
+        assert label.endswith(",grid=150")
+        assert any(float(f"{value:g}") != value for value in Design.from_string(label).capacities().values())
 
     def test_integer_env_sets_default(self, monkeypatch):
         monkeypatch.setenv("MGDESIGN_SEED", "7")

@@ -307,6 +307,23 @@ class TestEvaluator:
         monkeypatch.undo()
         assert results == [evaluate(design, bundled) for design in designs]
 
+    def test_map_simulates_each_new_design_once_in_input_order(self, bundled, a5, monkeypatch):
+        evaluator = Evaluator(bundled)
+        seen = [a5, replace(a5, dg_kw=60.0)]
+        evaluator.map(seen)
+        loops = spy_calls(monkeypatch, dispatch, "_battery_hours")
+        sims = spy_calls(monkeypatch, metrics, "simulate_year")
+        bigger, wider = replace(a5, bess_kwh=500.0), replace(a5, pv_kw=300.0)
+        batch = [bigger, a5, replace(bigger, grid_cap_kw=150.0), wider, seen[1], bigger,
+                 replace(wider, dg_kw=30.0), Design(pv_kw=100.0, converter_kw=100.0), wider]
+        results = evaluator.map(batch)
+        new = [design for design in dict.fromkeys(batch) if design not in seen]
+        assert sorted(map(repr, (args[1] for args in sims))) == sorted(map(repr, new))
+        assert len(loops) == len({design.battery_key for design in new if design.bess_kwh > 0.0}) == 2
+        assert evaluator.simulated == len(seen) + len(new)
+        monkeypatch.undo()
+        assert results == [evaluate(design, bundled) for design in batch]
+
 
 class TestRecords:
     def test_cost_record_fields(self, bundled, a5):

@@ -443,7 +443,7 @@ class TestLatticeLimits:
 
         def search():
             with pytest.raises(LatticeTooLargeError, match=r"^axis pv_kw has 1000000001 values; the most is 1000000$"):
-                grid_search(scenario, space, budget_usd=1.0)
+                grid_search(Evaluator(scenario), space, budget_usd=1.0)
             with pytest.raises(LatticeTooLargeError, match="axis pv_kw"):
                 policy_gradient_search(Evaluator(scenario), space, PolicyConfig(episodes=1))
         assert self._peak(search) < self.PEAK_BYTES
@@ -461,7 +461,7 @@ class TestLatticeLimits:
 
         def search():
             with pytest.raises(LatticeTooLargeError, match=r"^search space has 2000000 designs; the most is 1000000$"):
-                grid_search(scenario, space)
+                grid_search(Evaluator(scenario), space)
         assert self._peak(search) < self.PEAK_BYTES
 
 
@@ -469,7 +469,7 @@ class TestGridSearch:
     def test_single_point_space(self):
         scenario = random_scenario(1)
         space = SearchSpace.from_string("pv=100,conv=100,bess=200")
-        results = grid_search(scenario, space)
+        results = grid_search(Evaluator(scenario), space)
         assert len(results) == 1
         assert results[0].design.pv_kw == 100.0
         expected = evaluate(results[0].design, scenario)
@@ -478,12 +478,12 @@ class TestGridSearch:
     def test_budget_excludes_everything(self):
         scenario = random_scenario(2)
         space = SearchSpace.from_string("pv=100:200:100")
-        assert grid_search(scenario, space, budget_usd=1.0) == []
+        assert grid_search(Evaluator(scenario), space, budget_usd=1.0) == []
 
     def test_three_by_three_matches_exhaustive_oracle(self):
         scenario = random_scenario(3)
         space = SearchSpace.from_string("pv=0:250:125,bess=0:400:200,conv=150")
-        results = grid_search(scenario, space)
+        results = grid_search(Evaluator(scenario), space)
         assert len(results) == 9
         # independent nested-loop re-evaluation
         oracle = []
@@ -499,7 +499,7 @@ class TestGridSearch:
 
     def test_empty_space_raises(self):
         with pytest.raises(EmptySearchSpaceError):
-            grid_search(random_scenario(4), SearchSpace(pv_kw=Range(10.0, 0.0, 5.0)))
+            grid_search(Evaluator(random_scenario(4)), SearchSpace(pv_kw=Range(10.0, 0.0, 5.0)))
 
 
 class TestRefine:
@@ -691,38 +691,38 @@ class _InlineExecutor:
 class TestGridSearchParallel:
     @pytest.fixture
     def executors(self, monkeypatch) -> list[int]:
-        """The ``max_workers`` of every pool ``grid_search`` creates."""
+        """The ``max_workers`` of every pool ``Evaluator.map`` creates."""
         import concurrent.futures
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlineExecutor)
-        monkeypatch.setattr(optimize, "_worker_evaluator", None)
+        monkeypatch.setattr(metrics, "_worker_evaluator", None)
         monkeypatch.setattr(_InlineExecutor, "created", [])
         return _InlineExecutor.created
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_raise(self, executors, jobs):
         with pytest.raises(ValueError, match="jobs must be >= 1"):
-            grid_search(random_scenario(9), SearchSpace.from_string("pv=0:200:100,conv=100"), jobs=jobs)
+            grid_search(Evaluator(random_scenario(9), jobs=jobs), SearchSpace.from_string("pv=0:200:100,conv=100"))
         assert executors == []
 
     @pytest.mark.parametrize("jobs, workers", [(2, [2]), (3, [3]), (64, [3]), (10**6, [3])])
     def test_workers_capped_at_group_count(self, executors, jobs, workers):
         scenario = random_scenario(9)
         space = SearchSpace.from_string("pv=0:200:100,dg=0:60:60,bess=100,conv=100")  # 3 groups
-        assert grid_search(scenario, space, jobs=jobs) == grid_search(scenario, space)
+        assert grid_search(Evaluator(scenario, jobs=jobs), space) == grid_search(Evaluator(scenario), space)
         assert executors == workers
 
     def test_one_group_runs_in_process(self, executors):
         scenario = random_scenario(9)
         space = SearchSpace.from_string("pv=100,dg=0:120:60,bess=100,conv=100")
-        assert len(grid_search(scenario, space, jobs=4)) == 3
+        assert len(grid_search(Evaluator(scenario, jobs=4), space)) == 3
         assert executors == []
 
     def test_jobs_match_sequential(self):
         scenario = random_scenario(9)
         space = SearchSpace.from_string("pv=0:200:100,bess=0:200:200,conv=100")
-        sequential = grid_search(scenario, space)
-        parallel = grid_search(scenario, space, jobs=2)
+        sequential = grid_search(Evaluator(scenario), space)
+        parallel = grid_search(Evaluator(scenario, jobs=2), space)
         assert [r.design for r in parallel] == [r.design for r in sequential]
         assert [r.metrics.npc_usd for r in parallel] == [r.metrics.npc_usd for r in sequential]
 
@@ -738,7 +738,7 @@ class TestGroupedGridSearch:
 
     def test_bench_lattice_matches_per_design_oracle(self, bundled):
         space = SearchSpace.from_string(BENCH_LATTICE)
-        results = grid_search(bundled, space)
+        results = grid_search(Evaluator(bundled), space)
         assert len(results) == 64
         assert results == self.oracle(bundled, space)
 
@@ -747,7 +747,7 @@ class TestGroupedGridSearch:
         scenario = random_scenario(11)
         space = SearchSpace.from_string(self.DG_SPACE, grid_cap_kw=80.0)
         assert len(space.axis_values()["dg_kw"]) == 3
-        results = grid_search(scenario, space, budget_usd=budget)
+        results = grid_search(Evaluator(scenario), space, budget_usd=budget)
         assert results == self.oracle(scenario, space, budget_usd=budget)
         assert 0 < len(results) <= space.candidate_count()
         assert {r.design.grid_cap_kw for r in results} == {80.0}
@@ -755,9 +755,9 @@ class TestGroupedGridSearch:
     def test_jobs_2_matches_jobs_1_with_dg_axis(self):
         scenario = random_scenario(12)
         space = SearchSpace.from_string("pv=0:200:100,dg=0:120:60,bess=0:400:200,conv=150")
-        sequential = grid_search(scenario, space)
+        sequential = grid_search(Evaluator(scenario), space)
         assert len(sequential) == 27
-        assert grid_search(scenario, space, jobs=2) == sequential
+        assert grid_search(Evaluator(scenario, jobs=2), space) == sequential
 
     def test_battery_loop_runs_once_per_group(self, bundled, monkeypatch):
         calls = []
@@ -769,7 +769,7 @@ class TestGroupedGridSearch:
 
         monkeypatch.setattr(dispatch, "_battery_hours", counting)
         space = SearchSpace.from_string(self.DG_SPACE)
-        results = grid_search(bundled, space)
+        results = grid_search(Evaluator(bundled), space)
         assert len(results) == space.candidate_count() == 54
         with_battery = {d.battery_key for d in space.designs() if d.bess_kwh > 0.0}
         assert len(with_battery) == 12

@@ -100,12 +100,12 @@ class TestLoadTimeseries:
         assert np.array_equal(back.values, original.values)
 
 
-#: Lines of generated series files: numbers, the cells ``float`` reads and
-#: ``loadtxt`` does not, NaN, infinities, two values on a line, blank lines,
+#: Lines of generated series files: numbers, ``-0``, the cells ``float`` reads
+#: and ``loadtxt`` does not, NaN, infinities, two values on a line, blank lines,
 #: comments and cells that are no number.
 _SERIES_LINES = st.one_of(
     st.floats(allow_nan=False).map(repr),
-    st.sampled_from(["1_0", "\u0661\u0662", "nan", "NaN", "-nan", "inf", "-Infinity", "1e999", "+.5e-3",
+    st.sampled_from(["-0", "1_0", "\u0661\u0662", "nan", "NaN", "-nan", "inf", "-Infinity", "1e999", "+.5e-3",
                      "1 2", "3\t4", "", "   ", "\t", "# comment", "5.5  # note", "\t7 ", "x", "0x10", "1,5"]),
 )
 
