@@ -4,7 +4,7 @@ resource uncertainty, and LCOE response to economic parameters.
 Run:  python demos/05_sensitivity.py
 """
 
-from mgdesign import Design, SweepParameter, bundled_scenario, deviation_table, lcoe_sweep
+from mgdesign import Design, SweepParameter, bundled_scenario, deviation_table, lcoe_sweep, simulate_year
 
 scenario = bundled_scenario()
 flagship = Design(pv_kw=418.0, wt_kw=123.0, bess_kwh=704.0, converter_kw=255.0)
@@ -15,12 +15,14 @@ for row in deviation_table(scenario, flagship):
     print(f"{row.target.value:<13}{row.delta * 100:>6.0f}%{row.npc_dev_pct:>8.2f}%"
           f"{row.reliability_dev:>9.4f}{row.efficiency_dev_pct:>8.2f}%{row.co2_dev_pct:>9.1f}%")
 
+# Dispatch never reads a price, so one simulated year serves every sweep.
+trace = simulate_year(scenario, flagship)
 print("\nLCOE response to +/-20% economic-parameter changes ($/kWh):")
 multipliers = [0.8, 0.9, 1.0, 1.1, 1.2]
 header = "".join(f"{m:>9.2f}" for m in multipliers)
 print(f"{'parameter':<18}{header}")
 for parameter in SweepParameter:
-    curve = lcoe_sweep(scenario, flagship, parameter, multipliers)
+    curve = lcoe_sweep(scenario, flagship, parameter, multipliers, trace=trace)
     cells = "".join(f"{value:>9.4f}" for _, value in curve)
     print(f"{parameter.value:<18}{cells}")
 

@@ -175,9 +175,8 @@ def cmd_evaluate(args) -> int:
     design = Design.from_string(args.design)
     out = _outdir(args)
     trace = simulate_year(scenario, design)
-    costed = npc(trace, design, scenario)
-    metrics = evaluate(design, scenario, trace=trace, costed=costed)
-    _, costs = costed
+    metrics = evaluate(design, scenario, trace=trace)
+    _, costs = npc(trace, design, scenario)
     print(f"design {args.design} on scenario {scenario.name}:")
     _print_metrics(metrics)
     _write_metrics_csv(metrics, design, out / "metrics.csv")

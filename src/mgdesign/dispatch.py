@@ -145,7 +145,8 @@ class Design:
     @classmethod
     def from_string(cls, text: str) -> "Design":
         """Parse ``pv=418,wt=123,dg=0,bess=704,conv=255[,grid=300]``.
-        ``-0`` reads as ``0.0``."""
+        ``-0`` reads as ``0.0``.  A field named twice, in any case or by
+        any alias, is an error."""
         kwargs: dict[str, float] = {}
         for part in text.split(","):
             part = part.strip()
@@ -157,6 +158,8 @@ class Design:
             key = cls._FIELD_ALIASES.get(name.strip().lower())
             if key is None:
                 raise InvalidDesignError(f"unknown capacity {name.strip()!r}")
+            if key in kwargs:
+                raise InvalidDesignError(f"{key} is given twice")
             try:
                 kwargs[key] = float(value) + 0.0  # -0.0 + 0.0 is 0.0; exact for every other value
             except ValueError:

@@ -242,21 +242,20 @@ def co2_delta(trace: DispatchTrace, scenario: Scenario) -> float:
     return avoided - emitted
 
 
-def evaluate(design: Design, scenario: Scenario, trace: DispatchTrace | None = None,
-             costed: tuple[float, CostBreakdown] | None = None) -> MetricVector:
+def evaluate(design: Design, scenario: Scenario, trace: DispatchTrace | None = None) -> MetricVector:
     """Simulate a design and compute its full metric vector.
 
     Deterministic: identical inputs give bit-identical results.  A
-    pre-computed trace may be supplied to avoid re-simulation, and with
-    it that trace's :func:`npc` result as ``costed`` to avoid re-costing.
-    Designs that serve no energy get an infinite LCOE; traces with no
-    energy input at all count as vacuously 100% efficient.  An objective
+    pre-computed trace of ``design`` on ``scenario`` may be supplied to
+    avoid re-simulation; the metrics always cost it afresh.  Designs that
+    serve no energy get an infinite LCOE; traces with no energy input at
+    all count as vacuously 100% efficient.  An objective
     that comes out NaN or infinite, or an LCOE that overflows, raises
     :class:`NonFiniteMetricError` naming it.
     """
     if trace is None:
         trace = simulate_year(scenario, design)
-    total, costs = costed if costed is not None else npc(trace, design, scenario)
+    total, costs = npc(trace, design, scenario)
     lpsp_value = lpsp(trace)
     served = trace.served_kwh
     eco = scenario.economics

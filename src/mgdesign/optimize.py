@@ -125,11 +125,11 @@ class SearchSpace:
         Axes take the capacity names of
         :meth:`~mgdesign.dispatch.Design.from_string`, except ``grid``.
         Axes not mentioned collapse to the fixed value 0.  A bare number
-        fixes an axis, ``lo:hi:step`` spans it.  A bound or step that is
-        not finite, or a span of more steps than a float can count, is a
-        bad spec.
+        fixes an axis, ``lo:hi:step`` spans it.  An axis named twice (in
+        any case or by any alias), a bound or step that is not finite, or a
+        span of more steps than a float can count, is a bad spec.
         """
-        ranges: dict[str, Range] = {name: Range.fixed(0.0) for name in cls.AXES}
+        ranges: dict[str, Range] = {}
         for part in text.split(","):
             part = part.strip()
             if not part:
@@ -138,6 +138,8 @@ class SearchSpace:
             key = Design._FIELD_ALIASES.get(name.strip().lower())
             if key not in cls.AXES:
                 raise EmptySearchSpaceError(f"unknown axis {name.strip()!r}")
+            if key in ranges:
+                raise EmptySearchSpaceError(f"axis {key} is given twice")
             try:
                 numbers = [float(piece) for piece in spec_text.split(":")]
                 if len(numbers) not in (1, 3) or not all(map(math.isfinite, numbers)):
@@ -148,7 +150,7 @@ class SearchSpace:
                 ranges[key] = axis
             except ValueError:
                 raise EmptySearchSpaceError(f"bad axis spec {part!r}; use lo:hi:step or value") from None
-        return cls(grid_cap_kw=grid_cap_kw, **ranges)
+        return cls(grid_cap_kw=grid_cap_kw, **{name: ranges.get(name, Range.fixed(0.0)) for name in cls.AXES})
 
 
 @dataclass(frozen=True)

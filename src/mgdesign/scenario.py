@@ -731,16 +731,26 @@ def load_scenario(path: str | Path) -> Scenario:
     return scenario
 
 
-def scale_series(scenario: Scenario, *, load: float = 1.0, irradiance: float = 1.0, wind: float = 1.0) -> Scenario:
-    """Return a copy of the scenario with series uniformly scaled.
-
-    Used by the sensitivity studies; factors multiply every hourly value.
+def scale_series(record, fields: tuple[str, ...], factor: float):
+    """Return a copy of a scenario, or of one of its sections, with each
+    field named by a dotted path (``load``, ``tariff.purchase_usd_per_kwh``)
+    multiplied by ``factor``: a number, or every hour of a :class:`TimeSeries`.
+    Paths under one head are replaced in one copy of that section, and every
+    other field keeps its object.  Builds each sensitivity-study variant.
     """
-    updated = scenario
-    if load != 1.0:
-        updated = replace(updated, load=TimeSeries(scenario.load.values * load, scenario.load.unit))
-    if irradiance != 1.0:
-        updated = replace(updated, irradiance=TimeSeries(scenario.irradiance.values * irradiance, scenario.irradiance.unit))
-    if wind != 1.0:
-        updated = replace(updated, wind_speed=TimeSeries(scenario.wind_speed.values * wind, scenario.wind_speed.unit))
-    return updated
+    def scaled(record, paths):  # recurses here, so each variant is one call
+        heads: dict[str, list[str]] = {}
+        for head, _, rest in (path.partition(".") for path in paths):
+            heads.setdefault(head, []).append(rest)
+        changes = {}
+        for head, rests in heads.items():
+            value = getattr(record, head)
+            if all(rests):
+                changes[head] = scaled(value, rests)
+            elif isinstance(value, TimeSeries):
+                changes[head] = TimeSeries(value.values * factor, value.unit)
+            else:
+                changes[head] = value * factor
+        return replace(record, **changes)
+
+    return scaled(record, fields)

@@ -8,22 +8,24 @@ Two analyses:
 * LCOE response curves to economic parameters (electricity purchase
   price, sellback price, battery and PV capital costs).
 
-Dispatch is price-blind, so the economic sweeps reuse one simulated
-trace and only re-cost it; the series perturbations re-simulate.
+Each variant scales the fields one table per analysis names, through
+:func:`~mgdesign.scenario.scale_series`.  Dispatch is price-blind, so the
+economic sweeps reuse one simulated trace and only re-cost it; the series
+perturbations re-simulate.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .dispatch import Design, DispatchTrace, simulate_year
 from .metrics import MetricVector, NonFiniteMetricError, evaluate, lcoe, npc
-from .scenario import Scenario, TimeSeries, scale_series
+from .scenario import Scenario, scale_series
 from .tables import csv_column, write_table
 
 
@@ -31,6 +33,12 @@ class PerturbTarget(enum.Enum):
     LOAD = "load"
     PV_OUTPUT = "pv_output"
     WIND_OUTPUT = "wind_output"
+
+
+#: The series each target scales.  Wind output responds nonlinearly through
+#: the power curve, so the wind case scales the resource, not the production.
+_PERTURBED_SERIES = {PerturbTarget.LOAD: ("load",), PerturbTarget.PV_OUTPUT: ("irradiance",),
+                     PerturbTarget.WIND_OUTPUT: ("wind_speed",)}
 
 
 @dataclass(frozen=True)
@@ -73,11 +81,10 @@ def _pct(value: float, baseline: float) -> float:
 
 
 def perturb_and_evaluate(scenario: Scenario, design: Design, perturbation: Perturbation,
-                         baseline: MetricVector | None = None) -> DeviationRow:
-    """Scale the targeted series, re-evaluate, and report deviations."""
-    if baseline is None:
-        baseline = evaluate(design, scenario)
-    perturbed = evaluate(design, _perturbed_scenario(scenario, perturbation))
+                         baseline: MetricVector) -> DeviationRow:
+    """Scale the targeted series, re-evaluate, and report deviations from
+    ``baseline``, the metrics of ``design`` on ``scenario``."""
+    perturbed = evaluate(design, scale_series(scenario, _PERTURBED_SERIES[perturbation.target], 1.0 + perturbation.delta))
     return DeviationRow(
         target=perturbation.target,
         delta=perturbation.delta,
@@ -87,17 +94,6 @@ def perturb_and_evaluate(scenario: Scenario, design: Design, perturbation: Pertu
         co2_dev_pct=_pct(perturbed.co2_kg_per_yr, baseline.co2_kg_per_yr),
         metrics=perturbed,
     )
-
-
-def _perturbed_scenario(scenario: Scenario, perturbation: Perturbation) -> Scenario:
-    """Wind output responds nonlinearly through the power curve, so the
-    wind case scales the resource, not the production."""
-    factor = 1.0 + perturbation.delta
-    if perturbation.target is PerturbTarget.LOAD:
-        return scale_series(scenario, load=factor)
-    if perturbation.target is PerturbTarget.PV_OUTPUT:
-        return scale_series(scenario, irradiance=factor)
-    return scale_series(scenario, wind=factor)
 
 
 def standard_perturbations() -> list[Perturbation]:
@@ -133,39 +129,27 @@ class SweepParameter(enum.Enum):
     PV_CAPITAL = "pv_capital"
 
 
-def _scaled_scenario(scenario: Scenario, parameter: SweepParameter, multiplier: float) -> Scenario:
-    tariff, catalog = scenario.tariff, scenario.catalog
-    if parameter is SweepParameter.PURCHASE_PRICE:
-        price = tariff.purchase_usd_per_kwh
-        scaled = TimeSeries(price.values * multiplier, price.unit) if isinstance(price, TimeSeries) else price * multiplier
-        return replace(scenario, tariff=replace(tariff, purchase_usd_per_kwh=scaled))
-    if parameter is SweepParameter.SELLBACK_PRICE:
-        price = tariff.sellback_usd_per_kwh
-        scaled = TimeSeries(price.values * multiplier, price.unit) if isinstance(price, TimeSeries) else price * multiplier
-        return replace(scenario, tariff=replace(tariff, sellback_usd_per_kwh=scaled))
-    if parameter is SweepParameter.BATTERY_CAPITAL:
-        # Replacement tracks capital: the catalog quotes one figure for both.
-        battery = replace(catalog.battery,
-                          capital_usd_per_kwh=catalog.battery.capital_usd_per_kwh * multiplier,
-                          replacement_usd_per_kwh=catalog.battery.replacement_usd_per_kwh * multiplier)
-        return replace(scenario, catalog=replace(catalog, battery=battery))
-    pv = replace(catalog.pv,
-                 capital_usd_per_kw=catalog.pv.capital_usd_per_kw * multiplier,
-                 replacement_usd_per_kw=catalog.pv.replacement_usd_per_kw * multiplier)
-    return replace(scenario, catalog=replace(catalog, pv=pv))
+#: The fields each parameter scales.  Replacement tracks capital: the
+#: catalog quotes one figure for both.
+_SWEPT_FIELDS = {
+    SweepParameter.PURCHASE_PRICE: ("tariff.purchase_usd_per_kwh",),
+    SweepParameter.SELLBACK_PRICE: ("tariff.sellback_usd_per_kwh",),
+    SweepParameter.BATTERY_CAPITAL: ("catalog.battery.capital_usd_per_kwh", "catalog.battery.replacement_usd_per_kwh"),
+    SweepParameter.PV_CAPITAL: ("catalog.pv.capital_usd_per_kw", "catalog.pv.replacement_usd_per_kw"),
+}
 
 
 def lcoe_sweep(scenario: Scenario, design: Design, parameter: SweepParameter,
                multipliers: list[float],
                trace: DispatchTrace | None = None) -> list[tuple[float, float]]:
-    """LCOE at each cost multiplier, everything else fixed.
+    """LCOE at each multiplier of the fields ``parameter`` names, all else fixed.
 
     The dispatch never looks at prices, so the trace is simulated once
-    and re-costed per point.  A pre-computed ``trace`` of ``design`` on
-    ``scenario`` may be supplied, so sweeps of several parameters share
-    one simulation.  An LCOE that comes out NaN or infinite raises
-    :class:`~mgdesign.metrics.NonFiniteMetricError` naming the parameter
-    and the multiplier.
+    and re-costed per point.  Pass the ``trace`` of ``design`` on
+    ``scenario`` so sweeps of several parameters share one simulation;
+    without it the sweep simulates its own.  An LCOE that comes out NaN
+    or infinite raises :class:`~mgdesign.metrics.NonFiniteMetricError`
+    naming the parameter and the multiplier.
     """
     if not all(0.0 < m < math.inf for m in multipliers):
         raise ValueError("multipliers must be finite and > 0")
@@ -175,7 +159,7 @@ def lcoe_sweep(scenario: Scenario, design: Design, parameter: SweepParameter,
     eco = scenario.economics
     curve = []
     for multiplier in multipliers:
-        scaled = _scaled_scenario(scenario, parameter, multiplier)
+        scaled = scale_series(scenario, _SWEPT_FIELDS[parameter], multiplier)
         with np.errstate(over="ignore", invalid="ignore"):  # caught below, not warned
             total, _ = npc(trace, design, scaled)
         value = lcoe(total, served, eco.discount_rate, eco.project_years)

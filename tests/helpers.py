@@ -7,11 +7,13 @@ dominance definition.  The PV and wind references are the scalar
 one-hour forms of the resource laws, and the kinetic-battery references
 the scalar closed forms of one hour's step.  The dispatch, CSV,
 Pareto and series-file references are the plain per-hour, per-row and
-per-cell loops, and the search references the loops that call their
-evaluator on every request, that the package's faster code must
-reproduce exactly; :func:`reference_grid_stage_hours` is the grid stage
-written with comparisons and masked writes.  :func:`kernel_battery_hour`
-and :func:`step_hour` drive the package's own dispatch stages on one-hour
+per-cell loops, the search references the loops that call their
+evaluator on every request, and the scenario-variant references the
+hand-written ``replace`` per series and per swept parameter, that the
+package's shorter or faster code must reproduce exactly;
+:func:`reference_grid_stage_hours` is the grid stage written with
+comparisons and masked writes.  :func:`kernel_battery_hour` and
+:func:`step_hour` drive the package's own dispatch stages on one-hour
 arrays.
 """
 
@@ -60,6 +62,7 @@ from mgdesign.scenario import (
     TimeSeriesParseError,
     WindTurbineSpec,
 )
+from mgdesign.sensitivity import SweepParameter
 
 
 def integrate_tanks(q1, q2, power, k: float, c: float, dt: float, step: float = 1e-3):
@@ -904,6 +907,43 @@ def reference_write_timeseries(series: TimeSeries, path) -> None:
         fh.write(f"# unit: {series.unit.value}\n")
         for value in series.values:
             fh.write(f"{float(value)!r}\n")
+
+
+def reference_scale_series(scenario: Scenario, *, load: float = 1.0, irradiance: float = 1.0,
+                           wind: float = 1.0) -> Scenario:
+    """The series perturbation as three keyword branches, one per series."""
+    updated = scenario
+    if load != 1.0:
+        updated = replace(updated, load=TimeSeries(scenario.load.values * load, scenario.load.unit))
+    if irradiance != 1.0:
+        updated = replace(updated, irradiance=TimeSeries(scenario.irradiance.values * irradiance,
+                                                         scenario.irradiance.unit))
+    if wind != 1.0:
+        updated = replace(updated, wind_speed=TimeSeries(scenario.wind_speed.values * wind,
+                                                         scenario.wind_speed.unit))
+    return updated
+
+
+def reference_scaled_scenario(scenario: Scenario, parameter: SweepParameter, multiplier: float) -> Scenario:
+    """The LCOE-sweep variant as one hand-written ``replace`` per parameter."""
+    tariff, catalog = scenario.tariff, scenario.catalog
+    if parameter is SweepParameter.PURCHASE_PRICE:
+        price = tariff.purchase_usd_per_kwh
+        scaled = TimeSeries(price.values * multiplier, price.unit) if isinstance(price, TimeSeries) else price * multiplier
+        return replace(scenario, tariff=replace(tariff, purchase_usd_per_kwh=scaled))
+    if parameter is SweepParameter.SELLBACK_PRICE:
+        price = tariff.sellback_usd_per_kwh
+        scaled = TimeSeries(price.values * multiplier, price.unit) if isinstance(price, TimeSeries) else price * multiplier
+        return replace(scenario, tariff=replace(tariff, sellback_usd_per_kwh=scaled))
+    if parameter is SweepParameter.BATTERY_CAPITAL:
+        battery = replace(catalog.battery,
+                          capital_usd_per_kwh=catalog.battery.capital_usd_per_kwh * multiplier,
+                          replacement_usd_per_kwh=catalog.battery.replacement_usd_per_kwh * multiplier)
+        return replace(scenario, catalog=replace(catalog, battery=battery))
+    pv = replace(catalog.pv,
+                 capital_usd_per_kw=catalog.pv.capital_usd_per_kw * multiplier,
+                 replacement_usd_per_kw=catalog.pv.replacement_usd_per_kw * multiplier)
+    return replace(scenario, catalog=replace(catalog, pv=pv))
 
 
 def bench_inputs():

@@ -250,19 +250,15 @@ class TestEvaluate:
         assert proc.stdout == ""
         assert "economics.project_years: must be an integer, got 1e+308" in proc.stderr
 
-    def test_costs_each_design_once(self, capsys, tmp_path, monkeypatch):
-        calls = []
-        original = metrics.npc
-
-        def counting(trace, design, scenario):
-            calls.append(design)
-            return original(trace, design, scenario)
-
-        monkeypatch.setattr(metrics, "npc", counting)
-        monkeypatch.setattr(cli, "npc", counting)
+    def test_costs_file_agrees_with_the_metrics(self, capsys, tmp_path):
         code, _, _ = _run(capsys, "evaluate", "--design", A5_ARG, "--out", str(tmp_path))
         assert code == 0
-        assert len(calls) == 1
+        with open(tmp_path / "metrics.csv") as fh:
+            metric_row = next(csv.DictReader(fh))
+        with open(tmp_path / "costs.csv") as fh:
+            cost_row = next(csv.DictReader(fh))
+        for name in ("capital_usd", "om_usd_per_yr"):
+            assert cost_row[name] == metric_row[name]
 
     def test_every_non_finite_field_named(self, capsys, tmp_path):
         data = tmp_path / "data"
@@ -329,6 +325,20 @@ class TestSearch:
         assert code == 2
         assert stdout == ""
         assert err == "error: bad axis spec 'pv=0:inf:100'; use lo:hi:step or value\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (("evaluate", "--design", "pv=100,pv=418,conv=255"), "pv_kw is given twice"),
+        (("evaluate", "--design", "pv=100,PV=200,converter=50,conv=100"), "pv_kw is given twice"),
+        (("sensitivity", "--design", "conv=1,Converter=2"), "converter_kw is given twice"),
+        (("search", "--space", "pv=0:100:100,pv=300,conv=100"), "axis pv_kw is given twice"),
+        (("rl-search", "--space", "pv=0:100:100,conv=50,CONV=100"), "axis converter_kw is given twice"),
+    ])
+    def test_a_name_given_twice_exits_2_naming_the_field(self, capsys, tmp_path, argv, message):
+        code, stdout, err = _run(capsys, *argv, "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert stdout == ""
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("space, message", [
         ("pv=0:1e6:1e-3", "axis pv_kw has 1000000001 values; the most is 1000000"),

@@ -63,6 +63,14 @@ class TestDesign:
         with pytest.raises(InvalidDesignError):
             Design.from_string("solar=10")
 
+    @pytest.mark.parametrize("text, field", [
+        ("pv=100,pv=418,conv=255", "pv_kw"), ("pv=100,PV=200,converter=50,conv=100", "pv_kw"),
+        ("converter=50,Conv=100", "converter_kw"), ("grid=10,pv=1,GRID=20", "grid_cap_kw"),
+    ])
+    def test_from_string_rejects_a_field_given_twice(self, text, field):
+        with pytest.raises(InvalidDesignError, match=f"^{field} is given twice$"):
+            Design.from_string(text)
+
     def test_from_string_reads_negative_zero_as_zero(self):
         d = Design.from_string("pv=-0,wt=-0.0,dg=0,bess=-0e5,conv=-0,grid=-0")
         values = [*d.capacities().values(), d.grid_cap_kw]
@@ -222,6 +230,22 @@ class TestSimulateYear:
         sq = math.sqrt(trace.roundtrip_efficiency)
         net = trace.batt_charge_kw.sum() * sq - trace.batt_discharge_kw.sum() / sq
         assert abs(trace.stored_delta_kwh - net) < 1e-6 * design.bess_kwh
+
+    def test_lossless_year_conserves_energy(self):
+        # With a converter and a battery of efficiency 1, every kWh that
+        # enters the year leaves it as served load, export, curtailment or
+        # a change of the tanks.
+        for seed in range(40):
+            scenario = random_scenario(seed)
+            catalog = replace(scenario.catalog,
+                              converter=replace(scenario.catalog.converter, efficiency=1.0),
+                              battery=replace(scenario.catalog.battery, roundtrip_efficiency=1.0))
+            trace = simulate_year(replace(scenario, catalog=catalog), random_design(seed + 300))
+            assert trace.conversion_loss_kwh == 0.0
+            assert trace.battery_loss_kwh == 0.0
+            out = trace.served_kwh + trace.export_kwh + trace.curtailed_kwh
+            into = trace.renewable_kwh + trace.import_kwh + trace.dg_kwh - trace.stored_delta_kwh
+            assert abs(out - into) <= 1e-9 * trace.load_kwh, seed
 
     def test_deterministic(self, bundled, a5):
         t1 = simulate_year(bundled, a5)

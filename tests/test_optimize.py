@@ -97,6 +97,14 @@ class TestSearchSpaceParsing:
         with pytest.raises(EmptySearchSpaceError, match="^unknown axis 'grid'$"):
             SearchSpace.from_string("pv=0:50:25,grid=300")
 
+    @pytest.mark.parametrize("text, axis", [
+        ("pv=0:100:100,pv=300,conv=100", "pv_kw"), ("PV=0,pv=0", "pv_kw"),
+        ("Converter=0:50:25,conv=100", "converter_kw"), ("bess=100,wt=1,BESS=0:200:100", "bess_kwh"),
+    ])
+    def test_axis_given_twice_is_a_bad_spec(self, text, axis):
+        with pytest.raises(EmptySearchSpaceError, match=f"^axis {axis} is given twice$"):
+            SearchSpace.from_string(text)
+
     @pytest.mark.parametrize("spec", ["pv=0:inf:100", "pv=-inf:0:100", "pv=0:100:inf", "pv=0:100:nan",
                                       "pv=0:1e300:1e-300", "pv=-1e308:1e308:1", "pv=nan", "pv=inf"])
     def test_non_finite_bound_or_step_is_a_bad_spec(self, spec):
