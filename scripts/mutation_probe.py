@@ -2,7 +2,7 @@
 
 Each run copies the bundled data, sets one key of ``scenario.yaml`` (drawn
 with ``random.Random(seed)``) to one of ``"x"``, ``[1]``, ``true``, ``null``,
-``2.5``, ``-1``, ``0``, ``{a: 1}``, ``.nan``, ``1e308`` or ``7``, or renames
+``2.5``, ``-1``, ``0``, ``{a: 1}``, ``.nan``, ``1e308``, ``1e-300`` or ``7``, or renames
 the key, then runs ``mgdesign evaluate`` on A5 in this process.  Every run
 should end in exit 2 or in finite objectives; the script prints the count
 of each outcome and the mutations behind tracebacks, hangs (over 20 s) and
@@ -35,7 +35,7 @@ from mgdesign.scenario import bundled_data_path
 A5 = "pv=418,wt=123,dg=0,bess=704,conv=255"
 EXPECTED = ("exit 2", "exit 0, finite")
 RENAME = object()
-VALUES = ["x", [1], True, None, 2.5, -1, 0, {"a": 1}, math.nan, 1e308, 7, RENAME]
+VALUES = ["x", [1], True, None, 2.5, -1, 0, {"a": 1}, math.nan, 1e308, 1e-300, 7, RENAME]
 
 
 def key_paths(doc: dict, prefix: tuple = ()):

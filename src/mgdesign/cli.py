@@ -20,10 +20,10 @@ import sys
 from pathlib import Path
 
 from . import optimize, sensitivity
-from .dispatch import CAPACITIES, Design, InvalidDesignError, simulate_year, write_trace_csv
+from .dispatch import CAPACITIES, Design, simulate_year, write_trace_csv
 from .metrics import METRIC_FIELDS, Evaluator, MetricVector, cost_record, evaluate, metric_record, npc
-from .optimize import EmptyInputError, EmptySearchSpaceError, PolicyConfig, SearchSpace, Weights
-from .scenario import NotUtf8Error, ScenarioValidationError, bundled_data_path, bundled_scenario, load_scenario
+from .optimize import EmptyInputError, PolicyConfig, SearchSpace, Weights
+from .scenario import NotUtf8Error, bundled_data_path, bundled_scenario, load_scenario
 from .tables import csv_column, write_table
 
 
@@ -405,8 +405,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, InvalidDesignError, EmptySearchSpaceError, EmptyInputError,
-            ScenarioValidationError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

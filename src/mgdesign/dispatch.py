@@ -42,6 +42,9 @@ stage 3 on it.  Designs that differ only in diesel size or grid cap
 can therefore share one battery stage, as ``metrics.Evaluator`` does
 for consecutive designs with one key.  Stage 3 never writes to the stage.
 
+A :class:`Design` checks its capacities when it is built, so the kernel
+runs no design check of its own.
+
 The kernel holds the only copies of three component laws: the kinetic
 battery (Manwell & McGowan, Solar Energy 1993: an available and a bound
 tank exchanging charge at a fixed rate, used within [``soc_min``,
@@ -113,6 +116,10 @@ class Design:
 
     ``grid_cap_kw = None`` leaves grid exchange limited only by the
     tariff's import/export caps.
+
+    A ``Design`` cannot hold a negative or non-finite value: building one
+    (directly, by ``dataclasses.replace`` or by :meth:`from_string`) raises
+    :class:`InvalidDesignError` naming every bad field in one message.
     """
 
     pv_kw: float = 0.0
@@ -131,14 +138,12 @@ class Design:
     def capacities(self) -> dict[str, float]:
         return {name: getattr(self, name) for name in CAPACITIES.values()}
 
-    def violations(self) -> list[str]:
-        problems = []
-        for name, value in self.capacities().items():
-            if not math.isfinite(value) or value < 0.0:
-                problems.append(f"{name}: must be finite and >= 0, got {value}")
-        if self.grid_cap_kw is not None and (not math.isfinite(self.grid_cap_kw) or self.grid_cap_kw < 0.0):
-            problems.append(f"grid_cap_kw: must be finite and >= 0, got {self.grid_cap_kw}")
-        return problems
+    def __post_init__(self) -> None:
+        # Only the grid cap may be None.
+        problems = [f"{name}: must be finite and >= 0, got {value}" for name, value in vars(self).items()
+                    if not (name == "grid_cap_kw" if value is None else 0.0 <= value < math.inf)]
+        if problems:
+            raise InvalidDesignError("; ".join(problems))
 
     _FIELD_ALIASES = {**CAPACITIES, "converter": "converter_kw", "grid": "grid_cap_kw"}
 
@@ -164,11 +169,7 @@ class Design:
                 kwargs[key] = float(value) + 0.0  # -0.0 + 0.0 is 0.0; exact for every other value
             except ValueError:
                 raise InvalidDesignError(f"bad number for {name.strip()!r}: {value!r}") from None
-        design = cls(**kwargs)
-        problems = design.violations()
-        if problems:
-            raise InvalidDesignError("; ".join(problems))
-        return design
+        return cls(**kwargs)
 
 
 #: Column order of the flow arrays of a trace and of its CSV export.
@@ -460,9 +461,8 @@ def _battery_hours(
             e2 = q2 - floor_q2
             if e2 < 0.0:
                 e2 = 0.0
+            # Never negative: every factor is >= +0.0 and ``denom`` > 0.
             internal = (k * e1 * r + (e1 + e2) * k * c * one_r) / denom
-            if internal < 0.0:
-                internal = 0.0
             deliverable = internal * sq_eta * eta
             if deliverable > lim:
                 deliverable = lim
@@ -609,12 +609,6 @@ def _grid_params(design: Design, tariff: GridTariff, catalog: Catalog) -> dict:
         dg_alpha=dg.fuel_intercept_l_per_hr_kw, dg_beta=dg.fuel_slope_l_per_hr_kw)
 
 
-def _check(design: Design) -> None:
-    problems = design.violations()
-    if problems:
-        raise InvalidDesignError("; ".join(problems))
-
-
 def battery_stage(scenario: Scenario, design: Design) -> BatteryStage:
     """Stages 1 and 2 of ``design``'s year on ``scenario``: the resource
     series, wind and PV serving the load, and the battery.
@@ -622,7 +616,6 @@ def battery_stage(scenario: Scenario, design: Design) -> BatteryStage:
     :func:`simulate_year` accepts it for any design with the same
     :attr:`Design.battery_key` on the same scenario.
     """
-    _check(design)
     spec = scenario.catalog.battery
     # A full window, the tanks in their equilibrium split.
     stored = design.bess_kwh * spec.soc_max
@@ -647,11 +640,9 @@ def simulate_year(scenario: Scenario, design: Design, battery: BatteryStage | No
     """
     if battery is None:
         battery = battery_stage(scenario, design)
-    else:
-        _check(design)
-        if battery.key != design.battery_key:
-            raise ValueError(f"battery stage of {battery.key} does not match the design's "
-                             f"(pv_kw, wt_kw, bess_kwh, converter_kw) {design.battery_key}")
+    elif battery.key != design.battery_key:
+        raise ValueError(f"battery stage of {battery.key} does not match the design's "
+                         f"(pv_kw, wt_kw, bess_kwh, converter_kw) {design.battery_key}")
     grid_flows = _grid_stage_hours(*battery.grid_inputs,
                                    **_grid_params(design, scenario.tariff, scenario.catalog))
     return DispatchTrace(

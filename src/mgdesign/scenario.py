@@ -472,8 +472,10 @@ class BatterySpec:
 
     ``capacity_ratio`` (c) is the fraction of capacity in the immediately
     available tank; ``rate_constant_per_hr`` (k) is the tank exchange
-    rate.  The usable window is [``soc_min``, ``soc_max``] of nominal
-    capacity and the roundtrip efficiency is split as sqrt per direction.
+    rate, at least 1e-6: below that ``exp(-k)`` rounds toward 1 and the
+    dispatch's closed forms lose their digits or divide by zero.  The
+    usable window is [``soc_min``, ``soc_max``] of nominal capacity and
+    the roundtrip efficiency is split as sqrt per direction.
     """
 
     capital_usd_per_kwh: float = _num(700.0, _GE0)
@@ -484,7 +486,7 @@ class BatterySpec:
     soc_min: float = _num(0.2, _SHARE)
     soc_max: float = _num(0.8, _SHARE)
     capacity_ratio: float = _num(0.5, ("in (0, 1)", lambda v: 0 < v < 1))
-    rate_constant_per_hr: float = _num(1.0, _GT0)
+    rate_constant_per_hr: float = _num(1.0, (">= 1e-6", lambda v: v >= 1e-6))
 
 
 @dataclass(frozen=True)
@@ -581,10 +583,6 @@ class Scenario:
 
     def violations(self) -> list[str]:
         problems = _field_violations("", self)
-        lengths = {len(series) for series in (self.load, self.irradiance, self.wind_speed, self.cell_temperature)
-                   if series is not None}
-        if len(lengths) > 1:
-            problems.append(f"series lengths differ: {sorted(lengths)}")
         problems += _field_violations("tariff.", self.tariff)
         problems += _field_violations("economics.", self.economics)
         return problems + self.catalog.violations()

@@ -13,6 +13,8 @@ from types import SimpleNamespace
 
 import pytest
 import yaml
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mgdesign import cli, metrics, sensitivity
 from mgdesign.cli import main
@@ -228,6 +230,15 @@ class TestEvaluate:
                             "--out", str(tmp_path / "run"))
         assert code == 2
         assert field in err
+
+    def test_tiny_rate_constant_exits_2(self, capsys, tmp_path):
+        # exp(-1e-17) is 1.0, so the battery's closed forms would divide by zero
+        yaml_path = _edited_scenario(tmp_path, "rate_constant_per_hr: 1.0", "rate_constant_per_hr: 1.0e-17")
+        code, stdout, err = _run(capsys, "evaluate", "--scenario", str(yaml_path),
+                                 "--design", "pv=418,wt=123,bess=704,conv=255", "--out", str(tmp_path / "run"))
+        assert code == 2
+        assert stdout == ""
+        assert "catalog.battery.rate_constant_per_hr: must be >= 1e-6, got 1e-17" in err
 
     def test_zero_wind_nominal_kw_exits_2(self, capsys, tmp_path):
         yaml_path = _edited_scenario(tmp_path, "nominal_kw: 3.0", "nominal_kw: 0")
@@ -617,6 +628,15 @@ class TestPipelines:
         assert Design.from_string(label) == Design(**{name: float(refined[name]) for name in DESIGN_FIELDS})
         assert label.endswith(",grid=150")
         assert any(float(f"{value:g}") != value for value in Design.from_string(label).capacities().values())
+
+    #: Any finite value >= 0, with some that ``:g`` rounds.
+    _CAPACITY = st.floats(min_value=0.0, allow_infinity=False) | st.sampled_from(
+        [200.5, 1234567.0, 0.1 + 0.2, 1e-7 / 3.0, 123456.75, 5e-324])
+
+    @given(st.tuples(*[_CAPACITY] * 5), st.none() | _CAPACITY)
+    def test_any_design_label_reads_back_to_the_design(self, capacities, grid_cap):
+        design = Design(*capacities, grid_cap_kw=grid_cap)
+        assert Design.from_string(cli._design_label(design)) == design
 
     def test_integer_env_sets_default(self, monkeypatch):
         monkeypatch.setenv("MGDESIGN_SEED", "7")

@@ -9,6 +9,7 @@ import pytest
 from mgdesign import dispatch
 from mgdesign.components import pv_series, wt_series
 from mgdesign.dispatch import (
+    CAPACITIES,
     FLOW_FIELDS,
     Design,
     InvalidDesignError,
@@ -86,6 +87,51 @@ class TestDesign:
     def test_negative_capacity_rejected(self):
         with pytest.raises(InvalidDesignError):
             simulate_year(random_scenario(0), Design(pv_kw=-1.0))
+
+
+#: Each field of a :class:`Design` and its name in a design string.
+DESIGN_STRING_NAMES = {**{name: short for short, name in CAPACITIES.items()}, "grid_cap_kw": "grid"}
+
+
+class TestDesignInvariant:
+    """A ``Design`` holds no negative or non-finite value: building one,
+    ``replace``-ing a valid one and ``from_string`` raise the same message,
+    which names every bad field."""
+
+    VALID = Design(pv_kw=418.0, wt_kw=123.0, bess_kwh=704.0, converter_kw=255.0, grid_cap_kw=300.0)
+
+    @staticmethod
+    def _messages(values: dict) -> list[str]:
+        """The message of each way to build a design with ``values``."""
+        text = ",".join(f"{DESIGN_STRING_NAMES[name]}={value}" for name, value in values.items())
+        messages = []
+        for build in (lambda: Design(**values), lambda: replace(TestDesignInvariant.VALID, **values),
+                      lambda: Design.from_string(text)):
+            with pytest.raises(InvalidDesignError) as err:
+                build()
+            messages.append(str(err.value))
+        return messages
+
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", DESIGN_STRING_NAMES)
+    def test_a_bad_value_is_rejected_when_built(self, name, value):
+        assert self._messages({name: value}) == [f"{name}: must be finite and >= 0, got {value}"] * 3
+
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf, -math.inf])
+    def test_every_bad_field_is_named_in_one_message(self, value):
+        expected = "; ".join(f"{name}: must be finite and >= 0, got {value}" for name in DESIGN_STRING_NAMES)
+        assert self._messages(dict.fromkeys(DESIGN_STRING_NAMES, value)) == [expected] * 3
+
+    def test_good_fields_between_bad_ones_are_not_named(self):
+        values = {"pv_kw": -1.0, "wt_kw": math.nan, "dg_kw": 60.0, "converter_kw": math.inf, "grid_cap_kw": -2.0}
+        assert self._messages(values) == ["pv_kw: must be finite and >= 0, got -1.0; wt_kw: must be finite and "
+                                          ">= 0, got nan; converter_kw: must be finite and >= 0, got inf; "
+                                          "grid_cap_kw: must be finite and >= 0, got -2.0"] * 3
+
+    def test_only_the_grid_cap_may_be_none(self):
+        assert replace(self.VALID, grid_cap_kw=None).grid_cap_kw is None
+        with pytest.raises(InvalidDesignError, match="^pv_kw: must be finite and >= 0, got None$"):
+            Design(pv_kw=None)
 
 
 def random_resource_scenario(seed: int) -> Scenario:

@@ -373,6 +373,18 @@ class TestCatalogValidation:
         problems = self._violations(bundled, "battery", rate_constant_per_hr=rate)
         assert any("catalog.battery.rate_constant_per_hr" in v for v in problems)
 
+    @pytest.mark.parametrize("rate", [1e-300, 1e-17, 1e-16, 9.99e-7])
+    def test_rate_constant_has_a_floor(self, bundled, rate):
+        # below 1e-6, exp(-k) rounds toward 1: the battery's closed forms
+        # divide by zero (1e-17) or lose their digits (1e-16)
+        problems = self._violations(bundled, "battery", rate_constant_per_hr=rate)
+        assert problems == [f"catalog.battery.rate_constant_per_hr: must be >= 1e-6, got {rate}"]
+
+    def test_rate_constant_at_the_floor_gives_finite_metrics(self, bundled):
+        battery = replace(bundled.catalog.battery, rate_constant_per_hr=1e-6)
+        scenario = validate_scenario(replace(bundled, catalog=replace(bundled.catalog, battery=battery)))
+        assert all(math.isfinite(value) for value in evaluate(A5, scenario).objectives())
+
     @pytest.mark.parametrize("section, name", [
         ("wind", "power_coefficient"), ("wind", "swept_area_m2_per_unit"), ("pv", "degradation_per_yr"),
         ("diesel", "fuel_intercept_l_per_hr_kw"), ("diesel", "fuel_slope_l_per_hr_kw"),
