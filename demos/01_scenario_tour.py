@@ -5,9 +5,9 @@ Run:  python demos/01_scenario_tour.py
 
 import numpy as np
 
-from mgdesign import bundled_scenario, synthesize_load, validate_scenario
+from mgdesign import bundled_scenario, synthesize_load
 
-scenario = validate_scenario(bundled_scenario())
+scenario = bundled_scenario()
 
 print(f"scenario: {scenario.name}")
 print(f"  hours:            {len(scenario.load)}")

@@ -24,7 +24,7 @@ from .optimize import (
     select_best,
     write_evaluations_csv,
 )
-from .scenario import bundled_scenario, synthesize_load, validate_scenario
+from .scenario import bundled_scenario, synthesize_load
 from .sensitivity import SweepParameter, deviation_table, lcoe_sweep
 
 __version__ = "0.1.0"

@@ -43,7 +43,7 @@ def wt_series(scenario: Scenario, capacity_kw: float) -> np.ndarray:
     ``(u^e - ci^e) / (rated^e - ci^e)`` scales the nameplate, with the
     swept-area aerodynamic limit ``0.5 * rho * A * u^3 * Cp`` as an upper
     clamp.  Output never exceeds nameplate capacity.  Heights are checked
-    by ``Scenario.violations``.
+    when the :class:`~mgdesign.scenario.Scenario` is built.
     """
     spec = scenario.catalog.wind
     if capacity_kw <= 0.0:

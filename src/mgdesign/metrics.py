@@ -23,6 +23,8 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .dispatch import BatteryStage, Design, DispatchTrace, battery_stage, simulate_year
 from .scenario import Scenario
 
@@ -182,8 +184,6 @@ def npc(trace: DispatchTrace, design: Design, scenario: Scenario) -> tuple[float
 
 def crf(rate: float, years: int) -> float:
     """Capital recovery factor; 1/years at zero rate."""
-    if years < 1:
-        raise ValueError(f"years must be >= 1, got {years}")
     if rate == 0.0:
         return 1.0 / years
     growth = (1.0 + rate) ** years
@@ -212,8 +212,6 @@ def lpsp(trace: DispatchTrace) -> float:
 
 def reliability(lpsp_fraction: float, reliability_lambda: float) -> float:
     """Map LPSP to a [0, 1] reliability score, ``exp(-lambda * LPSP)``."""
-    if reliability_lambda <= 0.0:
-        raise ValueError(f"lambda must be > 0, got {reliability_lambda}")
     return math.exp(-reliability_lambda * lpsp_fraction)
 
 
@@ -255,28 +253,29 @@ def evaluate(design: Design, scenario: Scenario, trace: DispatchTrace | None = N
     """
     if trace is None:
         trace = simulate_year(scenario, design)
-    total, costs = npc(trace, design, scenario)
-    lpsp_value = lpsp(trace)
-    served = trace.served_kwh
-    eco = scenario.economics
-    try:
-        lcoe_value = lcoe(total, served, eco.discount_rate, eco.project_years) if served > 0.0 else math.inf
-    except OverflowError:
-        raise NonFiniteMetricError(f"lcoe_usd_per_kwh of {design} overflows") from None
-    try:
-        eff = efficiency(trace)
-    except ZeroInputError:
-        eff = 100.0
-    metrics = MetricVector(
-        npc_usd=total,
-        reliability=reliability(lpsp_value, scenario.reliability_lambda),
-        efficiency_pct=eff,
-        co2_kg_per_yr=-co2_delta(trace, scenario),
-        lcoe_usd_per_kwh=lcoe_value,
-        capital_usd=costs.capital_usd,
-        om_usd_per_yr=costs.om_usd_per_yr,
-        lpsp=lpsp_value,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite objective raises below, not warned
+        total, costs = npc(trace, design, scenario)
+        lpsp_value = lpsp(trace)
+        served = trace.served_kwh
+        eco = scenario.economics
+        try:
+            lcoe_value = lcoe(total, served, eco.discount_rate, eco.project_years) if served > 0.0 else math.inf
+        except OverflowError:
+            raise NonFiniteMetricError(f"lcoe_usd_per_kwh of {design} overflows") from None
+        try:
+            eff = efficiency(trace)
+        except ZeroInputError:
+            eff = 100.0
+        metrics = MetricVector(
+            npc_usd=total,
+            reliability=reliability(lpsp_value, scenario.reliability_lambda),
+            efficiency_pct=eff,
+            co2_kg_per_yr=-co2_delta(trace, scenario),
+            lcoe_usd_per_kwh=lcoe_value,
+            capital_usd=costs.capital_usd,
+            om_usd_per_yr=costs.om_usd_per_yr,
+            lpsp=lpsp_value,
+        )
     bad = [f"{name} = {value}" for name, value in zip(OBJECTIVE_SENSES, metrics.objectives())
            if not math.isfinite(value)]
     if bad:

