@@ -28,6 +28,10 @@ dispatch rules are implemented once, in three stages over the year:
    operations whose results it uses: a deficit hour that cannot discharge
    skips the discharge bound, and an hour that neither charges nor
    discharges steps the tanks without the terms of the internal power.
+   An hour that leaves both tanks bit for bit as they were (an emptied
+   bank whose tanks exchange less than an ulp) gives the same result in
+   every later hour of the same kind, so the loop writes it to the rest of
+   that still run by slice assignment and resumes where the run ends.
    The loop records the power delivered, the PV and wind charges and the
    tank sum, and a few NumPy operations after it write the flows, the
    converter throughput, the losses, the surpluses and the SOC back.
@@ -441,6 +445,24 @@ def _battery_hours(
     that neither charges nor discharges (``i`` is +0.0) runs the update
     without its ``i`` terms, which are +0.0: ``x - 0.0`` is ``x`` bit for
     bit.  The surpluses are read only in hours that charge.
+
+    Still runs.  The tank update reads only the tanks and ``i``, and a
+    discharge's ``i`` only the tanks unless the limit cuts it.  So after an
+    idle or discharging hour whose update leaves both tanks bit for bit as
+    they were, every later hour that takes the same branch repeats it
+    exactly: a discharge that the limit did not cut, in hours that are
+    deficit, not spare and have a limit no lower than its delivery (it is
+    at most the smallest limit of such hours, one scalar for the year); an
+    idle hour at the floors, in hours that are not spare; an idle hour
+    above them, in hours that are neither deficit nor spare.  The loop
+    writes the hour's delivery and tank sum to that run with NumPy slice
+    assignments, finds the run's end as the first True of a stop mask, and
+    restarts its ``zip`` at that hour from memoryview slices.  Tanks that
+    compare equal are the same bits unless one is zero (-0.0 == +0.0), so a
+    zero tank is never still.  The stop masks are cautious: an hour that
+    ends a run may repeat it after all (a deficit hour with no limit, say),
+    and then runs as usual.  On the benchmark lattices 26-31% of the hours
+    are skipped, in about 30 runs a year.
     """
     r = math.exp(-k)
     one_r = 1.0 - r
@@ -450,66 +472,96 @@ def _battery_hours(
     k_c_qmax = k * c * q_max_eff
     ps_v, ws_v, chg_v, del_v, wind_v, tank_v = map(
         memoryview, (pv_surplus, wt_surplus, charge, delivered, wind_dc, tanks))
-    hours = zip(range(len(tanks)), *map(memoryview, (deficit, limit, spare)))
+    flags = tuple(map(memoryview, (deficit, limit, spare)))
+    n = len(tanks)
+    # The hours that end a still run, each mask with a True sentinel after
+    # the last hour: a deficit or spare hour ends a run of idle hours above
+    # the floors, a spare hour one at the floors, and an hour that is spare
+    # or not a deficit a run of discharges.  A still discharge is repeated
+    # only if it is no more than every limit of those runs' hours.
+    idle_stop, floor_stop, drain_stop = np.ones((3, n + 1), dtype=bool)
+    np.logical_or(deficit, spare, out=idle_stop[:n])
+    floor_stop[:n] = spare
+    np.logical_not(deficit, out=drain_stop[:n])
+    drain_stop[:n] |= spare
+    drain_limit = float(np.min(limit, where=~drain_stop[:n], initial=math.inf))
     q0 = q1 + q2
+    start = 0
 
-    for h, short, lim, surplus in hours:
-        if short and lim > 0.0 and (q1 > floor_q1 or q2 > floor_q2):
-            e1 = q1 - floor_q1
-            if e1 < 0.0:
-                e1 = 0.0
-            e2 = q2 - floor_q2
-            if e2 < 0.0:
-                e2 = 0.0
-            # Never negative: every factor is >= +0.0 and ``denom`` > 0.
-            internal = (k * e1 * r + (e1 + e2) * k * c * one_r) / denom
-            deliverable = internal * sq_eta * eta
-            if deliverable > lim:
-                deliverable = lim
-            if deliverable > 0.0:
-                del_v[h] = deliverable
-                i = deliverable / eta / sq_eta
-                q1, q2 = (q1 * r + ((q0 * k * c - i) * one_r - i * c * a) / k,
-                          q2 * r + q0 * one_c * one_r - i * one_c * a / k)
-                tank_v[h] = q0 = q1 + q2
-                continue
-        # Charge when nothing was discharged.  A deficit hour has no wind
-        # surplus (+0.0), so there only PV left by a saturated converter
-        # charges.
-        if surplus:
-            e1 = q1 - floor_q1
-            if e1 < 0.0:
-                e1 = 0.0
-            e2 = q2 - floor_q2
-            if e2 < 0.0:
-                e2 = 0.0
-            internal = (k_c_qmax - k * e1 * r - (e1 + e2) * k * c * one_r) / denom
-            if internal < 0.0:
-                internal = 0.0
-            bound = internal / sq_eta
-            ps = ps_v[h]
-            chg = ps if ps < bound else bound
-            chg_v[h] = chg
-            ws = ws_v[h]
-            if ws > 0.0 and chg < bound and lim > 0.0:
-                dc_possible = ws * eta
-                if dc_possible > lim:
-                    dc_possible = lim
-                if dc_possible > bound - chg:
-                    dc_possible = bound - chg
-                if dc_possible > 0.0:
-                    wind_v[h] = dc_possible
-                    chg += dc_possible
-            # ``0.0 - chg * sq_eta`` when not zero; a zero is an idle hour.
-            i = -chg * sq_eta
-            if i:
-                q1, q2 = (q1 * r + ((q0 * k * c - i) * one_r - i * c * a) / k,
-                          q2 * r + q0 * one_c * one_r - i * one_c * a / k)
-                tank_v[h] = q0 = q1 + q2
-                continue
-        q1, q2 = q1 * r + q0 * k * c * one_r / k, q2 * r + q0 * one_c * one_r
-        tank_v[h] = q0 = q1 + q2
-    return q1, q2
+    while True:
+        for h, short, lim, surplus in zip(range(start, n), *(view[start:] for view in flags)):
+            if short and lim > 0.0 and (q1 > floor_q1 or q2 > floor_q2):
+                e1 = q1 - floor_q1
+                if e1 < 0.0:
+                    e1 = 0.0
+                e2 = q2 - floor_q2
+                if e2 < 0.0:
+                    e2 = 0.0
+                # Never negative: every factor is >= +0.0 and ``denom`` > 0.
+                internal = (k * e1 * r + (e1 + e2) * k * c * one_r) / denom
+                deliverable = internal * sq_eta * eta
+                if deliverable > lim:
+                    deliverable = lim
+                if deliverable > 0.0:
+                    del_v[h] = deliverable
+                    i = deliverable / eta / sq_eta
+                    n1, n2 = (q1 * r + ((q0 * k * c - i) * one_r - i * c * a) / k,
+                              q2 * r + q0 * one_c * one_r - i * one_c * a / k)
+                    # Still, and the limit did not cut the deliverable.
+                    if (n1 == q1 and n2 == q2 and q1 and q2
+                            and deliverable == internal * sq_eta * eta <= drain_limit):
+                        stop = drain_stop
+                        break
+                    q1, q2 = n1, n2
+                    tank_v[h] = q0 = q1 + q2
+                    continue
+            # Charge when nothing was discharged.  A deficit hour has no wind
+            # surplus (+0.0), so there only PV left by a saturated converter
+            # charges.
+            if surplus:
+                e1 = q1 - floor_q1
+                if e1 < 0.0:
+                    e1 = 0.0
+                e2 = q2 - floor_q2
+                if e2 < 0.0:
+                    e2 = 0.0
+                internal = (k_c_qmax - k * e1 * r - (e1 + e2) * k * c * one_r) / denom
+                if internal < 0.0:
+                    internal = 0.0
+                bound = internal / sq_eta
+                ps = ps_v[h]
+                chg = ps if ps < bound else bound
+                chg_v[h] = chg
+                ws = ws_v[h]
+                if ws > 0.0 and chg < bound and lim > 0.0:
+                    dc_possible = ws * eta
+                    if dc_possible > lim:
+                        dc_possible = lim
+                    if dc_possible > bound - chg:
+                        dc_possible = bound - chg
+                    if dc_possible > 0.0:
+                        wind_v[h] = dc_possible
+                        chg += dc_possible
+                # ``0.0 - chg * sq_eta`` when not zero; a zero is an idle hour.
+                i = -chg * sq_eta
+                if i:
+                    q1, q2 = (q1 * r + ((q0 * k * c - i) * one_r - i * c * a) / k,
+                              q2 * r + q0 * one_c * one_r - i * one_c * a / k)
+                    tank_v[h] = q0 = q1 + q2
+                    continue
+            n1, n2 = q1 * r + q0 * k * c * one_r / k, q2 * r + q0 * one_c * one_r
+            if n1 == q1 and n2 == q2 and q1 and q2:
+                stop = idle_stop if q1 > floor_q1 or q2 > floor_q2 else floor_stop
+                break
+            q1, q2 = n1, n2
+            tank_v[h] = q0 = q1 + q2
+        else:
+            return q1, q2
+        # Hour h left the tanks as they were: repeat it to the end of its run.
+        tank_v[h] = q0
+        start = h + 1 + int(stop[h + 1:].argmax())
+        tanks[h + 1:start] = q0
+        delivered[h + 1:start] = del_v[h]
 
 
 def _grid_stage_hours(

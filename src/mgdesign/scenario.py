@@ -381,28 +381,46 @@ _FRACTION = ("in (0, 1]", lambda v: 0 < v <= 1)
 _SHARE = ("in [0, 1]", lambda v: 0 <= v <= 1)
 
 
-def _num(default, *rules):
-    """A numeric field: its default and its range rules."""
-    return field(default=default, metadata={"rules": rules})
+def _num(default, *rules, unit: Unit | None = None):
+    """A numeric field: its default and its range rules, and the unit of the
+    hourly :class:`TimeSeries` it may hold instead of a number."""
+    return field(default=default, metadata={"rules": rules, "unit": unit})
+
+
+def _series(unit: Unit, **default):
+    """A series field: a :class:`TimeSeries` in ``unit``.  It may be None
+    only where that is its ``default``."""
+    return field(**default, metadata={"unit": unit})
+
+
+def _described(value) -> str:
+    """``value`` as a violation message quotes it: a series by its unit."""
+    return f"a TimeSeries in {value.unit.value}" if isinstance(value, TimeSeries) else repr(value)
 
 
 def _field_violations(prefix: str, record) -> list[str]:
     """Violations of one section: each :func:`_num` field is checked for its
     type (a bool is not a number; an ``int`` field takes only integers), then
     finiteness, then its rules; a wrong type or a non-finite value is that
-    field's one message.  Series fields are checked as :class:`TimeSeries`,
-    ``str`` fields for their type."""
+    field's one message.  A :func:`_series` field, or a number field given
+    hourly, must be a :class:`TimeSeries` in its unit and is then checked as
+    one; ``str`` fields are checked for their type."""
     problems: list[str] = []
     for f in fields(record):
         value, name = getattr(record, f.name), prefix + f.name
-        if isinstance(value, TimeSeries):
-            problems += value.violations(name=name)
+        unit = f.metadata.get("unit")
+        if unit is not None and (isinstance(value, TimeSeries) or "rules" not in f.metadata):
+            if isinstance(value, TimeSeries) and value.unit is unit:
+                problems += value.violations(name=name)
+            elif value is not None or f.default is not None:
+                problems.append(f"{name}: must be a TimeSeries in {unit.value}, got {_described(value)}")
         elif f.type == "str" and not isinstance(value, str):
             problems.append(f"{name}: must be a string, got {value!r}")
         elif "rules" in f.metadata:
             integer = f.type == "int"  # annotations are strings here
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                problems.append(f"{name}: must be {'an integer' if integer else 'a number'}, got {value!r}")
+                problems.append(f"{name}: must be {'an integer' if integer else 'a number'}, "
+                                f"got {_described(value)}")
             elif not abs(value) <= _FLOAT_MAX:
                 problems.append(f"{name}: must be finite, got {value}")
             elif integer and not isinstance(value, numbers.Integral):
@@ -533,8 +551,8 @@ class GridTariff:
     Prices may be flat (float) or hourly (:class:`TimeSeries`).
     """
 
-    purchase_usd_per_kwh: float | TimeSeries = _num(0.30, _GE0)
-    sellback_usd_per_kwh: float | TimeSeries = _num(0.10, _GE0)
+    purchase_usd_per_kwh: float | TimeSeries = _num(0.30, _GE0, unit=Unit.USD_PER_KWH)
+    sellback_usd_per_kwh: float | TimeSeries = _num(0.10, _GE0, unit=Unit.USD_PER_KWH)
     max_import_kw: float = _num(400.0, _GE0)
     max_export_kw: float = _num(400.0, _GE0)
     emission_kg_per_kwh: float = _num(0.79, _GE0)
@@ -574,11 +592,11 @@ class Scenario:
     listing every field that breaks its rules.
     """
 
-    load: TimeSeries
-    irradiance: TimeSeries
-    wind_speed: TimeSeries
+    load: TimeSeries = _series(Unit.KW)
+    irradiance: TimeSeries = _series(Unit.KW_PER_M2)
+    wind_speed: TimeSeries = _series(Unit.M_PER_S)
     anemometer_height_m: float = _num(10.0, _GT0)
-    cell_temperature: TimeSeries | None = None
+    cell_temperature: TimeSeries | None = _series(Unit.CELSIUS, default=None)
     tariff: GridTariff = field(default_factory=GridTariff)
     economics: Economics = field(default_factory=Economics)
     catalog: Catalog = field(default_factory=Catalog)
@@ -631,10 +649,11 @@ def bundled_scenario() -> Scenario:
     return load_scenario(bundled_data_path() / SCENARIO_FILE)
 
 
-#: Unit of each series a scenario file names under ``series``; all but
-#: ``cell_temperature`` are required.
-_SERIES_UNITS = {"load": Unit.KW, "irradiance": Unit.KW_PER_M2, "wind_speed": Unit.M_PER_S,
-                 "cell_temperature": Unit.CELSIUS}
+#: Unit of each series a scenario file names under ``series``, from the
+#: :func:`_series` fields of :class:`Scenario`; all but ``cell_temperature``
+#: are required.
+_SERIES_UNITS = {f.name: f.metadata["unit"] for f in fields(Scenario) if "rules" not in f.metadata
+                 and "unit" in f.metadata}
 
 
 def _section(cls, doc, name: str, problems: list[str], **given):
@@ -719,7 +738,9 @@ def load_scenario(path: str | Path) -> Scenario:
     try:
         scenario = _section(Scenario, doc, "", problems, **loaded)
     except ScenarioValidationError as exc:
-        problems += exc.violations
+        # A series that did not load is reported above, under its file's key.
+        unloaded = tuple(f"{key}: " for key, value in loaded.items() if value is None)
+        problems += [problem for problem in exc.violations if not problem.startswith(unloaded)]
     if problems:
         raise ScenarioValidationError(problems)
     return scenario

@@ -623,6 +623,143 @@ class TestBatteryLoopWriteBacks:
         assert peak <= 13 * 8760 * 8
 
 
+#: Hours of hand-built stage-2 inputs, as ``(load, pv, wind)`` in kW.  A
+#: deficit hour (limit ``min(converter, 50)``), a surplus hour (PV to
+#: spare), an exact balance (neither), a deficit hour whose PV saturates a
+#: 30 kW converter (deficit and spare, limit 0), and a deficit hour whose PV
+#: leaves that converter one ulp of room (limit 3.6e-15 kW, not spare).
+DEFICIT, SURPLUS, BALANCE = (50.0, 0.0, 0.0), (0.0, 100.0, 0.0), (0.0, 0.0, 0.0)
+SATURATED = (100.0, 100.0, 0.0)
+ONE_ULP_ROOM = (50.0, float.fromhex("0x1.f9435e50d7943p+4"), 0.0)
+
+#: Tanks of a 350 kWh bank (floors 35 kWh each) from which a deficit hour
+#: delivers 5.0e-15 kW and leaves both tanks bit for bit as they were: the
+#: state of ``pv=220,wt=10,bess=350,conv=255`` in its still discharges.
+STILL_DRAIN = (35.0, float.fromhex("0x1.1800000000002p+5"))
+#: Tanks of a 100 kWh bank at its floors, and half full, both still when idle.
+AT_FLOOR, HALF_FULL = (10.0, 10.0), (25.0, 25.0)
+
+
+class TestStillRuns:
+    """An hour that leaves both tanks bit for bit as they were is repeated
+    to the end of its run by slice writes.  Every stage array and the final
+    tanks equal the reference loop, down to the sign of every zero, and the
+    loop resumes exactly at the hour that ends the run."""
+
+    @pytest.fixture
+    def loop_runs(self, monkeypatch):
+        """``[first hour, hours run]`` of each pass of the battery loop: it
+        starts at hour 0 and resumes after each still run."""
+        runs = []
+
+        def counting_zip(hours, *flags):
+            runs.append([hours.start, 0])
+            for hour in zip(hours, *flags):
+                runs[-1][1] += 1
+                yield hour
+
+        monkeypatch.setattr(dispatch, "zip", counting_zip, raising=False)
+        return runs
+
+    @staticmethod
+    def assert_same_hours(hours, tanks, conv_kw, bess_kwh, catalog):
+        load, pv, wt = (np.array(column) for column in zip(*hours))
+        TestBatteryLoopWriteBacks.assert_same_stage(
+            load, pv, wt, *tanks, dispatch._battery_params(conv_kw, catalog, bess_kwh))
+
+    @pytest.mark.parametrize("end", [SURPLUS, SATURATED, BALANCE], ids=["surplus", "spare", "balance"])
+    def test_discharge_run_ends_at_an_hour_that_is_not_a_plain_deficit(self, bundled, loop_runs, end):
+        self.assert_same_hours([DEFICIT] * 5 + [end] + [DEFICIT] * 3, STILL_DRAIN, 30.0, 350.0,
+                               bundled.catalog)
+        # Hour 0 is still and runs to hour 4; the loop resumes at hour 5.
+        # After a balance hour the bank discharges once more, is still at
+        # hour 7 and runs to the end of the year.
+        assert loop_runs == ([[0, 1], [5, 3], [9, 0]] if end is BALANCE else [[0, 1], [5, 4]])
+
+    def test_a_limit_below_the_still_deliverable_stops_the_jump(self, bundled, loop_runs):
+        # Hour 3 may deliver only 3.6e-15 of the 5.0e-15 kW, so no still
+        # discharge of this year is repeated.
+        self.assert_same_hours([DEFICIT] * 3 + [ONE_ULP_ROOM] + [DEFICIT] * 3, STILL_DRAIN, 30.0, 350.0,
+                               bundled.catalog)
+        assert loop_runs == [[0, 7]]
+
+    def test_a_still_discharge_cut_by_its_limit_is_not_repeated(self, bundled, loop_runs):
+        # Hour 0 delivers its limit, 3.6e-15 kW, and leaves the tanks still;
+        # the hours after it deliver 5.0e-15 kW.
+        self.assert_same_hours([ONE_ULP_ROOM] + [DEFICIT] * 4, STILL_DRAIN, 30.0, 350.0, bundled.catalog)
+        assert loop_runs == [[0, 5]]
+
+    def test_no_converter(self, bundled, loop_runs):
+        # Nothing discharges; the idle runs above the floors end at each
+        # deficit hour, the run at the floors only at the PV hour.
+        hours = [DEFICIT] * 3 + [BALANCE] + [DEFICIT] * 2 + [SURPLUS] + [DEFICIT] * 3
+        self.assert_same_hours(hours, STILL_DRAIN, 0.0, 350.0, bundled.catalog)
+        assert loop_runs == [[0, 3], [4, 1], [5, 1], [6, 4]]
+        loop_runs.clear()
+        self.assert_same_hours(hours, AT_FLOOR, 0.0, 100.0, bundled.catalog)
+        assert loop_runs == [[0, 1], [6, 4]]
+
+    @pytest.mark.parametrize("hour, tanks, bess", [(DEFICIT, STILL_DRAIN, 350.0), (BALANCE, AT_FLOOR, 100.0),
+                                                   (BALANCE, HALF_FULL, 100.0)],
+                             ids=["discharge", "at the floors", "above the floors"])
+    def test_still_in_a_years_only_hour(self, bundled, loop_runs, hour, tanks, bess):
+        self.assert_same_hours([hour], tanks, 30.0, bess, bundled.catalog)
+        assert loop_runs == [[0, 1], [1, 0]]
+
+    def test_still_from_the_last_hour(self, bundled, loop_runs):
+        # 75 deficit hours drain a 100 kWh bank from 30% to its floors, and
+        # 37 idle hours relax tanks of 30 and 20 kWh to an even split; only
+        # the last hour of each is still.
+        self.assert_same_hours([DEFICIT] * 75, equilibrium_tanks(100.0, 0.3, 0.5), 95.0, 100.0, bundled.catalog)
+        self.assert_same_hours([BALANCE] * 37, (30.0, 20.0), 30.0, 100.0, bundled.catalog)
+        assert loop_runs == [[0, 75], [75, 0], [0, 37], [37, 0]]
+        loop_runs.clear()
+        self.assert_same_hours([DEFICIT] * 6, STILL_DRAIN, 30.0, 350.0, bundled.catalog)
+        assert loop_runs == [[0, 1], [6, 0]]
+
+    def test_still_at_the_floors(self, bundled, loop_runs):
+        # A deficit hour at the floors is idle too; the spare hour 3 ends
+        # the run and charges.
+        hours = [DEFICIT, BALANCE, DEFICIT, SATURATED, DEFICIT, SURPLUS, DEFICIT, DEFICIT]
+        self.assert_same_hours(hours, AT_FLOOR, 30.0, 100.0, bundled.catalog)
+        assert loop_runs == [[0, 1], [3, 5]]
+
+    @pytest.mark.parametrize("end", [DEFICIT, SURPLUS], ids=["deficit", "surplus"])
+    def test_still_above_the_floors(self, bundled, loop_runs, end):
+        self.assert_same_hours([BALANCE] * 3 + [end] + [BALANCE] * 2, HALF_FULL, 30.0, 100.0, bundled.catalog)
+        assert loop_runs == [[0, 1], [3, 3]]
+
+    def test_a_zero_tank_is_never_still(self, bundled, loop_runs):
+        # On a bank of 5e-324 kWh with no floors a tank reaches -0.0 (a
+        # random year did, by hours that discharge and relax by one
+        # denormal), and the next idle hour turns it to +0.0 while it
+        # compares equal.
+        floorless = replace(bundled.catalog, battery=replace(bundled.catalog.battery, soc_min=0.0))
+        self.assert_same_hours([DEFICIT, BALANCE], (-0.0, 0.0), 30.0, 5e-324, floorless)
+        assert loop_runs == [[0, 2]]
+
+    def test_random_years_from_the_floors(self, loop_runs):
+        for seed in range(12):
+            rng = np.random.default_rng(seed + 900)
+            scenario = random_scenario(seed + 60)
+            spec = scenario.catalog.battery
+            if seed % 2:
+                spec = replace(spec, rate_constant_per_hr=float(rng.uniform(0.25, 3.0)),
+                               capacity_ratio=float(rng.uniform(0.2, 0.8)),
+                               soc_min=float(rng.uniform(0.0, 0.3)), soc_max=float(rng.uniform(0.7, 1.0)))
+                scenario = replace(scenario, catalog=replace(scenario.catalog, battery=spec))
+            design = replace(random_design(seed + 31_000), bess_kwh=float(rng.uniform(20.0, 1200.0)))
+            TestBatteryLoopWriteBacks.assert_same_stage(
+                scenario.load.values, pv_series(scenario, design.pv_kw), wt_series(scenario, design.wt_kw),
+                *equilibrium_tanks(design.bess_kwh, spec.soc_min, spec.capacity_ratio),
+                dispatch._battery_params(design.converter_kw, scenario.catalog, design.bess_kwh))
+        assert sum(hours for _, hours in loop_runs) < 12 * 8760 * 0.9
+
+    def test_mostly_still_year(self, bundled, loop_runs):
+        TestBatteryLoopWriteBacks().assert_same_year(bundled, Design.from_string("pv=20,wt=10,bess=50,conv=255"))
+        assert sum(hours for _, hours in loop_runs) < 300   # of 8760
+
+
 class _NeonOrderedNumPy:
     """NumPy whose ``minimum`` and ``maximum`` order -0.0 below +0.0, as
     ARM's NEON instructions do; on x86 NumPy returns the second operand of

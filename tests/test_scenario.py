@@ -368,6 +368,66 @@ class TestScenarioInvariant:
             assert isinstance(scale_series(bundled, paths, factor), Scenario)
 
 
+class TestSeriesFields:
+    """Each series field holds a :class:`TimeSeries` in its unit; only the
+    cell temperature may be None.  Before, a None load built and ended in an
+    ``AttributeError`` in ``evaluate``, and a load in degC escaped the
+    non-negative rule."""
+
+    def test_none_series(self, bundled):
+        with pytest.raises(ScenarioValidationError) as err:
+            replace(bundled, load=None, cell_temperature=None)
+        assert err.value.violations == ["load: must be a TimeSeries in kW, got None"]
+
+    def test_every_none_series_named(self, bundled):
+        with pytest.raises(ScenarioValidationError) as err:
+            replace(bundled, load=None, irradiance=None, wind_speed=None)
+        assert err.value.violations == ["load: must be a TimeSeries in kW, got None",
+                                        "irradiance: must be a TimeSeries in kW/m2, got None",
+                                        "wind_speed: must be a TimeSeries in m/s, got None"]
+
+    def test_series_in_the_wrong_unit(self, bundled):
+        negative = TimeSeries(-bundled.load.values, Unit.CELSIUS)
+        with pytest.raises(ScenarioValidationError) as err:
+            replace(bundled, load=negative, cell_temperature=TimeSeries(bundled.load.values, Unit.KW))
+        assert err.value.violations == ["load: must be a TimeSeries in kW, got a TimeSeries in degC",
+                                        "cell_temperature: must be a TimeSeries in degC, got a TimeSeries in kW"]
+
+    def test_value_that_is_not_a_series(self, bundled):
+        with pytest.raises(ScenarioValidationError) as err:
+            replace(bundled, irradiance=bundled.irradiance.values, wind_speed=3.0)
+        assert err.value.violations == [
+            f"irradiance: must be a TimeSeries in kW/m2, got {bundled.irradiance.values!r}",
+            "wind_speed: must be a TimeSeries in m/s, got 3.0"]
+
+    def test_price_series_in_the_wrong_unit(self, bundled):
+        tariff = replace(bundled.tariff, purchase_usd_per_kwh=TimeSeries(-bundled.load.values, Unit.KW),
+                         sellback_usd_per_kwh=None)
+        with pytest.raises(ScenarioValidationError) as err:
+            replace(bundled, tariff=tariff)
+        assert err.value.violations == [
+            "tariff.purchase_usd_per_kwh: must be a TimeSeries in $/kWh, got a TimeSeries in kW",
+            "tariff.sellback_usd_per_kwh: must be a number, got None"]
+
+    def test_series_in_a_number_field(self, bundled):
+        with pytest.raises(ScenarioValidationError) as err:
+            replace(bundled, anemometer_height_m=bundled.load)
+        assert err.value.violations == ["anemometer_height_m: must be a number, got a TimeSeries in kW"]
+
+    def test_optional_and_hourly_fields_build(self, bundled):
+        prices = TimeSeries(np.full(HOURS_PER_YEAR, 0.2), Unit.USD_PER_KWH)
+        temperature = TimeSeries(np.full(HOURS_PER_YEAR, -5.0), Unit.CELSIUS)
+        assert replace(bundled, cell_temperature=None).cell_temperature is None
+        assert replace(bundled, cell_temperature=temperature).cell_temperature is temperature
+        tariff = replace(bundled.tariff, purchase_usd_per_kwh=prices, sellback_usd_per_kwh=prices)
+        assert replace(bundled, tariff=tariff).tariff is tariff
+
+    def test_file_units_come_from_the_fields(self):
+        assert scenario_module._SERIES_UNITS == {
+            "load": Unit.KW, "irradiance": Unit.KW_PER_M2, "wind_speed": Unit.M_PER_S,
+            "cell_temperature": Unit.CELSIUS}
+
+
 class TestCatalogValidation:
     """Catalog values that would otherwise give a silently wrong result."""
 
