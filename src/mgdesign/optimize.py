@@ -521,8 +521,14 @@ def policy_gradient_search(evaluate: Callable[[Design], MetricVector], space: Se
     archive: list[EvaluatedDesign] = []
 
     for episode in range(config.episodes):
-        probs = {name: _softmax(logits) for name, logits in theta.items()}
-        actions = {name: int(rng.choice(len(p), p=p)) for name, p in probs.items()}
+        probs = {name: _softmax(logits) for name, logits in theta.items() if len(logits) > 1}  # else p = [1.0], grad 0.0
+        draws = dict(zip(axes, rng.random(len(axes))))  # one per axis, as rng.choice(len(p), p=p) drew them
+        actions = dict.fromkeys(axes, 0)
+        for name, p in probs.items():
+            cdf = p.cumsum()
+            if np.isnan(cdf[-1]):
+                raise ValueError("Probabilities contain NaN")
+            actions[name] = int((cdf / cdf[-1]).searchsorted(draws[name], side="right"))
         design = Design(**{name: float(axes[name][i]) for name, i in actions.items()}, grid_cap_kw=grid_cap)
         metrics = evaluate(design)
         archive.append(EvaluatedDesign(design, metrics))

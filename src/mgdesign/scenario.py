@@ -399,17 +399,28 @@ def _described(value) -> str:
 
 
 def _field_violations(prefix: str, record) -> list[str]:
-    """Violations of one section: each :func:`_num` field is checked for its
-    type (a bool is not a number; an ``int`` field takes only integers), then
-    finiteness, then its rules; a wrong type or a non-finite value is that
-    field's one message.  A :func:`_series` field, or a number field given
-    hourly, must be a :class:`TimeSeries` in its unit and is then checked as
-    one; ``str`` fields are checked for their type."""
-    problems: list[str] = []
-    for f in fields(record):
+    """Violations of a record, then of its sections in the same walk: each
+    :func:`_num` field is checked for its type (a bool is not a number; an
+    ``int`` field takes only integers), then finiteness, then its rules; a
+    wrong type or a non-finite value is that field's one message.  A
+    :func:`_series` field, or a number field given hourly, must be a
+    :class:`TimeSeries` in its unit and is then checked as one; ``str`` fields
+    are checked for their type.  A section field (its ``default_factory`` is a
+    dataclass) must hold its section, which is walked; each section that
+    passes is then held to its ``_rules``, after all its sibling sections."""
+    problems, passed = [], []
+    for f in sorted(fields(record), key=lambda f: is_dataclass(f.default_factory)):  # sections last
         value, name = getattr(record, f.name), prefix + f.name
         unit = f.metadata.get("unit")
-        if unit is not None and (isinstance(value, TimeSeries) or "rules" not in f.metadata):
+        if is_dataclass(section := f.default_factory):
+            if not isinstance(value, section):
+                article = "an" if section.__name__[0] in "AEIOU" else "a"
+                problems.append(f"{name}: must be {article} {section.__name__}, got {_described(value)}")
+            elif own := _field_violations(name + ".", value):
+                problems += own
+            else:
+                passed.append((value, name))
+        elif unit is not None and (isinstance(value, TimeSeries) or "rules" not in f.metadata):
             if isinstance(value, TimeSeries) and value.unit is unit:
                 problems += value.violations(name=name)
             elif value is not None or f.default is not None:
@@ -428,7 +439,8 @@ def _field_violations(prefix: str, record) -> list[str]:
             else:
                 problems += [f"{name}: must be {text}, got {value}"
                              for text, test in f.metadata["rules"] if not test(value)]
-    return problems
+    return problems + [f"{name}: {text.format_map(vars(value))}" for value, name in passed
+                       for text, test in getattr(value, "_rules", ()) if not test(value)]
 
 
 @dataclass(frozen=True)
@@ -470,6 +482,10 @@ class WindTurbineSpec:
     swept_area_m2_per_unit: float = _num(19.6, _GE0)
     power_coefficient: float = _num(0.40, _GE0)
 
+    #: Rules across fields, ``(text, test)``; ``text`` names a field's value as ``{field}``.
+    _rules = (("cut-in {cut_in_ms} must be below cut-out {cut_out_ms}", lambda w: w.cut_in_ms < w.cut_out_ms),
+              ("rated speed must lie between cut-in and cut-out", lambda w: w.cut_in_ms < w.rated_ms <= w.cut_out_ms))
+
 
 @dataclass(frozen=True)
 class DieselSpec:
@@ -506,6 +522,8 @@ class BatterySpec:
     capacity_ratio: float = _num(0.5, ("in (0, 1)", lambda v: 0 < v < 1))
     rate_constant_per_hr: float = _num(1.0, (">= 1e-6", lambda v: v >= 1e-6))
 
+    _rules = (("soc window must satisfy 0 < soc_max - soc_min <= 1", lambda b: 0.0 < b.soc_max - b.soc_min <= 1.0),)
+
 
 @dataclass(frozen=True)
 class ConverterSpec:
@@ -520,28 +538,13 @@ class ConverterSpec:
 
 @dataclass(frozen=True)
 class Catalog:
-    """Technical characteristics and economic data for every component kind."""
+    """Every component kind's technical and economic data, each part a section of the scenario's walk."""
 
     pv: PVSpec = field(default_factory=PVSpec)
     wind: WindTurbineSpec = field(default_factory=WindTurbineSpec)
     diesel: DieselSpec = field(default_factory=DieselSpec)
     battery: BatterySpec = field(default_factory=BatterySpec)
     converter: ConverterSpec = field(default_factory=ConverterSpec)
-
-    def violations(self) -> list[str]:
-        """Every part's field table, then the cross-field checks of the wind
-        speeds and the SOC window, each only when that part's fields passed."""
-        parts = {f.name: _field_violations(f"catalog.{f.name}.", getattr(self, f.name)) for f in fields(self)}
-        problems = [problem for part in parts.values() for problem in part]
-        wind, battery = self.wind, self.battery
-        if not parts["wind"]:
-            if not wind.cut_in_ms < wind.cut_out_ms:
-                problems.append(f"catalog.wind: cut-in {wind.cut_in_ms} must be below cut-out {wind.cut_out_ms}")
-            if not wind.cut_in_ms < wind.rated_ms <= wind.cut_out_ms:
-                problems.append("catalog.wind: rated speed must lie between cut-in and cut-out")
-        if not parts["battery"] and not 0.0 < battery.soc_max - battery.soc_min <= 1.0:
-            problems.append("catalog.battery: soc window must satisfy 0 < soc_max - soc_min <= 1")
-        return problems
 
 
 @dataclass(frozen=True)
@@ -588,8 +591,8 @@ class Economics:
 class Scenario:
     """Immutable world description for one design study.
 
-    Building one by any route raises :class:`ScenarioValidationError`
-    listing every field that breaks its rules.
+    Building one by any route walks every field, section by section, and
+    raises :class:`ScenarioValidationError` listing each field that fails.
     """
 
     load: TimeSeries = _series(Unit.KW)
@@ -604,11 +607,7 @@ class Scenario:
     name: str = "unnamed"
 
     def __post_init__(self) -> None:
-        problems = _field_violations("", self)
-        problems += _field_violations("tariff.", self.tariff)
-        problems += _field_violations("economics.", self.economics)
-        problems += self.catalog.violations()
-        if problems:
+        if problems := _field_violations("", self):
             raise ScenarioValidationError(problems)
 
 

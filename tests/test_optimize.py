@@ -559,6 +559,15 @@ class TestPolicyGradient:
         assert all(np.all(t == 0.0) for t in result.theta.values())
         assert np.allclose(result.probabilities["pv_kw"], 0.5)
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_nan_probability_raises(self, rate):
+        """A step that makes a logit non-finite ends in the error that
+        ``rng.choice`` gives for a NaN probability."""
+        config = PolicyConfig(episodes=20, learning_rate=rate)
+        with pytest.raises(ValueError, match="^Probabilities contain NaN$"):
+            policy_gradient_search(self._toy_eval, self._toy_space(), config, seed=0)
+
     def test_fixed_seed_reproducible(self):
         space = self._toy_space()
         runs = [

@@ -5,7 +5,7 @@ import lzma
 import math
 import shutil
 import warnings
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -347,14 +347,28 @@ class TestScenarioInvariant:
         assert err.value.violations == ["catalog.converter.efficiency: must be in (0, 1], got 1.5"]
 
     @pytest.mark.parametrize("changes, message", [
-        ({"soc_min": 0.9, "soc_max": 0.1}, "catalog.battery: soc window must satisfy 0 < soc_max - soc_min <= 1"),
-        ({"rate_constant_per_hr": 1e-17}, "catalog.battery.rate_constant_per_hr: must be >= 1e-6, got 1e-17"),
+        ({"battery": {"soc_min": 0.9, "soc_max": 0.1}},
+         "catalog.battery: soc window must satisfy 0 < soc_max - soc_min <= 1"),
+        ({"battery": {"rate_constant_per_hr": 1e-17}},
+         "catalog.battery.rate_constant_per_hr: must be >= 1e-6, got 1e-17"),
+        ({"wind": {"cut_in_ms": 30.0}},
+         "catalog.wind: cut-in 30.0 must be below cut-out 24.0\n"
+         "catalog.wind: rated speed must lie between cut-in and cut-out"),
+        ({"wind": {"rated_ms": 30.0}}, "catalog.wind: rated speed must lie between cut-in and cut-out"),
+        # A part's rules across fields run after every later part's fields.
+        ({"wind": {"cut_out_ms": 3.0}, "converter": {"efficiency": 2.0}},
+         "catalog.converter.efficiency: must be in (0, 1], got 2.0\n"
+         "catalog.wind: cut-in 4.0 must be below cut-out 3.0\n"
+         "catalog.wind: rated speed must lie between cut-in and cut-out"),
     ])
     def test_replace(self, bundled, changes, message):
-        battery = replace(bundled.catalog.battery, **changes)
+        """``changes`` maps catalog parts to their new values; each line of
+        ``message`` is one violation, in order."""
+        catalog = replace(bundled.catalog, **{part: replace(getattr(bundled.catalog, part), **values)
+                                              for part, values in changes.items()})
         with pytest.raises(ScenarioValidationError) as err:
-            replace(bundled, catalog=replace(bundled.catalog, battery=battery))
-        assert err.value.violations == [message]
+            replace(bundled, catalog=catalog)
+        assert err.value.violations == message.split("\n")
 
     def test_scale_series(self, bundled):
         with pytest.raises(ScenarioValidationError) as err:
@@ -426,6 +440,43 @@ class TestSeriesFields:
         assert scenario_module._SERIES_UNITS == {
             "load": Unit.KW, "irradiance": Unit.KW_PER_M2, "wind_speed": Unit.M_PER_S,
             "cell_temperature": Unit.CELSIUS}
+
+
+class TestSectionFields:
+    """Each section field holds its section, down to each catalog part.
+    Before, a scenario built in code with ``tariff=None`` ended in a
+    ``TypeError`` and one with ``catalog=None`` in an ``AttributeError``."""
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"tariff": None}, "tariff: must be a GridTariff, got None"),
+        ({"catalog": None}, "catalog: must be a Catalog, got None"),
+        ({"economics": 3}, "economics: must be an Economics, got 3"),
+    ])
+    def test_value_that_is_not_its_section(self, bundled, changes, message):
+        with pytest.raises(ScenarioValidationError) as err:
+            replace(bundled, **changes)
+        assert err.value.violations == [message]
+
+    def test_catalog_part_that_is_not_its_section(self, bundled):
+        with pytest.raises(ScenarioValidationError) as err:
+            replace(bundled, tariff=bundled.load,
+                    catalog=replace(bundled.catalog, wind=bundled.catalog.battery, battery=None))
+        assert err.value.violations == [
+            "tariff: must be a GridTariff, got a TimeSeries in kW",
+            f"catalog.wind: must be a WindTurbineSpec, got {bundled.catalog.battery!r}",
+            "catalog.battery: must be a BatterySpec, got None"]
+
+    def test_every_field_is_walked(self):
+        """Every field of a scenario, down through its sections, is one the
+        walk checks: a section, a series, a number with rules or a ``str``."""
+        def walk(cls, prefix):
+            for f in fields(cls):
+                if is_dataclass(f.default_factory):
+                    walk(f.default_factory, f"{prefix}{f.name}.")
+                else:
+                    assert "unit" in f.metadata or "rules" in f.metadata or f.type == "str", prefix + f.name
+
+        walk(Scenario, "")
 
 
 class TestCatalogValidation:
