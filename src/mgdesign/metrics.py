@@ -29,14 +29,6 @@ from .dispatch import BatteryStage, Design, DispatchTrace, battery_stage, simula
 from .scenario import Scenario
 
 
-class ZeroEnergyServedError(ValueError):
-    """LCOE is undefined when no energy is served."""
-
-
-class ZeroInputError(ValueError):
-    """Efficiency is undefined without energy input."""
-
-
 class NonFiniteMetricError(ValueError):
     """A design objective came out NaN or infinite, or overflowed: the
     scenario's numbers are beyond what a float can carry."""
@@ -191,10 +183,19 @@ def crf(rate: float, years: int) -> float:
 
 
 def lcoe(npc_usd: float, served_kwh_per_yr: float, rate: float, years: int) -> float:
-    """Levelized cost of energy: the NPC annuitized over served energy."""
+    """Levelized cost of energy: the NPC annuitized over served energy.
+
+    Infinite when nothing is served.  A rate whose ``(1 + rate) ** years``
+    overflows raises :class:`NonFiniteMetricError` naming the rate and years.
+    """
     if served_kwh_per_yr <= 0.0:
-        raise ZeroEnergyServedError("no energy served; LCOE undefined")
-    return npc_usd * crf(rate, years) / served_kwh_per_yr
+        return math.inf
+    try:
+        factor = crf(rate, years)
+    except OverflowError:
+        raise NonFiniteMetricError(
+            f"lcoe_usd_per_kwh overflows: (1 + {rate!r}) ** {years} is beyond a float") from None
+    return npc_usd * factor / served_kwh_per_yr
 
 
 # ----------------------------------------------------------------------
@@ -219,12 +220,12 @@ def efficiency(trace: DispatchTrace) -> float:
     """System efficiency in percent: served energy over the input net of
     curtailment, conversion and battery losses (by the hourly balance,
     served + exports + battery gain).  Capped at 100, since a battery that
-    starts the year full and ends it lower serves a little more than that."""
-    useful = trace.served_kwh
+    starts the year full and ends it lower serves a little more than that.
+    A year with no net input at all counts as vacuously 100% efficient."""
     denom = trace.renewable_kwh + trace.dg_kwh + trace.import_kwh - trace.loss_kwh
     if denom <= 0.0:
-        raise ZeroInputError("no energy input; efficiency undefined")
-    return min(100.0 * useful / denom, 100.0)
+        return 100.0
+    return min(100.0 * trace.served_kwh / denom, 100.0)
 
 
 def co2_delta(trace: DispatchTrace, scenario: Scenario) -> float:
@@ -245,33 +246,22 @@ def evaluate(design: Design, scenario: Scenario, trace: DispatchTrace | None = N
 
     Deterministic: identical inputs give bit-identical results.  A
     pre-computed trace of ``design`` on ``scenario`` may be supplied to
-    avoid re-simulation; the metrics always cost it afresh.  Designs that
-    serve no energy get an infinite LCOE; traces with no energy input at
-    all count as vacuously 100% efficient.  An objective
-    that comes out NaN or infinite, or an LCOE that overflows, raises
-    :class:`NonFiniteMetricError` naming it.
+    avoid re-simulation; the metrics always cost it afresh.  An objective
+    that comes out NaN or infinite raises :class:`NonFiniteMetricError`
+    naming it.
     """
     if trace is None:
         trace = simulate_year(scenario, design)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite objective raises below, not warned
         total, costs = npc(trace, design, scenario)
         lpsp_value = lpsp(trace)
-        served = trace.served_kwh
         eco = scenario.economics
-        try:
-            lcoe_value = lcoe(total, served, eco.discount_rate, eco.project_years) if served > 0.0 else math.inf
-        except OverflowError:
-            raise NonFiniteMetricError(f"lcoe_usd_per_kwh of {design} overflows") from None
-        try:
-            eff = efficiency(trace)
-        except ZeroInputError:
-            eff = 100.0
         metrics = MetricVector(
             npc_usd=total,
             reliability=reliability(lpsp_value, scenario.reliability_lambda),
-            efficiency_pct=eff,
+            efficiency_pct=efficiency(trace),
             co2_kg_per_yr=-co2_delta(trace, scenario),
-            lcoe_usd_per_kwh=lcoe_value,
+            lcoe_usd_per_kwh=lcoe(total, trace.served_kwh, eco.discount_rate, eco.project_years),
             capital_usd=costs.capital_usd,
             om_usd_per_yr=costs.om_usd_per_yr,
             lpsp=lpsp_value,

@@ -604,6 +604,20 @@ class TestPipelines:
         assert stderr == f"error: lcoe_usd_per_kwh = {value} with {name} x 1e+305\n"
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command", ["evaluate", "sensitivity", "lcoe-sweep"])
+    def test_overflowing_discount_rate_exits_2_with_one_line(self, capsys, tmp_path, command):
+        # (1 + r) ** years overflows in the capital recovery factor
+        yaml_path = _edited_scenario(tmp_path, "discount_rate: 0.06", "discount_rate: 1.0e+308")
+        code, stdout, stderr = _run(capsys, command, "--scenario", str(yaml_path), "--design", A5_ARG,
+                                    "--out", str(tmp_path / "run"))
+        assert (code, stdout) == (2, "")
+        assert stderr == "error: lcoe_usd_per_kwh overflows: (1 + 1e+308) ** 25 is beyond a float\n"
+
+    def test_lcoe_sweep_of_a_design_serving_nothing_exits_2(self, capsys, tmp_path):
+        code, stdout, stderr = _run(capsys, "lcoe-sweep", "--design", "grid=0", "--out", str(tmp_path))
+        assert (code, stdout) == (2, "")
+        assert stderr == "error: lcoe_usd_per_kwh = inf with purchase_price x 0.8\n"
+
     def test_refine_labels_every_axis(self, capsys, tmp_path):
         code, stdout, _ = _run(capsys, "refine", "--design", "conv=150,bess=200.5,dg=60,wt=50,pv=100,grid=300",
                                "--max-cycles", "0", "--out", str(tmp_path))
