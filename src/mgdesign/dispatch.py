@@ -25,13 +25,14 @@ dispatch rules are implemented once, in three stages over the year:
    carries only the tanks and reads per hour only the deficit flag, the
    discharge limit and whether there is a surplus to charge from, all
    computed by NumPy before it.  Each kind of hour runs only the
-   operations whose results it uses: a deficit hour that cannot discharge
-   skips the discharge bound, and an hour that neither charges nor
+   operations whose results it uses: a deficit hour with no converter
+   room skips the discharge bound, and an hour that neither charges nor
    discharges steps the tanks without the terms of the internal power.
-   An hour that leaves both tanks bit for bit as they were (an emptied
-   bank whose tanks exchange less than an ulp) gives the same result in
-   every later hour of the same kind, so the loop writes it to the rest of
-   that still run by slice assignment and resumes where the run ends.
+   A discharging hour, or an idle hour at the floors, that leaves both
+   tanks bit for bit as they were (an emptied bank whose tanks exchange
+   less than an ulp) gives the same result in every later deficit hour
+   that is not spare, so the loop writes it to the rest of that still run
+   by slice assignment and resumes where the run ends.
    The loop records the power delivered, the PV and wind charges and the
    tank sum, and a few NumPy operations after it write the flows, the
    converter throughput, the losses, the surpluses and the SOC back.
@@ -439,30 +440,32 @@ def _battery_hours(
 
     Each kind of hour runs only the operations whose results it uses, in
     the operation order of the full rules, so every result is bit for bit
-    the same.  A deficit hour with no limit, or with both tanks at or below
-    their floors, cannot discharge and skips the discharge bound (it gives
-    0 there).  A discharging hour's ``i`` drops the charge term, and an hour
-    that neither charges nor discharges (``i`` is +0.0) runs the update
-    without its ``i`` terms, which are +0.0: ``x - 0.0`` is ``x`` bit for
-    bit.  The surpluses are read only in hours that charge.
+    the same.  A deficit hour with no limit cannot discharge and skips the
+    discharge bound; one at the floors computes a bound of +0.0, delivers
+    nothing and goes on to charge or idle.  A discharging hour's
+    ``i`` drops the charge term, and an hour that neither charges nor
+    discharges (``i`` is +0.0) runs the update without its ``i`` terms,
+    which are +0.0: ``x - 0.0`` is ``x`` bit for bit.  The surpluses are
+    read only in hours that charge.
 
     Still runs.  The tank update reads only the tanks and ``i``, and a
-    discharge's ``i`` only the tanks unless the limit cuts it.  So after an
-    idle or discharging hour whose update leaves both tanks bit for bit as
-    they were, every later hour that takes the same branch repeats it
-    exactly: a discharge that the limit did not cut, in hours that are
-    deficit, not spare and have a limit no lower than its delivery (it is
-    at most the smallest limit of such hours, one scalar for the year); an
-    idle hour at the floors, in hours that are not spare; an idle hour
-    above them, in hours that are neither deficit nor spare.  The loop
-    writes the hour's delivery and tank sum to that run with NumPy slice
-    assignments, finds the run's end as the first True of a stop mask, and
-    restarts its ``zip`` at that hour from memoryview slices.  Tanks that
-    compare equal are the same bits unless one is zero (-0.0 == +0.0), so a
-    zero tank is never still.  The stop masks are cautious: an hour that
-    ends a run may repeat it after all (a deficit hour with no limit, say),
-    and then runs as usual.  On the benchmark lattices 26-31% of the hours
-    are skipped, in about 30 runs a year.
+    discharge's ``i`` only the tanks unless the limit cuts it.  So after a
+    discharging hour, or an idle hour at the floors, whose update leaves
+    both tanks bit for bit as they were, every later hour that is a deficit
+    and not spare repeats it exactly: a discharge that the limit did not
+    cut, in hours whose limit is no lower than its delivery (it is at most
+    the smallest limit of such hours, one scalar for the year); an idle
+    hour at the floors in every such hour, as none can discharge or charge.
+    An idle hour above the floors runs as usual, still or not: no benchmark
+    design has a run of them to skip.  The loop writes the hour's delivery
+    and tank sum to that run with NumPy slice assignments, finds the run's
+    end as the first True of the stop mask, and restarts its ``zip`` at
+    that hour from memoryview slices.  Tanks that compare equal are the
+    same bits unless one is zero (-0.0 == +0.0), so a zero tank is never
+    still.  The stop mask is cautious: an hour that ends a run may repeat
+    it after all (a balance hour at the floors, say), and then runs as
+    usual.  On the benchmark lattices 26-31% of the hours are skipped, in
+    about 30 runs a year.
     """
     r = math.exp(-k)
     one_r = 1.0 - r
@@ -474,23 +477,20 @@ def _battery_hours(
         memoryview, (pv_surplus, wt_surplus, charge, delivered, wind_dc, tanks))
     flags = tuple(map(memoryview, (deficit, limit, spare)))
     n = len(tanks)
-    # The hours that end a still run, each mask with a True sentinel after
-    # the last hour: a deficit or spare hour ends a run of idle hours above
-    # the floors, a spare hour one at the floors, and an hour that is spare
-    # or not a deficit a run of discharges.  A still discharge is repeated
-    # only if it is no more than every limit of those runs' hours.
-    idle_stop, floor_stop, drain_stop = np.ones((3, n + 1), dtype=bool)
-    np.logical_or(deficit, spare, out=idle_stop[:n])
-    floor_stop[:n] = spare
-    np.logical_not(deficit, out=drain_stop[:n])
-    drain_stop[:n] |= spare
-    drain_limit = float(np.min(limit, where=~drain_stop[:n], initial=math.inf))
+    # The hours that end a still run, with a True sentinel after the last
+    # hour: an hour that is not a deficit, or that is spare.  A still
+    # discharge is repeated only if it is no more than the limit of every
+    # hour the mask leaves out.
+    stop = np.ones(n + 1, dtype=bool)
+    np.logical_not(deficit, out=stop[:n])
+    stop[:n] |= spare
+    drain_limit = float(np.min(limit, where=~stop[:n], initial=math.inf))
     q0 = q1 + q2
     start = 0
 
     while True:
         for h, short, lim, surplus in zip(range(start, n), *(view[start:] for view in flags)):
-            if short and lim > 0.0 and (q1 > floor_q1 or q2 > floor_q2):
+            if short and lim > 0.0:
                 e1 = q1 - floor_q1
                 if e1 < 0.0:
                     e1 = 0.0
@@ -510,7 +510,6 @@ def _battery_hours(
                     # Still, and the limit did not cut the deliverable.
                     if (n1 == q1 and n2 == q2 and q1 and q2
                             and deliverable == internal * sq_eta * eta <= drain_limit):
-                        stop = drain_stop
                         break
                     q1, q2 = n1, n2
                     tank_v[h] = q0 = q1 + q2
@@ -550,8 +549,7 @@ def _battery_hours(
                     tank_v[h] = q0 = q1 + q2
                     continue
             n1, n2 = q1 * r + q0 * k * c * one_r / k, q2 * r + q0 * one_c * one_r
-            if n1 == q1 and n2 == q2 and q1 and q2:
-                stop = idle_stop if q1 > floor_q1 or q2 > floor_q2 else floor_stop
+            if n1 == q1 and n2 == q2 and q1 and q2 and not (q1 > floor_q1 or q2 > floor_q2):
                 break
             q1, q2 = n1, n2
             tank_v[h] = q0 = q1 + q2

@@ -147,15 +147,19 @@ def lcoe_sweep(scenario: Scenario, design: Design, parameter: SweepParameter,
     The dispatch never looks at prices, so the trace is simulated once
     and re-costed per point.  Pass the ``trace`` of ``design`` on
     ``scenario`` so sweeps of several parameters share one simulation;
-    without it the sweep simulates its own.  An LCOE that comes out NaN
-    or infinite raises :class:`~mgdesign.metrics.NonFiniteMetricError`
-    naming the parameter and the multiplier.
+    without it the sweep simulates its own.  A design that serves no
+    energy has no LCOE at any multiplier and raises
+    :class:`~mgdesign.metrics.NonFiniteMetricError` saying so; any other
+    LCOE that comes out NaN or infinite raises it naming the parameter and
+    the multiplier.
     """
     if not all(0.0 < m < math.inf for m in multipliers):
         raise ValueError("multipliers must be finite and > 0")
     if trace is None:
         trace = simulate_year(scenario, design)
     served = trace.served_kwh
+    if served <= 0.0:
+        raise NonFiniteMetricError("lcoe_usd_per_kwh is undefined: the design serves no energy")
     eco = scenario.economics
     curve = []
     for multiplier in multipliers:

@@ -616,7 +616,7 @@ class TestPipelines:
     def test_lcoe_sweep_of_a_design_serving_nothing_exits_2(self, capsys, tmp_path):
         code, stdout, stderr = _run(capsys, "lcoe-sweep", "--design", "grid=0", "--out", str(tmp_path))
         assert (code, stdout) == (2, "")
-        assert stderr == "error: lcoe_usd_per_kwh = inf with purchase_price x 0.8\n"
+        assert stderr == "error: lcoe_usd_per_kwh is undefined: the design serves no energy\n"
 
     def test_refine_labels_every_axis(self, capsys, tmp_path):
         code, stdout, _ = _run(capsys, "refine", "--design", "conv=150,bess=200.5,dg=60,wt=50,pv=100,grid=300",

@@ -641,10 +641,13 @@ AT_FLOOR, HALF_FULL = (10.0, 10.0), (25.0, 25.0)
 
 
 class TestStillRuns:
-    """An hour that leaves both tanks bit for bit as they were is repeated
-    to the end of its run by slice writes.  Every stage array and the final
-    tanks equal the reference loop, down to the sign of every zero, and the
-    loop resumes exactly at the hour that ends the run."""
+    """A discharging hour, or an idle hour at the floors, that leaves both
+    tanks bit for bit as they were is repeated to the end of its run by
+    slice writes; the run ends at an hour that is not a deficit or that is
+    spare.  An idle hour above the floors runs as usual, still or not.
+    Every stage array and the final tanks equal the reference loop, down to
+    the sign of every zero, and the loop resumes exactly at the hour that
+    ends the run."""
 
     @pytest.fixture
     def loop_runs(self, monkeypatch):
@@ -690,44 +693,50 @@ class TestStillRuns:
         assert loop_runs == [[0, 5]]
 
     def test_no_converter(self, bundled, loop_runs):
-        # Nothing discharges; the idle runs above the floors end at each
-        # deficit hour, the run at the floors only at the PV hour.
+        # Nothing discharges.  Idle hours above the floors are never
+        # repeated, so that year runs every hour; a run at the floors ends
+        # at the balance hour, which is still again, and at the PV hour.
         hours = [DEFICIT] * 3 + [BALANCE] + [DEFICIT] * 2 + [SURPLUS] + [DEFICIT] * 3
         self.assert_same_hours(hours, STILL_DRAIN, 0.0, 350.0, bundled.catalog)
-        assert loop_runs == [[0, 3], [4, 1], [5, 1], [6, 4]]
+        assert loop_runs == [[0, 10]]
         loop_runs.clear()
         self.assert_same_hours(hours, AT_FLOOR, 0.0, 100.0, bundled.catalog)
-        assert loop_runs == [[0, 1], [6, 4]]
+        assert loop_runs == [[0, 1], [3, 1], [6, 4]]
 
     @pytest.mark.parametrize("hour, tanks, bess", [(DEFICIT, STILL_DRAIN, 350.0), (BALANCE, AT_FLOOR, 100.0),
                                                    (BALANCE, HALF_FULL, 100.0)],
                              ids=["discharge", "at the floors", "above the floors"])
     def test_still_in_a_years_only_hour(self, bundled, loop_runs, hour, tanks, bess):
         self.assert_same_hours([hour], tanks, 30.0, bess, bundled.catalog)
-        assert loop_runs == [[0, 1], [1, 0]]
+        # An idle hour above the floors is not repeated, so the year ends
+        # in the first pass.
+        assert loop_runs == ([[0, 1]] if tanks is HALF_FULL else [[0, 1], [1, 0]])
 
     def test_still_from_the_last_hour(self, bundled, loop_runs):
         # 75 deficit hours drain a 100 kWh bank from 30% to its floors, and
         # 37 idle hours relax tanks of 30 and 20 kWh to an even split; only
-        # the last hour of each is still.
+        # the last hour of each is still, and an idle hour above the floors
+        # is not repeated.
         self.assert_same_hours([DEFICIT] * 75, equilibrium_tanks(100.0, 0.3, 0.5), 95.0, 100.0, bundled.catalog)
         self.assert_same_hours([BALANCE] * 37, (30.0, 20.0), 30.0, 100.0, bundled.catalog)
-        assert loop_runs == [[0, 75], [75, 0], [0, 37], [37, 0]]
+        assert loop_runs == [[0, 75], [75, 0], [0, 37]]
         loop_runs.clear()
         self.assert_same_hours([DEFICIT] * 6, STILL_DRAIN, 30.0, 350.0, bundled.catalog)
         assert loop_runs == [[0, 1], [6, 0]]
 
     def test_still_at_the_floors(self, bundled, loop_runs):
-        # A deficit hour at the floors is idle too; the spare hour 3 ends
-        # the run and charges.
+        # A deficit hour at the floors is idle too.  The balance hour 1
+        # ends the run and is still again; the spare hour 3 ends the next
+        # run and charges.
         hours = [DEFICIT, BALANCE, DEFICIT, SATURATED, DEFICIT, SURPLUS, DEFICIT, DEFICIT]
         self.assert_same_hours(hours, AT_FLOOR, 30.0, 100.0, bundled.catalog)
-        assert loop_runs == [[0, 1], [3, 5]]
+        assert loop_runs == [[0, 1], [1, 1], [3, 5]]
 
     @pytest.mark.parametrize("end", [DEFICIT, SURPLUS], ids=["deficit", "surplus"])
     def test_still_above_the_floors(self, bundled, loop_runs, end):
+        # Still, but an idle hour above the floors is not repeated.
         self.assert_same_hours([BALANCE] * 3 + [end] + [BALANCE] * 2, HALF_FULL, 30.0, 100.0, bundled.catalog)
-        assert loop_runs == [[0, 1], [3, 3]]
+        assert loop_runs == [[0, 6]]
 
     def test_a_zero_tank_is_never_still(self, bundled, loop_runs):
         # On a bank of 5e-324 kWh with no floors a tank reaches -0.0 (a
@@ -758,6 +767,14 @@ class TestStillRuns:
     def test_mostly_still_year(self, bundled, loop_runs):
         TestBatteryLoopWriteBacks().assert_same_year(bundled, Design.from_string("pv=20,wt=10,bess=50,conv=255"))
         assert sum(hours for _, hours in loop_runs) < 300   # of 8760
+
+    def test_bench_lattice_hours_run(self, bundled, loop_runs):
+        # The loop runs exactly these hours of the benchmark lattice's 32
+        # battery years: one hour more means a still hour was not repeated.
+        designs = {d.battery_key: d for d in SearchSpace.from_string(BENCH_LATTICE).designs()}
+        for design in designs.values():
+            battery_stage(bundled, design)
+        assert (sum(hours for _, hours in loop_runs), 8760 * len(designs)) == (193_455, 280_320)
 
 
 class _NeonOrderedNumPy:

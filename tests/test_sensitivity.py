@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mgdesign.dispatch import simulate_year
+from mgdesign.dispatch import Design, simulate_year
 from mgdesign.metrics import NonFiniteMetricError, evaluate, metric_record
 from mgdesign.scenario import TimeSeries, Unit, scale_series
 from mgdesign.sensitivity import (
@@ -183,6 +183,14 @@ class TestLcoeSweep:
             with pytest.raises(NonFiniteMetricError) as exc:
                 lcoe_sweep(bundled, a5, parameter, [1.0, 1e305])
         assert str(exc.value) == f"lcoe_usd_per_kwh = {value} with {parameter.value} x 1e+305"
+
+    def test_a_design_serving_nothing_raises_naming_no_multiplier(self, bundled):
+        design = Design.from_string("grid=0")
+        assert simulate_year(bundled, design).served_kwh == 0.0
+        for parameter in SweepParameter:
+            with pytest.raises(NonFiniteMetricError) as exc:
+                lcoe_sweep(bundled, design, parameter, self.MULTS)
+            assert str(exc.value) == "lcoe_usd_per_kwh is undefined: the design serves no energy"
 
     def test_supplied_trace_gives_the_same_curve(self, bundled, a5):
         trace = simulate_year(bundled, a5)
