@@ -206,10 +206,13 @@ def cmd_search(args) -> int:
     return 0
 
 
-def _report_evaluations(requested: int, simulated: int) -> None:
-    """Evaluation counts on stderr, so stdout and output files stay as they were."""
-    print(f"evaluations: {requested} requested, {simulated} simulated, "
-          f"{requested - simulated} reused", file=sys.stderr)
+def _report_evaluations(requested: int, evaluator: Evaluator) -> None:
+    """Evaluation counts on stderr, so stdout and output files stay as they
+    were: the requests, the designs simulated, the designs ruled out by an
+    NPC floor without a simulation, and the repeats of either."""
+    simulated, ruled_out = evaluator.simulated, evaluator.ruled_out
+    print(f"evaluations: {requested} requested, {simulated} simulated, {ruled_out} ruled out, "
+          f"{requested - simulated - ruled_out} reused", file=sys.stderr)
 
 
 def _design_label(design: Design) -> str:
@@ -228,12 +231,12 @@ def cmd_refine(args) -> int:
     start = Design.from_string(args.design)
     out = _outdir(args)
     evaluator = Evaluator(scenario)
-    result = optimize.refine(start, lambda design: evaluator(design).npc_usd,
+    result = optimize.refine(start, optimize.npc_objective(evaluator),
                              tolerance=args.tolerance, max_cycles=args.max_cycles)
     metrics = evaluator(result.design)  # scored by the search, so not simulated again
     print(f"refined {_design_label(start)} -> {_design_label(result.design)} "
           f"in {result.cycles} cycles ({result.evaluations} evaluations)")
-    _report_evaluations(result.evaluations, evaluator.simulated)
+    _report_evaluations(result.evaluations, evaluator)
     _print_metrics(metrics)
     _write_metrics_csv(metrics, result.design, out / "refined.csv")
     print(f"wrote {out / 'refined.csv'}")
@@ -247,7 +250,7 @@ def cmd_rl_search(args) -> int:
     config = PolicyConfig(episodes=args.episodes, learning_rate=args.learning_rate)
     result = optimize.policy_gradient_search(evaluator, space, config, seed=args.seed)
     episodes = len(result.archive)
-    _report_evaluations(episodes, evaluator.simulated)
+    _report_evaluations(episodes, evaluator)
     optimize.write_evaluations_csv(result.archive, out / "rl_archive.csv")
     optimize.write_evaluations_csv(result.front, out / "rl_pareto.csv", with_front_rank=True)
     print(f"{episodes} episodes, archive {episodes}, front {len(result.front)}")

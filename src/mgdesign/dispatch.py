@@ -681,6 +681,36 @@ def battery_stage(scenario: Scenario, design: Design) -> BatteryStage:
                         initial.stored_kwh, BatteryState(q1, q2))
 
 
+def discharge_windows(stage: BatteryStage) -> int:
+    """How many stretches of the year a battery could discharge in, each
+    between two hours that could charge it, read from a battery-less stage.
+
+    Stage 1 does not read the battery, so any battery added to the stage's
+    PV, wind and converter sees these arrays in stage 2:
+    :func:`_battery_hours` discharges only in a deficit hour whose limit is
+    positive (the converter has room left; the residual of a deficit hour
+    is above 1e-12), and charges only in a spare hour (PV or wind has a
+    surplus).  So the hours that can discharge fall into runs of
+    consecutive such hours that are not spare, in which the battery cannot
+    charge, and spare ones, before each of which it may have charged (a
+    deficit hour with converter room is spare only by a PV surplus of an
+    ulp or so, from ``pv - pv * eta / eta``).
+    Returns the number of those runs plus the number of those spare hours.
+    Raises :class:`ValueError` for a stage with a battery, whose surpluses
+    and residual already hold its charge and discharge.
+    """
+    if stage.key[2]:
+        raise ValueError(f"discharge windows need a battery-less stage, got bess_kwh {stage.key[2]}")
+    deficit, _, pv_surplus, wt_surplus, conv_used, _ = stage.grid_inputs
+    spare = pv_surplus > 0.0
+    spare |= wt_surplus > 0.0
+    can = np.subtract(stage.key[3], conv_used) > 0.0
+    can &= deficit
+    alone = can & ~spare
+    return (int(alone[:1].sum()) + int(np.count_nonzero(alone[1:] > alone[:-1]))
+            + int(np.count_nonzero(can & spare)))
+
+
 def simulate_year(scenario: Scenario, design: Design, battery: BatteryStage | None = None) -> DispatchTrace:
     """Simulate 8760 hours of operation; deterministic for fixed inputs.
 

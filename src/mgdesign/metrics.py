@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .dispatch import BatteryStage, Design, DispatchTrace, battery_stage, simulate_year
-from .scenario import Scenario
+from .dispatch import BatteryStage, Design, DispatchTrace, battery_stage, discharge_windows, simulate_year
+from .scenario import Economics, Scenario
 
 
 class NonFiniteMetricError(ValueError):
@@ -115,40 +115,23 @@ def _component_sizes(design: Design, scenario: Scenario) -> list[tuple[float, fl
     return rows
 
 
-def capital_cost(design: Design, scenario: Scenario) -> float:
-    """Year-0 investment for the design's included components."""
-    return sum(size * cap for size, cap, _, _, _ in _component_sizes(design, scenario))
+def _owning_costs(rows: list[tuple[float, float, float, float, int]],
+                 economics: Economics) -> tuple[float, float, float, float]:
+    """The year-0 capital, the annual size-based O&M, and the present worth
+    of the replacements and of the salvage, summed over component rows of
+    :func:`_component_sizes`: the cost of owning them, apart from running
+    them.
 
-
-def fixed_om_cost(design: Design, scenario: Scenario) -> float:
-    """Annual size-based O&M (excludes the diesel per-operating-hour part)."""
-    return sum(size * om for size, _, _, om, _ in _component_sizes(design, scenario))
-
-
-def npc(trace: DispatchTrace, design: Design, scenario: Scenario) -> tuple[float, CostBreakdown]:
-    """Net present cost over the project lifetime, with its breakdown.
-
-    Year 0 carries capital; years 1..T carry O&M, fuel, and net grid
-    purchases; each component is repurchased when its lifetime expires
-    within the project; the remaining-life fraction of the final
-    purchase is credited back as salvage at year T.  All cash flows are
-    constant-dollar and discounted at the scenario's real rate.
+    Each component is repurchased when its lifetime expires within the
+    project, and the remaining-life fraction of its final purchase is
+    credited back as salvage at year T, both discounted at the real rate.
     """
-    eco = scenario.economics
-    r, T = eco.discount_rate, eco.project_years
+    r, T = economics.discount_rate, economics.project_years
     df = lambda t: (1.0 + r) ** -t
-
-    capital = capital_cost(design, scenario)
-    om = fixed_om_cost(design, scenario)
-    om += (scenario.catalog.diesel.om_usd_per_hr_kw * design.dg_kw * trace.dg_hours
-           if design.dg_kw > 0 else 0.0)
-    fuel = trace.fuel_l * eco.fuel_price_usd_per_l
-    buy = float(trace.grid_import_kw @ scenario.tariff.purchase_series())
-    sell = float(trace.grid_export_kw @ scenario.tariff.sellback_series())
-
-    replacement_pw = 0.0
-    salvage_pw = 0.0
-    for size, _, rep, _, lifetime in _component_sizes(design, scenario):
+    capital = om = replacement_pw = salvage_pw = 0.0
+    for size, cap, rep, om_rate, lifetime in rows:
+        capital += size * cap
+        om += size * om_rate
         year = lifetime
         last_purchase = 0
         while year < T:
@@ -158,10 +141,43 @@ def npc(trace: DispatchTrace, design: Design, scenario: Scenario) -> tuple[float
         remaining = lifetime - (T - last_purchase)
         if remaining > 0:
             salvage_pw += size * rep * (remaining / lifetime) * df(T)
+    return capital, om, replacement_pw, salvage_pw
 
-    annuity = sum(df(t) for t in range(1, T + 1))
+
+def _annuity(economics: Economics) -> float:
+    """Present worth of 1 $ a year over years 1..T at the real rate."""
+    r, T = economics.discount_rate, economics.project_years
+    return sum((1.0 + r) ** -t for t in range(1, T + 1))
+
+
+def capital_cost(design: Design, scenario: Scenario) -> float:
+    """Year-0 investment for the design's included components."""
+    return _owning_costs(_component_sizes(design, scenario), scenario.economics)[0]
+
+
+def fixed_om_cost(design: Design, scenario: Scenario) -> float:
+    """Annual size-based O&M (excludes the diesel per-operating-hour part)."""
+    return _owning_costs(_component_sizes(design, scenario), scenario.economics)[1]
+
+
+def npc(trace: DispatchTrace, design: Design, scenario: Scenario) -> tuple[float, CostBreakdown]:
+    """Net present cost over the project lifetime, with its breakdown.
+
+    Year 0 carries capital; years 1..T carry O&M, fuel, and net grid
+    purchases; replacements and salvage are those of :func:`_owning_costs`.
+    All cash flows are constant-dollar and discounted at the scenario's
+    real rate.
+    """
+    eco = scenario.economics
+    capital, om, replacement_pw, salvage_pw = _owning_costs(_component_sizes(design, scenario), eco)
+    om += (scenario.catalog.diesel.om_usd_per_hr_kw * design.dg_kw * trace.dg_hours
+           if design.dg_kw > 0 else 0.0)
+    fuel = trace.fuel_l * eco.fuel_price_usd_per_l
+    buy = float(trace.grid_import_kw @ scenario.tariff.purchase_series())
+    sell = float(trace.grid_export_kw @ scenario.tariff.sellback_series())
+
     recurring = om + fuel + buy - sell
-    total = capital + recurring * annuity + replacement_pw - salvage_pw
+    total = capital + recurring * _annuity(eco) + replacement_pw - salvage_pw
     breakdown = CostBreakdown(
         capital_usd=capital,
         om_usd_per_yr=om,
@@ -172,6 +188,65 @@ def npc(trace: DispatchTrace, design: Design, scenario: Scenario) -> tuple[float
         salvage_usd_pw=salvage_pw,
     )
     return total, breakdown
+
+
+#: Relative slack of :func:`battery_npc_floor` for rounding.
+_FLOOR_SLACK = 1e-9
+
+
+def battery_npc_floor(twin_npc: float, windows: int, bess_kwh: float, scenario: Scenario) -> float:
+    """A lower bound on the NPC of a design with ``bess_kwh`` > 0 of battery
+    and no diesel, from the NPC of its battery-less twin (the same design
+    with ``bess_kwh = 0``) and the twin's :func:`~mgdesign.dispatch.discharge_windows`.
+
+    ``NPC(d) >= NPC(t) + PW_batt - A * p_max * N * W``, where ``A`` is the
+    annuity factor of :func:`npc`, ``PW_batt`` the battery's capital, O&M
+    times ``A``, replacements and salvage (:func:`_owning_costs`),
+    ``p_max`` the highest purchase price, ``N`` the windows and ``W =
+    (soc_max - soc_min) * bess_kwh * eta_conv * sqrt(eta_rt)``.
+
+    Proof.  Stage 1 of the dispatch does not read the battery, so both
+    designs see the same deficit hours, residual load and surpluses before
+    the battery, and both have the same components but the battery.
+    Without a diesel neither has fuel or diesel O&M, so ``NPC(d) - NPC(t)
+    = PW_batt + A * ((buy_d - buy_t) - (sell_d - sell_t))``.
+
+    * Sales: the battery discharges only in deficit hours, which export
+      nothing, and charges only from surplus, which lowers the PV and wind
+      surpluses and the converter room that stage 3 exports from.  Each
+      hour's export is non-decreasing in all three, so it is no higher
+      with the battery, and with sellback prices >= 0, ``sell_d <=
+      sell_t``.
+    * Purchases: a discharge lowers the hour's residual by the power it
+      delivers, and ``min(residual, import cap)`` falls by at most as much,
+      so ``buy_t - buy_d <= p_max * D``, with ``D`` the energy delivered in
+      the year.
+    * Delivery: the battery charges only in spare hours, so between two
+      charging hours the tank sum never rises (an idle hour moves charge
+      between the tanks; a discharge takes the internal power out).  It
+      starts at most at ``soc_max * Q`` and never falls below ``soc_min *
+      Q``, so the internal energy drawn between two charging hours is at
+      most ``(soc_max - soc_min) * Q`` and the energy delivered, after the
+      battery and converter efficiencies, at most ``W``.  Every hour that
+      can discharge lies in one of the ``N`` windows, and no window holds a
+      charging hour, so ``D <= N * W``.
+
+    The slack, :data:`_FLOOR_SLACK` of the magnitudes summed, covers the
+    rounding: the two NPCs are sums of a few terms and of 8760-term dot
+    products, each good to about 1e-13 of the largest, the tank sum drifts
+    by about 1e-12 of ``Q`` in a year, and a deficit hour that the battery
+    brings down to the 1e-12 kW threshold imports nothing.
+    """
+    eco = scenario.economics
+    spec = scenario.catalog.battery
+    capital, om, replacement_pw, salvage_pw = _owning_costs(
+        _component_sizes(Design(bess_kwh=bess_kwh), scenario), eco)
+    annuity = _annuity(eco)
+    battery_pw = capital + om * annuity + replacement_pw - salvage_pw
+    window = ((spec.soc_max - spec.soc_min) * bess_kwh * scenario.catalog.converter.efficiency
+              * math.sqrt(spec.roundtrip_efficiency))
+    credit = annuity * float(scenario.tariff.purchase_series().max()) * windows * window
+    return twin_npc + battery_pw - credit - _FLOOR_SLACK * (abs(twin_npc) + abs(battery_pw) + credit)
 
 
 def crf(rate: float, years: int) -> float:
@@ -283,6 +358,13 @@ class Evaluator:
     :attr:`~mgdesign.dispatch.Design.battery_key`, so designs fed in key
     order run the battery loop once per key.  ``simulated`` counts the
     designs simulated so far, and ``jobs`` >= 1 caps the processes of :meth:`map`.
+
+    For each battery-less design it simulates, the evaluator also keeps the
+    :func:`~mgdesign.dispatch.discharge_windows` of its stage, so that
+    :meth:`npc_floor` can bound the NPC of a battery design from its
+    battery-less twin without simulating it.  :meth:`npc` answers with
+    that floor when it is at least a given ceiling, and ``ruled_out``
+    counts the designs so answered and not simulated.
     """
 
     def __init__(self, scenario: Scenario, jobs: int = 1) -> None:
@@ -291,11 +373,17 @@ class Evaluator:
         self.scenario = scenario
         self.jobs = jobs
         self._memo: dict[Design, MetricVector] = {}
+        self._ruled_out: set[Design] = set()
         self._stage: BatteryStage | None = None
+        self._windows: dict[tuple, int] = {}
 
     @property
     def simulated(self) -> int:
         return len(self._memo)
+
+    @property
+    def ruled_out(self) -> int:
+        return len(self._ruled_out)
 
     def __call__(self, design: Design) -> MetricVector:
         if design not in self._memo:
@@ -304,7 +392,40 @@ class Evaluator:
                 self._stage = battery_stage(self.scenario, design)
             trace = simulate_year(self.scenario, design, self._stage)
             self._memo[design] = evaluate(design, self.scenario, trace=trace)
+            self._ruled_out.discard(design)
+            if not design.bess_kwh and design.battery_key not in self._windows:
+                self._windows[design.battery_key] = discharge_windows(self._stage)
         return self._memo[design]
+
+    def npc_floor(self, design: Design) -> float:
+        """The :func:`battery_npc_floor` of a design with a battery and no
+        diesel whose battery-less twin this evaluator has simulated itself
+        (not in a :meth:`map` worker); ``-inf`` for any other design."""
+        if design.dg_kw or not design.bess_kwh:
+            return -math.inf
+        twin = replace(design, bess_kwh=0.0)
+        windows = self._windows.get(twin.battery_key)
+        if windows is None or twin not in self._memo:
+            return -math.inf
+        return battery_npc_floor(self._memo[twin].npc_usd, windows, design.bess_kwh, self.scenario)
+
+    def npc(self, design: Design, ceiling: float) -> float:
+        """The design's NPC, or, when the design is not in the memo and its
+        finite :meth:`npc_floor` is at least ``ceiling``, that floor,
+        without simulating it.  ``ruled_out`` counts each design answered
+        by its floor once, and drops it if it is simulated later, so that
+        a search's requests are the designs simulated, those ruled out, and
+        the repeats.
+
+        A search that accepts only a design scoring below ``ceiling`` makes
+        the same choices either way, as the NPC is at least the floor.
+        """
+        if design not in self._memo:
+            floor = self.npc_floor(design)
+            if ceiling <= floor < math.inf:
+                self._ruled_out.add(design)
+                return floor
+        return self(design).npc_usd
 
     def map(self, designs: Iterable[Design]) -> list[MetricVector]:
         """The metrics of each design, in input order.  Only the distinct

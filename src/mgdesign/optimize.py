@@ -430,7 +430,8 @@ def refine(start: Design, objective: Callable[[Design], float],
     ``objective`` is called on every probe, and ``evaluations`` counts
     them, repeats included.  An objective that reads an
     :class:`~mgdesign.metrics.Evaluator` simulates each distinct design
-    once.
+    once; :func:`npc_objective` also skips the battery probes whose NPC
+    floor shows they cannot be accepted.
     """
     steps = dict(DEFAULT_STEPS)
     current, best = start, objective(start)
@@ -456,6 +457,30 @@ def refine(start: Design, objective: Callable[[Design], float],
             steps = {name: step * _STEP_SHRINK for name, step in steps.items()}
     return RefineResult(design=current, objective_value=best, cycles=cycles,
                         evaluations=evaluations)
+
+
+def npc_objective(evaluator: Evaluator) -> Callable[[Design], float]:
+    """The NPC objective of one :func:`refine` run, which simulates only
+    the probes that may be accepted.
+
+    Each call returns :meth:`Evaluator.npc <mgdesign.metrics.Evaluator.npc>`
+    with the lowest score returned so far as the ceiling.  Refine accepts
+    exactly the scores below every earlier one, so that lowest score is
+    always the incumbent's: a probe answered with its floor (its design
+    counted in ``evaluator.ruled_out``) scores at least the incumbent's
+    NPC, and so would its simulated NPC.  Refine takes the same path, and
+    returns the same result, as with ``lambda design:
+    evaluator(design).npc_usd``.
+    """
+    lowest = math.inf
+
+    def objective(design: Design) -> float:
+        nonlocal lowest
+        score = evaluator.npc(design, lowest)
+        lowest = min(lowest, score)
+        return score
+
+    return objective
 
 
 # ----------------------------------------------------------------------

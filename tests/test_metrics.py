@@ -1,15 +1,19 @@
+import functools
 import math
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mgdesign import dispatch, metrics
 from mgdesign.dispatch import Design, simulate_year
 from mgdesign.metrics import (
     Evaluator,
     NonFiniteMetricError,
+    battery_npc_floor,
     co2_delta,
     crf,
     efficiency,
@@ -320,6 +324,118 @@ class TestEvaluator:
         assert evaluator.simulated == len(seen) + len(new)
         monkeypatch.undo()
         assert results == [evaluate(design, bundled) for design in batch]
+
+
+@functools.cache
+def _priced_scenario(seed: int, tariff: str) -> Scenario:
+    """``random_scenario(seed)`` with its flat prices, with hourly purchase
+    and sellback prices drawn from the seed, or with no sellback at all."""
+    scenario = random_scenario(seed)
+    if tariff == "flat":
+        return scenario
+    rng = np.random.default_rng(seed)
+    prices = dict(sellback_usd_per_kwh=0.0) if tariff == "no sellback" else dict(
+        purchase_usd_per_kwh=TimeSeries(rng.uniform(0.05, 0.6, 8760), Unit.USD_PER_KWH),
+        sellback_usd_per_kwh=TimeSeries(rng.uniform(0.0, 0.2, 8760), Unit.USD_PER_KWH))
+    return replace(scenario, tariff=replace(scenario.tariff, **prices))
+
+
+def _battery_design(seed: int, bess_kwh: float) -> Design:
+    return replace(random_design(seed), bess_kwh=bess_kwh)
+
+
+_SEEDS = st.integers(0, 5)
+_TARIFFS = st.sampled_from(["flat", "hourly", "no sellback"])
+_BANKS = st.floats(min_value=1.0, max_value=1200.0)
+
+
+class TestBatteryNpcFloor:
+    """The laws behind :func:`battery_npc_floor`, each a law of the model:
+    the tank sum keeps to the usable window, a battery delivers at most one
+    window between two charging hours, and no design costs less than its
+    floor."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=_SEEDS, design_seed=st.integers(0, 2**20), bess_kwh=_BANKS)
+    def test_tank_sum_stays_in_the_usable_window(self, seed, design_seed, bess_kwh):
+        scenario = _priced_scenario(seed, "flat")
+        spec = scenario.catalog.battery
+        trace = simulate_year(scenario, _battery_design(design_seed, bess_kwh))
+        tanks = trace.soc * bess_kwh
+        assert tanks.min() >= spec.soc_min * bess_kwh * (1.0 - 1e-12)
+        assert tanks.max() <= spec.soc_max * bess_kwh * (1.0 + 1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=_SEEDS, design_seed=st.integers(0, 2**20), bess_kwh=_BANKS)
+    def test_one_window_delivered_between_charging_hours(self, seed, design_seed, bess_kwh):
+        scenario = _priced_scenario(seed, "flat")
+        spec, eta = scenario.catalog.battery, scenario.catalog.converter.efficiency
+        trace = simulate_year(scenario, _battery_design(design_seed, bess_kwh))
+        delivered = trace.batt_discharge_kw * eta   # on the AC bus
+        stretch = np.cumsum(trace.batt_charge_kw > 0.0)   # a charging hour starts a stretch
+        per_stretch = np.bincount(stretch, weights=delivered)
+        window = (spec.soc_max - spec.soc_min) * bess_kwh * eta * math.sqrt(spec.roundtrip_efficiency)
+        assert per_stretch.max() <= window * (1.0 + 1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=_SEEDS, tariff=_TARIFFS, design_seed=st.integers(0, 2**20), bess_kwh=_BANKS)
+    def test_no_design_costs_less_than_its_floor(self, seed, tariff, design_seed, bess_kwh):
+        scenario = _priced_scenario(seed, tariff)
+        design = replace(_battery_design(design_seed, bess_kwh), dg_kw=0.0)
+        evaluator = Evaluator(scenario)
+        evaluator(replace(design, bess_kwh=0.0))
+        floor = evaluator.npc_floor(design)
+        assert math.isfinite(floor)
+        assert evaluate(design, scenario).npc_usd >= floor
+
+    def test_tight_where_the_battery_empties_every_night(self):
+        # Sun from 6 to 18 h refills the bank by day; a flat load and no
+        # sellback make each kWh delivered save the flat purchase price.
+        # The 366 windows are the nights, and the bank empties in each.
+        sunny = np.arange(8760) % 24
+        scenario = _flat_scenario(irr=0.0, tariff=GridTariff(sellback_usd_per_kwh=0.0))
+        scenario = replace(scenario, irradiance=TimeSeries(np.where((sunny >= 6) & (sunny < 18), 1.0, 0.0),
+                                                           Unit.KW_PER_M2))
+        design = Design(pv_kw=1000.0, bess_kwh=50.0, converter_kw=255.0)
+        twin = replace(design, bess_kwh=0.0)
+        assert dispatch.discharge_windows(dispatch.battery_stage(scenario, twin)) == 366
+        evaluator = Evaluator(scenario)
+        twin_npc = evaluator(twin).npc_usd
+        battery_pw = battery_npc_floor(0.0, 0, design.bess_kwh, scenario)   # no windows, no credit
+        credit = twin_npc + battery_pw - evaluator.npc_floor(design)
+        saving = twin_npc + battery_pw - evaluate(design, scenario).npc_usd
+        assert 0.99 * credit < saving <= credit
+
+    def test_no_floor_without_a_simulated_twin_or_with_a_diesel(self, bundled):
+        evaluator = Evaluator(bundled)
+        design = Design(pv_kw=300.0, bess_kwh=50.0, converter_kw=255.0)
+        assert evaluator.npc_floor(design) == -math.inf
+        evaluator(replace(design, bess_kwh=0.0))
+        assert math.isfinite(evaluator.npc_floor(design))
+        evaluator(Design(pv_kw=300.0, dg_kw=30.0, converter_kw=255.0))
+        assert evaluator.npc_floor(Design(pv_kw=300.0, dg_kw=30.0, bess_kwh=50.0, converter_kw=255.0)) == -math.inf
+        assert evaluator.npc_floor(replace(design, bess_kwh=0.0)) == -math.inf
+
+    def test_npc_answers_with_the_floor_only_at_or_above_the_ceiling(self, bundled, monkeypatch):
+        evaluator = Evaluator(bundled)
+        twin = Design(pv_kw=300.0, converter_kw=255.0)
+        design = replace(twin, bess_kwh=50.0)
+        ceiling = evaluator(twin).npc_usd
+        floor = evaluator.npc_floor(design)
+        assert floor > ceiling
+        expected = evaluate(design, bundled).npc_usd
+        sims = spy_calls(monkeypatch, metrics, "simulate_year")
+        assert evaluator.npc(design, ceiling) == floor
+        assert evaluator.npc(design, floor) == floor
+        assert (evaluator.ruled_out, len(sims)) == (1, 0)   # one design, asked twice
+        assert evaluator.npc(design, math.nextafter(floor, math.inf)) == expected
+        assert (evaluator.ruled_out, len(sims), evaluator.simulated) == (0, 1, 2)
+        assert evaluator.npc(design, math.inf) == expected   # a memo hit
+        assert (evaluator.ruled_out, len(sims)) == (0, 1)
+
+    def test_discharge_windows_need_a_battery_less_stage(self, bundled, a5):
+        with pytest.raises(ValueError, match="battery-less stage"):
+            dispatch.discharge_windows(dispatch.battery_stage(bundled, a5))
 
 
 class TestRecords:

@@ -34,6 +34,7 @@ from mgdesign.optimize import (
     write_pareto_csv,
     _minimization_matrix,
 )
+from mgdesign.scenario import TimeSeries, Unit
 
 from .conftest import random_scenario, table2_rows
 from .test_dispatch import BENCH_LATTICE
@@ -662,6 +663,73 @@ class TestMemoizedEvaluations:
         objective = lambda design: bundled_metrics(design).npc_usd
         result = refine(Design.from_string(start), objective)
         assert result == reference_refine(Design.from_string(start), objective)
+
+
+class TestNpcObjective:
+    """Refine on :func:`optimize.npc_objective`, which answers a battery probe
+    with its NPC floor when that floor shows it cannot be accepted, takes
+    the path of the loop that simulates every probe."""
+
+    #: The benchmark's refine starts, a grid cap, and a diesel, which turns
+    #: the floor off for the probes that keep it.
+    STARTS = ("pv=300,conv=255", "pv=270,conv=255", "pv=300,bess=50,conv=255",
+              "pv=300,wt=10,conv=255", "pv=260,bess=50,conv=255", "pv=300,bess=150,conv=255",
+              "pv=325,wt=5,bess=100,conv=255", "pv=300,bess=100,conv=255",
+              "pv=300,conv=255,grid=150", "pv=300,dg=30,bess=50,conv=255")
+
+    @staticmethod
+    def _refine_counting(scenario, start, monkeypatch):
+        """Refine on the floor objective; returns the result, the evaluator,
+        the designs simulated and the probes ruled out."""
+        sims = spy_calls(monkeypatch, metrics, "simulate_year")
+        evaluator = Evaluator(scenario)
+        objective = optimize.npc_objective(evaluator)
+        ruled = []
+
+        def watched(design):
+            before = evaluator.ruled_out
+            score = objective(design)
+            if evaluator.ruled_out > before:
+                ruled.append(design)
+            return score
+
+        result = refine(start, watched)
+        monkeypatch.undo()
+        return result, evaluator, [args[1] for args in sims], ruled
+
+    @staticmethod
+    def _check_counts(evaluator, simulated, ruled):
+        assert len(simulated) == len(set(simulated)) == evaluator.simulated
+        assert len(set(ruled)) == evaluator.ruled_out
+        assert not set(ruled) & set(simulated)
+        assert all(design.bess_kwh and not design.dg_kw for design in ruled)
+
+    @pytest.mark.parametrize("start", STARTS)
+    def test_same_result_as_the_reference_loop(self, bundled, start, monkeypatch):
+        start = Design.from_string(start)
+        result, evaluator, simulated, ruled = self._refine_counting(bundled, start, monkeypatch)
+        reference = Evaluator(bundled)
+        assert result == reference_refine(start, lambda design: reference(design).npc_usd)
+        self._check_counts(evaluator, simulated, ruled)
+        assert evaluator.ruled_out > 0
+        assert evaluator.simulated + evaluator.ruled_out == reference.simulated
+        if start.dg_kw:   # refine drops the diesel, then rules out battery probes
+            assert any(design.dg_kw and design.bess_kwh for design in simulated)
+
+    def test_same_result_on_hourly_prices(self, monkeypatch):
+        scenario = random_scenario(11)
+        rng = np.random.default_rng(11)
+        tariff = replace(scenario.tariff,
+                         purchase_usd_per_kwh=TimeSeries(rng.uniform(0.1, 0.5, 8760), Unit.USD_PER_KWH),
+                         sellback_usd_per_kwh=TimeSeries(rng.uniform(0.0, 0.1, 8760), Unit.USD_PER_KWH))
+        scenario = replace(scenario, tariff=tariff)
+        start = Design(pv_kw=200.0, converter_kw=150.0)
+        result, evaluator, simulated, ruled = self._refine_counting(scenario, start, monkeypatch)
+        reference = Evaluator(scenario)
+        assert result == reference_refine(start, lambda design: reference(design).npc_usd)
+        self._check_counts(evaluator, simulated, ruled)
+        assert evaluator.ruled_out > 0
+        assert evaluator.simulated + evaluator.ruled_out == reference.simulated
 
 
 class TestResultFiles:
