@@ -208,11 +208,13 @@ def cmd_search(args) -> int:
 
 def _report_evaluations(requested: int, evaluator: Evaluator) -> None:
     """Evaluation counts on stderr, so stdout and output files stay as they
-    were: the requests, the designs simulated, the designs ruled out by an
-    NPC floor without a simulation, and the repeats of either."""
-    simulated, ruled_out = evaluator.simulated, evaluator.ruled_out
+    were: the requests, the designs requested and simulated, the designs
+    ruled out by an NPC floor without a simulation, the repeats of either,
+    and the battery-less twins simulated only for a floor."""
+    twins, ruled_out = evaluator.twins, evaluator.ruled_out
+    simulated = evaluator.simulated - twins
     print(f"evaluations: {requested} requested, {simulated} simulated, {ruled_out} ruled out, "
-          f"{requested - simulated - ruled_out} reused", file=sys.stderr)
+          f"{requested - simulated - ruled_out} reused, {twins} twins", file=sys.stderr)
 
 
 def _design_label(design: Design) -> str:

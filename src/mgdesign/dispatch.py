@@ -711,6 +711,17 @@ def discharge_windows(stage: BatteryStage) -> int:
             + int(np.count_nonzero(can & spare)))
 
 
+def charge_cap_kw(bess_kwh: float, catalog: Catalog) -> float:
+    """The most DC power a bank of ``bess_kwh`` takes in one hour, PV and
+    wind charges together: :func:`_battery_hours`'s charge bound with both
+    tanks at their floors.  The bound subtracts terms that are never
+    negative from this value, so no hour charges more."""
+    p = _battery_params(0.0, catalog, bess_kwh)
+    k, c = p["k"], p["c"]
+    r = math.exp(-k)
+    return k * c * p["q_max_eff"] / ((1.0 - r) + c * (k - 1.0 + r)) / p["sq_eta"]
+
+
 def simulate_year(scenario: Scenario, design: Design, battery: BatteryStage | None = None) -> DispatchTrace:
     """Simulate 8760 hours of operation; deterministic for fixed inputs.
 

@@ -22,10 +22,12 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .dispatch import BatteryStage, Design, DispatchTrace, battery_stage, discharge_windows, simulate_year
+from .dispatch import (BatteryStage, Design, DispatchTrace, battery_stage, charge_cap_kw, discharge_windows,
+                       simulate_year)
 from .scenario import Economics, Scenario
 
 
@@ -194,29 +196,48 @@ def npc(trace: DispatchTrace, design: Design, scenario: Scenario) -> tuple[float
 _FLOOR_SLACK = 1e-9
 
 
-def battery_npc_floor(twin_npc: float, windows: int, bess_kwh: float, scenario: Scenario) -> float:
-    """A lower bound on the NPC of a design with ``bess_kwh`` > 0 of battery
-    and no diesel, from the NPC of its battery-less twin (the same design
-    with ``bess_kwh = 0``) and the twin's :func:`~mgdesign.dispatch.discharge_windows`.
+class TwinYear(NamedTuple):
+    """What :func:`battery_npc_floor` reads of a simulated battery-less,
+    diesel-less design, the twin of the battery designs that differ from
+    it only in ``bess_kwh``."""
 
-    ``NPC(d) >= NPC(t) + PW_batt - A * p_max * N * W``, where ``A`` is the
-    annuity factor of :func:`npc`, ``PW_batt`` the battery's capital, O&M
-    times ``A``, replacements and salvage (:func:`_owning_costs`),
-    ``p_max`` the highest purchase price, ``N`` the windows and ``W =
-    (soc_max - soc_min) * bess_kwh * eta_conv * sqrt(eta_rt)``.
+    npc_usd: float
+    #: :func:`~mgdesign.dispatch.discharge_windows` of its stage.
+    windows: int
+    #: Its hourly curtailment, summed, and the hours that have some.
+    curtailed_kwh: float
+    curtailed_hours: int
+
+    @classmethod
+    def of(cls, npc_usd: float, stage: BatteryStage, trace: DispatchTrace) -> TwinYear:
+        curtailed = trace.curtailed_kw
+        return cls(npc_usd, discharge_windows(stage), float(curtailed.sum()),
+                   int(np.count_nonzero(curtailed > 0.0)))
+
+
+def battery_npc_floor(twin: TwinYear, bess_kwh: float, scenario: Scenario) -> float:
+    """A lower bound on the NPC of a design with ``bess_kwh`` > 0 of battery
+    and no diesel, from its battery-less twin (the same design with
+    ``bess_kwh = 0``).
+
+    ``NPC(d) >= NPC(t) + PW_batt - A * min(p_max * N * W, (p_max -
+    s_min / eta_rt)+ * N * W + s_min * (eta_conv * U / sqrt(eta_rt) +
+    C))``, where ``A`` is the annuity factor of :func:`npc`, ``PW_batt``
+    the battery's capital, O&M times ``A``, replacements and salvage
+    (:func:`_owning_costs`), ``p_max`` the highest purchase price,
+    ``s_min`` the lowest sellback price (at least 0), ``N`` the twin's
+    windows, ``U = (soc_max - soc_min) * bess_kwh`` the usable window,
+    ``W = U * eta_conv * sqrt(eta_rt)`` and ``C = min(curtailed_kwh,
+    curtailed_hours * eta_conv * x_max)``, with ``x_max`` the
+    :func:`~mgdesign.dispatch.charge_cap_kw` of the bank.
 
     Proof.  Stage 1 of the dispatch does not read the battery, so both
     designs see the same deficit hours, residual load and surpluses before
     the battery, and both have the same components but the battery.
     Without a diesel neither has fuel or diesel O&M, so ``NPC(d) - NPC(t)
-    = PW_batt + A * ((buy_d - buy_t) - (sell_d - sell_t))``.
+    = PW_batt - A * S``, where ``S = (buy_t - buy_d) - (sell_t - sell_d)``
+    is the year's saving, and ``S`` is at most either credit.
 
-    * Sales: the battery discharges only in deficit hours, which export
-      nothing, and charges only from surplus, which lowers the PV and wind
-      surpluses and the converter room that stage 3 exports from.  Each
-      hour's export is non-decreasing in all three, so it is no higher
-      with the battery, and with sellback prices >= 0, ``sell_d <=
-      sell_t``.
     * Purchases: a discharge lowers the hour's residual by the power it
       delivers, and ``min(residual, import cap)`` falls by at most as much,
       so ``buy_t - buy_d <= p_max * D``, with ``D`` the energy delivered in
@@ -226,16 +247,40 @@ def battery_npc_floor(twin_npc: float, windows: int, bess_kwh: float, scenario: 
       between the tanks; a discharge takes the internal power out).  It
       starts at most at ``soc_max * Q`` and never falls below ``soc_min *
       Q``, so the internal energy drawn between two charging hours is at
-      most ``(soc_max - soc_min) * Q`` and the energy delivered, after the
-      battery and converter efficiencies, at most ``W``.  Every hour that
-      can discharge lies in one of the ``N`` windows, and no window holds a
-      charging hour, so ``D <= N * W``.
+      most ``U`` and the energy delivered, after the battery and converter
+      efficiencies, at most ``W``.  Every hour that can discharge lies in
+      one of the ``N`` windows, and no window holds a charging hour, so
+      ``D <= N * W``.
+    * Sales: the battery discharges only in deficit hours, which export
+      nothing, and charges ``x_h`` kW (DC) in hour ``h`` only from
+      surplus: ``p_h`` of PV surplus and ``w_h`` of wind surplus, of which
+      it takes ``w_h / eta_conv`` on the AC bus.  The twin exports ``E_t =
+      wind + eta_conv * PV surplus - (wind left + eta_conv * PV left) >=
+      wind + eta_conv * PV surplus - c_h``, with ``c_h`` its curtailment,
+      and the battery design at most what its lowered surpluses hold, so
+      ``E_t - E_d >= w_h / eta_conv + eta_conv * p_h - c_h >= eta_conv *
+      x_h - c_h``.  Each hour's export is also non-decreasing in the two
+      surpluses and the converter room, so ``E_t - E_d >= 0``, and with
+      sellback prices >= 0, ``sell_t - sell_d >= s_min * sum(max(0,
+      eta_conv * x_h - c_h)) >= s_min * (eta_conv * X - C)``, ``X`` the
+      year's charge: ``max(0, eta_conv * x_h - c_h) >= eta_conv * x_h -
+      min(max(c_h, 0), eta_conv * x_h)``, and that minimum is 0 outside
+      the curtailed hours, at most ``c_h`` and at most ``eta_conv *
+      x_max``, so the minima sum to at most ``C``.  The tank sum takes
+      ``sqrt(eta_rt) * X`` in and ``D / (eta_conv * sqrt(eta_rt))`` out
+      over the year and ends no more than ``U`` below its start, so
+      ``eta_conv * X >= D / eta_rt - eta_conv * U / sqrt(eta_rt)``.
+      Together, ``S <= (p_max - s_min / eta_rt) * D + s_min * (eta_conv *
+      U / sqrt(eta_rt) + C)``, at most the second credit for any ``D`` in
+      ``[0, N * W]``.  The first credit drops the sales term, which is
+      never negative.
 
     The slack, :data:`_FLOOR_SLACK` of the magnitudes summed, covers the
     rounding: the two NPCs are sums of a few terms and of 8760-term dot
     products, each good to about 1e-13 of the largest, the tank sum drifts
-    by about 1e-12 of ``Q`` in a year, and a deficit hour that the battery
-    brings down to the 1e-12 kW threshold imports nothing.
+    by about 1e-12 of ``Q`` in a year, a deficit hour that the battery
+    brings down to the 1e-12 kW threshold imports nothing, and a surplus
+    or a curtailment may be an ulp below zero.
     """
     eco = scenario.economics
     spec = scenario.catalog.battery
@@ -243,10 +288,16 @@ def battery_npc_floor(twin_npc: float, windows: int, bess_kwh: float, scenario: 
         _component_sizes(Design(bess_kwh=bess_kwh), scenario), eco)
     annuity = _annuity(eco)
     battery_pw = capital + om * annuity + replacement_pw - salvage_pw
-    window = ((spec.soc_max - spec.soc_min) * bess_kwh * scenario.catalog.converter.efficiency
-              * math.sqrt(spec.roundtrip_efficiency))
-    credit = annuity * float(scenario.tariff.purchase_series().max()) * windows * window
-    return twin_npc + battery_pw - credit - _FLOOR_SLACK * (abs(twin_npc) + abs(battery_pw) + credit)
+    eta, sq_eta = scenario.catalog.converter.efficiency, math.sqrt(spec.roundtrip_efficiency)
+    usable = (spec.soc_max - spec.soc_min) * bess_kwh
+    delivered = twin.windows * usable * eta * sq_eta
+    p_max = float(scenario.tariff.purchase_series().max())
+    s_min = max(float(scenario.tariff.sellback_series().min()), 0.0)
+    free = min(twin.curtailed_kwh, twin.curtailed_hours * eta * charge_cap_kw(bess_kwh, scenario.catalog))
+    credit = annuity * min(p_max * delivered,
+                           max(p_max - s_min / spec.roundtrip_efficiency, 0.0) * delivered
+                           + s_min * (eta * usable / sq_eta + free))
+    return twin.npc_usd + battery_pw - credit - _FLOOR_SLACK * (abs(twin.npc_usd) + abs(battery_pw) + credit)
 
 
 def crf(rate: float, years: int) -> float:
@@ -354,17 +405,22 @@ class Evaluator:
 
     Each distinct design is simulated once; a repeat returns the stored
     metrics, and no trace is kept.  The battery stage of the last design
-    simulated is kept and reused while the next designs share its
+    simulated with a battery, and that of the last one without, are kept
+    and reused while the next designs share their
     :attr:`~mgdesign.dispatch.Design.battery_key`, so designs fed in key
-    order run the battery loop once per key.  ``simulated`` counts the
-    designs simulated so far, and ``jobs`` >= 1 caps the processes of :meth:`map`.
+    order run the battery loop once per key, and a diesel probe from a
+    battery incumbent reuses the incumbent's stage after battery-less
+    twins were simulated in between.  ``simulated`` counts the designs
+    simulated so far, and ``jobs`` >= 1 caps the processes of :meth:`map`.
 
-    For each battery-less design it simulates, the evaluator also keeps the
-    :func:`~mgdesign.dispatch.discharge_windows` of its stage, so that
-    :meth:`npc_floor` can bound the NPC of a battery design from its
-    battery-less twin without simulating it.  :meth:`npc` answers with
-    that floor when it is at least a given ceiling, and ``ruled_out``
-    counts the designs so answered and not simulated.
+    For each battery-less, diesel-less design it simulates, the evaluator
+    also keeps its :class:`TwinYear`, so that :meth:`npc_floor` can bound
+    the NPC of a battery design from its battery-less twin without
+    simulating it.  :meth:`npc` answers with that floor when it is at
+    least a given ceiling, and ``ruled_out`` counts the designs so
+    answered and not simulated.  To get that floor, :meth:`npc` simulates
+    a missing twin, which runs no battery loop; ``twins`` counts the
+    designs simulated so and not asked for since.
     """
 
     def __init__(self, scenario: Scenario, jobs: int = 1) -> None:
@@ -374,8 +430,10 @@ class Evaluator:
         self.jobs = jobs
         self._memo: dict[Design, MetricVector] = {}
         self._ruled_out: set[Design] = set()
-        self._stage: BatteryStage | None = None
-        self._windows: dict[tuple, int] = {}
+        self._twins: set[Design] = set()
+        #: The last stage with a battery (True) and without (False).
+        self._stages: dict[bool, BatteryStage] = {}
+        self._twin_years: dict[Design, TwinYear] = {}
 
     @property
     def simulated(self) -> int:
@@ -385,17 +443,27 @@ class Evaluator:
     def ruled_out(self) -> int:
         return len(self._ruled_out)
 
+    @property
+    def twins(self) -> int:
+        return len(self._twins)
+
     def __call__(self, design: Design) -> MetricVector:
+        self._twins.discard(design)
         if design not in self._memo:
-            if self._stage is None or self._stage.key != design.battery_key:
-                self._stage = None  # so only one stage is alive at a time
-                self._stage = battery_stage(self.scenario, design)
-            trace = simulate_year(self.scenario, design, self._stage)
-            self._memo[design] = evaluate(design, self.scenario, trace=trace)
-            self._ruled_out.discard(design)
-            if not design.bess_kwh and design.battery_key not in self._windows:
-                self._windows[design.battery_key] = discharge_windows(self._stage)
+            self._simulate(design)
         return self._memo[design]
+
+    def _simulate(self, design: Design) -> None:
+        slot = bool(design.bess_kwh)
+        stage = self._stages.get(slot)
+        if stage is None or stage.key != design.battery_key:
+            self._stages.pop(slot, None)   # so at most one stage per slot is alive
+            stage = self._stages[slot] = battery_stage(self.scenario, design)
+        trace = simulate_year(self.scenario, design, stage)
+        self._memo[design] = evaluate(design, self.scenario, trace=trace)
+        self._ruled_out.discard(design)
+        if not design.bess_kwh and not design.dg_kw:
+            self._twin_years[design] = TwinYear.of(self._memo[design].npc_usd, stage, trace)
 
     def npc_floor(self, design: Design) -> float:
         """The :func:`battery_npc_floor` of a design with a battery and no
@@ -403,11 +471,11 @@ class Evaluator:
         (not in a :meth:`map` worker); ``-inf`` for any other design."""
         if design.dg_kw or not design.bess_kwh:
             return -math.inf
-        twin = replace(design, bess_kwh=0.0)
-        windows = self._windows.get(twin.battery_key)
-        if windows is None or twin not in self._memo:
-            return -math.inf
-        return battery_npc_floor(self._memo[twin].npc_usd, windows, design.bess_kwh, self.scenario)
+        return self._floor(design, replace(design, bess_kwh=0.0))
+
+    def _floor(self, design: Design, twin: Design) -> float:
+        year = self._twin_years.get(twin)
+        return -math.inf if year is None else battery_npc_floor(year, design.bess_kwh, self.scenario)
 
     def npc(self, design: Design, ceiling: float) -> float:
         """The design's NPC, or, when the design is not in the memo and its
@@ -417,11 +485,23 @@ class Evaluator:
         a search's requests are the designs simulated, those ruled out, and
         the repeats.
 
+        Below a finite ceiling, a design with a battery and no diesel whose
+        twin is not in the memo has the twin simulated first (and counted
+        in ``twins``): its year runs no battery loop, so it costs a small
+        part of the design's.
         A search that accepts only a design scoring below ``ceiling`` makes
         the same choices either way, as the NPC is at least the floor.
         """
-        if design not in self._memo:
-            floor = self.npc_floor(design)
+        self._twins.discard(design)
+        if design not in self._memo and ceiling < math.inf and design.bess_kwh and not design.dg_kw:
+            twin = replace(design, bess_kwh=0.0)
+            if twin not in self._memo:
+                try:
+                    self._simulate(twin)
+                    self._twins.add(twin)
+                except NonFiniteMetricError:   # no floor from it; the design may still be finite
+                    pass
+            floor = self._floor(design, twin)
             if ceiling <= floor < math.inf:
                 self._ruled_out.add(design)
                 return floor
@@ -434,6 +514,7 @@ class Evaluator:
         ``min(jobs, keys)`` processes instead, each with an evaluator built
         from the scenario, in a pool that lives for this call."""
         designs = list(designs)
+        self._twins.difference_update(designs)
         groups: dict[tuple, list[Design]] = {}
         for design in dict.fromkeys(designs):
             if design not in self._memo:

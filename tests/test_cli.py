@@ -415,8 +415,8 @@ class TestPipelines:
                                  "--out", str(tmp_path), "--max-cycles", "3")
         assert code == 0
         requested = int(re.search(r"\((\d+) evaluations\)", stdout).group(1))
-        match = re.fullmatch(r"evaluations: (\d+) requested, (\d+) simulated, (\d+) ruled out, (\d+) reused\n",
-                             err)
+        match = re.fullmatch(r"evaluations: (\d+) requested, (\d+) simulated, (\d+) ruled out, (\d+) reused, "
+                             r"0 twins\n", err)
         assert int(match.group(1)) == requested
         simulated, ruled_out, reused = map(int, match.group(2, 3, 4))
         assert simulated + ruled_out + reused == requested
@@ -439,8 +439,9 @@ class TestPipelines:
         code, _, err = _run(capsys, "refine", "--design", "pv=100,conv=100",
                             "--out", str(tmp_path), "--max-cycles", "3")
         assert code == 0
-        simulated = int(re.fullmatch(r"evaluations: \d+ requested, (\d+) simulated, \d+ ruled out, \d+ reused\n",
-                                     err).group(1))
+        match = re.fullmatch(r"evaluations: \d+ requested, (\d+) simulated, \d+ ruled out, \d+ reused, (\d+) twins\n",
+                             err)
+        simulated = sum(map(int, match.groups()))
         assert len(calls) == simulated
         assert len(set(calls)) == simulated
 
@@ -448,7 +449,7 @@ class TestPipelines:
         code, stdout, err = _run(capsys, "rl-search", "--space", "pv=0:100:100,conv=100",
                                  "--episodes", "10", "--out", str(tmp_path), "--seed", "7")
         assert code == 0
-        assert err == "evaluations: 10 requested, 2 simulated, 0 ruled out, 8 reused\n"
+        assert err == "evaluations: 10 requested, 2 simulated, 0 ruled out, 8 reused, 0 twins\n"
         assert "evaluations:" not in stdout
 
     def test_lcoe_sweep_simulates_once(self, capsys, tmp_path, monkeypatch):

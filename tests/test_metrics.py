@@ -13,6 +13,7 @@ from mgdesign.dispatch import Design, simulate_year
 from mgdesign.metrics import (
     Evaluator,
     NonFiniteMetricError,
+    TwinYear,
     battery_npc_floor,
     co2_delta,
     crf,
@@ -388,20 +389,28 @@ class TestBatteryNpcFloor:
         assert math.isfinite(floor)
         assert evaluate(design, scenario).npc_usd >= floor
 
-    def test_tight_where_the_battery_empties_every_night(self):
-        # Sun from 6 to 18 h refills the bank by day; a flat load and no
-        # sellback make each kWh delivered save the flat purchase price.
-        # The 366 windows are the nights, and the bank empties in each.
-        sunny = np.arange(8760) % 24
-        scenario = _flat_scenario(irr=0.0, tariff=GridTariff(sellback_usd_per_kwh=0.0))
-        scenario = replace(scenario, irradiance=TimeSeries(np.where((sunny >= 6) & (sunny < 18), 1.0, 0.0),
+    # Sun from 6 to 18 h refills the bank by day and a flat load empties it
+    # each night: the 366 windows are the nights.  With no sellback, or
+    # charged from PV the converter cannot take (which the twin curtails),
+    # each kWh delivered saves the purchase price; charged from PV the twin
+    # sells, it also costs that sale, at 0.05 $/kWh by day (0.15 at night,
+    # when nothing is sold, so the credit must take the lowest price).
+    @pytest.mark.parametrize("pv_kw, converter_kw, sellback", [
+        (1000.0, 255.0, 0.0), (1000.0, 255.0, 0.1), (300.0, 400.0, "by day")],
+        ids=["no sellback", "charged from curtailment", "charged from sales"])
+    def test_tight_where_the_battery_empties_every_night(self, pv_kw, converter_kw, sellback):
+        hour = np.arange(8760) % 24
+        if sellback == "by day":
+            sellback = TimeSeries(np.where((hour >= 6) & (hour < 18), 0.05, 0.15), Unit.USD_PER_KWH)
+        scenario = _flat_scenario(irr=0.0, tariff=GridTariff(sellback_usd_per_kwh=sellback))
+        scenario = replace(scenario, irradiance=TimeSeries(np.where((hour >= 6) & (hour < 18), 1.0, 0.0),
                                                            Unit.KW_PER_M2))
-        design = Design(pv_kw=1000.0, bess_kwh=50.0, converter_kw=255.0)
+        design = Design(pv_kw=pv_kw, bess_kwh=50.0, converter_kw=converter_kw)
         twin = replace(design, bess_kwh=0.0)
         assert dispatch.discharge_windows(dispatch.battery_stage(scenario, twin)) == 366
         evaluator = Evaluator(scenario)
         twin_npc = evaluator(twin).npc_usd
-        battery_pw = battery_npc_floor(0.0, 0, design.bess_kwh, scenario)   # no windows, no credit
+        battery_pw = battery_npc_floor(TwinYear(0.0, 0, 0.0, 0), design.bess_kwh, scenario)   # no credit
         credit = twin_npc + battery_pw - evaluator.npc_floor(design)
         saving = twin_npc + battery_pw - evaluate(design, scenario).npc_usd
         assert 0.99 * credit < saving <= credit
@@ -436,6 +445,82 @@ class TestBatteryNpcFloor:
     def test_discharge_windows_need_a_battery_less_stage(self, bundled, a5):
         with pytest.raises(ValueError, match="battery-less stage"):
             dispatch.discharge_windows(dispatch.battery_stage(bundled, a5))
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=_SEEDS, design_seed=st.integers(0, 2**20), bess_kwh=_BANKS)
+    def test_no_hour_charges_above_the_cap(self, seed, design_seed, bess_kwh):
+        scenario = _priced_scenario(seed, "flat")
+        trace = simulate_year(scenario, _battery_design(design_seed, bess_kwh))
+        cap = dispatch.charge_cap_kw(bess_kwh, scenario.catalog)
+        assert trace.batt_charge_kw.max() <= cap * (1.0 + 1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=_SEEDS, design_seed=st.integers(0, 2**20), bess_kwh=_BANKS)
+    def test_a_charge_costs_its_sales_less_the_twin_curtailment(self, seed, design_seed, bess_kwh):
+        # Per hour: 0 <= E_twin - E_design, and eta * charge - curtailed_twin <= E_twin - E_design.
+        scenario = _priced_scenario(seed, "flat")
+        design = _battery_design(design_seed, bess_kwh)
+        trace = simulate_year(scenario, design)
+        twin = simulate_year(scenario, replace(design, bess_kwh=0.0))
+        lost = twin.grid_export_kw - trace.grid_export_kw
+        tolerance = 1e-12 * (1.0 + trace.pv_kw + trace.wt_kw)
+        assert np.all(lost >= -tolerance)
+        eta = scenario.catalog.converter.efficiency
+        assert np.all(lost >= eta * trace.batt_charge_kw - twin.curtailed_kw - tolerance)
+
+    def test_the_sales_credit_is_tighter_where_sellback_pays(self, bundled):
+        # Each kWh delivered was charged from surplus that would have sold, so
+        # on the bundled prices the credit is well below p_max * N * W.
+        design = Design(pv_kw=325.0, bess_kwh=100.0, converter_kw=280.0)
+        evaluator = Evaluator(bundled)
+        twin = evaluator(replace(design, bess_kwh=0.0))
+        year = evaluator._twin_years[replace(design, bess_kwh=0.0)]
+        spec, eta = bundled.catalog.battery, bundled.catalog.converter.efficiency
+        window = (spec.soc_max - spec.soc_min) * design.bess_kwh * eta * math.sqrt(spec.roundtrip_efficiency)
+        purchases_only = metrics._annuity(bundled.economics) * 0.3 * year.windows * window
+        battery_pw = battery_npc_floor(TwinYear(0.0, 0, 0.0, 0), design.bess_kwh, bundled)
+        credit = twin.npc_usd + battery_pw - evaluator.npc_floor(design)
+        saving = twin.npc_usd + battery_pw - evaluate(design, bundled).npc_usd
+        assert saving <= credit < 0.7 * purchases_only
+
+    def test_npc_simulates_a_missing_twin_for_the_floor(self, bundled, monkeypatch):
+        twin = Design(pv_kw=300.0, converter_kw=255.0)
+        design = replace(twin, bess_kwh=50.0)
+        ceiling = evaluate(twin, bundled).npc_usd
+        sims = spy_calls(monkeypatch, metrics, "simulate_year")
+        evaluator = Evaluator(bundled)
+        assert evaluator.npc(design, ceiling) == evaluator.npc_floor(design) > ceiling
+        assert [args[1] for args in sims] == [twin]
+        assert (evaluator.simulated, evaluator.twins, evaluator.ruled_out) == (1, 1, 1)
+        assert evaluator(twin).npc_usd == ceiling   # asked for now: no longer only a twin
+        assert (len(sims), evaluator.simulated, evaluator.twins) == (1, 1, 0)
+        # No twin without a finite ceiling or with a diesel: the floor could not answer.
+        fresh = Evaluator(bundled)
+        fresh.npc(design, math.inf)
+        fresh.npc(replace(design, pv_kw=310.0, dg_kw=30.0), ceiling)
+        assert (fresh.simulated, fresh.twins) == (2, 0)
+
+    def test_a_twin_that_is_not_finite_gives_no_floor(self, bundled, monkeypatch):
+        design = Design(pv_kw=300.0, bess_kwh=50.0, converter_kw=255.0)
+        original = metrics.evaluate
+
+        def battery_only(design, scenario, trace=None):
+            if not design.bess_kwh:
+                raise NonFiniteMetricError("twin")
+            return original(design, scenario, trace)
+
+        monkeypatch.setattr(metrics, "evaluate", battery_only)
+        evaluator = Evaluator(bundled)
+        assert evaluator.npc(design, 0.0) == original(design, bundled).npc_usd
+        assert (evaluator.simulated, evaluator.twins, evaluator.ruled_out) == (1, 0, 0)
+
+    def test_a_diesel_probe_reuses_the_battery_stage_across_a_twin(self, bundled, monkeypatch):
+        design = Design(pv_kw=300.0, bess_kwh=50.0, converter_kw=255.0)
+        stages = spy_calls(monkeypatch, metrics, "battery_stage")
+        evaluator = Evaluator(bundled)
+        for probe in (design, replace(design, bess_kwh=0.0), replace(design, dg_kw=30.0)):
+            assert evaluator(probe) == evaluate(probe, bundled)
+        assert [args[1] for args in stages] == [design, replace(design, bess_kwh=0.0)]
 
 
 class TestRecords:

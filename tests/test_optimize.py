@@ -645,18 +645,19 @@ class TestMemoizedEvaluations:
         assert set(calls.values()) == {1}
         assert len(calls) < result.evaluations
 
-    # The second start has one pair of consecutive simulations that share a stage.
+    # The second start has pairs of battery simulations that share a stage,
+    # some with battery-less designs simulated in between.
     @pytest.mark.parametrize("start", ["pv=300,bess=50,conv=255", "pv=325,wt=5,bess=100,conv=255"])
     def test_refine_runs_battery_loop_once_per_key_change(self, bundled, monkeypatch, start):
         loops = spy_calls(monkeypatch, dispatch, "_battery_hours")
         sims = spy_calls(monkeypatch, metrics, "simulate_year")
         evaluator = Evaluator(bundled)
         refine(Design.from_string(start), lambda design: evaluator(design).npc_usd)
-        order = [args[1] for args in sims]
-        with_battery = sum(d.bess_kwh > 0.0 for d in order)
-        shared = sum(a.bess_kwh > 0.0 and a.battery_key == b.battery_key for a, b in zip(order, order[1:]))
-        assert with_battery > 0
-        assert len(loops) == with_battery - shared
+        # Battery-less designs simulated in between keep their own stage.
+        battery = [args[1] for args in sims if args[1].bess_kwh > 0.0]
+        shared = sum(a.battery_key == b.battery_key for a, b in zip(battery, battery[1:]))
+        assert battery
+        assert len(loops) == len(battery) - shared
 
     @pytest.mark.parametrize("start", STARTS)
     def test_refine_matches_reference_loop(self, bundled_metrics, start):
@@ -703,6 +704,19 @@ class TestNpcObjective:
         assert len(set(ruled)) == evaluator.ruled_out
         assert not set(ruled) & set(simulated)
         assert all(design.bess_kwh and not design.dg_kw for design in ruled)
+        assert evaluator.twins <= sum(not design.bess_kwh for design in simulated)
+
+    # A battery start simulates the twins of its battery probes, so only the
+    # designs it must score run the loop, and a diesel probe reuses its
+    # incumbent's stage.
+    @pytest.mark.parametrize("start, loops", [("pv=300,bess=50,conv=255", 2), ("pv=300,bess=150,conv=255", 10),
+                                              ("pv=325,wt=5,bess=100,conv=255", 6),
+                                              ("pv=300,bess=100,conv=255", 5)])
+    def test_battery_start_runs_the_loop_once_per_key_it_scores(self, bundled, start, loops, monkeypatch):
+        runs = spy_calls(monkeypatch, dispatch, "_battery_hours")
+        result, evaluator, simulated, ruled = self._refine_counting(bundled, Design.from_string(start), monkeypatch)
+        assert len(runs) == len({design.battery_key for design in simulated if design.bess_kwh}) == loops
+        assert evaluator.twins > 0
 
     @pytest.mark.parametrize("start", STARTS)
     def test_same_result_as_the_reference_loop(self, bundled, start, monkeypatch):
@@ -712,7 +726,7 @@ class TestNpcObjective:
         assert result == reference_refine(start, lambda design: reference(design).npc_usd)
         self._check_counts(evaluator, simulated, ruled)
         assert evaluator.ruled_out > 0
-        assert evaluator.simulated + evaluator.ruled_out == reference.simulated
+        assert evaluator.simulated - evaluator.twins + evaluator.ruled_out == reference.simulated
         if start.dg_kw:   # refine drops the diesel, then rules out battery probes
             assert any(design.dg_kw and design.bess_kwh for design in simulated)
 
@@ -729,7 +743,7 @@ class TestNpcObjective:
         assert result == reference_refine(start, lambda design: reference(design).npc_usd)
         self._check_counts(evaluator, simulated, ruled)
         assert evaluator.ruled_out > 0
-        assert evaluator.simulated + evaluator.ruled_out == reference.simulated
+        assert evaluator.simulated - evaluator.twins + evaluator.ruled_out == reference.simulated
 
 
 class TestResultFiles:
