@@ -722,6 +722,54 @@ def charge_cap_kw(bess_kwh: float, catalog: Catalog) -> float:
     return k * c * p["q_max_eff"] / ((1.0 - r) + c * (k - 1.0 + r)) / p["sq_eta"]
 
 
+def max_delivery_kwh(stage: BatteryStage, bess_kwh: float, catalog: Catalog) -> float:
+    """The most energy a bank of ``bess_kwh`` added to a battery-less
+    stage's PV, wind and converter can deliver to the AC bus in the year.
+
+    Stage 1 does not read the battery, so the bank sees this stage's
+    arrays.  Of :func:`_battery_hours` this keeps only the tank sum ``L``,
+    which starts at ``soc_max * Q`` and stays within ``[soc_min * Q,
+    soc_max * Q]``: a deficit hour with a positive limit takes at most
+    ``limit / (eta * sqrt(eta_rt))`` out of it, and any hour at most
+    ``sqrt(eta_rt) * min(charge_cap_kw, pv surplus + eta * wind
+    surplus)`` in (an hour may here do both, out first).  Taking the most
+    out and then putting the most in, hour by hour, delivers the most of
+    any such sequence: where it takes less out than another sequence, the
+    limit cut both or it emptied the tanks, so its lead in energy
+    delivered never falls below the other's lead in ``L``, and a charge
+    cannot widen the latter.  Consecutive hours that only take, or only
+    put, add up, so the loop runs once per run of them.  Raises
+    :class:`ValueError` for a stage with a battery.
+    """
+    if stage.key[2]:
+        raise ValueError(f"the delivery bound needs a battery-less stage, got bess_kwh {stage.key[2]}")
+    deficit, residual, pv_surplus, wt_surplus, conv_used, _ = stage.grid_inputs
+    p = _battery_params(stage.key[3], catalog, bess_kwh)
+    eta, sq_eta = p["eta"], p["sq_eta"]
+    limit = np.subtract(p["conv_kw"], conv_used)
+    np.copyto(limit, residual, where=deficit & (residual < limit))
+    flows = np.empty((len(limit), 2))
+    flows[:, 0] = np.where(deficit & (limit > 0.0), limit, 0.0) / -(eta * sq_eta)
+    charge = np.maximum(pv_surplus, 0.0) + eta * np.maximum(wt_surplus, 0.0)
+    flows[:, 1] = np.minimum(charge, charge_cap_kw(bess_kwh, catalog)) * sq_eta
+    flows = flows.ravel()
+    flows = flows[flows != 0.0]
+    if not len(flows):
+        return 0.0
+    into = flows > 0.0
+    runs = np.add.reduceat(flows, np.flatnonzero(np.concatenate(([True], into[1:] != into[:-1]))))
+    low, high = p["floor_q1"] + p["floor_q2"], p["floor_q1"] + p["floor_q2"] + p["q_max_eff"]
+    level, drawn = high, 0.0
+    for run in runs.tolist():
+        if run < 0.0:
+            out = min(level - low, -run)
+            level -= out
+            drawn += out
+        else:
+            level = min(high, level + run)
+    return drawn * eta * sq_eta
+
+
 def simulate_year(scenario: Scenario, design: Design, battery: BatteryStage | None = None) -> DispatchTrace:
     """Simulate 8760 hours of operation; deterministic for fixed inputs.
 

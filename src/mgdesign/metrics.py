@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dispatch import (BatteryStage, Design, DispatchTrace, battery_stage, charge_cap_kw, discharge_windows,
-                       simulate_year)
+                       max_delivery_kwh, simulate_year)
 from .scenario import Economics, Scenario
 
 
@@ -215,7 +215,8 @@ class TwinYear(NamedTuple):
                    int(np.count_nonzero(curtailed > 0.0)))
 
 
-def battery_npc_floor(twin: TwinYear, bess_kwh: float, scenario: Scenario) -> float:
+def battery_npc_floor(twin: TwinYear, bess_kwh: float, scenario: Scenario,
+                      max_delivered_kwh: float = math.inf) -> float:
     """A lower bound on the NPC of a design with ``bess_kwh`` > 0 of battery
     and no diesel, from its battery-less twin (the same design with
     ``bess_kwh = 0``).
@@ -229,7 +230,10 @@ def battery_npc_floor(twin: TwinYear, bess_kwh: float, scenario: Scenario) -> fl
     windows, ``U = (soc_max - soc_min) * bess_kwh`` the usable window,
     ``W = U * eta_conv * sqrt(eta_rt)`` and ``C = min(curtailed_kwh,
     curtailed_hours * eta_conv * x_max)``, with ``x_max`` the
-    :func:`~mgdesign.dispatch.charge_cap_kw` of the bank.
+    :func:`~mgdesign.dispatch.charge_cap_kw` of the bank.  Where ``N * W``
+    appears, the smaller ``max_delivered_kwh`` replaces it, when given: a
+    bound on the energy the bank delivers in the year, such as
+    :func:`~mgdesign.dispatch.max_delivery_kwh` of the twin's stage.
 
     Proof.  Stage 1 of the dispatch does not read the battery, so both
     designs see the same deficit hours, residual load and surpluses before
@@ -250,7 +254,7 @@ def battery_npc_floor(twin: TwinYear, bess_kwh: float, scenario: Scenario) -> fl
       most ``U`` and the energy delivered, after the battery and converter
       efficiencies, at most ``W``.  Every hour that can discharge lies in
       one of the ``N`` windows, and no window holds a charging hour, so
-      ``D <= N * W``.
+      ``D <= N * W``; and ``D <= max_delivered_kwh`` by its definition.
     * Sales: the battery discharges only in deficit hours, which export
       nothing, and charges ``x_h`` kW (DC) in hour ``h`` only from
       surplus: ``p_h`` of PV surplus and ``w_h`` of wind surplus, of which
@@ -272,8 +276,8 @@ def battery_npc_floor(twin: TwinYear, bess_kwh: float, scenario: Scenario) -> fl
       ``eta_conv * X >= D / eta_rt - eta_conv * U / sqrt(eta_rt)``.
       Together, ``S <= (p_max - s_min / eta_rt) * D + s_min * (eta_conv *
       U / sqrt(eta_rt) + C)``, at most the second credit for any ``D`` in
-      ``[0, N * W]``.  The first credit drops the sales term, which is
-      never negative.
+      its range.  The first credit drops the sales term, which is never
+      negative.
 
     The slack, :data:`_FLOOR_SLACK` of the magnitudes summed, covers the
     rounding: the two NPCs are sums of a few terms and of 8760-term dot
@@ -290,7 +294,7 @@ def battery_npc_floor(twin: TwinYear, bess_kwh: float, scenario: Scenario) -> fl
     battery_pw = capital + om * annuity + replacement_pw - salvage_pw
     eta, sq_eta = scenario.catalog.converter.efficiency, math.sqrt(spec.roundtrip_efficiency)
     usable = (spec.soc_max - spec.soc_min) * bess_kwh
-    delivered = twin.windows * usable * eta * sq_eta
+    delivered = min(twin.windows * usable * eta * sq_eta, max_delivered_kwh)
     p_max = float(scenario.tariff.purchase_series().max())
     s_min = max(float(scenario.tariff.sellback_series().min()), 0.0)
     free = min(twin.curtailed_kwh, twin.curtailed_hours * eta * charge_cap_kw(bess_kwh, scenario.catalog))
@@ -453,12 +457,16 @@ class Evaluator:
             self._simulate(design)
         return self._memo[design]
 
-    def _simulate(self, design: Design) -> None:
+    def _stage(self, design: Design) -> BatteryStage:
         slot = bool(design.bess_kwh)
         stage = self._stages.get(slot)
         if stage is None or stage.key != design.battery_key:
             self._stages.pop(slot, None)   # so at most one stage per slot is alive
             stage = self._stages[slot] = battery_stage(self.scenario, design)
+        return stage
+
+    def _simulate(self, design: Design) -> None:
+        stage = self._stage(design)
         trace = simulate_year(self.scenario, design, stage)
         self._memo[design] = evaluate(design, self.scenario, trace=trace)
         self._ruled_out.discard(design)
@@ -473,9 +481,10 @@ class Evaluator:
             return -math.inf
         return self._floor(design, replace(design, bess_kwh=0.0))
 
-    def _floor(self, design: Design, twin: Design) -> float:
+    def _floor(self, design: Design, twin: Design, max_delivered_kwh: float = math.inf) -> float:
         year = self._twin_years.get(twin)
-        return -math.inf if year is None else battery_npc_floor(year, design.bess_kwh, self.scenario)
+        return (-math.inf if year is None
+                else battery_npc_floor(year, design.bess_kwh, self.scenario, max_delivered_kwh))
 
     def npc(self, design: Design, ceiling: float) -> float:
         """The design's NPC, or, when the design is not in the memo and its
@@ -488,7 +497,11 @@ class Evaluator:
         Below a finite ceiling, a design with a battery and no diesel whose
         twin is not in the memo has the twin simulated first (and counted
         in ``twins``): its year runs no battery loop, so it costs a small
-        part of the design's.
+        part of the design's.  Where that floor falls short of the ceiling
+        but one that credits no delivery would not, the twin's stage also
+        gives :func:`~mgdesign.dispatch.max_delivery_kwh` for a tighter
+        floor.
+
         A search that accepts only a design scoring below ``ceiling`` makes
         the same choices either way, as the NPC is at least the floor.
         """
@@ -502,6 +515,9 @@ class Evaluator:
                 except NonFiniteMetricError:   # no floor from it; the design may still be finite
                     pass
             floor = self._floor(design, twin)
+            if floor < ceiling <= self._floor(design, twin, 0.0):   # a delivery bound can close the gap
+                bound = max_delivery_kwh(self._stage(twin), design.bess_kwh, self.scenario.catalog)
+                floor = self._floor(design, twin, bound)
             if ceiling <= floor < math.inf:
                 self._ruled_out.add(design)
                 return floor

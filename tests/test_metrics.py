@@ -437,7 +437,12 @@ class TestBatteryNpcFloor:
         assert evaluator.npc(design, ceiling) == floor
         assert evaluator.npc(design, floor) == floor
         assert (evaluator.ruled_out, len(sims)) == (1, 0)   # one design, asked twice
-        assert evaluator.npc(design, math.nextafter(floor, math.inf)) == expected
+        # Just above the window floor, the delivery bound's floor answers.
+        bound = dispatch.max_delivery_kwh(dispatch.battery_stage(bundled, twin), design.bess_kwh, bundled.catalog)
+        tighter = evaluator._floor(design, twin, bound)
+        assert floor < tighter <= expected
+        assert evaluator.npc(design, math.nextafter(floor, math.inf)) == tighter
+        assert evaluator.npc(design, math.nextafter(tighter, math.inf)) == expected
         assert (evaluator.ruled_out, len(sims), evaluator.simulated) == (0, 1, 2)
         assert evaluator.npc(design, math.inf) == expected   # a memo hit
         assert (evaluator.ruled_out, len(sims)) == (0, 1)
@@ -467,6 +472,40 @@ class TestBatteryNpcFloor:
         assert np.all(lost >= -tolerance)
         eta = scenario.catalog.converter.efficiency
         assert np.all(lost >= eta * trace.batt_charge_kw - twin.curtailed_kw - tolerance)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=_SEEDS, design_seed=st.integers(0, 2**20), bess_kwh=_BANKS)
+    def test_no_year_delivers_more_than_the_delivery_bound(self, seed, design_seed, bess_kwh):
+        scenario = _priced_scenario(seed, "flat")
+        design = _battery_design(design_seed, bess_kwh)
+        delivered = simulate_year(scenario, design).batt_discharge_kw.sum() * scenario.catalog.converter.efficiency
+        twin = dispatch.battery_stage(scenario, replace(design, bess_kwh=0.0))
+        assert delivered <= dispatch.max_delivery_kwh(twin, bess_kwh, scenario.catalog) * (1.0 + 1e-12) + 1e-9
+
+    def test_the_delivery_bound_is_close_where_days_refill_the_bank(self, bundled):
+        # The bank empties most nights, and the bound loses only what the
+        # kinetic rate limits keep back: within 5% of the real delivery.
+        design = Design(pv_kw=325.0, bess_kwh=100.0, converter_kw=280.0)
+        delivered = simulate_year(bundled, design).batt_discharge_kw.sum() * bundled.catalog.converter.efficiency
+        twin = dispatch.battery_stage(bundled, replace(design, bess_kwh=0.0))
+        bound = dispatch.max_delivery_kwh(twin, design.bess_kwh, bundled.catalog)
+        assert delivered <= bound < 1.05 * delivered
+        with pytest.raises(ValueError, match="battery-less stage"):
+            dispatch.max_delivery_kwh(dispatch.battery_stage(bundled, design), design.bess_kwh, bundled.catalog)
+
+    def test_npc_tries_the_delivery_bound_only_where_it_can_close_the_gap(self, bundled, monkeypatch):
+        # From pv=350,bess=50,conv=230 refine probes conv=255: the window
+        # floor falls short of the incumbent's NPC, the delivery bound's
+        # floor does not.
+        incumbent = Design(pv_kw=350.0, bess_kwh=50.0, converter_kw=230.0)
+        probe = replace(incumbent, converter_kw=255.0)
+        ceiling = evaluate(incumbent, bundled).npc_usd
+        bounds = spy_calls(monkeypatch, metrics, "max_delivery_kwh")
+        evaluator = Evaluator(bundled)
+        assert evaluator.npc(probe, ceiling) >= ceiling > evaluator.npc_floor(probe)
+        assert (len(bounds), evaluator.ruled_out, evaluator.twins, evaluator.simulated) == (1, 1, 1, 1)
+        evaluator.npc(replace(probe, bess_kwh=100.0), ceiling - 1e6)   # too far below: no bound tried
+        assert len(bounds) == 1
 
     def test_the_sales_credit_is_tighter_where_sellback_pays(self, bundled):
         # Each kWh delivered was charged from surplus that would have sold, so

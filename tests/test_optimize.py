@@ -709,7 +709,7 @@ class TestNpcObjective:
     # A battery start simulates the twins of its battery probes, so only the
     # designs it must score run the loop, and a diesel probe reuses its
     # incumbent's stage.
-    @pytest.mark.parametrize("start, loops", [("pv=300,bess=50,conv=255", 2), ("pv=300,bess=150,conv=255", 10),
+    @pytest.mark.parametrize("start, loops", [("pv=300,bess=50,conv=255", 2), ("pv=300,bess=150,conv=255", 8),
                                               ("pv=325,wt=5,bess=100,conv=255", 6),
                                               ("pv=300,bess=100,conv=255", 5)])
     def test_battery_start_runs_the_loop_once_per_key_it_scores(self, bundled, start, loops, monkeypatch):
