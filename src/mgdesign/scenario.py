@@ -16,6 +16,7 @@ synthetic scenario for a ~290-resident coastal community; see
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import numbers
 import sys
@@ -126,7 +127,10 @@ class ScenarioValidationError(ValueError):
 class TimeSeries:
     """An hourly series with a unit.
 
-    ``values`` is a read-only float64 array.  Annual series have exactly
+    ``values`` is a read-only float64 array that owns its data: an array
+    given as a view of another is copied, so that no write through the
+    other can change a series after it was checked; an owned float64 array
+    is kept without a copy and made read-only.  Annual series have exactly
     8760 entries (hour 0 = Jan 1 00:00, no leap day).  Instances compare
     by identity (arrays make field-wise equality ambiguous).
     """
@@ -136,6 +140,8 @@ class TimeSeries:
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.values, dtype=float)
+        if not arr.flags.owndata:
+            arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -398,6 +404,13 @@ def _described(value) -> str:
     return f"a TimeSeries in {value.unit.value}" if isinstance(value, TimeSeries) else repr(value)
 
 
+@functools.cache
+def _walk_order(cls) -> tuple:
+    """The fields of the dataclass ``cls`` in the order a validation walk
+    checks them: sections last, each group in declaration order."""
+    return tuple(sorted(fields(cls), key=lambda f: is_dataclass(f.default_factory)))
+
+
 def _field_violations(prefix: str, record) -> list[str]:
     """Violations of a record, then of its sections in the same walk: each
     :func:`_num` field is checked for its type (a bool is not a number; an
@@ -409,7 +422,7 @@ def _field_violations(prefix: str, record) -> list[str]:
     dataclass) must hold its section, which is walked; each section that
     passes is then held to its ``_rules``, after all its sibling sections."""
     problems, passed = [], []
-    for f in sorted(fields(record), key=lambda f: is_dataclass(f.default_factory)):  # sections last
+    for f in _walk_order(type(record)):
         value, name = getattr(record, f.name), prefix + f.name
         unit = f.metadata.get("unit")
         if is_dataclass(section := f.default_factory):
@@ -643,8 +656,20 @@ def bundled_data_path() -> Path:
     return Path(__file__).parent / "data"
 
 
+@functools.cache
 def bundled_scenario() -> Scenario:
-    """Load the bundled synthetic community scenario shipped with the package."""
+    """The bundled synthetic community scenario shipped with the package.
+
+    It is loaded and validated once per process, on the first call; every
+    later call returns that same :class:`Scenario` object.  Sharing it is
+    safe: the scenario and each of its sections are frozen dataclasses,
+    each series array is read-only and owns its data (:class:`TimeSeries`),
+    and the files it is read from are package data, which does not change
+    while the package runs.  A variant is a new object (``scale_series``,
+    ``dataclasses.replace``) and leaves the shared one as it was.  A
+    scenario file given by path (:func:`load_scenario`) is read again on
+    every call, since a user's file can change between two calls.
+    """
     return load_scenario(bundled_data_path() / SCENARIO_FILE)
 
 

@@ -17,6 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mgdesign import cli, metrics, sensitivity
+from mgdesign import scenario as scenario_module
 from mgdesign.cli import main
 from mgdesign.dispatch import Design
 from mgdesign.metrics import METRIC_FIELDS
@@ -181,6 +182,41 @@ class TestValidate:
                         "catalog.diesel: must be a mapping, got [60.0]",
                         "economics.project_years: must be an integer, got True"):
             assert message in err
+
+
+class TestScenarioLoads:
+    """The bundled scenario is read once per process; a ``--scenario`` file
+    is read again on every call, as the user may edit it between two."""
+
+    def test_bundled_files_read_once_across_calls(self, capsys, tmp_path, monkeypatch):
+        reads = []
+        original = scenario_module.load_scenario
+
+        def spy(path):
+            reads.append(path)
+            return original(path)
+
+        monkeypatch.setattr(scenario_module, "load_scenario", spy)
+        scenario_module.bundled_scenario.cache_clear()
+        for argv in (["validate"], ["evaluate", "--design", "pv=10,conv=10", "--out", str(tmp_path / "a")],
+                     ["evaluate", "--design", "pv=20,conv=10", "--out", str(tmp_path / "b")]):
+            assert _run(capsys, *argv)[0] == 0
+        assert reads == [bundled_data_path() / "scenario.yaml"]
+
+    def test_scenario_file_read_on_every_call(self, capsys, tmp_path):
+        path = _edited_scenario(tmp_path, "name: coastal-community-synthetic", "name: first")
+        load_file = path.parent / "load_kw.txt"
+        load = load_file.read_text(encoding="utf-8").splitlines()
+        code, first, _ = _run(capsys, "validate", "--scenario", str(path))
+        assert code == 0 and "scenario OK: first" in first
+        path.write_text(path.read_text(encoding="utf-8").replace("name: first", "name: second"), encoding="utf-8")
+        hour = next(i for i, line in enumerate(load) if not line.startswith("#"))
+        load[hour] = str(float(load[hour]) + 1000.0)
+        load_file.write_text("\n".join(load) + "\n", encoding="utf-8")
+        code, second, _ = _run(capsys, "validate", "--scenario", str(path))
+        assert code == 0 and "scenario OK: second" in second
+        first_load, second_load = (re.search(r"annual load: (\S+) kWh", out).group(1) for out in (first, second))
+        assert first_load != second_load
 
 
 class TestEvaluate:

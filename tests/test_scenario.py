@@ -335,6 +335,92 @@ class TestValidateScenario:
             bundled.load.values[0] = 1.0
 
 
+def _series_fields(record, prefix=""):
+    """(dotted name, TimeSeries) of every series in a scenario or section."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, TimeSeries):
+            yield prefix + f.name, value
+        elif is_dataclass(value):
+            yield from _series_fields(value, f"{prefix}{f.name}.")
+
+
+def _snapshot(record):
+    """Every field of a scenario, down through its sections, as plain values
+    (a series as its unit and bytes) that compare by value."""
+    def plain(value):
+        if isinstance(value, TimeSeries):
+            return value.unit, value.values.tobytes()
+        return _snapshot(value) if is_dataclass(value) else value
+
+    return tuple((f.name, plain(getattr(record, f.name))) for f in fields(record))
+
+
+class TestTimeSeriesOwnsItsValues:
+    """A series keeps values no other array can write: a view is copied, so
+    a checked scenario cannot later hold a NaN through the view's base."""
+
+    def test_view_of_a_writable_array_is_copied(self):
+        base = np.arange(10.0)
+        series = TimeSeries(base[:5], Unit.KW)
+        base[0] = 99.0
+        assert series.values[0] == 0.0
+        assert series.values.flags.owndata and not series.values.flags.writeable
+
+    def test_checked_scenario_keeps_its_values(self, bundled):
+        base = bundled.load.values.copy()
+        scenario = replace(bundled, load=TimeSeries(base[:], Unit.KW))
+        base[0] = np.nan
+        assert np.all(np.isfinite(scenario.load.values))
+        assert np.array_equal(scenario.load.values, bundled.load.values)
+
+    def test_owned_array_is_kept_without_a_copy(self):
+        values = np.arange(5.0)
+        series = TimeSeries(values, Unit.KW)
+        assert series.values is values
+        assert not values.flags.writeable
+
+    def test_loaded_and_scaled_series_own_their_data(self, tmp_path, bundled):
+        path = tmp_path / "series.txt"
+        _write_lines(path, [1.5] * HOURS_PER_YEAR)
+        arrays = [load_timeseries(path, Unit.KW).values, scale_series(bundled, ("load",), 1.1).load.values]
+        assert all(a.base is None and not a.flags.writeable for a in arrays)
+
+
+class TestBundledScenarioShared:
+    """The bundled scenario is loaded and checked once per process, and every
+    call returns that one object, which no variant of it changes."""
+
+    def test_one_object_per_process(self):
+        assert scenario_module.bundled_scenario() is scenario_module.bundled_scenario()
+
+    def test_every_series_is_read_only_and_owns_its_data(self):
+        series = dict(_series_fields(scenario_module.bundled_scenario()))
+        assert {"load", "irradiance", "wind_speed"} <= set(series)
+        for name, s in series.items():
+            assert s.values.base is None, name
+            assert not s.values.flags.writeable, name
+
+    def test_variants_leave_the_shared_scenario_unchanged(self):
+        shared = scenario_module.bundled_scenario()
+        before = _snapshot(shared)
+        replace(shared, reliability_lambda=50.0, name="variant")
+        replace(shared, catalog=replace(shared.catalog, pv=replace(shared.catalog.pv, capital_usd_per_kw=1.0)))
+        for paths in (("load",), ("irradiance", "wind_speed"), ("tariff.purchase_usd_per_kwh",),
+                      ("catalog.battery.capital_usd_per_kwh",)):
+            scale_series(shared, paths, 1.1)
+        assert scenario_module.bundled_scenario() is shared
+        assert _snapshot(shared) == before
+
+    def test_walk_order_is_built_once_per_class(self):
+        """Sections last, each group in declaration order, as one tuple per class."""
+        order = scenario_module._walk_order(Scenario)
+        assert scenario_module._walk_order(Scenario) is order
+        names = [f.name for f in fields(Scenario)]
+        sections = ["tariff", "economics", "catalog"]
+        assert [f.name for f in order] == [n for n in names if n not in sections] + sections
+
+
 class TestScenarioInvariant:
     """Every route to a scenario checks it: a field that would give a wrong
     number or a traceback raises, naming the field."""
