@@ -127,10 +127,9 @@ class ScenarioValidationError(ValueError):
 class TimeSeries:
     """An hourly series with a unit.
 
-    ``values`` is a read-only float64 array that owns its data: an array
-    given as a view of another is copied, so that no write through the
-    other can change a series after it was checked; an owned float64 array
-    is kept without a copy and made read-only.  Annual series have exactly
+    ``values`` is a read-only float64 copy of the array given, so that no
+    write through the caller's array, or through an array it views, can
+    change a series after it was checked.  Annual series have exactly
     8760 entries (hour 0 = Jan 1 00:00, no leap day).  Instances compare
     by identity (arrays make field-wise equality ambiguous).
     """
@@ -139,9 +138,7 @@ class TimeSeries:
     unit: Unit
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=float)
-        if not arr.flags.owndata:
-            arr = arr.copy()
+        arr = np.array(self.values, dtype=float)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -404,13 +401,6 @@ def _described(value) -> str:
     return f"a TimeSeries in {value.unit.value}" if isinstance(value, TimeSeries) else repr(value)
 
 
-@functools.cache
-def _walk_order(cls) -> tuple:
-    """The fields of the dataclass ``cls`` in the order a validation walk
-    checks them: sections last, each group in declaration order."""
-    return tuple(sorted(fields(cls), key=lambda f: is_dataclass(f.default_factory)))
-
-
 def _field_violations(prefix: str, record) -> list[str]:
     """Violations of a record, then of its sections in the same walk: each
     :func:`_num` field is checked for its type (a bool is not a number; an
@@ -422,7 +412,7 @@ def _field_violations(prefix: str, record) -> list[str]:
     dataclass) must hold its section, which is walked; each section that
     passes is then held to its ``_rules``, after all its sibling sections."""
     problems, passed = [], []
-    for f in _walk_order(type(record)):
+    for f in sorted(fields(record), key=lambda f: is_dataclass(f.default_factory)):  # sections last
         value, name = getattr(record, f.name), prefix + f.name
         unit = f.metadata.get("unit")
         if is_dataclass(section := f.default_factory):

@@ -14,7 +14,8 @@ package's shorter or faster code must reproduce exactly;
 :func:`reference_grid_stage_hours` is the grid stage written with
 comparisons and masked writes.  :func:`kernel_battery_hour` and
 :func:`step_hour` drive the package's own dispatch stages on one-hour
-arrays.
+arrays.  :func:`scenario_snapshot` reads a scenario as plain values,
+so that a test can tell whether anything changed it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import csv
 import importlib.util
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -1058,3 +1059,14 @@ def reference_policy_gradient_search(space, config, seed, evaluate) -> PolicySea
     front_mask = reference_pareto_mask([e.metrics for e in archive])
     front = [e for e, keep in zip(archive, front_mask) if keep]
     return PolicySearchResult(archive=archive, front=front, probabilities=final_probs, theta=theta)
+
+
+def scenario_snapshot(record):
+    """Every field of a scenario, down through its sections, as plain values
+    (a series as its unit and bytes) that compare by value."""
+    def plain(value):
+        if isinstance(value, TimeSeries):
+            return value.unit, value.values.tobytes()
+        return scenario_snapshot(value) if is_dataclass(value) else value
+
+    return tuple((f.name, plain(getattr(record, f.name))) for f in fields(record))

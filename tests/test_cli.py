@@ -24,7 +24,13 @@ from mgdesign.metrics import METRIC_FIELDS
 from mgdesign.optimize import DESIGN_FIELDS, RESULT_FIELDS, EvaluatedDesign, _result_columns, write_evaluations_csv
 from mgdesign.scenario import bundled_data_path
 
-from .helpers import bench_inputs, random_metric_vectors, reference_read_results_csv, reference_write_evaluations_csv
+from .helpers import (
+    bench_inputs,
+    random_metric_vectors,
+    reference_read_results_csv,
+    reference_write_evaluations_csv,
+    scenario_snapshot,
+)
 
 A5_ARG = "pv=418,wt=123,dg=0,bess=704,conv=255"
 ROOT = Path(__file__).resolve().parents[1]
@@ -217,6 +223,32 @@ class TestScenarioLoads:
         assert code == 0 and "scenario OK: second" in second
         first_load, second_load = (re.search(r"annual load: (\S+) kWh", out).group(1) for out in (first, second))
         assert first_load != second_load
+
+    def test_shared_scenario_gives_the_bytes_a_fresh_one_does(self, capsys, tmp_path):
+        """``evaluate --trace``, ``sensitivity`` and ``lcoe-sweep`` write the
+        same files and stdout whether they share one bundled scenario or each
+        loads its own, and none of them changes the shared one."""
+        scenario_module.bundled_scenario.cache_clear()
+        shared = scenario_module.bundled_scenario()
+        before = scenario_snapshot(shared)
+        outputs = {}
+        for side in ("shared", "fresh"):
+            for command in (["evaluate", "--trace"], ["sensitivity"], ["lcoe-sweep"]):
+                if side == "fresh":
+                    scenario_module.bundled_scenario.cache_clear()
+                out = tmp_path / side / command[0]
+                code, stdout, _ = _run(capsys, *command, "--design", A5_ARG, "--out", str(out))
+                assert code == 0
+                outputs[side, command[0]] = stdout.replace(str(out), "OUT")
+            assert scenario_snapshot(shared) == before
+        assert scenario_module.bundled_scenario() is not shared
+        for command in ("evaluate", "sensitivity", "lcoe-sweep"):
+            assert outputs["shared", command] == outputs["fresh", command]
+        files = sorted(p.relative_to(tmp_path / "shared") for p in (tmp_path / "shared").rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(tmp_path / "fresh") for p in (tmp_path / "fresh").rglob("*") if p.is_file())
+        assert Path("evaluate/trace.csv") in files
+        for name in files:
+            assert filecmp.cmp(tmp_path / "shared" / name, tmp_path / "fresh" / name, shallow=False), name
 
 
 class TestEvaluate:

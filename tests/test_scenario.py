@@ -40,7 +40,7 @@ from mgdesign.scenario import (
 )
 
 from .conftest import A5
-from .helpers import reference_load_timeseries
+from .helpers import reference_load_timeseries, scenario_snapshot
 
 
 def _write_lines(path, values):
@@ -345,20 +345,10 @@ def _series_fields(record, prefix=""):
             yield from _series_fields(value, f"{prefix}{f.name}.")
 
 
-def _snapshot(record):
-    """Every field of a scenario, down through its sections, as plain values
-    (a series as its unit and bytes) that compare by value."""
-    def plain(value):
-        if isinstance(value, TimeSeries):
-            return value.unit, value.values.tobytes()
-        return _snapshot(value) if is_dataclass(value) else value
-
-    return tuple((f.name, plain(getattr(record, f.name))) for f in fields(record))
-
-
 class TestTimeSeriesOwnsItsValues:
-    """A series keeps values no other array can write: a view is copied, so
-    a checked scenario cannot later hold a NaN through the view's base."""
+    """A series keeps values no other array can write: the array given is
+    copied, so a checked scenario cannot later hold a NaN through it or
+    through the array it views."""
 
     def test_view_of_a_writable_array_is_copied(self):
         base = np.arange(10.0)
@@ -374,11 +364,14 @@ class TestTimeSeriesOwnsItsValues:
         assert np.all(np.isfinite(scenario.load.values))
         assert np.array_equal(scenario.load.values, bundled.load.values)
 
-    def test_owned_array_is_kept_without_a_copy(self):
-        values = np.arange(5.0)
-        series = TimeSeries(values, Unit.KW)
-        assert series.values is values
-        assert not values.flags.writeable
+    def test_callers_array_no_longer_reaches_the_series(self, bundled):
+        values = bundled.load.values.copy()
+        scenario = replace(bundled, load=TimeSeries(values, Unit.KW))
+        values.setflags(write=True)
+        values[0] = np.nan
+        assert scenario.load.values is not values
+        assert np.array_equal(scenario.load.values, bundled.load.values)
+        assert not scenario.load.values.flags.writeable
 
     def test_loaded_and_scaled_series_own_their_data(self, tmp_path, bundled):
         path = tmp_path / "series.txt"
@@ -403,22 +396,14 @@ class TestBundledScenarioShared:
 
     def test_variants_leave_the_shared_scenario_unchanged(self):
         shared = scenario_module.bundled_scenario()
-        before = _snapshot(shared)
+        before = scenario_snapshot(shared)
         replace(shared, reliability_lambda=50.0, name="variant")
         replace(shared, catalog=replace(shared.catalog, pv=replace(shared.catalog.pv, capital_usd_per_kw=1.0)))
         for paths in (("load",), ("irradiance", "wind_speed"), ("tariff.purchase_usd_per_kwh",),
                       ("catalog.battery.capital_usd_per_kwh",)):
             scale_series(shared, paths, 1.1)
         assert scenario_module.bundled_scenario() is shared
-        assert _snapshot(shared) == before
-
-    def test_walk_order_is_built_once_per_class(self):
-        """Sections last, each group in declaration order, as one tuple per class."""
-        order = scenario_module._walk_order(Scenario)
-        assert scenario_module._walk_order(Scenario) is order
-        names = [f.name for f in fields(Scenario)]
-        sections = ["tariff", "economics", "catalog"]
-        assert [f.name for f in order] == [n for n in names if n not in sections] + sections
+        assert scenario_snapshot(shared) == before
 
 
 class TestScenarioInvariant:
