@@ -31,8 +31,9 @@ class ConfigError(ValueError):
     """Bad command-line or environment configuration."""
 
 
-def _env(name: str, fallback: str | None = None) -> str | None:
-    return os.environ.get(f"MGDESIGN_{name}", fallback)
+#: The ``MGDESIGN_<NAME>`` variables that default the flag ``--<name>``,
+#: each with the flag's default when it is unset.
+_ENV_DEFAULTS = {"SCENARIO": None, "OUT": "mgdesign_out", "SEED": "42", "JOBS": "1"}
 
 
 def _number(convert, accept, expected: str):
@@ -71,14 +72,15 @@ def _weights(text: str) -> Weights:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _add_common(parser: argparse.ArgumentParser, design: bool = False, space: bool = False) -> None:
-    parser.add_argument("--scenario", default=_env("SCENARIO"),
+def _add_common(parser: argparse.ArgumentParser, env: dict[str, str | None],
+                design: bool = False, space: bool = False) -> None:
+    parser.add_argument("--scenario", default=env["SCENARIO"],
                         help="scenario YAML (default: the bundled synthetic community)")
-    parser.add_argument("--out", default=_env("OUT", "mgdesign_out"),
+    parser.add_argument("--out", default=env["OUT"],
                         help="output directory (default: %(default)s)")
-    parser.add_argument("--seed", type=_at_least(0), default=_env("SEED", "42"),
+    parser.add_argument("--seed", type=_at_least(0), default=env["SEED"],
                         help="random seed for stochastic commands (default: %(default)s)")
-    parser.add_argument("--jobs", type=_at_least(1), default=_env("JOBS", "1"),
+    parser.add_argument("--jobs", type=_at_least(1), default=env["JOBS"],
                         help="worker processes for search; other commands ignore it (default: %(default)s)")
     if design:
         parser.add_argument("--design", required=True,
@@ -91,43 +93,55 @@ def _add_common(parser: argparse.ArgumentParser, design: bool = False, space: bo
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, with the flag defaults that the
+    ``MGDESIGN_*`` variables set now.  It is built once per set of their
+    values and then shared, so a caller must not change it; parsing does
+    not, and a string default such as a bad ``MGDESIGN_SEED`` is checked
+    on every parse."""
+    return _parser(*(os.environ.get(f"MGDESIGN_{name}", default)
+                     for name, default in _ENV_DEFAULTS.items()))
+
+
+@functools.cache
+def _parser(*values: str | None) -> argparse.ArgumentParser:
+    env = dict(zip(_ENV_DEFAULTS, values))
     parser = argparse.ArgumentParser(
         prog="mgdesign",
         description="Grid-tied community microgrid design toolkit.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check a scenario file against all invariants")
-    _add_common(p)
+    _add_common(p, env)
 
     p = sub.add_parser("evaluate", help="simulate one design and report its metrics")
-    _add_common(p, design=True)
+    _add_common(p, env, design=True)
     p.add_argument("--trace", action="store_true", help="also write the hourly dispatch trace")
 
     p = sub.add_parser("search", help="enumerate a capacity lattice and rank by cost")
-    _add_common(p, space=True)
+    _add_common(p, env, space=True)
     p.add_argument("--budget", type=_finite, default=None, help="capital + first-year O&M budget in $")
     p.add_argument("--weights", type=_weights, default="0.25,0.25,0.25,0.25",
                    help="scalarization weights w_npc,w_rel,w_eff,w_co2 (default equal)")
 
     p = sub.add_parser("refine", help="derivative-free cost refinement from a starting design")
-    _add_common(p, design=True)
+    _add_common(p, env, design=True)
     p.add_argument("--tolerance", type=_finite, default=1.0, help="stop once steps shrink below this (kW/kWh)")
     p.add_argument("--max-cycles", type=_at_least(0), default=200)
 
     p = sub.add_parser("rl-search", help="policy-gradient Pareto front exploration")
-    _add_common(p, space=True)
+    _add_common(p, env, space=True)
     p.add_argument("--episodes", type=_at_least(1), default=500)
     p.add_argument("--learning-rate", type=_finite, default=0.2)
 
     p = sub.add_parser("pareto", help="flag non-dominated rows in a search results CSV")
-    _add_common(p)
+    _add_common(p, env)
     p.add_argument("--results", required=True, help="CSV produced by the search command")
 
     p = sub.add_parser("sensitivity", help="metric deviations under load/PV/wind perturbations")
-    _add_common(p, design=True)
+    _add_common(p, env, design=True)
 
     p = sub.add_parser("lcoe-sweep", help="LCOE response to economic parameters")
-    _add_common(p, design=True)
+    _add_common(p, env, design=True)
     p.add_argument("--parameter", choices=[s.value for s in sensitivity.SweepParameter] + ["all"],
                    default="all")
     p.add_argument("--multipliers", type=_finite_list, default="0.8,0.9,1.0,1.1,1.2")

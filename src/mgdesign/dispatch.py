@@ -44,8 +44,11 @@ stages 1 and 2 read only the PV, wind, battery and converter sizes
 (:attr:`Design.battery_key`).  :func:`battery_stage` runs them and
 returns a read-only :class:`BatteryStage`; :func:`simulate_year` runs
 stage 3 on it.  Designs that differ only in diesel size or grid cap
-can therefore share one battery stage, as ``metrics.Evaluator`` does
-for consecutive designs with one key.  Stage 3 never writes to the stage.
+can therefore share one battery stage.  Each scenario object keeps its
+last stage with a battery and its last without, so every simulation of
+a design on one scenario in a process (a command's, a search's, the
+next command's on the shared bundled scenario) reuses the stage while
+the key stays the same.  Stage 3 never writes to the stage.
 
 A :class:`Design` checks its capacities when it is built, so the kernel
 runs no design check of its own.
@@ -66,6 +69,7 @@ dynamics (``tests/helpers.py``).
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -659,13 +663,36 @@ def _grid_params(design: Design, tariff: GridTariff, catalog: Catalog) -> dict:
         dg_alpha=dg.fuel_intercept_l_per_hr_kw, dg_beta=dg.fuel_slope_l_per_hr_kw)
 
 
+#: The stage store: for each live scenario object, by its ``id``, the last
+#: battery stage computed with a battery (``True``) and the last without
+#: (``False``).  An entry leaves when its scenario is freed.
+_stages: dict[int, dict[bool, BatteryStage]] = {}
+
+
 def battery_stage(scenario: Scenario, design: Design) -> BatteryStage:
     """Stages 1 and 2 of ``design``'s year on ``scenario``: the resource
     series, wind and PV serving the load, and the battery.
 
-    :func:`simulate_year` accepts it for any design with the same
-    :attr:`Design.battery_key` on the same scenario.
+    The stage serves every design with the same :attr:`Design.battery_key`
+    on the same scenario object.  The scenario's last stage with a battery
+    and its last without are kept, and returned while the key matches; a
+    new key drops the kept stage of its slot before computing its own, so
+    at most two stages per scenario are alive.  The store goes by object
+    identity, not by value: two equal scenarios share no stage, and a
+    scenario's stages are freed with it (a ``scale_series`` variant's
+    too).  Keeping is safe because a stage is a pure function of the
+    scenario and the key, the scenario is frozen with read-only series, and
+    the stage's arrays are read-only.
     """
+    slots = _stages.get(id(scenario))
+    if slots is None:
+        slots = _stages[id(scenario)] = {}
+        weakref.finalize(scenario, _stages.pop, id(scenario), None)
+    slot = bool(design.bess_kwh)
+    # Equal reprs are equal bits: a -0.0 capacity may give -0.0 flows.
+    if slot in slots and repr(slots[slot].key) == repr(design.battery_key):
+        return slots[slot]
+    slots.pop(slot, None)   # freed before the new stage is built
     spec = scenario.catalog.battery
     # A full window, the tanks in their equilibrium split.
     stored = design.bess_kwh * spec.soc_max
@@ -677,8 +704,9 @@ def battery_stage(scenario: Scenario, design: Design) -> BatteryStage:
         **_battery_params(design.converter_kw, scenario.catalog, design.bess_kwh))
     for array in (pv_avail, wt_avail, *battery, *grid_inputs):
         array.flags.writeable = False
-    return BatteryStage(design.battery_key, pv_avail, wt_avail, *battery, grid_inputs,
-                        initial.stored_kwh, BatteryState(q1, q2))
+    stage = slots[slot] = BatteryStage(design.battery_key, pv_avail, wt_avail, *battery, grid_inputs,
+                                       initial.stored_kwh, BatteryState(q1, q2))
+    return stage
 
 
 def discharge_windows(stage: BatteryStage) -> int:
@@ -770,18 +798,15 @@ def max_delivery_kwh(stage: BatteryStage, bess_kwh: float, catalog: Catalog) -> 
     return drawn * eta * sq_eta
 
 
-def simulate_year(scenario: Scenario, design: Design, battery: BatteryStage | None = None) -> DispatchTrace:
+def simulate_year(scenario: Scenario, design: Design) -> DispatchTrace:
     """Simulate 8760 hours of operation; deterministic for fixed inputs.
 
-    ``battery``, the :func:`battery_stage` of a design with the same
-    :attr:`Design.battery_key` on the same scenario, skips stages 1 and 2;
-    the trace is bit-identical to one simulated without it.
+    Stages 1 and 2 come from :func:`battery_stage`, so a design whose
+    :attr:`Design.battery_key` matches a stage the scenario object keeps
+    runs only stage 3.  The trace is bit for bit the one a fresh stage
+    gives, and it shares the stage's read-only arrays.
     """
-    if battery is None:
-        battery = battery_stage(scenario, design)
-    elif battery.key != design.battery_key:
-        raise ValueError(f"battery stage of {battery.key} does not match the design's "
-                         f"(pv_kw, wt_kw, bess_kwh, converter_kw) {design.battery_key}")
+    battery = battery_stage(scenario, design)
     grid_flows = _grid_stage_hours(*battery.grid_inputs,
                                    **_grid_params(design, scenario.tariff, scenario.catalog))
     return DispatchTrace(

@@ -408,14 +408,14 @@ class Evaluator:
     metrics, for the searches.
 
     Each distinct design is simulated once; a repeat returns the stored
-    metrics, and no trace is kept.  The battery stage of the last design
-    simulated with a battery, and that of the last one without, are kept
-    and reused while the next designs share their
-    :attr:`~mgdesign.dispatch.Design.battery_key`, so designs fed in key
-    order run the battery loop once per key, and a diesel probe from a
-    battery incumbent reuses the incumbent's stage after battery-less
-    twins were simulated in between.  ``simulated`` counts the designs
-    simulated so far, and ``jobs`` >= 1 caps the processes of :meth:`map`.
+    metrics, and no trace is kept.  Its simulations take their battery
+    stages from :func:`~mgdesign.dispatch.battery_stage`, which keeps the
+    scenario's last stage with a battery and its last without, so designs
+    fed in :attr:`~mgdesign.dispatch.Design.battery_key` order run the
+    battery loop once per key, and a diesel probe from a battery incumbent
+    reuses the incumbent's stage after battery-less twins were simulated in
+    between.  ``simulated`` counts the designs simulated so far, and
+    ``jobs`` >= 1 caps the processes of :meth:`map`.
 
     For each battery-less, diesel-less design it simulates, the evaluator
     also keeps its :class:`TwinYear`, so that :meth:`npc_floor` can bound
@@ -435,8 +435,6 @@ class Evaluator:
         self._memo: dict[Design, MetricVector] = {}
         self._ruled_out: set[Design] = set()
         self._twins: set[Design] = set()
-        #: The last stage with a battery (True) and without (False).
-        self._stages: dict[bool, BatteryStage] = {}
         self._twin_years: dict[Design, TwinYear] = {}
 
     @property
@@ -457,21 +455,13 @@ class Evaluator:
             self._simulate(design)
         return self._memo[design]
 
-    def _stage(self, design: Design) -> BatteryStage:
-        slot = bool(design.bess_kwh)
-        stage = self._stages.get(slot)
-        if stage is None or stage.key != design.battery_key:
-            self._stages.pop(slot, None)   # so at most one stage per slot is alive
-            stage = self._stages[slot] = battery_stage(self.scenario, design)
-        return stage
-
     def _simulate(self, design: Design) -> None:
-        stage = self._stage(design)
-        trace = simulate_year(self.scenario, design, stage)
+        trace = simulate_year(self.scenario, design)
         self._memo[design] = evaluate(design, self.scenario, trace=trace)
         self._ruled_out.discard(design)
         if not design.bess_kwh and not design.dg_kw:
-            self._twin_years[design] = TwinYear.of(self._memo[design].npc_usd, stage, trace)
+            self._twin_years[design] = TwinYear.of(self._memo[design].npc_usd,
+                                                   battery_stage(self.scenario, design), trace)
 
     def npc_floor(self, design: Design) -> float:
         """The :func:`battery_npc_floor` of a design with a battery and no
@@ -516,7 +506,8 @@ class Evaluator:
                     pass
             floor = self._floor(design, twin)
             if floor < ceiling <= self._floor(design, twin, 0.0):   # a delivery bound can close the gap
-                bound = max_delivery_kwh(self._stage(twin), design.bess_kwh, self.scenario.catalog)
+                bound = max_delivery_kwh(battery_stage(self.scenario, twin), design.bess_kwh,
+                                         self.scenario.catalog)
                 floor = self._floor(design, twin, bound)
             if ceiling <= floor < math.inf:
                 self._ruled_out.add(design)

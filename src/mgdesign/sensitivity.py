@@ -11,7 +11,10 @@ Two analyses:
 Each variant scales the fields one table per analysis names, through
 :func:`~mgdesign.scenario.scale_series`.  Dispatch is price-blind, so the
 economic sweeps reuse one simulated trace and only re-cost it; the series
-perturbations re-simulate.
+perturbations re-simulate.  The baseline runs on the given scenario
+object, so in a process that simulated the design on it before (the
+shared bundled scenario after ``evaluate``) the baseline reuses that
+battery stage.
 """
 
 from __future__ import annotations
@@ -147,7 +150,9 @@ def lcoe_sweep(scenario: Scenario, design: Design, parameter: SweepParameter,
     The dispatch never looks at prices, so the trace is simulated once
     and re-costed per point.  Pass the ``trace`` of ``design`` on
     ``scenario`` so sweeps of several parameters share one simulation;
-    without it the sweep simulates its own.  A design that serves no
+    without it the sweep simulates its own, which runs the battery loop
+    again only when the scenario keeps no stage of the design's battery
+    key (:func:`~mgdesign.dispatch.battery_stage`).  A design that serves no
     energy has no LCOE at any multiplier and raises
     :class:`~mgdesign.metrics.NonFiniteMetricError` saying so; any other
     LCOE that comes out NaN or infinite raises it naming the parameter and

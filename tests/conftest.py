@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mgdesign import dispatch
 from mgdesign.dispatch import Design
 from mgdesign.metrics import MetricVector
 from mgdesign.scenario import (
@@ -15,6 +16,13 @@ from mgdesign.scenario import (
 
 #: The paper-flagship design used for the bundled-scenario checks.
 A5 = Design(pv_kw=418.0, wt_kw=123.0, dg_kw=0.0, bess_kwh=704.0, converter_kw=255.0)
+
+
+@pytest.fixture(autouse=True)
+def empty_stage_store() -> None:
+    """Each test starts with no battery stage kept, so a test that counts
+    battery loops or measures a stage sees its own computations."""
+    dispatch._stages.clear()
 
 
 @pytest.fixture(scope="session")

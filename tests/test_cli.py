@@ -16,7 +16,7 @@ import yaml
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mgdesign import cli, metrics, sensitivity
+from mgdesign import cli, dispatch, metrics, sensitivity
 from mgdesign import scenario as scenario_module
 from mgdesign.cli import main
 from mgdesign.dispatch import Design
@@ -30,6 +30,7 @@ from .helpers import (
     reference_read_results_csv,
     reference_write_evaluations_csv,
     scenario_snapshot,
+    spy_calls,
 )
 
 A5_ARG = "pv=418,wt=123,dg=0,bess=704,conv=255"
@@ -40,6 +41,29 @@ def _run(capsys, *argv) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _run_a5_study(capsys, out: Path, before_each=lambda: None) -> dict[str, str]:
+    """``evaluate --trace``, ``sensitivity`` and ``lcoe-sweep`` of A5 through
+    ``main`` in this process, each writing below ``out`` and each after a
+    call of ``before_each``; returns each command's stdout, ``out`` elided."""
+    outputs = {}
+    for command in (["evaluate", "--trace"], ["sensitivity"], ["lcoe-sweep"]):
+        before_each()
+        command_out = out / command[0]
+        code, stdout, _ = _run(capsys, *command, "--design", A5_ARG, "--out", str(command_out))
+        assert code == 0
+        outputs[command[0]] = stdout.replace(str(command_out), "OUT")
+    return outputs
+
+
+def _assert_same_files(left: Path, right: Path) -> None:
+    """The two trees hold the same files, byte for byte, a trace among them."""
+    files = sorted(p.relative_to(left) for p in left.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(right) for p in right.rglob("*") if p.is_file())
+    assert Path("evaluate/trace.csv") in files
+    for name in files:
+        assert filecmp.cmp(left / name, right / name, shallow=False), name
 
 
 def _edited_scenario(tmp_path, line: str, replacement: str) -> Path:
@@ -231,24 +255,26 @@ class TestScenarioLoads:
         scenario_module.bundled_scenario.cache_clear()
         shared = scenario_module.bundled_scenario()
         before = scenario_snapshot(shared)
-        outputs = {}
-        for side in ("shared", "fresh"):
-            for command in (["evaluate", "--trace"], ["sensitivity"], ["lcoe-sweep"]):
-                if side == "fresh":
-                    scenario_module.bundled_scenario.cache_clear()
-                out = tmp_path / side / command[0]
-                code, stdout, _ = _run(capsys, *command, "--design", A5_ARG, "--out", str(out))
-                assert code == 0
-                outputs[side, command[0]] = stdout.replace(str(out), "OUT")
-            assert scenario_snapshot(shared) == before
+        shared_out = _run_a5_study(capsys, tmp_path / "shared")
+        assert scenario_snapshot(shared) == before
+        fresh_out = _run_a5_study(capsys, tmp_path / "fresh", scenario_module.bundled_scenario.cache_clear)
+        assert scenario_snapshot(shared) == before
         assert scenario_module.bundled_scenario() is not shared
-        for command in ("evaluate", "sensitivity", "lcoe-sweep"):
-            assert outputs["shared", command] == outputs["fresh", command]
-        files = sorted(p.relative_to(tmp_path / "shared") for p in (tmp_path / "shared").rglob("*") if p.is_file())
-        assert files == sorted(p.relative_to(tmp_path / "fresh") for p in (tmp_path / "fresh").rglob("*") if p.is_file())
-        assert Path("evaluate/trace.csv") in files
-        for name in files:
-            assert filecmp.cmp(tmp_path / "shared" / name, tmp_path / "fresh" / name, shallow=False), name
+        assert shared_out == fresh_out
+        _assert_same_files(tmp_path / "shared", tmp_path / "fresh")
+
+    def test_kept_stages_give_the_bytes_fresh_ones_do(self, capsys, tmp_path, monkeypatch):
+        """The same study simulates A5 15 times on 13 scenario objects: the
+        ``sensitivity`` baseline and ``lcoe-sweep`` reuse the stage that
+        ``evaluate`` left on the shared scenario, and write what they write
+        with the stage store emptied before each command."""
+        loops = spy_calls(monkeypatch, dispatch, "_battery_hours")
+        kept_out = _run_a5_study(capsys, tmp_path / "kept")
+        kept_loops = len(loops)
+        emptied_out = _run_a5_study(capsys, tmp_path / "emptied", dispatch._stages.clear)
+        assert (kept_loops, len(loops) - kept_loops) == (13, 15)
+        assert kept_out == emptied_out
+        _assert_same_files(tmp_path / "kept", tmp_path / "emptied")
 
 
 class TestEvaluate:
@@ -739,6 +765,26 @@ class TestPipelines:
         monkeypatch.setenv("MGDESIGN_JOBS", "2")
         args = cli.build_parser().parse_args(["validate"])
         assert (args.seed, args.jobs) == (7, 2)
+
+    def test_a_changed_env_reaches_the_next_call(self, monkeypatch):
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, "validate", lambda args: seen.append((args.out, args.seed)) or 0)
+        for out, seed in (("first", "7"), ("first", "8"), ("second", "8"), ("first", "7")):
+            monkeypatch.setenv("MGDESIGN_OUT", out)
+            monkeypatch.setenv("MGDESIGN_SEED", seed)
+            assert main(["validate"]) == 0
+        assert seen == [("first", 7), ("first", 8), ("second", 8), ("first", 7)]
+
+    def test_a_bad_seed_env_exits_2_after_a_call_that_succeeded(self, capsys, monkeypatch):
+        assert main(["validate"]) == 0
+        monkeypatch.setenv("MGDESIGN_SEED", "abc")
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["validate"])
+            assert exc.value.code == 2
+            assert "argument --seed: expected an integer >= 0, got 'abc'" in capsys.readouterr().err
+        monkeypatch.setenv("MGDESIGN_SEED", "3")
+        assert main(["validate"]) == 0
 
 
 class TestPathErrors:

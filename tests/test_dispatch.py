@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +20,7 @@ from mgdesign.dispatch import (
     write_trace_csv,
 )
 from mgdesign.optimize import SearchSpace
-from mgdesign.scenario import Scenario, TimeSeries, Unit
+from mgdesign.scenario import Scenario, TimeSeries, Unit, scale_series
 
 from .conftest import random_design, random_scenario
 from .helpers import (
@@ -415,8 +417,9 @@ class TestStagedKernel:
 
 
 class TestBatteryStage:
-    """A battery stage shared by designs that differ only in diesel size or
-    grid cap gives the traces those designs get on their own."""
+    """A battery stage kept for designs that differ only in diesel size or
+    grid cap gives the traces those designs get from a fresh stage, and
+    the store keeps at most two stages per scenario object."""
 
     @staticmethod
     def assert_same_trace(actual, expected):
@@ -431,12 +434,18 @@ class TestBatteryStage:
             scenario = random_scenario(seed)
             design = random_design(3000 + seed)
             rng = np.random.default_rng(seed)
+            variants = [replace(design, dg_kw=dg, grid_cap_kw=cap) for dg, cap in (
+                (0.0, None), (float(rng.uniform(10, 120)), None),
+                (float(rng.uniform(10, 120)), float(rng.uniform(0, 300))), (60.0, 0.0))]
+            fresh = []
+            for variant in variants:
+                dispatch._stages.clear()
+                fresh.append(simulate_year(scenario, variant))
             stage = battery_stage(scenario, design)
-            for dg, cap in ((0.0, None), (float(rng.uniform(10, 120)), None),
-                            (float(rng.uniform(10, 120)), float(rng.uniform(0, 300))), (60.0, 0.0)):
-                variant = replace(design, dg_kw=dg, grid_cap_kw=cap)
-                self.assert_same_trace(simulate_year(scenario, variant, stage),
-                                       simulate_year(scenario, variant))
+            for variant, expected in zip(variants, fresh):
+                trace = simulate_year(scenario, variant)
+                assert trace.soc is stage.soc
+                self.assert_same_trace(trace, expected)
 
     def test_stage_is_read_only_and_left_unchanged(self, bundled, a5):
         stage = battery_stage(bundled, a5)
@@ -445,22 +454,54 @@ class TestBatteryStage:
         before = [a.copy() for a in arrays]
         assert not any(a.flags.writeable for a in arrays)
         for dg, cap in ((0.0, None), (60.0, 60.0), (120.0, 0.0), (30.0, 500.0)):
-            trace = simulate_year(bundled, replace(a5, dg_kw=dg, grid_cap_kw=cap), stage)
+            trace = simulate_year(bundled, replace(a5, dg_kw=dg, grid_cap_kw=cap))
             assert trace.pv_kw is stage.pv_kw and trace.soc is stage.soc
         for a, b in zip(arrays, before):
             assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
     @pytest.mark.parametrize("field, value", [("pv_kw", 419.0), ("wt_kw", 0.0),
                                               ("bess_kwh", 700.0), ("converter_kw", 250.0)])
-    def test_mismatched_stage_raises(self, bundled, a5, field, value):
+    def test_a_different_key_replaces_the_kept_stage(self, bundled, a5, field, value):
         stage = battery_stage(bundled, a5)
-        with pytest.raises(ValueError, match="does not match"):
-            simulate_year(bundled, replace(a5, **{field: value}), stage)
+        other = replace(a5, **{field: value})
+        trace = simulate_year(bundled, other)
+        assert battery_stage(bundled, other).key == other.battery_key
+        assert trace.soc is battery_stage(bundled, other).soc
+        assert battery_stage(bundled, a5) is not stage
+
+    def test_a_stage_with_a_battery_and_one_without_are_both_kept(self, bundled, a5):
+        stages = [battery_stage(bundled, a5), battery_stage(bundled, replace(a5, bess_kwh=0.0))]
+        again = [battery_stage(bundled, a5), battery_stage(bundled, replace(a5, bess_kwh=0.0))]
+        assert list(map(id, again)) == list(map(id, stages))
+        assert sorted(map(id, dispatch._stages[id(bundled)].values())) == sorted(map(id, stages))
+
+    def test_a_capacity_of_minus_zero_gets_its_own_stage(self, bundled, a5):
+        # Equal keys whose zeros differ in sign are not the same bits.
+        stage = battery_stage(bundled, replace(a5, wt_kw=0.0))
+        other = battery_stage(bundled, replace(a5, wt_kw=-0.0))
+        assert other is not stage and math.copysign(1.0, other.key[1]) == -1.0
+
+    def test_equal_scenarios_share_no_stage(self, bundled, a5):
+        equal = replace(bundled)
+        stage = battery_stage(bundled, a5)
+        assert battery_stage(equal, a5) is not stage
+        assert battery_stage(bundled, a5) is stage
+
+    def test_a_freed_variant_leaves_the_store(self, bundled, a5):
+        battery_stage(bundled, a5)
+        kept = dict(dispatch._stages)
+        variant = scale_series(bundled, ("load",), 1.05)
+        stage = weakref.ref(battery_stage(variant, a5))
+        assert id(variant) in dispatch._stages
+        del variant
+        gc.collect()
+        assert stage() is None
+        assert dispatch._stages == kept
 
     def test_invalid_design_rejected_with_a_stage(self, bundled, a5):
-        stage = battery_stage(bundled, a5)
+        battery_stage(bundled, a5)
         with pytest.raises(InvalidDesignError):
-            simulate_year(bundled, replace(a5, dg_kw=-1.0), stage)
+            simulate_year(bundled, replace(a5, dg_kw=-1.0))
         with pytest.raises(InvalidDesignError):
             battery_stage(bundled, replace(a5, bess_kwh=math.nan))
 
@@ -613,13 +654,15 @@ class TestBatteryLoopWriteBacks:
         assert seen == self.HOUR_KINDS
 
     def test_stage_allocates_at_most_13_year_arrays(self, bundled, a5):
-        battery_stage(bundled, a5)
+        kept = battery_stage(bundled, a5)
+        dispatch._stages.clear()   # so the measured call computes its own stage
         tracemalloc.start()
         try:
-            battery_stage(bundled, a5)
+            stage = battery_stage(bundled, a5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert stage is not kept
         assert peak <= 13 * 8760 * 8
 
 

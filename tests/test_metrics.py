@@ -555,11 +555,12 @@ class TestBatteryNpcFloor:
 
     def test_a_diesel_probe_reuses_the_battery_stage_across_a_twin(self, bundled, monkeypatch):
         design = Design(pv_kw=300.0, bess_kwh=50.0, converter_kw=255.0)
-        stages = spy_calls(monkeypatch, metrics, "battery_stage")
+        stages = spy_calls(monkeypatch, dispatch, "pv_series")   # once per stage computed
+        loops = spy_calls(monkeypatch, dispatch, "_battery_hours")
         evaluator = Evaluator(bundled)
         for probe in (design, replace(design, bess_kwh=0.0), replace(design, dg_kw=30.0)):
             assert evaluator(probe) == evaluate(probe, bundled)
-        assert [args[1] for args in stages] == [design, replace(design, bess_kwh=0.0)]
+        assert (len(stages), len(loops)) == (2, 1)
 
 
 class TestRecords:
