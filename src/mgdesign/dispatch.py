@@ -22,12 +22,12 @@ dispatch rules are implemented once, in three stages over the year:
    (:func:`_battery_hours`): discharge in deficit hours, PV DC-direct
    charge when nothing was discharged, PV-then-wind charge in surplus
    hours, and the tank update of the two-tank kinetic battery.  The loop
-   carries only the tanks and reads per hour only the deficit flag, the
-   discharge limit and whether there is a surplus to charge from, all
-   computed by NumPy before it.  Each kind of hour runs only the
-   operations whose results it uses: a deficit hour with no converter
-   room skips the discharge bound, and an hour that neither charges nor
-   discharges steps the tanks without the terms of the internal power.
+   carries only the tanks and reads per hour only the deficit flag and
+   the hours open to the battery (:func:`_limit_and_spare`).  Each kind
+   of hour runs only the operations whose results it uses: a deficit
+   hour with no converter room skips the discharge bound, and an hour
+   that neither charges nor discharges steps the tanks without the terms
+   of the internal power.
    A discharging hour, or an idle hour at the floors, that leaves both
    tanks bit for bit as they were (an emptied bank whose tanks exchange
    less than an ulp) gives the same result in every later deficit hour
@@ -387,18 +387,12 @@ def _battery_stage_hours(
     discharge = np.zeros(len(load))
     soc = np.zeros(len(load))
     if q_max > 0.0:
-        # The loop reads the deficit flags, the discharge limit (the room the
-        # converter has left, and no more than the residual in a deficit
-        # hour) and whether PV or wind has a surplus to charge from.  It
-        # records the power delivered, the PV and wind charges and the tank
-        # sum; the flows follow from them here, with the per-hour rules'
-        # operations on the same operands.  An hour either discharges or
-        # charges, and adding the other direction's +0.0 leaves a value as
+        # The loop records the power delivered, the PV and wind charges and
+        # the tank sum; the flows follow from them here, with the per-hour
+        # rules' operations on the same operands.  An hour either discharges
+        # or charges, and adding the other direction's +0.0 leaves a value as
         # it is: none of these arrays holds -0.0 where +0.0 is added.
-        limit = np.subtract(conv_kw, conv_used)
-        np.copyto(limit, residual, where=deficit & (residual < limit))
-        spare = pv_surplus > 0.0
-        spare |= wt_surplus > 0.0
+        limit, spare = _limit_and_spare(conv_kw, deficit, residual, pv_surplus, wt_surplus, conv_used)
         delivered, wind_dc = discharge, np.zeros(len(load))
         q1, q2 = _battery_hours(
             deficit, limit, spare, pv_surplus, wt_surplus, charge, delivered, wind_dc, soc,
@@ -418,6 +412,19 @@ def _battery_stage_hours(
     return (deficit, residual, pv_surplus, wt_surplus, conv_used, loss), (charge, discharge, soc), q1, q2
 
 
+def _limit_and_spare(conv_kw: float, deficit: np.ndarray, residual: np.ndarray, pv_surplus: np.ndarray,
+                     wt_surplus: np.ndarray, conv_used: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """From stage 1's arrays, each hour's discharge ``limit`` (the converter
+    room left, and no more than the residual in a deficit hour) and whether
+    it is ``spare`` (PV or wind has a surplus): a battery discharges only in
+    a deficit hour whose limit is positive, and charges only in a spare one."""
+    limit = np.subtract(conv_kw, conv_used)
+    np.copyto(limit, residual, where=deficit & (residual < limit))
+    spare = pv_surplus > 0.0
+    spare |= wt_surplus > 0.0
+    return limit, spare
+
+
 def _battery_hours(
     deficit: np.ndarray, limit: np.ndarray, spare: np.ndarray, pv_surplus: np.ndarray,
     wt_surplus: np.ndarray, charge: np.ndarray, delivered: np.ndarray, wind_dc: np.ndarray,
@@ -429,18 +436,18 @@ def _battery_hours(
 
     Deficit hours discharge first, up to the discharge ``limit``; when
     nothing was discharged, PV surplus left by a saturated converter
-    charges DC-direct.  Surplus hours (``spare``: PV or wind has some)
-    charge from PV DC-direct, then from wind through the converter room,
-    which is the ``limit`` of a surplus hour.  The loop carries only the
-    tanks: it writes, through memoryviews, the power ``delivered`` to the
-    AC bus, the PV ``charge``, the ``wind_dc`` charge and the tank sum
-    (``tanks``); :func:`_battery_stage_hours` turns them into the flows
-    after the loop.  The tanks follow the kinetic battery model at dt =
-    1 h: the discharge and charge bounds that keep the available tank
-    within the usable window, and the exact tank update, in closed form
-    with their constants hoisted out of the loop.  Each direction carries
-    ``sq_eta`` of the roundtrip efficiency, and the update takes exactly
-    the internal power ``i`` from ``q1 + q2``.
+    charges DC-direct.  ``spare`` hours charge from PV DC-direct, then from
+    wind through the converter room, which is the ``limit`` of such an hour
+    (both from :func:`_limit_and_spare`).  The loop carries only the tanks:
+    it writes, through memoryviews, the power ``delivered`` to the AC bus,
+    the PV ``charge``, the ``wind_dc`` charge and the tank sum (``tanks``);
+    :func:`_battery_stage_hours` turns them into the flows after the loop.
+    The tanks follow the kinetic battery model at dt = 1 h: the discharge
+    and charge bounds that keep the available tank within the usable
+    window, and the exact tank update, in closed form with their constants
+    hoisted out of the loop.  Each direction carries ``sq_eta`` of the
+    roundtrip efficiency, and the update takes exactly the internal power
+    ``i`` from ``q1 + q2``.
 
     Each kind of hour runs only the operations whose results it uses, in
     the operation order of the full rules, so every result is bit for bit
@@ -714,11 +721,8 @@ def discharge_windows(stage: BatteryStage) -> int:
     between two hours that could charge it, read from a battery-less stage.
 
     Stage 1 does not read the battery, so any battery added to the stage's
-    PV, wind and converter sees these arrays in stage 2:
-    :func:`_battery_hours` discharges only in a deficit hour whose limit is
-    positive (the converter has room left; the residual of a deficit hour
-    is above 1e-12), and charges only in a spare hour (PV or wind has a
-    surplus).  So the hours that can discharge fall into runs of
+    PV, wind and converter uses the hours :func:`_limit_and_spare` gives
+    for these arrays.  So the hours that can discharge fall into runs of
     consecutive such hours that are not spare, in which the battery cannot
     charge, and spare ones, before each of which it may have charged (a
     deficit hour with converter room is spare only by a PV surplus of an
@@ -729,11 +733,8 @@ def discharge_windows(stage: BatteryStage) -> int:
     """
     if stage.key[2]:
         raise ValueError(f"discharge windows need a battery-less stage, got bess_kwh {stage.key[2]}")
-    deficit, _, pv_surplus, wt_surplus, conv_used, _ = stage.grid_inputs
-    spare = pv_surplus > 0.0
-    spare |= wt_surplus > 0.0
-    can = np.subtract(stage.key[3], conv_used) > 0.0
-    can &= deficit
+    limit, spare = _limit_and_spare(stage.key[3], *stage.grid_inputs[:5])
+    can = stage.grid_inputs[0] & (limit > 0.0)
     alone = can & ~spare
     return (int(alone[:1].sum()) + int(np.count_nonzero(alone[1:] > alone[:-1]))
             + int(np.count_nonzero(can & spare)))
@@ -754,28 +755,31 @@ def max_delivery_kwh(stage: BatteryStage, bess_kwh: float, catalog: Catalog) -> 
     """The most energy a bank of ``bess_kwh`` added to a battery-less
     stage's PV, wind and converter can deliver to the AC bus in the year.
 
-    Stage 1 does not read the battery, so the bank sees this stage's
-    arrays.  Of :func:`_battery_hours` this keeps only the tank sum ``L``,
-    which starts at ``soc_max * Q`` and stays within ``[soc_min * Q,
-    soc_max * Q]``: a deficit hour with a positive limit takes at most
-    ``limit / (eta * sqrt(eta_rt))`` out of it, and any hour at most
-    ``sqrt(eta_rt) * min(charge_cap_kw, pv surplus + eta * wind
-    surplus)`` in (an hour may here do both, out first).  Taking the most
-    out and then putting the most in, hour by hour, delivers the most of
-    any such sequence: where it takes less out than another sequence, the
-    limit cut both or it emptied the tanks, so its lead in energy
-    delivered never falls below the other's lead in ``L``, and a charge
-    cannot widen the latter.  Consecutive hours that only take, or only
-    put, add up, so the loop runs once per run of them.  Raises
+    Stage 1 does not read the battery, so the bank uses the hours
+    :func:`_limit_and_spare` gives for this stage's arrays.  Of
+    :func:`_battery_hours` this keeps only the tank sum ``L``, which starts
+    at ``soc_max * Q`` and stays within ``[soc_min * Q, soc_max * Q]``: a
+    deficit hour with a positive limit takes at most ``limit / (eta *
+    sqrt(eta_rt))`` out of it, and a spare hour at most ``sqrt(eta_rt) *
+    min(charge_cap_kw, pv surplus + eta * wind surplus)`` in (an hour may
+    here do both, out first).  Taking the most out and then putting the
+    most in, hour by hour, delivers the most of any such sequence: where it
+    takes less out than another sequence, the limit cut both or it emptied
+    the tanks, so its lead in energy delivered never falls below the
+    other's lead in ``L``, and a charge cannot widen the latter.
+    Consecutive hours that only take, or only put, add up, so the loop runs
+    once per run of them.  Each run of takes lies between two spare hours,
+    draws at most ``U = (soc_max - soc_min) * Q`` and holds a window of
+    :func:`discharge_windows` that no other run holds, so the bound is at
+    most ``discharge_windows(stage) * U * eta * sqrt(eta_rt)``.  Raises
     :class:`ValueError` for a stage with a battery.
     """
     if stage.key[2]:
         raise ValueError(f"the delivery bound needs a battery-less stage, got bess_kwh {stage.key[2]}")
-    deficit, residual, pv_surplus, wt_surplus, conv_used, _ = stage.grid_inputs
+    deficit, _, pv_surplus, wt_surplus, _, _ = stage.grid_inputs
     p = _battery_params(stage.key[3], catalog, bess_kwh)
     eta, sq_eta = p["eta"], p["sq_eta"]
-    limit = np.subtract(p["conv_kw"], conv_used)
-    np.copyto(limit, residual, where=deficit & (residual < limit))
+    limit, _ = _limit_and_spare(stage.key[3], *stage.grid_inputs[:5])
     flows = np.empty((len(limit), 2))
     flows[:, 0] = np.where(deficit & (limit > 0.0), limit, 0.0) / -(eta * sq_eta)
     charge = np.maximum(pv_surplus, 0.0) + eta * np.maximum(wt_surplus, 0.0)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -96,25 +97,20 @@ def cost_record(c: CostBreakdown) -> dict[str, float]:
 # ----------------------------------------------------------------------
 
 def _component_sizes(design: Design, scenario: Scenario) -> list[tuple[float, float, float, float, int]]:
-    """(size, capital rate, replacement rate, om rate, lifetime) per included component."""
+    """(size, capital rate, replacement rate, om rate, lifetime) per component.
+    One of size 0 or -0.0 adds only zeros to the sums of :func:`_owning_costs`,
+    which start at +0.0 and take no negative term, so it costs nothing."""
     cat = scenario.catalog
-    rows = []
-    if design.pv_kw > 0:
-        rows.append((design.pv_kw, cat.pv.capital_usd_per_kw, cat.pv.replacement_usd_per_kw,
-                     cat.pv.om_usd_per_kw_yr, cat.pv.lifetime_years))
-    if design.wt_kw > 0:
-        rows.append((design.wt_kw, cat.wind.capital_usd_per_kw, cat.wind.replacement_usd_per_kw,
-                     cat.wind.om_usd_per_kw_yr, cat.wind.lifetime_years))
-    if design.dg_kw > 0:
-        rows.append((design.dg_kw, cat.diesel.capital_usd_per_kw, cat.diesel.replacement_usd_per_kw,
-                     0.0, cat.diesel.lifetime_years))  # DG O&M accrues per operating hour
-    if design.bess_kwh > 0:
-        rows.append((design.bess_kwh, cat.battery.capital_usd_per_kwh, cat.battery.replacement_usd_per_kwh,
-                     cat.battery.om_usd_per_kwh_yr, cat.battery.lifetime_years))
-    if design.converter_kw > 0:
-        rows.append((design.converter_kw, cat.converter.capital_usd_per_kw, cat.converter.replacement_usd_per_kw,
-                     cat.converter.om_usd_per_kw_yr, cat.converter.lifetime_years))
-    return rows
+    return [(design.pv_kw, cat.pv.capital_usd_per_kw, cat.pv.replacement_usd_per_kw,
+             cat.pv.om_usd_per_kw_yr, cat.pv.lifetime_years),
+            (design.wt_kw, cat.wind.capital_usd_per_kw, cat.wind.replacement_usd_per_kw,
+             cat.wind.om_usd_per_kw_yr, cat.wind.lifetime_years),
+            (design.dg_kw, cat.diesel.capital_usd_per_kw, cat.diesel.replacement_usd_per_kw,
+             0.0, cat.diesel.lifetime_years),  # DG O&M accrues per operating hour
+            (design.bess_kwh, cat.battery.capital_usd_per_kwh, cat.battery.replacement_usd_per_kwh,
+             cat.battery.om_usd_per_kwh_yr, cat.battery.lifetime_years),
+            (design.converter_kw, cat.converter.capital_usd_per_kw, cat.converter.replacement_usd_per_kw,
+             cat.converter.om_usd_per_kw_yr, cat.converter.lifetime_years)]
 
 
 def _owning_costs(rows: list[tuple[float, float, float, float, int]],
@@ -172,8 +168,7 @@ def npc(trace: DispatchTrace, design: Design, scenario: Scenario) -> tuple[float
     """
     eco = scenario.economics
     capital, om, replacement_pw, salvage_pw = _owning_costs(_component_sizes(design, scenario), eco)
-    om += (scenario.catalog.diesel.om_usd_per_hr_kw * design.dg_kw * trace.dg_hours
-           if design.dg_kw > 0 else 0.0)
+    om += scenario.catalog.diesel.om_usd_per_hr_kw * design.dg_kw * trace.dg_hours   # 0 without a diesel
     fuel = trace.fuel_l * eco.fuel_price_usd_per_l
     buy = float(trace.grid_import_kw @ scenario.tariff.purchase_series())
     sell = float(trace.grid_export_kw @ scenario.tariff.sellback_series())
@@ -246,12 +241,13 @@ def battery_npc_floor(twin: TwinYear, bess_kwh: float, scenario: Scenario,
       delivers, and ``min(residual, import cap)`` falls by at most as much,
       so ``buy_t - buy_d <= p_max * D``, with ``D`` the energy delivered in
       the year.
-    * Delivery: the battery charges only in spare hours, so between two
-      charging hours the tank sum never rises (an idle hour moves charge
-      between the tanks; a discharge takes the internal power out).  It
-      starts at most at ``soc_max * Q`` and never falls below ``soc_min *
-      Q``, so the internal energy drawn between two charging hours is at
-      most ``U`` and the energy delivered, after the battery and converter
+    * Delivery: the battery charges only in the hours that
+      ``dispatch._limit_and_spare`` marks spare, so between two charging
+      hours the tank sum never rises (an idle hour moves charge between
+      the tanks; a discharge takes the internal power out).  It starts at
+      most at ``soc_max * Q`` and never falls below ``soc_min * Q``, so the
+      internal energy drawn between two charging hours is at most ``U``
+      and the energy delivered, after the battery and converter
       efficiencies, at most ``W``.  Every hour that can discharge lies in
       one of the ``N`` windows, and no window holds a charging hour, so
       ``D <= N * W``; and ``D <= max_delivered_kwh`` by its definition.
@@ -467,14 +463,8 @@ class Evaluator:
         """The :func:`battery_npc_floor` of a design with a battery and no
         diesel whose battery-less twin this evaluator has simulated itself
         (not in a :meth:`map` worker); ``-inf`` for any other design."""
-        if design.dg_kw or not design.bess_kwh:
-            return -math.inf
-        return self._floor(design, replace(design, bess_kwh=0.0))
-
-    def _floor(self, design: Design, twin: Design, max_delivered_kwh: float = math.inf) -> float:
-        year = self._twin_years.get(twin)
-        return (-math.inf if year is None
-                else battery_npc_floor(year, design.bess_kwh, self.scenario, max_delivered_kwh))
+        year = self._twin_years.get(replace(design, bess_kwh=0.0)) if design.bess_kwh and not design.dg_kw else None
+        return -math.inf if year is None else battery_npc_floor(year, design.bess_kwh, self.scenario)
 
     def npc(self, design: Design, ceiling: float) -> float:
         """The design's NPC, or, when the design is not in the memo and its
@@ -490,7 +480,7 @@ class Evaluator:
         part of the design's.  Where that floor falls short of the ceiling
         but one that credits no delivery would not, the twin's stage also
         gives :func:`~mgdesign.dispatch.max_delivery_kwh` for a tighter
-        floor.
+        floor, never below the first: that bound never exceeds the windows'.
 
         A search that accepts only a design scoring below ``ceiling`` makes
         the same choices either way, as the NPC is at least the floor.
@@ -504,14 +494,16 @@ class Evaluator:
                     self._twins.add(twin)
                 except NonFiniteMetricError:   # no floor from it; the design may still be finite
                     pass
-            floor = self._floor(design, twin)
-            if floor < ceiling <= self._floor(design, twin, 0.0):   # a delivery bound can close the gap
-                bound = max_delivery_kwh(battery_stage(self.scenario, twin), design.bess_kwh,
-                                         self.scenario.catalog)
-                floor = self._floor(design, twin, bound)
-            if ceiling <= floor < math.inf:
-                self._ruled_out.add(design)
-                return floor
+            year = self._twin_years.get(twin)
+            if year is not None:
+                floor = partial(battery_npc_floor, year, design.bess_kwh, self.scenario)
+                best = floor()
+                if best < ceiling <= floor(0.0):   # a delivery bound can close the gap
+                    best = floor(max_delivery_kwh(battery_stage(self.scenario, twin), design.bess_kwh,
+                                                  self.scenario.catalog))
+                if ceiling <= best < math.inf:
+                    self._ruled_out.add(design)
+                    return best
         return self(design).npc_usd
 
     def map(self, designs: Iterable[Design]) -> list[MetricVector]:

@@ -8,7 +8,8 @@ one-hour forms of the resource laws, and the kinetic-battery references
 the scalar closed forms of one hour's step.  The dispatch, CSV,
 Pareto and series-file references are the plain per-hour, per-row and
 per-cell loops, the search references the loops that call their
-evaluator on every request, and the scenario-variant references the
+evaluator on every request, the cost-row reference the one that leaves
+out a component of size zero, and the scenario-variant references the
 hand-written ``replace`` per series and per swept parameter, that the
 package's shorter or faster code must reproduce exactly;
 :func:`reference_grid_stage_hours` is the grid stage written with
@@ -411,6 +412,29 @@ def wt_output(spec: WindTurbineSpec, capacity_kw: float, u_hub_ms: float) -> flo
     swept_area_m2 = spec.swept_area_m2_per_unit * (capacity_kw / spec.nominal_kw)
     aero_limit_kw = 0.5 * 1.225 * swept_area_m2 * u_hub_ms**3 * spec.power_coefficient / 1000.0
     return min(capacity_kw * fraction, aero_limit_kw, capacity_kw)
+
+
+def reference_component_sizes(design: Design, scenario: Scenario) -> list[tuple]:
+    """The cost rows of ``metrics._component_sizes``, one per component
+    whose size is positive: the others are left out, not added as zeros."""
+    cat = scenario.catalog
+    rows = []
+    if design.pv_kw > 0:
+        rows.append((design.pv_kw, cat.pv.capital_usd_per_kw, cat.pv.replacement_usd_per_kw,
+                     cat.pv.om_usd_per_kw_yr, cat.pv.lifetime_years))
+    if design.wt_kw > 0:
+        rows.append((design.wt_kw, cat.wind.capital_usd_per_kw, cat.wind.replacement_usd_per_kw,
+                     cat.wind.om_usd_per_kw_yr, cat.wind.lifetime_years))
+    if design.dg_kw > 0:
+        rows.append((design.dg_kw, cat.diesel.capital_usd_per_kw, cat.diesel.replacement_usd_per_kw,
+                     0.0, cat.diesel.lifetime_years))
+    if design.bess_kwh > 0:
+        rows.append((design.bess_kwh, cat.battery.capital_usd_per_kwh, cat.battery.replacement_usd_per_kwh,
+                     cat.battery.om_usd_per_kwh_yr, cat.battery.lifetime_years))
+    if design.converter_kw > 0:
+        rows.append((design.converter_kw, cat.converter.capital_usd_per_kw, cat.converter.replacement_usd_per_kw,
+                     cat.converter.om_usd_per_kw_yr, cat.converter.lifetime_years))
+    return rows
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@ import functools
 import math
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,10 +16,13 @@ from mgdesign.metrics import (
     NonFiniteMetricError,
     TwinYear,
     battery_npc_floor,
+    capital_cost,
     co2_delta,
+    cost_record,
     crf,
     efficiency,
     evaluate,
+    fixed_om_cost,
     lcoe,
     lpsp,
     metric_record,
@@ -36,7 +40,7 @@ from mgdesign.scenario import (
 )
 
 from .conftest import random_design, random_scenario
-from .helpers import spy_calls
+from .helpers import reference_component_sizes, spy_calls
 
 
 def _flat_scenario(load_kw=100.0, irr=0.0, wind=0.0, **kwargs):
@@ -111,6 +115,26 @@ class TestNPC:
         _, costs = npc(trace, design, bundled)
         expected = 0.03 * 260.0 * trace.dg_hours
         assert costs.om_usd_per_yr == pytest.approx(expected)
+
+    # Each capacity is 0, -0 or positive, up to random_design's ranges.
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 3), sizes=st.tuples(*[st.sampled_from([0.0, -0.0]) | st.floats(1.0, top)
+                                                     for top in (600.0, 300.0, 120.0, 1200.0, 400.0)]))
+    def test_a_size_of_zero_costs_what_leaving_the_component_out_does(self, seed, sizes):
+        scenario = _priced_scenario(seed, "flat")
+        design = Design(*sizes)
+        trace = simulate_year(scenario, design)
+        twin = TwinYear(0.0, 365, trace.curtailed_kwh, int(np.count_nonzero(trace.curtailed_kw > 0.0)))
+
+        def costs():
+            total, breakdown = npc(trace, design, scenario)
+            return [total, *cost_record(breakdown).values(), capital_cost(design, scenario),
+                    fixed_om_cost(design, scenario), battery_npc_floor(twin, design.bess_kwh, scenario)]
+
+        got = costs()
+        with mock.patch.object(metrics, "_component_sizes", reference_component_sizes):
+            expected = costs()
+        assert [value.hex() for value in got] == [value.hex() for value in expected]
 
 
 class TestLCOE:
@@ -439,7 +463,7 @@ class TestBatteryNpcFloor:
         assert (evaluator.ruled_out, len(sims)) == (1, 0)   # one design, asked twice
         # Just above the window floor, the delivery bound's floor answers.
         bound = dispatch.max_delivery_kwh(dispatch.battery_stage(bundled, twin), design.bess_kwh, bundled.catalog)
-        tighter = evaluator._floor(design, twin, bound)
+        tighter = battery_npc_floor(evaluator._twin_years[twin], design.bess_kwh, bundled, bound)
         assert floor < tighter <= expected
         assert evaluator.npc(design, math.nextafter(floor, math.inf)) == tighter
         assert evaluator.npc(design, math.nextafter(tighter, math.inf)) == expected
@@ -482,6 +506,18 @@ class TestBatteryNpcFloor:
         twin = dispatch.battery_stage(scenario, replace(design, bess_kwh=0.0))
         assert delivered <= dispatch.max_delivery_kwh(twin, bess_kwh, scenario.catalog) * (1.0 + 1e-12) + 1e-9
 
+    @settings(max_examples=150, deadline=None)
+    @given(seed=_SEEDS, design_seed=st.integers(0, 2**20), bess_kwh=_BANKS)
+    def test_the_delivery_bound_never_exceeds_the_window_bound(self, seed, design_seed, bess_kwh):
+        # Evaluator.npc tries the delivery bound's floor only after the
+        # window floor fell short, as the tighter of the two.
+        scenario = _priced_scenario(seed, "flat")
+        spec, eta = scenario.catalog.battery, scenario.catalog.converter.efficiency
+        twin = dispatch.battery_stage(scenario, replace(random_design(design_seed), bess_kwh=0.0))
+        window = (spec.soc_max - spec.soc_min) * bess_kwh * eta * math.sqrt(spec.roundtrip_efficiency)
+        bound = dispatch.max_delivery_kwh(twin, bess_kwh, scenario.catalog)
+        assert bound <= dispatch.discharge_windows(twin) * window * (1.0 + 1e-12)
+
     def test_the_delivery_bound_is_close_where_days_refill_the_bank(self, bundled):
         # The bank empties most nights, and the bound loses only what the
         # kinetic rate limits keep back: within 5% of the real delivery.
@@ -492,6 +528,19 @@ class TestBatteryNpcFloor:
         assert delivered <= bound < 1.05 * delivered
         with pytest.raises(ValueError, match="battery-less stage"):
             dispatch.max_delivery_kwh(dispatch.battery_stage(bundled, design), design.bess_kwh, bundled.catalog)
+
+    def test_the_delivery_bound_is_close_where_the_load_limits_it(self):
+        # Sun from 6 to 18 h refills a bank that could carry far more than
+        # the 10 kW night load: each night it delivers that load, and so
+        # does the bound, whose limit is the residual, not the converter room.
+        hour = np.arange(8760) % 24
+        scenario = replace(_flat_scenario(load_kw=10.0), irradiance=TimeSeries(
+            np.where((hour >= 6) & (hour < 18), 1.0, 0.0), Unit.KW_PER_M2))
+        design = Design(pv_kw=300.0, bess_kwh=1000.0, converter_kw=255.0)
+        delivered = simulate_year(scenario, design).batt_discharge_kw.sum() * scenario.catalog.converter.efficiency
+        twin = dispatch.battery_stage(scenario, replace(design, bess_kwh=0.0))
+        bound = dispatch.max_delivery_kwh(twin, design.bess_kwh, scenario.catalog)
+        assert bound == pytest.approx(delivered, rel=1e-9)
 
     def test_npc_tries_the_delivery_bound_only_where_it_can_close_the_gap(self, bundled, monkeypatch):
         # From pv=350,bess=50,conv=230 refine probes conv=255: the window
